@@ -20,6 +20,7 @@ using namespace trapjit::bench;
 int
 main()
 {
+    requireCycleModelEngine();
     std::cout << "Ablation: Figure 2 iteration count (cycles; smaller "
                  "is better)\n\n";
 

@@ -2,8 +2,10 @@
  * @file
  * Execution-tier comparison on real wall time: reference switch
  * interpreter vs pre-decoded fused interpreter vs the native x86-64
- * tier, on jBYTEmark kernels (BM_Native_* — CI uploads the results as
- * BENCH_native.json next to BENCH_interp.json).
+ * tier (the all-native engine, TRAPJIT_INTERP=native: every function
+ * compiled on its first call), on jBYTEmark kernels (BM_Native_* — CI
+ * uploads the results as BENCH_native.json next to BENCH_interp.json).
+ * The backend follows TRAPJIT_NATIVE_BACKEND.
  *
  * Three families:
  *
@@ -21,11 +23,11 @@
  *    null-heavy kernels the trap arm must be at least as fast in wall
  *    time — the win the paper measures in Table 1.
  *
- *  - BM_Tiered_{Fast,Native,Cold,Warm,WarmNoLink}_<preset>: the
+ *  - BM_Tiered_{Fast,Cold,Warm,WarmNoLink}_<preset>: the
  *    profile-guided tiering story on call-heavy workload-gen presets
  *    (CI uploads these as BENCH_tiering.json).  Cold start vs warmed
  *    steady state, direct block linking vs trampoline-only, against
- *    the fused interpreter and per-call-dispatch native baselines.
+ *    the fused interpreter baseline.
  *
  * Native benches skip (with a notice in the JSON) on hosts without the
  * native tier; the interpreter baselines run everywhere.
@@ -33,7 +35,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "codegen/native/native_engine.h"
 #include "codegen/native/tiered_engine.h"
 #include "interp/fast_interpreter.h"
 #include "interp/interpreter.h"
@@ -52,6 +53,33 @@ enum class Tier
     Fast,
     Native,
 };
+
+/**
+ * The all-native engine for @p mod, warmed outside the timed region;
+ * null (after failing the benchmark loudly) when @p entry did not
+ * compile: a silently interpreted "native" number would make the
+ * comparison meaningless.
+ */
+std::unique_ptr<TieredEngine>
+warmNativeEngine(benchmark::State &state, const Module &mod,
+                 const Target &target, const InterpOptions &options,
+                 FunctionId entry)
+{
+    if (!nativeTierSupported()) {
+        state.SkipWithError("native tier requires x86-64 Linux");
+        return nullptr;
+    }
+    auto engine = std::make_unique<TieredEngine>(
+        mod, target, options, nullptr, DecodeOptions{},
+        eagerTieredOptions());
+    engine->run(entry, {});
+    engine->reset();
+    if (engine->registry()->published(entry) == nullptr) {
+        state.SkipWithError("main did not compile natively");
+        return nullptr;
+    }
+    return engine;
+}
 
 void
 runEngineBenchmark(benchmark::State &state, const char *workload, Tier tier)
@@ -84,19 +112,10 @@ runEngineBenchmark(benchmark::State &state, const char *workload, Tier tier)
         break;
       }
       case Tier::Native: {
-        if (!nativeTierSupported()) {
-            state.SkipWithError("native tier requires x86-64 Linux");
+        auto engine = warmNativeEngine(state, *mod, target, options, entry);
+        if (engine == nullptr)
             return;
-        }
-        NativeEngine engine(*mod, target, options);
-        // Compile outside the timed region and fail loudly on
-        // fallback: a silently interpreted "native" number would make
-        // the comparison meaningless.
-        if (engine.nativeCode(entry) == nullptr) {
-            state.SkipWithError("main did not compile natively");
-            return;
-        }
-        loop(engine);
+        loop(*engine);
         break;
       }
     }
@@ -112,10 +131,6 @@ void
 runCheckArmBenchmark(benchmark::State &state, const char *workload,
                      PipelineConfig (*makeConfig)())
 {
-    if (!nativeTierSupported()) {
-        state.SkipWithError("native tier requires x86-64 Linux");
-        return;
-    }
     Target target = makeIA32WindowsTarget();
     const Workload *w = findWorkload(workload);
     auto mod = w->build();
@@ -125,16 +140,14 @@ runCheckArmBenchmark(benchmark::State &state, const char *workload,
     InterpOptions options;
     options.recordTrace = false;
 
-    NativeEngine engine(*mod, target, options);
-    const NativeCode *nc = engine.nativeCode(entry);
-    if (nc == nullptr) {
-        state.SkipWithError("main did not compile natively");
+    auto engine = warmNativeEngine(state, *mod, target, options, entry);
+    if (engine == nullptr)
         return;
-    }
+    const NativeCode *nc = engine->registry()->published(entry);
     ExecStats stats;
     for (auto _ : state) {
-        engine.reset();
-        ExecResult r = engine.run(entry, {});
+        engine->reset();
+        ExecResult r = engine->run(entry, {});
         benchmark::DoNotOptimize(r.value.i);
         stats = r.stats;
     }
@@ -190,16 +203,11 @@ TRAPJIT_NATIVE_BENCH(idea, "IDEA encryption");
 // tiering policies the engine supports:
 //
 //  - BM_Tiered_Fast:       fused-interpreter baseline
-//  - BM_Tiered_Native:     classic native tier — every call bounces
-//                          through C++ dispatch (vector frame, argv
-//                          copy, sigsetjmp) per frame
 //  - BM_Tiered_Cold:       cold start — a fresh engine per iteration
 //                          pays interpretation, promotion compiles and
 //                          publishing inside the measured region
 //  - BM_Tiered_Warm:       everything published and direct-linked;
-//                          hot call chains never leave native code.
-//                          The tiering acceptance line: >= 1.3x over
-//                          BM_Tiered_Native on these presets
+//                          hot call chains never leave native code
 //  - BM_Tiered_WarmNoLink: published but trampoline-only (linkBlocks
 //                          off) — isolates the value of the rel32
 //                          direct patches from the rest of the tier
@@ -207,7 +215,6 @@ TRAPJIT_NATIVE_BENCH(idea, "IDEA encryption");
 enum class TieredMode
 {
     Fast,
-    NativeDispatch,
     Cold,
     Warm,
     WarmNoLink,
@@ -275,24 +282,13 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
         return;
     }
 
-    if (mode == TieredMode::NativeDispatch) {
-        NativeEngine engine(*mod, target, options);
-        if (engine.nativeCode(entry) == nullptr) {
-            state.SkipWithError("main did not compile natively");
-            return;
-        }
-        timeRuns(engine);
-        return;
-    }
-
-    TieredOptions topts;
-    topts.threshold = 1;
-    topts.synchronous = true;
+    TieredOptions topts = eagerTieredOptions();
     topts.linkBlocks = mode != TieredMode::WarmNoLink;
 
     if (mode == TieredMode::Cold) {
-        // The whole first-run story per iteration: construct, interpret,
-        // cross the threshold, compile, audit, publish, finish native.
+        // The whole first-run story per iteration: construct, then
+        // compile, audit and publish each function on its first call
+        // and run it natively from there.
         ExecStats stats;
         for (auto _ : state) {
             TieredEngine engine(*mod, target, options, nullptr, {},
@@ -332,10 +328,6 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
     {                                                                     \
         runTieredBenchmark(state, preset, TieredMode::Fast);              \
     }                                                                     \
-    void BM_Tiered_Native_##kernel(benchmark::State &state)               \
-    {                                                                     \
-        runTieredBenchmark(state, preset, TieredMode::NativeDispatch);    \
-    }                                                                     \
     void BM_Tiered_Cold_##kernel(benchmark::State &state)                 \
     {                                                                     \
         runTieredBenchmark(state, preset, TieredMode::Cold);              \
@@ -349,7 +341,6 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
         runTieredBenchmark(state, preset, TieredMode::WarmNoLink);        \
     }                                                                     \
     BENCHMARK(BM_Tiered_Fast_##kernel);                                   \
-    BENCHMARK(BM_Tiered_Native_##kernel);                                 \
     BENCHMARK(BM_Tiered_Cold_##kernel);                                   \
     BENCHMARK(BM_Tiered_Warm_##kernel);                                   \
     BENCHMARK(BM_Tiered_WarmNoLink_##kernel)

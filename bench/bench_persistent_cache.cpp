@@ -15,8 +15,8 @@
  *    directory — a production restart.  The warm run must perform
  *    ZERO pipeline compiles (asserted), serving everything from disk.
  *
- * Pre-decoding and native pre-compilation are disabled so the columns
- * isolate the compile path the persistent tier short-circuits.  Units
+ * Pre-decoding is disabled so the columns isolate the compile path
+ * the persistent tier short-circuits.  Units
  * are host seconds; cold and warm compile identical batches, so the
  * speedup column is meaningful on any machine.
  */
@@ -81,7 +81,6 @@ serviceOptions(size_t workers, const std::string &dir)
     CompileServiceOptions options;
     options.numWorkers = workers;
     options.predecode = false;
-    options.precompileNative = false;
     options.cacheDir = dir;
     return options;
 }

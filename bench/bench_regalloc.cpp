@@ -2,8 +2,9 @@
  * @file
  * Optimized-backend benchmarks: linear-scan register allocation and
  * section-5.4 load speculation against the slot-machine baseline
- * native tier (BM_Regalloc_* / BM_Speculate_* — CI uploads the
- * results as BENCH_regalloc.json).
+ * backend, both on the all-native engine (TRAPJIT_INTERP=native:
+ * every function compiled on its first call) — BM_Regalloc_* /
+ * BM_Speculate_*; CI uploads the results as BENCH_regalloc.json.
  *
  * Two families:
  *
@@ -11,18 +12,20 @@
  *    optimized module under the fused interpreter, the baseline
  *    native tier (every IR value lives in its stack slot) and the
  *    optimized backend (hot values promoted to callee-/caller-saved
- *    GPRs, budget checks batched per straight-line run).  The
- *    acceptance line: warmed Optimized beats Baseline on the
- *    pointer_chase and array_stream presets.
+ *    GPRs, budget checks batched per straight-line run).  Every
+ *    exception in an optimized block deopts, so exception-heavy
+ *    presets (pointer_chase throws several NPEs per run) can favour
+ *    the baseline, which dispatches them in code.
  *
  *  - BM_Speculate_{On,Off}_<preset> and BM_Speculate_DeoptStorm: the
  *    paper's section-5.4 experiment on the optimized backend.  With
  *    speculation on, loads are hoisted above their explicit null
  *    checks (the check compiles to zero bytes); a null base takes the
- *    guard-page trap and side-exits into the interpreter.  The storm
- *    bench runs the null_storm preset, where speculated loads
- *    actually fault, and reports deopts_taken so the JSON shows the
- *    side-exit path was really measured.
+ *    guard-page trap, the frame finishes on the interpreter, and the
+ *    function re-tiers without speculation.  The storm bench runs the
+ *    null_storm preset, where speculated loads actually fault, and
+ *    reports deopts_taken so the JSON shows the deopt path was really
+ *    measured.
  *
  * All benches skip (with a notice in the JSON) on hosts without the
  * native tier.
@@ -30,7 +33,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "codegen/native/native_engine.h"
+#include "codegen/native/tiered_engine.h"
 #include "interp/fast_interpreter.h"
 #include "jit/compiler.h"
 #include "testing/workload_gen/workload_gen.h"
@@ -105,38 +108,37 @@ runRegallocBenchmark(benchmark::State &state, const char *preset,
         return;
     }
 
-    NativeEngineOptions eopts;
+    TieredOptions topts = eagerTieredOptions();
     switch (mode) {
       case RegallocMode::Baseline:
-        eopts.backend = NativeBackend::Baseline;
+        topts.backend = NativeBackend::Baseline;
         break;
       case RegallocMode::Optimized:
-        eopts.backend = NativeBackend::Optimized;
-        eopts.speculate = 1;
+        topts.backend = NativeBackend::Optimized;
+        topts.speculate = 1;
         break;
       case RegallocMode::NoSpec:
-        eopts.backend = NativeBackend::Optimized;
-        eopts.speculate = 0;
+        topts.backend = NativeBackend::Optimized;
+        topts.speculate = 0;
         break;
       case RegallocMode::Fast:
         break;
     }
 
-    NativeEngine engine(*mod, target, options, nullptr, {}, nullptr,
-                        eopts);
+    TieredEngine engine(*mod, target, options, nullptr, {}, topts);
     // Warm (compile) outside the timed region and fail loudly on
     // fallback: a silently interpreted "native" number would make the
     // comparison meaningless.
-    if (engine.nativeCode(entry) == nullptr) {
+    engine.run(entry, {});
+    engine.reset();
+    if (engine.registry()->published(entry) == nullptr) {
         state.SkipWithError("main did not compile natively");
         return;
     }
-    engine.run(entry, {});
-    engine.reset();
     timeRuns(engine);
 
     ServiceCounters c;
-    engine.addOptimizedCounters(c);
+    engine.addTieringCounters(c);
     state.counters["functions_regalloc"] =
         static_cast<double>(c.functionsRegalloc);
     state.counters["spills_emitted"] =
@@ -197,10 +199,11 @@ TRAPJIT_SPECULATE_BENCH(array_stream, "array_stream");
 
 #undef TRAPJIT_SPECULATE_BENCH
 
-// The deopt storm: null_storm dereferences null bases constantly, so
-// speculated loads fault and replay in the interpreter every few
-// records — the worst case for speculation and the bench that proves
-// the side-exit path is on the measured profile (deopts_taken > 0).
+// The deopt storm: null_storm dereferences null bases constantly — the
+// worst case for speculation.  Speculated loads trap during warm-up,
+// which re-tiers their functions without speculation; the measured
+// steady state then deopts on every failing explicit check, so the
+// deopt path stays on the measured profile (deopts_taken > 0).
 void
 BM_Speculate_DeoptStorm(benchmark::State &state)
 {

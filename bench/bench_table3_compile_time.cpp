@@ -54,6 +54,7 @@ averageCompileTimings(const Workload &w, const Compiler &compiler,
 int
 main()
 {
+    requireCycleModelEngine();
     std::cout << "Table 3. JIT compilation time, SPECjvm98-like suite\n"
                  "(compile: host ms averaged over repetitions; run: "
                  "simulated ms at 600 MHz;\n ratio: compile share of the "
@@ -77,7 +78,6 @@ main()
     uint64_t oursAuditFindings = 0;
     double oursAuditSeconds = 0.0;
     ExecStats engineTotals;
-    ServiceCounters tieringTotals;
     for (const Workload &w : specjvmWorkloads()) {
         PassTimings oursT = averageCompileTimings(w, ours, reps);
         PassTimings altvmT = averageCompileTimings(w, altvm, reps);
@@ -105,11 +105,6 @@ main()
             oursRun.stats.fusedPairsExecuted;
         engineTotals.functionsDecoded += oursRun.stats.functionsDecoded;
         engineTotals.decodeSeconds += oursRun.stats.decodeSeconds;
-        engineTotals.functionsNativeCompiled +=
-            oursRun.stats.functionsNativeCompiled;
-        engineTotals.nativeCompileSeconds +=
-            oursRun.stats.nativeCompileSeconds;
-        tieringTotals += oursRun.tiering;
 
         table.addRow({w.name, TextTable::num(oursCompileMs, 3),
                       TextTable::num(oursRunMs, 3),
@@ -154,57 +149,6 @@ main()
                   << " functions decoded in "
                   << TextTable::num(engineTotals.decodeSeconds * 1e3, 3)
                   << " ms (excluded from compile columns)";
-    if (interpEngineFromEnv() == InterpEngineKind::Native)
-        std::cout << ", " << engineTotals.functionsNativeCompiled
-                  << " functions native-compiled in "
-                  << TextTable::num(
-                         engineTotals.nativeCompileSeconds * 1e3, 3)
-                  << " ms (excluded from compile columns)";
     std::cout << "\n";
-    if (tieringTotals.functionsRegalloc > 0) {
-        // Only nonzero under TRAPJIT_NATIVE_BACKEND=optimized: the
-        // regalloc+speculation backend's compile- and run-side story.
-        std::cout << "Optimized native backend (ours runs): "
-                  << tieringTotals.functionsRegalloc
-                  << " functions register-allocated in "
-                  << TextTable::num(
-                         tieringTotals.regallocSeconds * 1e3, 3)
-                  << " ms, " << tieringTotals.spillsEmitted
-                  << " spills emitted, " << tieringTotals.loadsSpeculated
-                  << " loads speculated, " << tieringTotals.deoptsTaken
-                  << " deopts taken (regalloc time is native-compile "
-                     "host time, excluded from compile columns)\n";
-    }
-    if (tieringTotals.persistentHits + tieringTotals.persistentMisses >
-            0 ||
-        tieringTotals.blocksEvicted > 0 ||
-        tieringTotals.codeBytesLive > 0) {
-        // Serving-tier governance: the persistent cross-run cache and
-        // the W^X memory budget (DESIGN.md section 16).
-        std::cout << "Serving tier (ours runs): "
-                  << tieringTotals.persistentHits
-                  << " persistent hits, "
-                  << tieringTotals.persistentMisses
-                  << " persistent misses, "
-                  << tieringTotals.bytesMapped
-                  << " cache bytes mapped, "
-                  << tieringTotals.blocksEvicted
-                  << " blocks evicted over budget, "
-                  << tieringTotals.codeBytesLive
-                  << " code bytes live\n";
-    }
-    if (interpEngineFromEnv() == InterpEngineKind::Tiered) {
-        std::cout << "Profile-guided tiering (ours runs): "
-                  << tieringTotals.functionsPromoted
-                  << " functions promoted in "
-                  << TextTable::num(
-                         tieringTotals.tierUpLatencySeconds * 1e3, 3)
-                  << " ms request-to-publish, "
-                  << tieringTotals.blocksLinked << " blocks linked, "
-                  << tieringTotals.slotsPatched << " call slots patched, "
-                  << tieringTotals.blocksInvalidated
-                  << " blocks invalidated (tier-up time is background "
-                     "host time, excluded from compile columns)\n";
-    }
     return 0;
 }

@@ -14,6 +14,7 @@ using namespace trapjit::bench;
 int
 main()
 {
+    requireCycleModelEngine();
     std::cout << "Table 7. SPECjvm98-like times on the PowerPC/AIX "
                  "model (simulated ms at 332 MHz; smaller is better)\n\n";
 

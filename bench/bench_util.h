@@ -12,6 +12,7 @@
  * results are simulated milliseconds (smaller is better).
  */
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,6 +32,25 @@ struct Arm
     Target runtimeTarget;
     PipelineConfig config;
 };
+
+/**
+ * Exit non-zero, before anything is printed, unless TRAPJIT_INTERP
+ * selects an engine that models cycles.  Native frames add none, so a
+ * cycle table from the native engine is all inf and one from the
+ * tiered engine is plausible but wrong.  Every bench whose table comes
+ * from WorkloadRun::cycles calls this first.
+ */
+inline void
+requireCycleModelEngine()
+{
+    if (cycleModelEngineSelected())
+        return;
+    std::cerr << "error: TRAPJIT_INTERP="
+              << interpEngineName(interpEngineFromEnv())
+              << " models no cycles in native frames; this table needs "
+                 "TRAPJIT_INTERP=fast (default) or reference\n";
+    std::exit(2);
+}
 
 /** The five IA32 arms of Tables 1 and 2, plus the AltVM stand-in. */
 inline std::vector<Arm>

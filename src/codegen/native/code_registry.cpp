@@ -77,8 +77,7 @@ CodeRegistry::publish(FunctionId fn,
                       std::shared_ptr<const DecodedFunction> df,
                       bool linkBlocks)
 {
-    TRAPJIT_ASSERT(code != nullptr && code->tiered,
-                   "only tiered blocks enter the registry");
+    TRAPJIT_ASSERT(code != nullptr, "publishing a null block");
     TRAPJIT_ASSERT(state(fn) == TierState::Requested,
                    "publish without a matching promotion request");
     const NativeCode *nc = code.get();

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * The tiered tier's code-block registry: function id -> published
- * tiered NativeCode, plus the direct-call link graph between blocks.
+ * The native tier's code-block registry: function id -> published
+ * NativeCode block, plus the direct-call link graph between blocks.
  *
  * Lifecycle of one function (TierState):
  *
@@ -29,7 +29,10 @@
  * stub target and the direct target are valid at every instant, and
  * each retarget is a single aligned 32-bit release store into the RWX
  * buffer.  Readers (executing threads) need no ordering: whichever
- * displacement the fetch observes leads somewhere correct.
+ * displacement the fetch observes leads somewhere correct.  Only
+ * blocks with a linkable (static-callee) slot are mapped RWX at all;
+ * every other block is finalized W^X RX, which is safe because
+ * patchSlot only ever writes slots that name a callee.
  */
 
 #include <atomic>
@@ -57,7 +60,7 @@ enum class TierState : uint32_t
 };
 
 /**
- * Thread-safe registry of published tiered blocks for one module.
+ * Thread-safe registry of published blocks for one module.
  * Shareable between engines (the blocks are engine-independent); the
  * registry must outlive every frame executing one of its blocks.
  */
@@ -73,7 +76,7 @@ class CodeRegistry
     bool tryBeginPromotion(FunctionId fn);
 
     /**
-     * Install @p code (a tiered block compiled from @p df, which it
+     * Install @p code (a block compiled from @p df, which it
      * keeps alive) as @p fn's published block and link call slots both
      * ways when @p linkBlocks.  Requires state Requested.
      */

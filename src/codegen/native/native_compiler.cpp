@@ -6,6 +6,7 @@
 #include "codegen/check_bytes.h"
 #include "codegen/native/code_buffer_pool.h"
 #include "codegen/native/native_runtime.h"
+#include "codegen/native/tiered_frame.h"
 #include "codegen/native/x64_emitter.h"
 #include "ir/layout.h"
 #include "support/diagnostics.h"
@@ -148,12 +149,6 @@ swapIcmpCond(X64Cond cond)
     }
 }
 
-uint64_t
-helperAddr(uint32_t (*fn)(NativeContext *, uint32_t))
-{
-    return reinterpret_cast<uint64_t>(fn);
-}
-
 } // namespace
 
 NativeCode::~NativeCode()
@@ -176,31 +171,13 @@ NativeCode::findSite(uint32_t off) const
                                                            : nullptr;
 }
 
-Hash128
-nativeCodeKey(const Function &fn, const Target &target,
-              const DecodeOptions &decode_options,
-              const NativeCompileOptions &native_options)
-{
-    Hash128 base = decodedProgramKey(fn, target, decode_options);
-    Hasher h;
-    h.update(std::string_view("native-code-v1"));
-    h.update(base.hi);
-    h.update(base.lo);
-    h.update(static_cast<uint64_t>(native_options.recordTrace ? 1 : 0));
-    h.update(static_cast<uint64_t>(native_options.tiered ? 1 : 0));
-    h.update(static_cast<uint64_t>(native_options.optimized ? 1 : 0));
-    h.update(static_cast<uint64_t>(
-        native_options.optimized && native_options.speculate ? 1 : 0));
-    return h.digest();
-}
-
 NativeCompileResult
 compileNative(const Function &fn, const DecodedFunction &df,
               const NativeCompileOptions &options)
 {
     if (options.optimized)
         return compileNativeOptimized(fn, df, options);
-    (void)fn; // identity lives in the cache key; codegen is decode-only
+    (void)fn; // codegen is decode-only
     NativeCompileResult out;
     if (!nativeTierSupported()) {
         out.unsupportedReason = "native tier requires x86-64 Linux";
@@ -456,32 +433,12 @@ compileNative(const Function &fn, const DecodedFunction &df,
     }
     size_t eliminatedCount = 0;
 
-    // Tiered mode swaps every out-of-line helper for its tiered twin:
-    // the twins reach frame state through ctx->activeDf/activeSlots
-    // (published by the prologue) instead of ctx->frame, and report
-    // hard faults through ctx->hardFault instead of status 2.  The
-    // decoded function's address is baked into the code, so tiered
-    // blocks must never enter the content-addressed NativeCodeCache —
-    // the code registry keeps df alive alongside the block.
-    const bool tiered = options.tiered;
-    uint32_t (*pNewObject)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredNewObject : &trapjitNativeNewObject;
-    uint32_t (*pNewArray)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredNewArray : &trapjitNativeNewArray;
-    uint32_t (*pMath)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredMath : &trapjitNativeMath;
-    uint32_t (*pTraceField)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredTraceFieldWrite
-               : &trapjitNativeTraceFieldWrite;
-    uint32_t (*pTraceArray)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredTraceArrayWrite
-               : &trapjitNativeTraceArrayWrite;
-    uint32_t (*pBudgetFault)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredBudgetFault : &trapjitNativeBudgetFault;
-    int32_t (*pFindHandler)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredFindHandler : &trapjitNativeFindHandler;
-
+    // The frame protocol (prologue, exits, helper calls, call sites)
+    // is shared with the optimized backend; the decoded function's
+    // address is baked into the code, so the code registry keeps df
+    // alive alongside the block.
     X64Emitter e;
+    TieredFrameEmitter frame(e, df, /*saveRbp=*/false);
     const size_t nrec = df.code.size();
     std::vector<int> recLabel(nrec);
     for (size_t i = 0; i < nrec; ++i)
@@ -489,22 +446,12 @@ compileNative(const Function &fn, const DecodedFunction &df,
     const int lDispatch = e.newLabel();
     const int lBudget = e.newLabel();
     const int lBudgetFused = e.newLabel();
-    const int lReturn = e.newLabel();
-    const int lUnwind = e.newLabel();
-    const int lPop = e.newLabel();
+    const int lReturn = frame.returnLabel();
+    const int lUnwind = frame.unwindLabel();
 
     std::vector<RaiseStub> raises;
     std::vector<StatusStub> statuses;
     std::vector<NativeTrapSite> sites;
-    // Tiered call plumbing: one patchable slot and one per-site slow
-    // stub per Call record, pushed in lockstep.
-    struct TieredCallStub
-    {
-        int label;
-        uint32_t recIndex;
-    };
-    std::vector<TieredCallStub> callStubs;
-    std::vector<NativeCallSlot> callSlots;
     size_t explicitBytes = 0, implicitBytes = 0, boundBytes = 0;
     size_t explicitCount = 0, implicitCount = 0;
 
@@ -513,22 +460,17 @@ compileNative(const Function &fn, const DecodedFunction &df,
         raises.push_back(RaiseStub{l, kind, rec.site, rec.tryRegion});
         return l;
     };
-    auto callHelper = [&](uint32_t (*helper)(NativeContext *, uint32_t),
-                          uint32_t recIndex) {
-        // Helpers run interpreter code that consumes budget, so the
-        // register-resident count round-trips through the context.
-        e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
-        e.movRegReg(R::RDI, R::R12);
-        e.movRegImm32(R::RSI, recIndex);
-        e.movRegImm64(R::RAX, helperAddr(helper));
-        e.callReg(R::RAX);
-        e.loadCtx64(R::R14, kNativeCtxBudgetOffset);
+    auto callHelper = [&](NativeHelperFn helper, size_t recIndex) {
+        frame.callHelper(helper, static_cast<uint32_t>(recIndex));
     };
-    auto checkStatus = [&](const DecodedInst &rec) {
+    auto statusStub = [&](const DecodedInst &rec) {
         int l = e.newLabel();
         statuses.push_back(StatusStub{l, rec.tryRegion});
+        return l;
+    };
+    auto checkStatus = [&](const DecodedInst &rec) {
         e.testRegReg(R::RAX, R::RAX, false);
-        e.jccLabel(CC::NE, l);
+        e.jccLabel(CC::NE, statusStub(rec));
     };
     auto beginSite = [&] { return static_cast<uint32_t>(e.size()); };
     auto endSite = [&](uint32_t begin, size_t recIndex) {
@@ -537,61 +479,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             static_cast<uint32_t>(recIndex), 0});
     };
 
-    // ---- prologue ------------------------------------------------------
-    // Five callee-saved pushes (r15 is alignment padding) leave rsp
-    // 16-byte aligned at every helper call site.
-    e.pushReg(R::RBX);
-    e.pushReg(R::R12);
-    e.pushReg(R::R13);
-    e.pushReg(R::R14);
-    e.pushReg(R::R15);
-    e.movRegReg(R::R12, R::RDI); // NativeContext*
-    e.movRegReg(R::RBX, R::RSI); // Slot*
-    e.movRegReg(R::R13, R::RDX); // heap host bias
-    e.loadCtx64(R::R14, kNativeCtxBudgetOffset); // instruction budget
-    const int lDepthBail = tiered ? e.newLabel() : -1;
-    const int lPoolBail = tiered ? e.newLabel() : -1;
-    if (tiered) {
-        // Tiered entry: no resume parameter (the SIGSEGV handler
-        // resumes frames in place by rewriting RIP) and a fully
-        // self-contained frame setup.  activeDf is published before
-        // the depth check so the depth-fault message can name this
-        // callee; the slot file is claimed from the engine's frame
-        // pool with an overflow check; non-parameter slots are zeroed
-        // exactly like execFrame's fresh regs vector.
-        e.storeCtx64(kNativeCtxActiveSlotsOffset, R::RBX);
-        e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(&df));
-        e.storeCtx64(kNativeCtxActiveDfOffset, R::RAX);
-        e.decCtx64(kNativeCtxDepthRemainingOffset);
-        e.jccLabel(CC::S, lDepthBail);
-        e.movRegReg(R::RAX, R::RBX);
-        e.aluRegImm32(X64Emitter::Alu::Add, R::RAX,
-                      static_cast<int32_t>(df.numValues * 8), true);
-        e.loadCtx64(R::RCX, kNativeCtxPoolEndOffset);
-        e.aluRegReg(X64Emitter::Alu::Cmp, R::RAX, R::RCX, true);
-        e.jccLabel(CC::A, lPoolBail);
-        e.storeCtx64(kNativeCtxPoolTopOffset, R::RAX);
-        if (df.numValues > df.numParams) {
-            e.movRegReg(R::RDI, R::RBX);
-            if (df.numParams > 0)
-                e.aluRegImm32(X64Emitter::Alu::Add, R::RDI,
-                              static_cast<int32_t>(df.numParams * 8),
-                              true);
-            e.movRegImm32(R::RCX, df.numValues - df.numParams);
-            e.movRegImm32(R::RAX, 0);
-            e.repStosq();
-        }
-    } else {
-        // A non-null resume address (trap re-entry) takes over as soon
-        // as the pinned registers are live; the wrapper writes the
-        // recovered budget back into the context before resuming, so
-        // the r14 reload above covers both entry paths.
-        e.testRegReg(R::RCX, R::RCX, true);
-        int lStart = e.newLabel();
-        e.jccLabel(CC::E, lStart);
-        e.jmpReg(R::RCX);
-        e.bind(lStart);
-    }
+    frame.prologue();
 
     // One integer ALU record; the canonical result is left in rax and
     // NOT stored (the caller owns the store).  Wrapping arithmetic: the
@@ -806,8 +694,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                                          kArrayDataOffset, R::RCX);
                     endSite(begin, i + 3);
                     if (options.recordTrace)
-                        callHelper(pTraceArray,
-                                   static_cast<uint32_t>(i + 3));
+                        callHelper(&trapjitTieredTraceArrayWrite, i + 3);
                 }
                 e.jmpLabel(recLabel[i + 4]);
                 continue; // records i+1..i+3 follow as entry points
@@ -1007,7 +894,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
           case Opcode::F2I:
             // libm / saturating conversion stay in C++ (bit-identical
             // to the interpreters by construction; status always 0).
-            callHelper(pMath, static_cast<uint32_t>(i));
+            callHelper(&trapjitTieredMath, i);
             break;
 
           case Opcode::I2F:
@@ -1155,7 +1042,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                               R::RCX);
             endSite(begin, i);
             if (options.recordTrace)
-                callHelper(pTraceField, static_cast<uint32_t>(i));
+                callHelper(&trapjitTieredTraceFieldWrite, i);
             break;
           }
           case Opcode::ArrayLength: {
@@ -1196,75 +1083,20 @@ compileNative(const Function &fn, const DecodedFunction &df,
                                  R::RDX);
             endSite(begin, i);
             if (options.recordTrace)
-                callHelper(pTraceArray, static_cast<uint32_t>(i));
+                callHelper(&trapjitTieredTraceArrayWrite, i);
             break;
           }
 
           case Opcode::NewObject:
-            callHelper(pNewObject, static_cast<uint32_t>(i));
+            callHelper(&trapjitTieredNewObject, i);
             checkStatus(rec);
             break;
           case Opcode::NewArray:
-            callHelper(pNewArray, static_cast<uint32_t>(i));
+            callHelper(&trapjitTieredNewArray, i);
             checkStatus(rec);
             break;
           case Opcode::Call:
-            if (!tiered) {
-                callHelper(&trapjitNativeCall, static_cast<uint32_t>(i));
-                checkStatus(rec);
-                break;
-            }
-            // Tiered call: stage the arguments contiguously at the
-            // frame pool top (that region becomes the callee's slot
-            // file), then issue a patchable rel32 call.  Unlinked
-            // sites target a per-site stub that tail-jumps into the
-            // slow-call helper; the registry retargets static sites
-            // straight at the callee's block when it publishes.
-            e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
-            e.loadCtx64(R::RAX, kNativeCtxPoolTopOffset);
-            for (uint32_t k = 0; k < rec.argsCount; ++k) {
-                e.loadSlot(R::RCX, df.argPool[rec.argsBegin + k]);
-                e.storeMemDisp64(R::RAX, static_cast<int32_t>(k * 8),
-                                 R::RCX);
-            }
-            // Counted here (caller side, before resolution) to mirror
-            // the interpreter's ++calls in its Call handler; the
-            // engine folds linkedCalls into stats after every root.
-            e.incCtx64(kNativeCtxLinkedCallsOffset);
-            e.movRegReg(R::RDI, R::R12);
-            e.movRegReg(R::RSI, R::RAX);
-            e.movRegReg(R::RDX, R::R13);
-            // Pad so the rel32 field is 4-byte aligned: link/unlink is
-            // then a single atomic 32-bit store.
-            while ((e.size() + 1) % 4 != 0)
-                e.nop();
-            {
-                int stub = e.newLabel();
-                size_t slotAt = e.callLabelSlot(stub);
-                callStubs.push_back(
-                    TieredCallStub{stub, static_cast<uint32_t>(i)});
-                callSlots.push_back(NativeCallSlot{
-                    static_cast<uint32_t>(slotAt), 0,
-                    rec.callKind == CallKind::Static
-                        ? static_cast<FunctionId>(rec.imm)
-                        : kNoFunction});
-            }
-            // The callee (or helper) left its status in rax; save it
-            // across the movabs below, restore this frame's identity,
-            // then store the return value — every path arranges
-            // ctx->retBits so the unconditional store is correct (a
-            // null-receiver-skipped virtual call reloads the old dst).
-            e.movRegReg(R::RCX, R::RAX);
-            e.loadCtx64(R::R14, kNativeCtxBudgetOffset);
-            e.storeCtx64(kNativeCtxActiveSlotsOffset, R::RBX);
-            e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(&df));
-            e.storeCtx64(kNativeCtxActiveDfOffset, R::RAX);
-            {
-                int l = e.newLabel();
-                statuses.push_back(StatusStub{l, rec.tryRegion});
-                e.testRegReg(R::RCX, R::RCX, false);
-                e.jccLabel(CC::NE, l);
-            }
+            frame.callSite(rec, static_cast<uint32_t>(i), statusStub(rec));
             if (rec.dst != kNoValue) {
                 e.loadCtx64(R::RAX, kNativeCtxRetOffset);
                 e.storeSlot(rec.dst, R::RAX);
@@ -1287,17 +1119,13 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.jmpLabel(recLabel[rec.target2]);
             break;
           case Opcode::Return:
-            if (rec.a != kNoValue) {
+            // The context persists across frames; a void return must
+            // not leak the previous callee's retBits.
+            if (rec.a != kNoValue)
                 e.loadSlot(R::RAX, rec.a);
-                e.storeCtx64(kNativeCtxRetOffset, R::RAX);
-            } else if (tiered) {
-                // The tiered context persists across frames; a void
-                // return must not leak the previous callee's retBits
-                // (classic mode gets this for free from its fresh
-                // per-root context).
+            else
                 e.movRegImm32(R::RAX, 0);
-                e.storeCtx64(kNativeCtxRetOffset, R::RAX);
-            }
+            e.storeCtx64(kNativeCtxRetOffset, R::RAX);
             e.jmpLabel(lReturn);
             break;
           case Opcode::Throw:
@@ -1321,7 +1149,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
     // through the in-buffer table of absolute record addresses.
     e.bind(lDispatch);
     e.movRegReg(R::RDI, R::R12);
-    e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(pFindHandler));
+    e.movRegImm64(R::RAX,
+                  reinterpret_cast<uint64_t>(&trapjitTieredFindHandler));
     e.callReg(R::RAX);
     e.cmpRegImm8(R::RAX, -1, false);
     e.jccLabel(CC::E, lUnwind);
@@ -1340,54 +1169,19 @@ compileNative(const Function &fn, const DecodedFunction &df,
     e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
     e.movRegReg(R::RDI, R::R12);
     e.movRegImm32(R::RSI, 0);
-    e.movRegImm64(R::RAX, helperAddr(pBudgetFault));
+    e.movRegImm64(R::RAX,
+                  reinterpret_cast<uint64_t>(&trapjitTieredBudgetFault));
     e.callReg(R::RAX);
     e.jmpLabel(lUnwind);
 
+    // Helpers report hard faults through the context flag (status is
+    // only 0/1); a set flag unwinds the whole linked chain of frames.
     for (const StatusStub &s : statuses) {
         e.bind(s.label);
-        if (tiered) {
-            // Tiered helpers report hard faults through the context
-            // flag (status is only 0/1); a set flag unwinds the whole
-            // linked chain of frames.
-            e.cmpCtx32Imm8(kNativeCtxHardFaultOffset, 0);
-            e.jccLabel(CC::NE, lUnwind);
-        } else {
-            e.cmpRegImm8(R::RAX, 1, false);
-            e.jccLabel(CC::NE, lUnwind); // status 2: hard unwind
-        }
+        e.cmpCtx32Imm8(kNativeCtxHardFaultOffset, 0);
+        e.jccLabel(CC::NE, lUnwind);
         e.movRegImm32(R::RSI, s.tryRegion);
         e.jmpLabel(lDispatch);
-    }
-
-    if (tiered) {
-        // Per-site slow stubs: rdi (ctx) is still live from the call
-        // sequence; replace the staged-args pointer in rsi with the
-        // record index and tail-jump — the helper returns straight to
-        // the call site.
-        for (const TieredCallStub &s : callStubs) {
-            e.bind(s.label);
-            e.movRegImm32(R::RSI, s.recIndex);
-            e.movRegImm64(R::RAX, helperAddr(&trapjitTieredSlowCall));
-            e.jmpReg(R::RAX);
-        }
-        // Depth/pool bail: the prologue already decremented
-        // depthRemaining and published activeDf, so the shared
-        // epilogue rebalances both and the fault helper can name this
-        // callee.  poolTop still holds the caller's value (== rbx), so
-        // the epilogue's restore is a no-op.
-        e.bind(lDepthBail);
-        e.movRegReg(R::RDI, R::R12);
-        e.movRegImm32(R::RSI, 0);
-        e.movRegImm64(R::RAX, helperAddr(&trapjitTieredDepthFault));
-        e.callReg(R::RAX);
-        e.jmpLabel(lUnwind);
-        e.bind(lPoolBail);
-        e.movRegReg(R::RDI, R::R12);
-        e.movRegImm32(R::RSI, 0);
-        e.movRegImm64(R::RAX, helperAddr(&trapjitTieredPoolFault));
-        e.callReg(R::RAX);
-        e.jmpLabel(lUnwind);
     }
     for (const RaiseStub &s : raises) {
         e.bind(s.label);
@@ -1397,26 +1191,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
         e.movRegImm32(R::RSI, s.tryRegion);
         e.jmpLabel(lDispatch);
     }
-
-    e.bind(lReturn);
-    e.movRegImm32(R::RAX, 0);
-    e.jmpLabel(lPop);
-    e.bind(lUnwind);
-    e.movRegImm32(R::RAX, 1);
-    e.bind(lPop);
-    if (tiered) {
-        // This frame's base is exactly the caller's pool top (the
-        // staged-args region), so one store releases the slot file.
-        e.storeCtx64(kNativeCtxPoolTopOffset, R::RBX);
-        e.incCtx64(kNativeCtxDepthRemainingOffset);
-    }
-    e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
-    e.popReg(R::R15);
-    e.popReg(R::R14);
-    e.popReg(R::R13);
-    e.popReg(R::R12);
-    e.popReg(R::RBX);
-    e.ret();
+    frame.finish();
 
     e.patchLabels();
 
@@ -1443,13 +1218,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
     nc->explicitChecksCompiled = explicitCount;
     nc->implicitChecksCompiled = implicitCount;
     nc->checksEliminated = eliminatedCount;
-    if (tiered) {
-        nc->tiered = true;
-        nc->unwindOffset = e.labelOffset(lUnwind);
-        for (size_t k = 0; k < callSlots.size(); ++k)
-            callSlots[k].stubOffset = e.labelOffset(callStubs[k].label);
-        nc->callSlots = std::move(callSlots);
-    }
 
     uint64_t tableBase = reinterpret_cast<uint64_t>(base) + tableOffset;
     std::memcpy(base + tablePatchAt, &tableBase, sizeof(tableBase));
@@ -1459,10 +1227,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
         std::memcpy(base + tableOffset + 8 * i, &entry, sizeof(entry));
     }
 
-    if (tiered)
-        nc->buffer.finalizePatchable();
-    else
-        nc->buffer.finalize();
+    frame.install(*nc);
     out.code = std::move(nc);
     return out;
 }

@@ -3,53 +3,48 @@
 
 /**
  * @file
- * The native x86-64 baseline tier: lowers a DecodedFunction into real,
- * executable machine code with the paper's hardware-trap implicit null
- * checks.
+ * The native x86-64 tier's two lowerings of a DecodedFunction into
+ * real, executable machine code with the paper's hardware-trap
+ * implicit null checks: the slot-resident baseline and the optimized
+ * backend (linear-scan register homes + section-5.4 speculation).
  *
- * Design (see DESIGN.md section 11 for the full story):
+ * Both emit blocks for one entry ABI — the tiered ABI of DESIGN.md
+ * section 14, shared through codegen/native/tiered_frame.h:
  *
- *  - Slot-resident baseline: every IR value lives at [rbx + id*8] in
- *    the frame's slot array; no value is cached in a register across
- *    record boundaries.  That makes *every* record boundary a safe
- *    re-entry point, which is what lets the trap wrapper resume
- *    execution at the next record after a null-access trap without any
- *    state reconstruction.
+ *  - Entry (ctx, frameBase, heapHostBase) returns 0 when the frame
+ *    returned (value in ctx->retBits) and 1 when it unwound (pending
+ *    exception in ctx, or ctx->hardFault set).  The slot file is
+ *    carved from the engine's frame pool; call arguments are staged
+ *    straight into the callee's parameter slots.
  *  - Register convention: rbx = Slot*, r12 = NativeContext*, r13 =
- *    heap host bias (host address of simulated address 0); rax, rcx,
- *    rdx and xmm0/xmm1 are per-record scratch.
- *  - Every record starts with the instruction-budget preamble
- *    (dec r14; js <budget stub>), kNativeBudgetPreambleBytes
- *    long.  An *implicit null check compiles to exactly those bytes
- *    and nothing else* — the check itself is zero instructions; the
- *    following memory access faults on the heap guard page instead.
+ *    heap host bias (host address of simulated address 0), r14 = the
+ *    register-resident instruction budget; rax, rcx, rdx and
+ *    xmm0/xmm1 are per-record scratch.
+ *  - An *implicit null check compiles to zero instructions*: the
+ *    guarded memory access faults on the heap guard page instead.
  *    Explicit checks compile to test+jz (kNativeExplicitNullCheckBytes
  *    of hot-path compare-and-branch, asserted against
  *    codegen/check_bytes.h on every emission).
- *  - Memory accesses record a TrapSite covering the single faulting
- *    instruction; the SIGSEGV path maps the fault PC back to the
- *    record (codegen/native/native_runtime.h).
- *  - Java-level exceptions dispatch through one shared stub that calls
- *    trapjitNativeFindHandler and indirect-jumps through an in-buffer
- *    table of absolute record addresses.
+ *  - Memory accesses record a NativeTrapSite covering the single
+ *    faulting instruction; the SIGSEGV handler maps the fault PC back
+ *    to the record and rewrites RIP in place
+ *    (codegen/native/native_runtime.h).  Baseline sites resume at the
+ *    next record or a catch handler; optimized sites leave through the
+ *    block's deopt exit into the fast interpreter.
  *
  * Functions containing anything the tier cannot lower (none on
  * x86-64/Linux today, every srcOp is covered — but the set is checked,
- * and non-x86-64 hosts reject everything) compile to "unsupported" and
- * execute on the fast interpreter instead (NativeEngine's per-function
- * fallback).
+ * and non-x86-64 hosts reject everything) compile to "unsupported";
+ * the code registry then parks them and they stay interpreted.
  */
 
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "codegen/native/code_buffer.h"
 #include "interp/decoded_program.h"
 #include "ir/function.h"
-#include "support/hash.h"
 
 namespace trapjit
 {
@@ -68,9 +63,10 @@ struct NativeTrapSite
     uint32_t resumeNext = 0;  ///< code offset of the next record
     /**
      * Index into NativeCode::deopts, or -1 in the baseline backend.
-     * Optimized-backend traps never resume in native code; the engine
-     * deopts the frame into the fast interpreter at the record named
-     * by the deopt info instead.
+     * Optimized-backend traps never resume in native code; the
+     * SIGSEGV handler sends them to the block's deopt exit, which
+     * finishes the frame on the fast interpreter from the record named
+     * by the deopt info.
      */
     int32_t deoptIndex = -1;
 };
@@ -105,7 +101,7 @@ struct NativeRegLoc
 };
 
 /**
- * One patchable call displacement in a tiered block.  The rel32 field
+ * One patchable call displacement in a block.  The rel32 field
  * at @p rel32Offset is 4-byte aligned (the compiler NOP-pads to make
  * it so) and initially resolves to the per-site slow stub at
  * @p stubOffset; the code registry retargets it with a single aligned
@@ -123,24 +119,13 @@ struct NativeCallSlot
 struct NativeCode
 {
     /**
-     * Entry protocol: (ctx, slots, heapHostBase, resume).  A null
-     * resume starts at the first record; a non-null one (produced by
-     * the trap wrapper) jumps straight to that in-buffer address.
-     * Returns 0 when the frame returned (value in ctx->retBits), 1
-     * when it unwound (pending exception in ctx, or ctx->hardFault).
+     * Entry protocol: (ctx, frameBase, heapHostBase).  There is no
+     * resume parameter — the SIGSEGV handler resumes frames in place
+     * by rewriting RIP.  Returns 0 when the frame returned (value in
+     * ctx->retBits), 1 when it unwound (pending exception in ctx, or
+     * ctx->hardFault set).
      */
-    using EntryFn = uint32_t (*)(NativeContext *, void *, uint8_t *,
-                                 const void *);
-
-    /**
-     * Tiered entry protocol: (ctx, frameBase, heapHostBase).  No
-     * resume parameter and no sigsetjmp wrapper — the SIGSEGV handler
-     * resumes tiered frames in place by rewriting RIP.  Returns 0 when
-     * the frame returned (value in ctx->retBits), 1 when it unwound
-     * (pending exception in ctx, or ctx->hardFault set).
-     */
-    using TieredEntryFn = uint32_t (*)(NativeContext *, void *,
-                                       uint8_t *);
+    using EntryFn = uint32_t (*)(NativeContext *, void *, uint8_t *);
 
     CodeBuffer buffer;
     size_t codeSize = 0; ///< instruction bytes (table excluded)
@@ -160,11 +145,12 @@ struct NativeCode
     size_t spillsEmitted = 0;   ///< ranked values left slot-resident
     size_t regsAllocated = 0;   ///< values given register homes
 
-    // ---- tiered-mode extras (empty/zero in classic mode) ------------
-    bool tiered = false;
+    // ---- exits and call linking ------------------------------------
     /** Code offset of the shared hard-unwind exit (RIP rewrite). */
     uint32_t unwindOffset = 0;
-    /** Static-call sites the registry may link/unlink. */
+    /** Code offset of the trap deopt exit (optimized backend only). */
+    uint32_t deoptOffset = 0;
+    /** Call sites; the registry links/unlinks the static ones. */
     std::vector<NativeCallSlot> callSlots;
 
     // Check-size accounting, asserted against codegen/check_bytes.h.
@@ -185,7 +171,7 @@ struct NativeCode
 
     /** Returns the buffer to the global CodeBufferPool.  Callers only
      *  destroy a NativeCode once no thread can still execute it (the
-     *  registry graveyard enforces that for tiered blocks). */
+     *  registry graveyard enforces that for published blocks). */
     ~NativeCode();
 
     NativeCode(const NativeCode &) = delete;
@@ -197,35 +183,25 @@ struct NativeCode
         return reinterpret_cast<EntryFn>(buffer.base());
     }
 
-    TieredEntryFn
-    tieredEntry() const
-    {
-        return reinterpret_cast<TieredEntryFn>(buffer.base());
-    }
-
     /** Site whose [accessBegin, accessEnd) contains @p off, or null. */
     const NativeTrapSite *findSite(uint32_t off) const;
 };
 
-/** Knobs that change the emitted code (part of the cache key). */
+/**
+ * Knobs that change the emitted code.  Blocks bake the DecodedFunction
+ * address into the code, so the code registry owns them together with
+ * a keepalive of the decoded function; there is no content-addressed
+ * store of native code.
+ */
 struct NativeCompileOptions
 {
     /** Emit event-trace recording after heap stores. */
     bool recordTrace = true;
     /**
-     * Tiered lowering: the no-sigsetjmp entry ABI, pool-staged call
-     * arguments, patchable rel32 call slots and the in-block unwind
-     * exit (see DESIGN.md section 14).  Tiered blocks bake the
-     * DecodedFunction address into the code, so they must never go
-     * into the content-addressed NativeCodeCache — the code registry
-     * owns them together with a keepalive of the decoded function.
-     */
-    bool tiered = false;
-    /**
      * Optimized backend: linear-scan register allocation over the
      * callee-saved + caller-saved GPR file, batched budget runs, and
      * deopt side-exits instead of in-code exception dispatch (see
-     * DESIGN.md section 15).  Mutually exclusive with @p tiered.
+     * DESIGN.md section 15).
      */
     bool optimized = false;
     /** Hoist loads above their guarding explicit null checks (section
@@ -269,73 +245,6 @@ nativeTierSupported()
     return false;
 #endif
 }
-
-/**
- * Content address of the native code of @p fn: the decoded-program key
- * (which already covers the serialized function, target and fusion
- * flag) extended with the native compile options.  Equal keys imply
- * bit-identical machine code up to load addresses.
- */
-Hash128 nativeCodeKey(const Function &fn, const Target &target,
-                      const DecodeOptions &decode_options,
-                      const NativeCompileOptions &native_options);
-
-/**
- * Thread-safe content-addressed store of compiled native code, shared
- * between the compile service (pre-compilation) and engines.  First
- * writer wins.  A lookup miss after an insert of an *unsupported*
- * function is recorded too, so callers don't recompile known-bad
- * functions: unsupported entries store a null code pointer.
- */
-class NativeCodeCache
-{
-  public:
-    struct Entry
-    {
-        std::shared_ptr<const NativeCode> code; ///< null = unsupported
-        std::string unsupportedReason;
-    };
-
-    /** Returns nullptr when the key was never inserted. */
-    std::shared_ptr<const Entry>
-    lookup(const Hash128 &key) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        return it == entries_.end() ? nullptr : it->second;
-    }
-
-    std::shared_ptr<const Entry>
-    insert(const Hash128 &key, NativeCompileResult result)
-    {
-        auto entry = std::make_shared<Entry>(
-            Entry{std::move(result.code),
-                  std::move(result.unsupportedReason)});
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto [it, inserted] = entries_.emplace(key, std::move(entry));
-        return it->second;
-    }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.size();
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.clear();
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_map<Hash128, std::shared_ptr<const Entry>,
-                       Hash128Hasher>
-        entries_;
-};
 
 } // namespace trapjit
 

@@ -19,7 +19,6 @@ namespace trapjit
 namespace
 {
 
-thread_local NativeActivation *t_activation = nullptr;
 thread_local TieredRun *t_tieredRun = nullptr;
 
 std::mutex g_installMutex;
@@ -46,14 +45,13 @@ chainToPrevious(int signo, siginfo_t *info, void *context)
 
 #if defined(__x86_64__) && defined(__linux__)
 /**
- * Resolve a fault whose PC lies inside a published tiered block: the
- * in-signal-handler equivalent of NativeEngine's trap wrapper.  All
+ * Resolve a fault whose PC lies inside a published block.  All
  * decisions mirror FastInterpreter::handleNullAccess bit for bit; the
- * outcome is a rewritten REG_RIP (resume, catch handler, or the
- * block's unwind exit) — no siglongjmp, no per-frame setup.
- * Everything here is async-signal-safe: binary search, flag tests and
- * plain stores; messages are built later, engine-side, from the
- * parked (code, record, function) triple.
+ * outcome is a rewritten REG_RIP (resume, catch handler, the block's
+ * unwind exit, or an optimized block's deopt exit) — no per-frame
+ * setup anywhere.  Everything here is async-signal-safe: binary
+ * search, flag tests and plain stores; messages are built later,
+ * engine-side, from the parked (code, record, function) triple.
  */
 void
 resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
@@ -85,6 +83,21 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
     bool inGuard = fault >= run.guardLo && fault < run.guardHi;
     if (!inGuard || rec == nullptr || slots[rec->a] != 0) {
         park(TieredPark::Wild);
+        return;
+    }
+    if (site->deoptIndex >= 0) {
+        // Optimized site: never resumed in native code.  Refund the
+        // records the batched budget run pre-charged at and after the
+        // replay target and leave through the deopt exit; the
+        // interpreter re-executes the record (or, for a speculated
+        // load, its guarding NullCheck) and makes the decision below
+        // itself.
+        const NativeDeoptInfo &info =
+            nc.deopts[static_cast<size_t>(site->deoptIndex)];
+        ctx->deoptRecord = info.deoptRecord;
+        ctx->deoptSpeculated = info.speculated ? 1 : 0;
+        gregs[REG_R14] += static_cast<greg_t>(info.budgetAdjust);
+        gregs[REG_RIP] = static_cast<greg_t>(blk.lo + nc.deoptOffset);
         return;
     }
     // Loads (and ArrayLength) substitute the zero the interpreter
@@ -158,42 +171,11 @@ nativeSegvHandler(int signo, siginfo_t *info, void *context)
             return;
         }
     }
-    NativeActivation *act = t_activation;
-    if (act != nullptr) {
-        ucontext_t *uc = static_cast<ucontext_t *>(context);
-        uintptr_t pc =
-            static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-        if (pc >= act->codeLo && pc < act->codeHi) {
-            uintptr_t fault = reinterpret_cast<uintptr_t>(info->si_addr);
-            act->faultPc = pc;
-            act->faultAddr = fault;
-            // The budget count lives in r14 while JIT code runs; the
-            // wrapper writes it back to the context before resuming.
-            act->faultBudget =
-                static_cast<int64_t>(uc->uc_mcontext.gregs[REG_R14]);
-            bool inGuard = fault >= act->guardLo && fault < act->guardHi;
-            siglongjmp(act->jmp, inGuard ? 1 : 2);
-        }
-    }
 #endif
     chainToPrevious(signo, info, context);
 }
 
 } // namespace
-
-void
-nativePushActivation(NativeActivation *act)
-{
-    act->prev = t_activation;
-    t_activation = act;
-}
-
-void
-nativePopActivation(NativeActivation *act)
-{
-    TRAPJIT_ASSERT(t_activation == act, "activation stack out of order");
-    t_activation = act->prev;
-}
 
 const TieredBlockRange *
 TieredPcMap::find(uintptr_t pc) const
@@ -256,20 +238,6 @@ nativeFindHandlerIndex(const DecodedFunction &df, TryRegionId region,
             return static_cast<int32_t>(r.handlerIndex);
     }
     return -1;
-}
-
-extern "C" int32_t
-trapjitNativeFindHandler(NativeContext *ctx, uint32_t tryRegion)
-{
-    const DecodedFunction &df = *ctx->frame->df;
-    int32_t handler = nativeFindHandlerIndex(
-        df, static_cast<TryRegionId>(tryRegion),
-        static_cast<ExcKind>(ctx->pendingKind));
-    if (handler >= 0) {
-        ctx->pendingKind = 0;
-        ctx->pendingSite = 0;
-    }
-    return handler;
 }
 
 extern "C" int32_t

@@ -4,42 +4,37 @@
 /**
  * @file
  * Runtime support for the native x86-64 tier: the context block JIT
- * code addresses directly, the per-frame trap activation records, the
- * SIGSEGV handler that turns guard-page faults into exception
- * dispatch, and the out-of-line helpers compiled code calls for the
- * operations that stay in C++ (allocation, calls, trace recording,
- * libm).
+ * code addresses directly, the SIGSEGV handler that resolves
+ * guard-page faults in place, and the out-of-line helpers compiled
+ * code calls for the operations that stay in C++ (allocation, calls,
+ * trace recording, libm, deoptimization).
  *
  * Protocol between JIT code and the helpers:
  *
  *  - every helper takes (NativeContext*, recordIndex) and returns a
- *    status: 0 = continue with the next record, 1 = a Java-level
- *    exception is pending in the context (the caller jumps to the
- *    in-code dispatch stub with the record's try region), 2 = hard
- *    unwind (HardFault recorded engine-side; the caller jumps to the
- *    frame's unwind exit).
+ *    status: 0 = continue with the next record, 1 = the frame must
+ *    unwind — a Java-level exception is pending in the context, or
+ *    ctx->hardFault is set (the HardFault message is parked in the
+ *    engine).  The status stubs test hardFault to pick the unwind
+ *    exit over exception dispatch.
  *  - helpers NEVER throw C++ exceptions: JIT frames carry no unwind
  *    tables, so a throw crossing them would terminate the process.
  *    HardFaults are parked in the engine and rethrown at the top of
- *    NativeEngine::run.
+ *    TieredEngine::run.
  *
- * Trap recovery: each native frame runs inside a sigsetjmp loop with a
- * NativeActivation on a thread-local stack.  The SIGSEGV handler
- * checks whether the faulting PC lies in the innermost activation's
- * code range; if so it records PC and fault address and siglongjmps
- * back (value 1 for a fault inside the heap guard region, 2 for any
- * other address).  The frame wrapper maps the PC to the faulting
- * record's trap site and applies the same null-access decision table
- * as the interpreters (FastInterpreter::handleNullAccess).  Faults
- * that don't match a trap site — or whose reference slot is not
- * actually null — are reported as a HardFault instead of corrupting
+ * Trap recovery: there is no per-frame setup at all.  The SIGSEGV
+ * handler looks the faulting PC up in the registry's pc-map, applies
+ * the interpreters' null-access decision table against the site's
+ * record, and rewrites RIP — to the next record, a catch handler, the
+ * block's unwind exit, or (optimized-backend sites) the block's deopt
+ * exit.  Faults that don't match a trap site, or whose reference slot
+ * is not actually null, become a HardFault instead of corrupting
  * state.  The handler runs on a per-thread alternate stack
  * (runtime/signal_stack.h) and chains to the previously installed
- * handler for faults outside any activation.
+ * handler for faults outside any published block.
  */
 
 #include <atomic>
-#include <csetjmp>
 #include <cstdint>
 #include <vector>
 
@@ -49,25 +44,13 @@
 namespace trapjit
 {
 
-class NativeEngine;
 class TieredEngine;
 struct NativeCode;
 
-/** Per-frame execution state the C++ helpers reach through. */
-struct NativeFrame
-{
-    const DecodedFunction *df = nullptr;
-    const NativeCode *nc = nullptr;
-    void *slots = nullptr; ///< FastInterpreter::Slot[numValues]
-    NativeFrame *parent = nullptr;
-};
-
 /**
- * The block JIT code addresses through r12.  The first 80 bytes are
+ * The block JIT code addresses through r12.  The first 88 bytes are
  * the hot fields with hard-coded displacements (static_asserts below);
- * everything after is only touched from C++.  The tiered tier's extra
- * fields (activeDf .. linkedCalls) are dead weight for the classic
- * per-frame native engine, which never reads them.
+ * everything after is only touched from C++.
  */
 struct NativeContext
 {
@@ -81,31 +64,30 @@ struct NativeContext
     /** Message parked in the engine; tiered status stubs test this. */
     uint32_t hardFault = 0;
     uint32_t pad_ = 0;
-    /** Function owning the currently executing tiered block. */
+    /** Function owning the currently executing block. */
     const DecodedFunction *activeDf = nullptr;
-    /** Slot base (rbx) of the currently executing tiered frame. */
+    /** Slot base (rbx) of the currently executing frame. */
     void *activeSlots = nullptr;
-    /** Frame-pool bump pointer / limit (tiered frames only). */
+    /** Frame-pool bump pointer / limit. */
     uint8_t *poolTop = nullptr;
     uint8_t *poolEnd = nullptr;
     /** maxCallDepth + 1 minus current depth; faults below zero. */
     int64_t depthRemaining = 0;
-    /** Calls retired by linked tiered code since the last sync. */
+    /** Calls retired by compiled call sites since the last sync. */
     uint64_t linkedCalls = 0;
     /**
-     * Record index the optimized backend's deopt stubs leave behind:
-     * where the fast interpreter should pick the frame up (entry
-     * status 2 = re-execute that record, 3 = dispatch the pending
-     * exception from its try region without re-executing).
+     * Record index an optimized block's deopt exit hands to
+     * trapjitTieredDeopt: where the fast interpreter picks the frame
+     * up.  Written by the in-code deopt stubs and by the SIGSEGV
+     * handler for traps at optimized sites.
      */
     uint32_t deoptRecord = 0;
-    uint32_t pad2_ = 0;
+    /** Set by the SIGSEGV handler when the deopt is a failed section-
+     *  5.4 speculation (a speculated load read through null). */
+    uint32_t deoptSpeculated = 0;
 
     // ---- cold, C++-only fields --------------------------------------
-    NativeFrame *frame = nullptr;
-    NativeEngine *engine = nullptr;
     TieredEngine *tieredEngine = nullptr;
-    uint32_t depth = 0;
     /** TieredPark reason left by the SIGSEGV handler (0 = none). */
     int32_t parkCode = 0;
     /** Record index of the parked fault inside parkDf. */
@@ -150,32 +132,13 @@ static_assert(offsetof(NativeContext, linkedCalls) ==
 static_assert(offsetof(NativeContext, deoptRecord) ==
               kNativeCtxDeoptRecordOffset);
 
-/** One native frame's trap-recovery record (thread-local stack). */
-struct NativeActivation
-{
-    sigjmp_buf jmp;
-    uintptr_t codeLo = 0, codeHi = 0;   ///< this frame's code range
-    uintptr_t guardLo = 0, guardHi = 0; ///< the heap guard region
-    uintptr_t faultPc = 0, faultAddr = 0;
-    /** r14 (the register-resident budget count) at the fault. */
-    int64_t faultBudget = 0;
-    NativeActivation *prev = nullptr;
-};
-
-/** Push/pop the calling thread's activation stack. */
-void nativePushActivation(NativeActivation *act);
-void nativePopActivation(NativeActivation *act);
-
-// ---- tiered-tier trap recovery --------------------------------------
+// ---- trap recovery ---------------------------------------------------
 //
-// Tiered blocks do NOT run under a per-frame sigsetjmp: the handler
-// resolves the fault in place and rewrites RIP to the resume point (or
-// the block's unwind exit), so a hot tiered call chain pays zero
-// setup per frame.  The handler reaches everything it needs through
-// the faulting thread's TieredRun descriptor plus the pinned registers
-// (r12 = NativeContext*, rbx = current frame's Slot*).
+// The handler reaches everything it needs through the faulting
+// thread's TieredRun descriptor plus the pinned registers (r12 =
+// NativeContext*, rbx = current frame's Slot*, r14 = budget count).
 
-/** One published tiered block's code range (for fault-PC lookup). */
+/** One published block's code range (for fault-PC lookup). */
 struct TieredBlockRange
 {
     uintptr_t lo = 0;
@@ -185,7 +148,7 @@ struct TieredBlockRange
 };
 
 /**
- * Immutable, sorted snapshot of every tiered block ever published.
+ * Immutable, sorted snapshot of every block ever published.
  * The registry swaps in a fresh snapshot on publish; old snapshots are
  * kept alive forever so the handler's acquire load is always safe.
  */
@@ -196,7 +159,7 @@ struct TieredPcMap
     const TieredBlockRange *find(uintptr_t pc) const;
 };
 
-/** Why the SIGSEGV handler hard-unwound a tiered frame. */
+/** Why the SIGSEGV handler hard-unwound a frame. */
 enum class TieredPark : int32_t
 {
     None = 0,
@@ -207,8 +170,8 @@ enum class TieredPark : int32_t
 };
 
 /**
- * Thread-scoped fault-resolution descriptor, active while a tiered
- * root call runs.  pcMap is a pointer to the registry's atomic map
+ * Thread-scoped fault-resolution descriptor, active while a root call
+ * into compiled code runs.  pcMap is a pointer to the registry's atomic map
  * slot — the handler does a fresh acquire load per fault so blocks
  * published mid-run are visible immediately.
  */
@@ -221,7 +184,7 @@ struct TieredRun
     TieredRun *prev = nullptr;
 };
 
-/** Enter/exit the calling thread's tiered-run scope (LIFO). */
+/** Enter/exit the calling thread's run scope (LIFO). */
 void tieredEnterRun(TieredRun *run);
 void tieredExitRun(TieredRun *run);
 
@@ -235,35 +198,24 @@ void nativeUninstallSegvHandler();
 /**
  * Walk @p df's try-region parent chain from @p region for an handler
  * catching @p kind; returns the handler's stream index or -1.  The
- * shared L_dispatch stub calls this (through trapjitNativeFindHandler)
- * and the trap wrapper calls it directly for trap NPEs.
+ * shared L_dispatch stub calls this (through trapjitTieredFindHandler)
+ * and the SIGSEGV handler calls it directly for trap NPEs.
  */
 int32_t nativeFindHandlerIndex(const DecodedFunction &df,
                                TryRegionId region, ExcKind kind);
 
-// ---- helpers called from JIT code (see protocol above) --------------
+// ---- helpers called from JIT code (defined in tiered_engine.cpp) ----
+// Every helper reaches the executing frame through ctx->activeDf and
+// ctx->activeSlots, which the block prologue publishes and every call
+// site restores after its callee returns.
 extern "C" {
-uint32_t trapjitNativeNewObject(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitNativeNewArray(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitNativeCall(NativeContext *ctx, uint32_t rec);
-/** FExp / FSin / FCos / FLog / F2I, switched on the record's srcOp. */
-uint32_t trapjitNativeMath(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitNativeTraceFieldWrite(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitNativeTraceArrayWrite(NativeContext *ctx, uint32_t rec);
-/** Budget exhausted: parks the HardFault message; always returns 2. */
-uint32_t trapjitNativeBudgetFault(NativeContext *ctx, uint32_t rec);
-/** Handler index for the pending exception, or -1 (clears pending). */
-int32_t trapjitNativeFindHandler(NativeContext *ctx, uint32_t tryRegion);
-
-// ---- tiered-tier helpers (defined in tiered_engine.cpp) -------------
-// Same status protocol, but status 2 never crosses JIT code: hard
-// faults set ctx->hardFault and return 1, and the status stubs test
-// hardFault to pick unwind over dispatch.
 uint32_t trapjitTieredNewObject(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredNewArray(NativeContext *ctx, uint32_t rec);
+/** FExp / FSin / FCos / FLog / F2I, switched on the record's srcOp. */
 uint32_t trapjitTieredMath(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredTraceFieldWrite(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredTraceArrayWrite(NativeContext *ctx, uint32_t rec);
+/** Budget exhausted: parks the HardFault message; always returns 1. */
 uint32_t trapjitTieredBudgetFault(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredDepthFault(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
@@ -273,7 +225,19 @@ uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
  * were staged by the call site at ctx->poolTop.
  */
 uint32_t trapjitTieredSlowCall(NativeContext *ctx, uint32_t rec);
-/** trapjitNativeFindHandler, but against ctx->activeDf. */
+/**
+ * An optimized block's deopt exit: finishes the executing frame on
+ * the fast interpreter from ctx->deoptRecord, working in place on the
+ * frame's pool slot file (canonical at every record boundary).
+ * @p pending = 0 re-executes that record; 1 dispatches the exception
+ * pending in the context from its try region instead (the helper or
+ * callee that raised it already retired the record).  Returns the
+ * frame's own status: 0 = returned (value in ctx->retBits), 1 =
+ * unwound.
+ */
+uint32_t trapjitTieredDeopt(NativeContext *ctx, uint32_t pending);
+/** Handler index for the pending exception in ctx->activeDf, or -1
+ *  (clears the pending exception when a handler catches it). */
 int32_t trapjitTieredFindHandler(NativeContext *ctx, uint32_t tryRegion);
 }
 

@@ -7,6 +7,7 @@
 #include "codegen/native/code_buffer_pool.h"
 #include "codegen/native/native_mutation_hooks.h"
 #include "codegen/native/native_runtime.h"
+#include "codegen/native/tiered_frame.h"
 #include "codegen/native/x64_emitter.h"
 #include "ir/layout.h"
 #include "runtime/heap.h"
@@ -32,12 +33,18 @@
  *    budget-fault timing stays bit-identical to the interpreters.
  *  - Deopt side-exits instead of in-code exception dispatch.  Every
  *    cold path — failed explicit check, failed bound check, divide by
- *    zero, Throw, budget exhaustion, helper-reported exception, and
- *    hardware traps — leaves the block with a record index in
- *    ctx->deoptRecord and a status code; the engine resumes the frame
- *    in the fast interpreter.  Optimized code never re-enters after a
- *    trap, so there is no resume parameter, no handler table and no
- *    raise stubs.
+ *    zero, Throw, budget exhaustion, helper- or callee-reported
+ *    exception, and hardware traps — stores a record index in
+ *    ctx->deoptRecord and calls trapjitTieredDeopt, which finishes the
+ *    frame on the fast interpreter in place on the pool slot file; the
+ *    block then leaves through its normal epilogue with the frame's
+ *    status.  Optimized code never resumes after a trap, so there is
+ *    no handler table and there are no raise stubs.
+ *
+ * The frame itself — entry ABI, prologue/epilogue, depth/pool bails,
+ * patchable call sites — is the one the baseline uses
+ * (codegen/native/tiered_frame.h); rbp is the only extra register it
+ * saves.
  *
  * Speculation (section 5.4): an explicit NullCheck immediately followed
  * by the trap-coverable load it guards compiles to zero bytes; the load
@@ -56,7 +63,7 @@ using R = X64Reg;
 using CC = X64Cond;
 using Alu = X64Emitter::Alu;
 
-/** Deopt side-exit: status 2, replay at `record` (not yet retired). */
+/** Deopt side-exit: replay at `record` (not yet retired). */
 struct DeoptStub
 {
     int label;
@@ -64,7 +71,7 @@ struct DeoptStub
     uint32_t refund; ///< pre-charged records at/after `record`
 };
 
-/** Helper-status side-exit: the helper already retired `record`. */
+/** Helper/callee-status side-exit: `record` is already retired. */
 struct HelperStub
 {
     int label;
@@ -185,12 +192,6 @@ icmpCond(CmpPred pred)
     TRAPJIT_PANIC("bad predicate");
 }
 
-uint64_t
-helperAddr(uint32_t (*fn)(NativeContext *, uint32_t))
-{
-    return reinterpret_cast<uint64_t>(fn);
-}
-
 bool
 isCallerSavedHome(R r)
 {
@@ -213,14 +214,10 @@ NativeCompileResult
 compileNativeOptimized(const Function &fn, const DecodedFunction &df,
                        const NativeCompileOptions &options)
 {
-    (void)fn; // identity lives in the cache key; codegen is decode-only
+    (void)fn; // codegen is decode-only
     NativeCompileResult out;
     if (!nativeTierSupported()) {
         out.unsupportedReason = "native tier requires x86-64 Linux";
-        return out;
-    }
-    if (options.tiered) {
-        out.unsupportedReason = "optimized backend has no tiered mode";
         return out;
     }
 
@@ -317,10 +314,10 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
     // ---- budget-run partition ------------------------------------------
     // A run is a maximal straight-line span: it breaks at jump targets
     // (an entering edge must not pay for records before it) and after
-    // terminators.  Call is a singleton run because its helper reads
-    // ctx->budgetRemaining to hand the callee the live global budget —
-    // a mid-run pre-charge would under-report it.  The other helpers
-    // (alloc / libm / trace) never read the budget, so they batch fine.
+    // terminators.  Call is a singleton run because its callee reads
+    // ctx->budgetRemaining as the live global budget — a mid-run
+    // pre-charge would under-report it.  The other helpers (alloc /
+    // libm / trace) never read the budget, so they batch fine.
     std::vector<uint32_t> runEnd(nrec, 0);
     std::vector<bool> runStart(nrec, false);
     {
@@ -542,12 +539,14 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
 
     // ---- emission -------------------------------------------------------
     X64Emitter e;
+    TieredFrameEmitter frame(e, df, /*saveRbp=*/true);
     std::vector<int> recLabel(nrec);
     for (size_t i = 0; i < nrec; ++i)
         recLabel[i] = e.newLabel();
-    const int lReturn = e.newLabel();
-    const int lUnwind = e.newLabel();
-    const int lPop = e.newLabel();
+    const int lReturn = frame.returnLabel();
+    const int lUnwind = frame.unwindLabel();
+    const int lDeopt = e.newLabel();
+    const int lDeoptCall = e.newLabel();
 
     std::vector<DeoptStub> deoptStubs;
     std::vector<HelperStub> helperStubs;
@@ -564,22 +563,19 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
                       runEnd[recIndex] - static_cast<uint32_t>(recIndex)});
         return l;
     };
-    auto callHelper = [&](uint32_t (*helper)(NativeContext *, uint32_t),
-                          uint32_t recIndex) {
-        e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
-        e.movRegReg(R::RDI, R::R12);
-        e.movRegImm32(R::RSI, recIndex);
-        e.movRegImm64(R::RAX, helperAddr(helper));
-        e.callReg(R::RAX);
-        e.loadCtx64(R::R14, kNativeCtxBudgetOffset);
+    auto callHelper = [&](NativeHelperFn helper, size_t recIndex) {
+        frame.callHelper(helper, static_cast<uint32_t>(recIndex));
     };
-    auto checkStatus = [&](size_t recIndex) {
+    auto helperStub = [&](size_t recIndex) {
         int l = e.newLabel();
         helperStubs.push_back(HelperStub{
             l, static_cast<uint32_t>(recIndex),
             runEnd[recIndex] - static_cast<uint32_t>(recIndex) - 1});
+        return l;
+    };
+    auto checkStatus = [&](size_t recIndex) {
         e.testRegReg(R::RAX, R::RAX, false);
-        e.jccLabel(CC::NE, l);
+        e.jccLabel(CC::NE, helperStub(recIndex));
     };
     auto reloadCallerSavedHomes = [&] {
         for (const NativeRegLoc &rl : regLocs)
@@ -648,22 +644,10 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
     };
 
     // ---- prologue ------------------------------------------------------
-    // Six callee-saved pushes plus one alignment pad keep rsp 16-byte
-    // aligned at helper calls.  The entry ABI's resume parameter (rcx)
-    // is ignored: optimized code is never re-entered after a trap.
-    e.pushReg(R::RBX);
-    e.pushReg(R::RBP);
-    e.pushReg(R::R12);
-    e.pushReg(R::R13);
-    e.pushReg(R::R14);
-    e.pushReg(R::R15);
-    e.pushReg(R::RAX); // alignment pad
-    e.movRegReg(R::R12, R::RDI); // NativeContext*
-    e.movRegReg(R::RBX, R::RSI); // Slot*
-    e.movRegReg(R::R13, R::RDX); // heap host bias
-    e.loadCtx64(R::R14, kNativeCtxBudgetOffset);
-    // Preload every home: the engine zero-fills non-parameter slots, so
-    // each home starts canonical without per-value liveness reasoning.
+    frame.prologue();
+    // Preload every home: the prologue zero-fills non-parameter slots,
+    // so each home starts canonical without per-value liveness
+    // reasoning.
     for (const NativeRegLoc &rl : regLocs)
         e.loadSlot(static_cast<R>(rl.reg), rl.value);
 
@@ -852,7 +836,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
           case Opcode::FCos:
           case Opcode::FLog:
           case Opcode::F2I:
-            callHelper(&trapjitNativeMath, static_cast<uint32_t>(i));
+            callHelper(&trapjitTieredMath, i);
             reloadCallerSavedHomes();
             reloadHome(rec.dst);
             break;
@@ -991,8 +975,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
                 e.storeHeap64(ref, static_cast<int32_t>(rec.imm), val);
             endSite(begin, i);
             if (options.recordTrace) {
-                callHelper(&trapjitNativeTraceFieldWrite,
-                           static_cast<uint32_t>(i));
+                callHelper(&trapjitTieredTraceFieldWrite, i);
                 reloadCallerSavedHomes();
             }
             break;
@@ -1041,31 +1024,34 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
                                  val);
             endSite(begin, i);
             if (options.recordTrace) {
-                callHelper(&trapjitNativeTraceArrayWrite,
-                           static_cast<uint32_t>(i));
+                callHelper(&trapjitTieredTraceArrayWrite, i);
                 reloadCallerSavedHomes();
             }
             break;
           }
 
           case Opcode::NewObject:
-            callHelper(&trapjitNativeNewObject,
-                       static_cast<uint32_t>(i));
+            callHelper(&trapjitTieredNewObject, i);
             checkStatus(i);
             reloadCallerSavedHomes();
             reloadHome(rec.dst);
             break;
           case Opcode::NewArray:
-            callHelper(&trapjitNativeNewArray, static_cast<uint32_t>(i));
+            callHelper(&trapjitTieredNewArray, i);
             checkStatus(i);
             reloadCallerSavedHomes();
             reloadHome(rec.dst);
             break;
           case Opcode::Call:
-            callHelper(&trapjitNativeCall, static_cast<uint32_t>(i));
-            checkStatus(i);
+            // The shared call site stages arguments from the slots
+            // (canonical under write-through) and clobbers every
+            // caller-saved register; callee-saved homes survive.
+            frame.callSite(rec, static_cast<uint32_t>(i), helperStub(i));
+            if (rec.dst != kNoValue) {
+                e.loadCtx64(R::RAX, kNativeCtxRetOffset);
+                defWrite(rec.dst, R::RAX);
+            }
             reloadCallerSavedHomes();
-            reloadHome(rec.dst);
             break;
 
           case Opcode::Jump:
@@ -1086,8 +1072,14 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
             break;
           }
           case Opcode::Return:
-            if (rec.a != kNoValue)
+            // The context persists across frames; a void return must
+            // not leak the previous callee's retBits.
+            if (rec.a != kNoValue) {
                 e.storeCtx64(kNativeCtxRetOffset, srcReg(rec.a, R::RAX));
+            } else {
+                e.movRegImm32(R::RAX, 0);
+                e.storeCtx64(kNativeCtxRetOffset, R::RAX);
+            }
             e.jmpLabel(lReturn);
             break;
           case Opcode::Throw:
@@ -1104,7 +1096,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
     const size_t hotEnd = e.size();
 
     // ---- side-exit stubs -----------------------------------------------
-    // Deopt (status 2): refund every record pre-charged at or after the
+    // Deopt (replay): refund every record pre-charged at or after the
     // replay target — the interpreter re-charges them one by one, so a
     // budget fault lands on the exact record with the exact message.
     for (const DeoptStub &s : deoptStubs) {
@@ -1113,41 +1105,40 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
             e.aluRegImm32(Alu::Add, R::R14,
                           static_cast<int32_t>(s.refund), true);
         e.storeCtx32Imm(kNativeCtxDeoptRecordOffset, s.record);
-        e.movRegImm32(R::RAX, 2);
-        e.jmpLabel(lPop);
+        e.jmpLabel(lDeopt);
     }
-    // Helper status (1 = exception pending, 2 = hard unwind).  The
-    // helper retired its record, so the refund excludes it — and is
-    // applied before the status split so the unwind path's budget sync
-    // is exact too.  Status 3 tells the engine to *dispatch* the
-    // pending exception from the record's try region, not re-run it.
+    // Helper or callee status 1.  The record is retired, so the refund
+    // excludes it — and is applied before the hard-fault split so the
+    // unwind path's budget sync is exact too.  A pending exception is
+    // *dispatched* by the interpreter from the record's try region,
+    // not re-run.
     for (const HelperStub &s : helperStubs) {
         e.bind(s.label);
         if (s.refund != 0)
             e.aluRegImm32(Alu::Add, R::R14,
                           static_cast<int32_t>(s.refund), true);
-        e.cmpRegImm8(R::RAX, 1, false);
+        e.cmpCtx32Imm8(kNativeCtxHardFaultOffset, 0);
         e.jccLabel(CC::NE, lUnwind);
         e.storeCtx32Imm(kNativeCtxDeoptRecordOffset, s.record);
-        e.movRegImm32(R::RAX, 3);
-        e.jmpLabel(lPop);
+        e.movRegImm32(R::RSI, 1);
+        e.jmpLabel(lDeoptCall);
     }
-
-    e.bind(lReturn);
-    e.movRegImm32(R::RAX, 0);
-    e.jmpLabel(lPop);
-    e.bind(lUnwind);
-    e.movRegImm32(R::RAX, 1);
-    e.bind(lPop);
+    // The deopt exit.  The SIGSEGV handler enters at lDeopt for a trap
+    // at an optimized site, with ctx->deoptRecord set and r14 already
+    // refunded.  trapjitTieredDeopt runs the rest of the frame and
+    // returns the frame's own status, so the block just leaves.
+    e.bind(lDeopt);
+    e.movRegImm32(R::RSI, 0);
+    e.bind(lDeoptCall);
     e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
-    e.popReg(R::RCX); // alignment pad (rax holds the status)
-    e.popReg(R::R15);
-    e.popReg(R::R14);
-    e.popReg(R::R13);
-    e.popReg(R::R12);
-    e.popReg(R::RBP);
-    e.popReg(R::RBX);
-    e.ret();
+    e.movRegReg(R::RDI, R::R12);
+    e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(&trapjitTieredDeopt));
+    e.callReg(R::RAX);
+    e.loadCtx64(R::R14, kNativeCtxBudgetOffset);
+    e.testRegReg(R::RAX, R::RAX, false);
+    e.jccLabel(CC::NE, lUnwind);
+    e.jmpLabel(lReturn);
+    frame.finish();
 
     e.patchLabels();
 
@@ -1160,6 +1151,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
     auto nc = std::make_shared<NativeCode>(std::move(buf));
     nc->codeSize = codeSize;
     nc->optimized = true;
+    nc->deoptOffset = e.labelOffset(lDeopt);
     nc->recordOffsets.resize(nrec + 1);
     for (size_t i = 0; i < nrec; ++i)
         nc->recordOffsets[i] = e.labelOffset(recLabel[i]);
@@ -1202,7 +1194,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
         nc->regLocs.front().reg = static_cast<uint8_t>(R::R14);
     }
 
-    nc->buffer.finalize();
+    frame.install(*nc);
     out.code = std::move(nc);
     return out;
 }

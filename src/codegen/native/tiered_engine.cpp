@@ -28,6 +28,43 @@ tieredOptionsFromEnv()
     return opts;
 }
 
+TieredOptions
+eagerTieredOptions()
+{
+    TieredOptions opts;
+    opts.threshold = 1;
+    opts.synchronous = true;
+    return opts;
+}
+
+namespace
+{
+
+/** The block compile options @p t selects (environment resolved). */
+NativeCompileOptions
+compileOptionsFor(const TieredOptions &t, bool recordTrace)
+{
+    NativeCompileOptions c;
+    c.recordTrace = recordTrace;
+    NativeBackend backend = t.backend;
+    if (backend == NativeBackend::FromEnv) {
+        const char *env = std::getenv("TRAPJIT_NATIVE_BACKEND");
+        backend = (env != nullptr && std::strcmp(env, "optimized") == 0)
+                      ? NativeBackend::Optimized
+                      : NativeBackend::Baseline;
+    }
+    c.optimized = backend == NativeBackend::Optimized;
+    if (t.speculate >= 0) {
+        c.speculate = t.speculate != 0;
+    } else {
+        const char *spec = std::getenv("TRAPJIT_SPECULATE");
+        c.speculate = !(spec != nullptr && std::strcmp(spec, "0") == 0);
+    }
+    return c;
+}
+
+} // namespace
+
 TieredEngine::TieredEngine(const Module &mod, const Target &target,
                            InterpOptions options,
                            std::shared_ptr<DecodedProgramCache> decoded_cache,
@@ -54,7 +91,7 @@ TieredEngine::TieredEngine(const Module &mod, const Target &target,
         copts.workers = tieredOptions_.workers;
         copts.linkBlocks = tieredOptions_.linkBlocks;
         copts.audit = tieredOptions_.audit;
-        copts.recordTrace = options.recordTrace;
+        copts.compile = compileOptionsFor(tieredOptions_, options.recordTrace);
         controller_ = std::make_shared<TierController>(
             mod, target, registry_, fi_.cache_, decode_options, copts);
     }
@@ -107,6 +144,7 @@ TieredEngine::reset()
     ctx_.pendingKind = 0;
     ctx_.pendingSite = 0;
     ctx_.linkedCalls = 0;
+    deoptsTaken_ = 0;
 }
 
 void
@@ -126,9 +164,8 @@ TieredEngine::invalidate(FunctionId fn)
 void
 TieredEngine::addTieringCounters(ServiceCounters &counters) const
 {
-    counters.functionsPromoted += controller_->functionsPromoted();
-    counters.tierUpLatencySeconds +=
-        controller_->tierUpLatencySeconds();
+    counters += controller_->counters();
+    counters.deoptsTaken += deoptsTaken_;
     counters.blocksLinked += registry_->blocksLinked();
     counters.slotsPatched += registry_->slotsPatched();
     counters.blocksInvalidated += registry_->blocksInvalidated();
@@ -211,17 +248,23 @@ TieredEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
     return result;
 }
 
+const NativeCode *
+TieredEngine::blockFor(FunctionId fn)
+{
+    if (const NativeCode *nc = registry_->published(fn))
+        return nc;
+    bumpHotness(fn);
+    return registry_->published(fn);
+}
+
 TieredEngine::FrameResult
 TieredEngine::callFrame(FunctionId id, std::vector<Slot> args,
                         size_t depth)
 {
-    const NativeCode *nc = registry_->published(id);
-    if (nc != nullptr)
+    if (const NativeCode *nc = blockFor(id))
         return enterTiered(fi_.decoded(id), *nc, std::move(args), depth);
-    // Cold (or invalidated, or unsupported): interpret, counting this
-    // entry toward the function's hotness.  execFrame can throw
-    // HardFault; park it so the throw never crosses a JIT frame.
-    bumpHotness(id);
+    // Cold (or invalidated, or unsupported): interpret.  execFrame can
+    // throw HardFault; park it so the throw never crosses a JIT frame.
     try {
         return fi_.execFrame(fi_.decoded(id), std::move(args), depth);
     } catch (const HardFault &fault) {
@@ -315,8 +358,7 @@ TieredEngine::enterTiered(const DecodedFunction &df, const NativeCode &nc,
     scope.guardLo = fi_.heap_.guardLo();
     scope.guardHi = fi_.heap_.guardHi();
     tieredEnterRun(&scope);
-    uint32_t status =
-        nc.tieredEntry()(&ctx_, slots, fi_.heap_.hostBase());
+    uint32_t status = nc.entry()(&ctx_, slots, fi_.heap_.hostBase());
     tieredExitRun(&scope);
 
     ctx_.depthRemaining = savedDepthRemaining;
@@ -343,12 +385,9 @@ bool
 TieredEngine::tierInvoke(FunctionId callee, std::vector<Slot> &&args,
                          size_t depth, FrameResult &out)
 {
-    const NativeCode *nc = registry_->published(callee);
-    if (nc == nullptr) {
-        // Cold: count the call and let the interpreter execute it.
-        bumpHotness(callee);
-        return false;
-    }
+    const NativeCode *nc = blockFor(callee);
+    if (nc == nullptr)
+        return false; // the interpreter executes the callee
     out = enterTiered(fi_.decoded(callee), *nc, std::move(args), depth);
     // Hard faults must unwind the interpreter frames above this call;
     // whoever catches (callFrame or the slow-call helper) re-parks.
@@ -450,18 +489,16 @@ TieredEngine::helperSlowCall(NativeContext &ctx, uint32_t recIdx)
         return 1;
     }
 
-    const NativeCode *nc = registry_->published(callee);
-    if (nc != nullptr) {
+    if (const NativeCode *nc = blockFor(callee)) {
         // Resolved to a published block (virtual dispatch, or a static
         // site the patcher has not reached / could not reach): enter
         // it directly, zero-copy — the staged args already sit where
         // its prologue expects the frame base.
-        return nc->tieredEntry()(&ctx, staged, fi_.heap_.hostBase());
+        return nc->entry()(&ctx, staged, fi_.heap_.hostBase());
     }
 
     // Interpreter fallback for a cold callee.  Budget and call counts
     // move ctx -> stats for the interpreted subtree, then back.
-    bumpHotness(callee);
     syncStatsFromCtx(ctx);
     const size_t depth = static_cast<size_t>(
         static_cast<int64_t>(options_.maxCallDepth) + 1 -
@@ -477,6 +514,64 @@ TieredEngine::helperSlowCall(NativeContext &ctx, uint32_t recIdx)
             static_cast<int64_t>(fi_.stats_.instructions);
         ctx.hardFault = 1;
         return 1;
+    }
+    ctx.budgetRemaining =
+        static_cast<int64_t>(options_.maxInstructions) -
+        static_cast<int64_t>(fi_.stats_.instructions);
+    if (hardFaultPending_) {
+        ctx.hardFault = 1;
+        return 1;
+    }
+    if (sub.exc.pending()) {
+        ctx.pendingKind = static_cast<int32_t>(sub.exc.kind);
+        ctx.pendingSite = sub.exc.site;
+        return 1;
+    }
+    ctx.retBits = sub.value.bits;
+    return 0;
+}
+
+uint32_t
+TieredEngine::helperDeopt(NativeContext &ctx, uint32_t pending)
+{
+    // The frame's identity and slot file, captured before the
+    // interpreter can run nested blocks that republish both.
+    const DecodedFunction &df = *ctx.activeDf;
+    Slot *slots = static_cast<Slot *>(ctx.activeSlots);
+    ThrownExc pendingIn;
+    if (pending != 0) {
+        pendingIn = ThrownExc{static_cast<ExcKind>(ctx.pendingKind),
+                              static_cast<SiteId>(ctx.pendingSite)};
+        ctx.pendingKind = 0;
+        ctx.pendingSite = 0;
+    }
+    ++deoptsTaken_;
+    if (ctx.deoptSpeculated != 0) {
+        // A speculated load read through null.  Like a JVM's uncommon
+        // trap, stop speculating in this function: its block is
+        // invalidated (this frame keeps executing it from the
+        // graveyard) and the function re-tiers without speculation, so
+        // a null-heavy site costs one trap, not one per call.
+        ctx.deoptSpeculated = 0;
+        controller_->despeculate(df.id);
+        invalidate(df.id);
+    }
+    syncStatsFromCtx(ctx);
+    // The prologue already took this frame's depth slot.
+    const size_t depth = static_cast<size_t>(
+        static_cast<int64_t>(options_.maxCallDepth) - ctx.depthRemaining);
+    // The slot file is canonical (write-through homes) and the exit
+    // refunded every un-retired record, so the replay is exact: budget
+    // faults, traps and null-access decisions land on the same records
+    // with the same messages as a pure interpreter run.  It runs in
+    // place: the slot file stays below the pool top the prologue set,
+    // so callees stage above it.
+    FrameResult sub;
+    try {
+        sub = fi_.resumeFrame(df, slots, depth, ctx.deoptRecord,
+                              pendingIn);
+    } catch (const HardFault &fault) {
+        parkHardFault(fault.what());
     }
     ctx.budgetRemaining =
         static_cast<int64_t>(options_.maxInstructions) -
@@ -702,6 +797,12 @@ extern "C" uint32_t
 trapjitTieredSlowCall(NativeContext *ctx, uint32_t rec)
 {
     return ctx->tieredEngine->helperSlowCall(*ctx, rec);
+}
+
+extern "C" uint32_t
+trapjitTieredDeopt(NativeContext *ctx, uint32_t pending)
+{
+    return ctx->tieredEngine->helperDeopt(*ctx, pending);
 }
 
 } // namespace trapjit

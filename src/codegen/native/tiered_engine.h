@@ -3,18 +3,22 @@
 
 /**
  * @file
- * Profile-guided mixed-mode engine (TRAPJIT_INTERP=tiered).
+ * The native tier's one engine: profile-guided mixed-mode execution
+ * (TRAPJIT_INTERP=tiered) and, with eagerTieredOptions(), the all-
+ * native engine (TRAPJIT_INTERP=native).
  *
  * Every function starts in the fast interpreter, which counts calls
- * and taken back-edges into a per-engine hotness array.  Crossing
- * TRAPJIT_TIER_THRESHOLD hands the function to the TierController,
- * which compiles a *tiered* native block on a background worker (or
- * inline under TRAPJIT_TIER_SYNC=1), audits its trap-site tables and
- * publishes it in the shared CodeRegistry; the requesting frame keeps
- * interpreting and only later calls enter the block.
+ * and taken back-edges into a per-engine hotness array.  Crossing the
+ * threshold hands the function to the TierController, which compiles
+ * a native block with the selected backend (baseline or optimized) on
+ * a background worker, or inline under synchronous promotion, audits
+ * its trap-site tables and publishes it in the shared CodeRegistry.
+ * A call whose synchronous promotion publishes the block enters it
+ * right away; otherwise later calls do.  At threshold 1 with
+ * synchronous promotion every supported function therefore runs as
+ * machine code from its first call.
  *
- * Tiered blocks differ from the classic per-frame native tier in three
- * ways that make hot call chains cheap:
+ * Blocks make hot call chains cheap:
  *
  *  - One persistent NativeContext and one engine-owned frame pool are
  *    shared by the whole call tree.  A callee's slot file is carved
@@ -26,16 +30,17 @@
  *    invalidation.  Unlinked or data-driven (virtual/special) calls go
  *    through trapjitTieredSlowCall, which enters published callees
  *    directly or falls back to the interpreter — bumping hotness.
- *  - There is no per-frame sigsetjmp: the SIGSEGV handler resolves a
- *    null-check trap in place against the registry's pc-map and
- *    rewrites RIP to the resume point (or the block's unwind exit for
- *    the hard-fault cases, parking the reason in the context).
+ *  - There is no per-frame setup for traps: the SIGSEGV handler
+ *    resolves a null-check trap in place against the registry's
+ *    pc-map and rewrites RIP to the resume point, the block's unwind
+ *    exit (hard-fault cases, reason parked in the context) or an
+ *    optimized block's deopt exit, which finishes the frame on the
+ *    fast interpreter (trapjitTieredDeopt).
  *
  * Observable semantics (heap, trace, exceptions, instructions, calls,
  * allocations, traps) are bit-identical to the fast and reference
- * engines — including mid-run promotion, invalidation and
- * re-promotion; cycles are not modeled in native frames, matching the
- * classic native tier.
+ * engines — including mid-run promotion, deoptimization, invalidation
+ * and re-promotion.  Cycles are not modeled in native frames.
  */
 
 #include <cstdint>
@@ -52,6 +57,17 @@
 namespace trapjit
 {
 
+/** Which native lowering promoted functions compile with. */
+enum class NativeBackend : uint8_t
+{
+    /** Resolve from TRAPJIT_NATIVE_BACKEND ("optimized" selects the
+     *  optimized backend, anything else — including unset — the
+     *  baseline). */
+    FromEnv,
+    Baseline,  ///< slot-resident lowering (native_compiler.cpp)
+    Optimized, ///< regalloc + speculation (optimized_compiler.cpp)
+};
+
 /** Tiering-policy knobs (see tieredOptionsFromEnv). */
 struct TieredOptions
 {
@@ -65,6 +81,14 @@ struct TieredOptions
     bool linkBlocks = true;
     /** auditNativeTrapSites every block before publishing. */
     bool audit = true;
+    /** Backend selection; resolved once in the constructor. */
+    NativeBackend backend = NativeBackend::FromEnv;
+    /**
+     * Section-5.4 load speculation in the optimized backend: -1
+     * follows TRAPJIT_SPECULATE (default on, "0" disables), 0 forces
+     * it off, 1 forces it on.  Ignored under the baseline backend.
+     */
+    int speculate = -1;
 };
 
 /**
@@ -74,10 +98,17 @@ struct TieredOptions
 TieredOptions tieredOptionsFromEnv();
 
 /**
- * The tiered engine; mirrors the FastInterpreter / NativeEngine
- * surface so call sites switch between engines with a branch.  Not
- * thread-safe per instance, but the registry and controller may be
- * shared across engines on different threads.
+ * The all-native policy (TRAPJIT_INTERP=native): threshold 1 with
+ * synchronous promotion, so every supported function compiles and
+ * runs natively from its first call.
+ */
+TieredOptions eagerTieredOptions();
+
+/**
+ * The tiered engine; mirrors the FastInterpreter surface so call
+ * sites switch between engines with a branch.  Not thread-safe per
+ * instance, but the registry and controller may be shared across
+ * engines on different threads.
  */
 class TieredEngine final : public FastInterpreter::TierHooks
 {
@@ -87,7 +118,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
      *                    privately when null
      * @param controller  shared promotion controller; created privately
      *                    (against @p registry) when null.  When given,
-     *                    it must use the same registry.
+     *                    it must use the same registry, and its own
+     *                    compile options decide the backend.
      */
     TieredEngine(const Module &mod, const Target &target,
                  InterpOptions options = {},
@@ -108,7 +140,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
     EventTrace &trace() { return fi_.trace_; }
     const ExecStats &stats() const { return fi_.stats_; }
 
-    /** Clear heap, trace, stats and hotness; published blocks stay. */
+    /** Clear heap, trace, stats, hotness and the deopt count;
+     *  published blocks stay. */
     void reset();
 
     // ---- tiering control / introspection ----------------------------
@@ -131,7 +164,13 @@ class TieredEngine final : public FastInterpreter::TierHooks
      *  its hotness so it can re-tier from cold. */
     void invalidate(FunctionId fn);
 
-    /** Fold this engine's tiering counters into @p counters. */
+    /**
+     * Fold this engine's tiering counters into @p counters: the
+     * controller's promotion and compile totals (including the
+     * optimized backend's functionsRegalloc / spillsEmitted /
+     * loadsSpeculated / regallocSeconds), the registry's link and
+     * eviction counts, and deoptsTaken since the last reset().
+     */
     void addTieringCounters(ServiceCounters &counters) const;
 
     // ---- helpers called from JIT code via the extern "C" trampolines.
@@ -147,6 +186,7 @@ class TieredEngine final : public FastInterpreter::TierHooks
     uint32_t helperDepthFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperPoolFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperSlowCall(NativeContext &ctx, uint32_t recIdx);
+    uint32_t helperDeopt(NativeContext &ctx, uint32_t pending);
 
   private:
     using Slot = FastInterpreter::Slot;
@@ -157,6 +197,12 @@ class TieredEngine final : public FastInterpreter::TierHooks
                     size_t depth, FrameResult &out) override;
     void tierPromote(FunctionId fn) override;
 
+    /**
+     * Published block of @p fn, or null.  A cold function's entry
+     * counts toward its hotness first, so a synchronous promotion that
+     * publishes here is entered by this same call.
+     */
+    const NativeCode *blockFor(FunctionId fn);
     /** Route one frame: published block or interpreter fallback. */
     FrameResult callFrame(FunctionId id, std::vector<Slot> args,
                           size_t depth);
@@ -191,6 +237,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
 
     bool hardFaultPending_ = false;
     std::string hardFaultMsg_;
+    /** Deopt exits taken since construction / the last reset(). */
+    size_t deoptsTaken_ = 0;
 };
 
 } // namespace trapjit

@@ -301,27 +301,24 @@ FastInterpreter::execFrame(const DecodedFunction &df, std::vector<Slot> args,
     std::vector<Slot> regs(df.numValues);
     for (size_t i = 0; i < args.size(); ++i)
         regs[i] = args[i];
-    return execFrameAt(df, std::move(regs), depth, 0, ThrownExc{});
+    return execFrameAt(df, regs.data(), depth, 0, ThrownExc{});
 }
 
 FastInterpreter::FrameResult
-FastInterpreter::resumeFrame(const DecodedFunction &df,
-                             std::vector<Slot> regs, size_t depth,
-                             uint32_t startRecord, ThrownExc pendingIn)
+FastInterpreter::resumeFrame(const DecodedFunction &df, Slot *regs,
+                             size_t depth, uint32_t startRecord,
+                             ThrownExc pendingIn)
 {
-    TRAPJIT_ASSERT(regs.size() == df.numValues,
-                   "bad register file resuming ", df.name);
     TRAPJIT_ASSERT(startRecord < df.code.size(),
                    "resume record out of range in ", df.name);
-    return execFrameAt(df, std::move(regs), depth, startRecord, pendingIn);
+    return execFrameAt(df, regs, depth, startRecord, pendingIn);
 }
 
 FastInterpreter::FrameResult
-FastInterpreter::execFrameAt(const DecodedFunction &df,
-                             std::vector<Slot> regs, size_t depth,
-                             uint32_t startRecord, ThrownExc pendingIn)
+FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
+                             size_t depth, uint32_t startRecord,
+                             ThrownExc pendingIn)
 {
-    Slot *const r = regs.data();
 
     const DecodedInst *const code = df.code.data();
     const DecodedInst *ip = code + startRecord;
@@ -373,8 +370,9 @@ FastInterpreter::execFrameAt(const DecodedFunction &df,
 #endif
 
     // Exception-resume entry (resumeFrame with a pending exception):
-    // the native helper that raised it already retired the record, so
-    // dispatch straight from its try region without re-executing it.
+    // the native helper or callee that raised it already retired the
+    // record, so dispatch straight from its try region without
+    // re-executing it.
     if (pending.pending()) {
         excRegion = code[startRecord].tryRegion;
         goto L_exception;

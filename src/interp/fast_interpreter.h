@@ -52,12 +52,12 @@ enum class InterpEngineKind : uint8_t
 
 /**
  * Engine selected by the TRAPJIT_INTERP environment variable:
- * "reference" (or "ref") picks the oracle, "native" the x86-64 JIT
- * tier (which itself falls back to the fast engine per function on
- * unsupported hosts — see codegen/native/native_engine.h), "tiered"
- * the profile-guided mixed-mode engine
- * (codegen/native/tiered_engine.h), anything else — including the
- * variable being unset — the fast engine.
+ * "reference" (or "ref") picks the oracle, "tiered" the profile-guided
+ * mixed-mode engine (codegen/native/tiered_engine.h), "native" the
+ * same engine with the all-native policy (eagerTieredOptions(): every
+ * function compiles on its first call; functions the tier cannot run
+ * stay on the fast engine), anything else — including the variable
+ * being unset — the fast engine.
  */
 InterpEngineKind interpEngineFromEnv();
 
@@ -96,12 +96,12 @@ class FastInterpreter
     class TierHooks; ///< tiering call-outs (see below)
 
   private:
-    // The native tier embeds a FastInterpreter as its per-function
-    // fallback engine and drives execFrame directly so mixed native /
-    // interpreted call stacks share one heap, trace and stats block.
-    // The tiered engine additionally enables the hotness profiling and
-    // call-interception hooks declared at the bottom of this class.
-    friend class NativeEngine;
+    // The tiered engine embeds a FastInterpreter as its per-function
+    // fallback and deopt engine and drives execFrame / resumeFrame
+    // directly, so mixed native / interpreted call stacks share one
+    // heap, trace and stats block.  It also enables the hotness
+    // profiling and call-interception hooks declared at the bottom of
+    // this class.
     friend class TieredEngine;
 
     /**
@@ -134,23 +134,25 @@ class FastInterpreter
 
     /**
      * Re-enter a frame at an arbitrary record with an already-built
-     * register file: the deopt path of the optimized native backend.
-     * The slot file is canonical at every record boundary there
-     * (write-through register allocation), so @p regs is the complete
-     * frame state.  A pending exception in @p pendingIn is dispatched
-     * from @p startRecord's try region without re-executing the record
-     * (the native helper already retired it); otherwise execution
-     * resumes by re-executing @p startRecord.  No depth or argument
-     * checks — the frame already passed them when it first entered.
+     * register file: the deopt path of the optimized native backend,
+     * running in place on the native frame's pool slot file.  The slot
+     * file is canonical at every record boundary there (write-through
+     * register allocation), so @p regs (df.numValues slots, owned by
+     * the caller) is the complete frame state.  A pending exception in
+     * @p pendingIn is dispatched from @p startRecord's try region
+     * without re-executing the record (the native helper or callee
+     * already retired it); otherwise execution resumes by re-executing
+     * @p startRecord.  No depth or argument checks — the frame already
+     * passed them when it first entered.
      */
-    FrameResult resumeFrame(const DecodedFunction &df,
-                            std::vector<Slot> regs, size_t depth,
-                            uint32_t startRecord, ThrownExc pendingIn);
+    FrameResult resumeFrame(const DecodedFunction &df, Slot *regs,
+                            size_t depth, uint32_t startRecord,
+                            ThrownExc pendingIn);
 
     /** Shared engine of execFrame and resumeFrame. */
-    FrameResult execFrameAt(const DecodedFunction &df,
-                            std::vector<Slot> regs, size_t depth,
-                            uint32_t startRecord, ThrownExc pendingIn);
+    FrameResult execFrameAt(const DecodedFunction &df, Slot *r,
+                            size_t depth, uint32_t startRecord,
+                            ThrownExc pendingIn);
 
     /**
      * Decoded-form twin of Interpreter::handleNullAccess.  @p cycles8

@@ -89,11 +89,6 @@ struct ExecStats
     uint64_t fusedPairsExecuted = 0; ///< superinstruction executions
     uint64_t functionsDecoded = 0;   ///< decode-cache misses this run
     double decodeSeconds = 0.0;      ///< host time spent decoding
-
-    // Filled by the native tier only: lowering work this run paid for
-    // (zero when every function hit the shared NativeCodeCache).
-    uint64_t functionsNativeCompiled = 0; ///< native-cache misses
-    double nativeCompileSeconds = 0.0;    ///< host time spent emitting
 };
 
 /** Result of a top-level execution. */

@@ -171,9 +171,6 @@ CompileService::CompileService(const Target &target,
       decodedCache_(options.decodedCache
                         ? options.decodedCache
                         : std::make_shared<DecodedProgramCache>()),
-      nativeCodeCache_(options.nativeCodeCache
-                           ? options.nativeCodeCache
-                           : std::make_shared<NativeCodeCache>()),
       pool_(resolveWorkerCount(options.numWorkers))
 {}
 
@@ -338,45 +335,6 @@ CompileService::compileModules(const std::vector<Module *> &mods,
                 report.counters.decodeSeconds += decodeWatch.elapsed();
                 ++report.counters.functionsPredecoded;
                 decodedCache_->insert(key, std::move(df));
-            }
-        }
-    }
-
-    // ---- Pre-compile the native tier -----------------------------------
-    // Same content-addressed discipline as pre-decoding.  The bench
-    // harnesses run without event tracing, so the no-trace variant is
-    // the one worth having warm; NativeEngine compiles any other
-    // variant it needs on first execution.  Unsupported results (e.g.
-    // every function on a non-x86-64 build) are cached too so engines
-    // don't retry the emitter, but count as neither compiled nor timed.
-    if (options_.precompileNative && nativeTierSupported()) {
-        DecodeOptions decodeOpts;
-        NativeCompileOptions nativeOpts;
-        nativeOpts.recordTrace = false;
-        for (Module *mod : mods) {
-            for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
-                const Function &fn = mod->function(f);
-                Hash128 key =
-                    nativeCodeKey(fn, target_, decodeOpts, nativeOpts);
-                if (nativeCodeCache_->lookup(key))
-                    continue;
-                Hash128 decodedKey =
-                    decodedProgramKey(fn, target_, decodeOpts);
-                std::shared_ptr<const DecodedFunction> df =
-                    decodedCache_->lookup(decodedKey);
-                if (!df)
-                    df = decodedCache_->insert(
-                        decodedKey,
-                        decodeFunction(fn, target_, decodeOpts));
-                Stopwatch nativeWatch;
-                NativeCompileResult result =
-                    compileNative(fn, *df, nativeOpts);
-                if (result.code) {
-                    report.counters.nativeCompileSeconds +=
-                        nativeWatch.elapsed();
-                    ++report.counters.functionsNativeCompiled;
-                }
-                nativeCodeCache_->insert(key, std::move(result));
             }
         }
     }

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "arch/target.h"
-#include "codegen/native/native_compiler.h"
 #include "interp/decoded_program.h"
 #include "jit/compile_cache.h"
 #include "jit/persistent_cache.h"
@@ -58,6 +57,18 @@ namespace trapjit
 {
 
 class Module;
+
+/**
+ * The service's native-code store, which is always empty: machine
+ * code is compiled on promotion by the TierController (blocks bake
+ * their decoded function's address in, so there is nothing content-
+ * addressed to share).  It exists only because the frozen end-to-end
+ * benchmark (e2ebench/) asserts its size on a fresh service.
+ */
+struct NativeCodeCache
+{
+    size_t size() const { return 0; }
+};
 
 /** Construction knobs for a CompileService. */
 struct CompileServiceOptions
@@ -74,15 +85,6 @@ struct CompileServiceOptions
      * decodedCache() never decode on the execution path.
      */
     bool predecode = true;
-
-    /**
-     * Lower every installed function to x86-64 machine code into the
-     * native code cache after each batch (piggybacking on predecode's
-     * pass over the installed module), so NativeEngine runs sharing
-     * nativeCodeCache() never hit the emitter on the execution path.
-     * A no-op on hosts the native tier does not support.
-     */
-    bool precompileNative = true;
 
     /**
      * Consult/fill the persistent cross-run cache behind the in-memory
@@ -111,12 +113,6 @@ struct CompileServiceOptions
      * private one.
      */
     std::shared_ptr<DecodedProgramCache> decodedCache;
-
-    /**
-     * Share a native-code cache; when null the service creates a
-     * private one.
-     */
-    std::shared_ptr<NativeCodeCache> nativeCodeCache;
 };
 
 /** What one batch did: counters, merged timings, wall clock. */
@@ -174,15 +170,11 @@ class CompileService
         return decodedCache_;
     }
 
-    /**
-     * Native machine code of everything this service compiled (one
-     * emission per native-code content hash); hand it to NativeEngine
-     * so execution starts without an emitter pass.
-     */
-    const std::shared_ptr<NativeCodeCache> &
+    /** Always empty (see NativeCodeCache); kept for e2ebench/. */
+    const NativeCodeCache *
     nativeCodeCache() const
     {
-        return nativeCodeCache_;
+        return &nativeCodeCache_;
     }
 
   private:
@@ -191,7 +183,7 @@ class CompileService
     std::shared_ptr<CompileCache> cache_;
     std::shared_ptr<PersistentCache> persistent_;
     std::shared_ptr<DecodedProgramCache> decodedCache_;
-    std::shared_ptr<NativeCodeCache> nativeCodeCache_;
+    NativeCodeCache nativeCodeCache_;
     WorkerPool pool_;
 };
 

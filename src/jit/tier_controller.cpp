@@ -15,7 +15,8 @@ TierController::TierController(
     const TierControllerOptions &options)
     : mod_(mod), target_(target), registry_(std::move(registry)),
       decodedCache_(std::move(decodedCache)),
-      decodeOptions_(decodeOptions), options_(options)
+      decodeOptions_(decodeOptions), options_(options),
+      despeculated_(mod.numFunctions())
 {
     if (!options_.synchronous)
         pool_ = std::make_unique<WorkerPool>(
@@ -63,10 +64,12 @@ TierController::compileAndPublish(FunctionId fn)
         df = decodedCache_->insert(
             dkey, decodeFunction(func, target_, decodeOptions_));
 
-    NativeCompileOptions nopts;
-    nopts.recordTrace = options_.recordTrace;
-    nopts.tiered = true;
-    NativeCompileResult res = compileNative(func, *df, nopts);
+    NativeCompileOptions compileOptions = options_.compile;
+    if (despeculated_[fn].load(std::memory_order_acquire))
+        compileOptions.speculate = false;
+    Stopwatch compileWatch;
+    NativeCompileResult res = compileNative(func, *df, compileOptions);
+    const double compileSeconds = compileWatch.elapsed();
     if (res.code == nullptr) {
         registry_->markUnsupported(fn);
         finishJob();
@@ -83,15 +86,28 @@ TierController::compileAndPublish(FunctionId fn)
             return;
         }
     }
+    ServiceCounters compiled;
+    ++compiled.functionsPromoted;
+    if (res.code->optimized) {
+        ++compiled.functionsRegalloc;
+        compiled.spillsEmitted = res.code->spillsEmitted;
+        compiled.loadsSpeculated = res.code->loadsSpeculated;
+        compiled.regallocSeconds = compileSeconds;
+    }
     registry_->publish(fn, std::move(res.code), df,
                        options_.linkBlocks);
-    double seconds = watch.elapsed();
+    compiled.tierUpLatencySeconds = watch.elapsed();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++functionsPromoted_;
-        tierUpSeconds_ += seconds;
+        counters_ += compiled;
     }
     finishJob();
+}
+
+void
+TierController::despeculate(FunctionId fn)
+{
+    despeculated_[fn].store(true, std::memory_order_release);
 }
 
 void
@@ -113,14 +129,14 @@ uint64_t
 TierController::functionsPromoted() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return functionsPromoted_;
+    return counters_.functionsPromoted;
 }
 
-double
-TierController::tierUpLatencySeconds() const
+ServiceCounters
+TierController::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return tierUpSeconds_;
+    return counters_;
 }
 
 } // namespace trapjit

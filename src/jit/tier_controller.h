@@ -5,8 +5,9 @@
  * @file
  * The promotion side of profile-guided tiering: accepts "this function
  * is hot" requests from interpreting engines, compiles the function to
- * a tiered native block on a background worker pool (or inline, for
- * deterministic tests), lints the block's trap-site tables with
+ * a native block (baseline or optimized backend) on a background
+ * worker pool (or inline, for deterministic tests and the all-native
+ * policy), lints the block's trap-site tables with
  * auditNativeTrapSites, and publishes it into the CodeRegistry.
  *
  * Request deduplication is the registry's Cold -> Requested CAS, so a
@@ -17,14 +18,17 @@
  * registry returns a function to Cold and the whole cycle can repeat.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "arch/target.h"
 #include "codegen/native/code_registry.h"
 #include "interp/decoded_program.h"
 #include "ir/module.h"
+#include "jit/stats.h"
 #include "support/job_queue.h"
 
 namespace trapjit
@@ -45,8 +49,12 @@ struct TierControllerOptions
     bool linkBlocks = true;
     /** Run auditNativeTrapSites on every block before publishing. */
     bool audit = true;
-    /** Must match the executing engine's InterpOptions::recordTrace. */
-    bool recordTrace = true;
+    /**
+     * How blocks are lowered: backend, speculation, and trace
+     * recording (which must match the executing engine's
+     * InterpOptions::recordTrace).
+     */
+    NativeCompileOptions compile;
 };
 
 /** Background native promotion for one module. */
@@ -74,6 +82,13 @@ class TierController
     /** Block until every in-flight promotion has settled. */
     void drain();
 
+    /**
+     * A section-5.4 speculation of @p fn failed at runtime: compile it
+     * without speculation from its next promotion on (the caller
+     * invalidates the current block).  Safe from any thread.
+     */
+    void despeculate(FunctionId fn);
+
     const std::shared_ptr<CodeRegistry> &registry() const
     {
         return registry_;
@@ -81,8 +96,13 @@ class TierController
 
     /** Blocks successfully published since construction. */
     uint64_t functionsPromoted() const;
-    /** Total request-to-publish latency across those blocks. */
-    double tierUpLatencySeconds() const;
+    /**
+     * Promotion totals since construction: functionsPromoted,
+     * tierUpLatencySeconds (request-to-publish, summed), and for the
+     * optimized backend functionsRegalloc, spillsEmitted,
+     * loadsSpeculated and regallocSeconds (its compile time).
+     */
+    ServiceCounters counters() const;
 
   private:
     void compileAndPublish(FunctionId fn);
@@ -95,12 +115,13 @@ class TierController
     DecodeOptions decodeOptions_;
     TierControllerOptions options_;
     std::unique_ptr<WorkerPool> pool_; ///< null in synchronous mode
+    /** Per function: never speculate again (see despeculate()). */
+    std::vector<std::atomic<bool>> despeculated_;
 
     mutable std::mutex mutex_;
     std::condition_variable idle_;
     size_t inFlight_ = 0;
-    uint64_t functionsPromoted_ = 0;
-    double tierUpSeconds_ = 0.0;
+    ServiceCounters counters_;
 };
 
 } // namespace trapjit

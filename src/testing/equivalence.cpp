@@ -344,166 +344,10 @@ compareEngines(Module &mod, const Target &runtime_target,
 }
 
 EquivalenceReport
-compareNativeEngine(Module &mod, const Target &runtime_target,
-                    DecodeOptions decode_options,
-                    NativeEngineOptions engine_options)
-{
-    EquivalenceReport report;
-    FunctionId entry = mod.findFunction("main");
-    TRAPJIT_ASSERT(entry != kNoFunction, "module has no main");
-    const Type returnType = mod.function(entry).returnType();
-
-    InterpOptions options;
-    options.recordTrace = true;
-
-    Observation fast;
-    FastInterpreter fastInterp(mod, runtime_target, options, nullptr,
-                               decode_options);
-    try {
-        fast.result = fastInterp.run(entry, {});
-        fast.events = fastInterp.trace().events();
-        fast.heapDigest = fastInterp.heap().digest();
-    } catch (const HardFault &fault) {
-        fast.hardFault = true;
-        fast.fault = fault.what();
-    }
-
-    Observation native;
-    NativeEngine engine(mod, runtime_target, options, nullptr,
-                        decode_options, nullptr,
-                        std::move(engine_options));
-    try {
-        native.result = engine.run(entry, {});
-        native.events = engine.trace().events();
-        native.heapDigest = engine.heap().digest();
-    } catch (const HardFault &fault) {
-        native.hardFault = true;
-        native.fault = fault.what();
-    }
-
-    std::ostringstream os;
-    if (fast.hardFault != native.hardFault) {
-        os << "HardFault parity differs: fast "
-           << (fast.hardFault ? "faulted (" + fast.fault + ")"
-                              : "completed")
-           << ", native "
-           << (native.hardFault ? "faulted (" + native.fault + ")"
-                                : "completed");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.hardFault) {
-        if (fast.fault != native.fault) {
-            os << "HardFault message differs: fast \"" << fast.fault
-               << "\", native \"" << native.fault << "\"";
-            report.message = os.str();
-            return report;
-        }
-        report.equivalent = true;
-        report.hardFaulted = true;
-        return report;
-    }
-
-    if (fast.result.outcome != native.result.outcome) {
-        os << "outcome differs: fast "
-           << (fast.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw")
-           << ", native "
-           << (native.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.exception != native.result.exception) {
-        os << "exception differs: fast "
-           << excName(fast.result.exception) << ", native "
-           << excName(native.result.exception);
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.outcome == ExecResult::Outcome::Returned) {
-        const RuntimeValue &fv = fast.result.value;
-        const RuntimeValue &nv = native.result.value;
-        bool same = true;
-        switch (returnType) {
-          case Type::F64:
-            same = std::bit_cast<uint64_t>(fv.f) ==
-                   std::bit_cast<uint64_t>(nv.f);
-            break;
-          case Type::Ref:
-            same = fv.ref == nv.ref;
-            break;
-          case Type::Void:
-            break;
-          default:
-            same = fv.i == nv.i;
-            break;
-        }
-        if (!same) {
-            os << "return value differs: fast (i=" << fv.i
-               << ", f=" << fv.f << ", ref=" << fv.ref << "), native (i="
-               << nv.i << ", f=" << nv.f << ", ref=" << nv.ref << ")";
-            report.message = os.str();
-            return report;
-        }
-    }
-
-    size_t n = std::min(fast.events.size(), native.events.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (!(fast.events[i] == native.events[i])) {
-            os << "event " << i << " differs: fast "
-               << fast.events[i].toString() << ", native "
-               << native.events[i].toString();
-            report.message = os.str();
-            return report;
-        }
-    }
-    if (fast.events.size() != native.events.size()) {
-        os << "event count differs: fast " << fast.events.size()
-           << ", native " << native.events.size();
-        report.message = os.str();
-        return report;
-    }
-    if (fast.heapDigest != native.heapDigest) {
-        report.message = describeHeapDifference(
-            fastInterp.heap(), engine.heap(), "fast", "native");
-        return report;
-    }
-
-    // The counters both engines maintain must agree exactly; the purely
-    // engine-side ones (dispatches, per-check counts, heap access
-    // counts) and the simulated cycle double are native-exempt.
-    const ExecStats &a = fast.result.stats;
-    const ExecStats &b = native.result.stats;
-    auto counter = [&](const char *name, uint64_t x, uint64_t y) {
-        if (x != y && report.message.empty()) {
-            std::ostringstream cs;
-            cs << "stats." << name << " differs: fast " << x
-               << ", native " << y;
-            report.message = cs.str();
-        }
-    };
-    counter("instructions", a.instructions, b.instructions);
-    counter("calls", a.calls, b.calls);
-    counter("allocations", a.allocations, b.allocations);
-    counter("trapsTaken", a.trapsTaken, b.trapsTaken);
-    counter("speculativeReadsOfNull", a.speculativeReadsOfNull,
-            b.speculativeReadsOfNull);
-    if (!report.message.empty())
-        return report;
-
-    report.equivalent = true;
-    report.trapsTaken = fast.result.stats.trapsTaken;
-    report.instructionsExecuted = fast.result.stats.instructions;
-    return report;
-}
-
-EquivalenceReport
 compareTieredEngine(Module &mod, const Target &runtime_target,
                     DecodeOptions decode_options,
-                    TieredOptions tiered_options)
+                    TieredOptions tiered_options,
+                    const std::function<void(TieredEngine &)> &prepare)
 {
     EquivalenceReport report;
     FunctionId entry = mod.findFunction("main");
@@ -528,6 +372,8 @@ compareTieredEngine(Module &mod, const Target &runtime_target,
     Observation tiered;
     TieredEngine engine(mod, runtime_target, options, nullptr,
                         decode_options, tiered_options);
+    if (prepare)
+        prepare(engine);
     try {
         tiered.result = engine.run(entry, {});
         tiered.events = engine.trace().events();
@@ -629,9 +475,10 @@ compareTieredEngine(Module &mod, const Target &runtime_target,
         return report;
     }
 
-    // Same exemptions as the classic native tier: engine-side dynamic
-    // counters and the simulated cycle model are out of scope for
-    // frames that ran as machine code.
+    // The counters both engines maintain must agree exactly; the purely
+    // engine-side ones (dispatches, per-check counts, heap access
+    // counts) and the simulated cycle model are out of scope for frames
+    // that ran as machine code.
     const ExecStats &a = fast.result.stats;
     const ExecStats &b = tiered.result.stats;
     auto counter = [&](const char *name, uint64_t x, uint64_t y) {

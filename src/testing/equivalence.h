@@ -20,7 +20,6 @@
 #include <string>
 
 #include "arch/target.h"
-#include "codegen/native/native_engine.h"
 #include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "ir/module.h"
@@ -93,40 +92,37 @@ EquivalenceReport compareEngines(Module &mod, const Target &runtime_target,
 
 /**
  * Native-tier differential oracle: run @p mod's `main` once under the
- * fast interpreter and once under the native x86-64 engine
- * (codegen/native/native_engine.h) and compare HardFault parity
+ * fast interpreter and once under the TieredEngine
+ * (codegen/native/tiered_engine.h) and compare HardFault parity
  * (including the message), outcome, exception kind, the typed return
  * value (F64 bitwise), the full ordered EventTrace, the final heap
- * digest, and the semantic counters the native tier maintains
+ * digest, and the semantic counters native frames maintain
  * (instructions, calls, allocations, trapsTaken,
  * speculativeReadsOfNull).  The cycle cost model and the engine-side
- * dynamic counters are excluded: the native tier runs on real time.
+ * dynamic counters are excluded: native frames run on real time.
  *
- * @param engine_options  e.g. a nativeFilter forcing some functions
- *                        onto the interpreter fallback, to exercise
- *                        mixed native/interpreted call stacks
+ * The default options force synchronous promotion at a threshold of 2
+ * so functions tier up *mid-case* and the run crosses interpreter ->
+ * native -> interpreter frames in both directions; pass
+ * eagerTieredOptions() for the all-native engine (TRAPJIT_INTERP=
+ * native), a backend to pin the baseline or optimized lowering, or
+ * other TieredOptions to cover other policies (background workers,
+ * linking off, high threshold).
+ *
+ * @param prepare  runs on the tiered engine before `main` does — e.g.
+ *                 promoteNow on chosen functions under a threshold
+ *                 that is never reached, forcing an exact mix of
+ *                 native and interpreted frames
  */
-EquivalenceReport compareNativeEngine(
+EquivalenceReport compareTieredEngine(
     Module &mod, const Target &runtime_target,
     DecodeOptions decode_options = {},
-    NativeEngineOptions engine_options = {});
-
-/**
- * Tiered-tier differential oracle: same comparison set as
- * compareNativeEngine, but the second engine is the profile-guided
- * TieredEngine (codegen/native/tiered_engine.h).  The default options
- * force synchronous promotion at a threshold of 2 so functions tier up
- * *mid-case* and the run crosses interpreter -> native -> interpreter
- * frames in both directions; pass different TieredOptions to cover
- * other policies (background workers, linking off, high threshold).
- */
-EquivalenceReport compareTieredEngine(Module &mod,
-                                      const Target &runtime_target,
-                                      DecodeOptions decode_options = {},
-                                      TieredOptions tiered_options = {
-                                          .threshold = 2,
-                                          .synchronous = true,
-                                      });
+    TieredOptions tiered_options =
+        {
+            .threshold = 2,
+            .synchronous = true,
+        },
+    const std::function<void(TieredEngine &)> &prepare = {});
 
 } // namespace trapjit
 

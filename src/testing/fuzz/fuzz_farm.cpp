@@ -215,7 +215,6 @@ runPersistentOracle(CaseDelta &delta, uint64_t seed,
     CompileServiceOptions so;
     so.numWorkers = 1;
     so.predecode = false;
-    so.precompileNative = false;
     so.persistent = persistent;
     CompileService warm(target, so);
     ServiceReport rep = warm.compileModule(*warmMod, config);
@@ -299,8 +298,11 @@ runOneCase(uint64_t seed, const std::string &profile, const FuzzArm &arm,
     delta.traps += engines.trapsTaken;
     delta.instructions += engines.instructionsExecuted;
 
-    if (opts.useNativeEngine && fuzzNativeTierUsable()) {
-        EquivalenceReport native = compareNativeEngine(*mod, target);
+    if (opts.useNativeOracle && fuzzNativeTierUsable()) {
+        TieredOptions baseline = eagerTieredOptions();
+        baseline.backend = NativeBackend::Baseline;
+        EquivalenceReport native =
+            compareTieredEngine(*mod, target, {}, baseline);
         if (!native.equivalent) {
             record(delta, seed, profile, arm, "fast-vs-native",
                    native.message);
@@ -310,15 +312,15 @@ runOneCase(uint64_t seed, const std::string &profile, const FuzzArm &arm,
         delta.instructions += native.instructionsExecuted;
     }
 
-    if (opts.useOptimizedEngine && fuzzNativeTierUsable()) {
+    if (opts.useOptimizedOracle && fuzzNativeTierUsable()) {
         // The optimized backend: linear-scan register allocation plus
         // speculated loads whose guard-page traps deopt into the fast
         // interpreter — the oracle covers regalloc homes, batched
         // budget refunds and mid-run replay all at once.
-        NativeEngineOptions eopts;
-        eopts.backend = NativeBackend::Optimized;
+        TieredOptions optimizedOpts = eagerTieredOptions();
+        optimizedOpts.backend = NativeBackend::Optimized;
         EquivalenceReport optimized =
-            compareNativeEngine(*mod, target, {}, eopts);
+            compareTieredEngine(*mod, target, {}, optimizedOpts);
         if (!optimized.equivalent) {
             record(delta, seed, profile, arm, "fast-vs-optimized",
                    optimized.message);
@@ -328,7 +330,7 @@ runOneCase(uint64_t seed, const std::string &profile, const FuzzArm &arm,
         delta.instructions += optimized.instructionsExecuted;
     }
 
-    if (opts.useTieredEngine && fuzzNativeTierUsable()) {
+    if (opts.useTieredOracle && fuzzNativeTierUsable()) {
         // Threshold 2 (the compareTieredEngine default): functions
         // cross the hotness threshold mid-case, so blocks publish,
         // call slots patch and frames switch tiers while this very
@@ -434,7 +436,6 @@ runFuzzFarm(const FuzzOptions &options)
                     CompileServiceOptions so;
                     so.numWorkers = 1;
                     so.predecode = false;
-                    so.precompileNative = false;
                     so.cache = sharedCache;
                     so.enablePersistent = sharedPersistent != nullptr;
                     so.persistent = sharedPersistent;

@@ -11,11 +11,12 @@
  * module (testing/workload_gen/), compiles it under the arm with the
  * soundness auditor collecting, and then runs the differential oracles:
  * reference vs fast interpreter (bit-exact, cycles included) and — on
- * hosts with the native tier — fast vs native x86-64, fast vs the
- * optimized backend (linear-scan regalloc + speculated loads, so real
- * deopt side-exits replay mid-case) and fast vs the profile-guided
- * tiered engine (threshold 2, so functions promote in the middle of
- * the case and publish/patch runs under live traps).
+ * hosts with the native tier — fast vs the all-native engine with the
+ * baseline backend, fast vs the all-native engine with the optimized
+ * backend (linear-scan regalloc + speculated loads, so real deopt
+ * exits replay mid-case) and fast vs the profile-guided tiered engine
+ * (threshold 2, so functions promote in the middle of the case and
+ * publish/patch runs under live traps).
  * Any audit finding, any engine disagreement, and any agreed-upon
  * HardFault is a divergence, reported with the exact (seed, profile,
  * arm) tuple that regenerates it on any machine (the generator is
@@ -143,20 +144,21 @@ struct FuzzOptions
     int threads = 4;
 
     /**
-     * Also run the fast-vs-native oracle.  Automatically skipped (per
-     * run, not per case) on hosts without the native tier or under
-     * AddressSanitizer, whose shadow memory is incompatible with
-     * guard-page SIGSEGV recovery.
+     * Also run the fast-vs-native oracle: the all-native engine
+     * (eagerTieredOptions()) with the baseline backend.  Automatically
+     * skipped (per run, not per case) on hosts without the native tier
+     * or under AddressSanitizer, whose shadow memory is incompatible
+     * with guard-page SIGSEGV recovery.
      */
-    bool useNativeEngine = true;
+    bool useNativeOracle = true;
 
     /**
-     * Also run the fast-vs-optimized oracle: the regalloc+speculation
-     * backend (NativeBackend::Optimized) against the fast interpreter,
-     * so speculated loads that actually trap deopt and replay mid-case.
+     * Also run the fast-vs-optimized oracle: the all-native engine with
+     * the regalloc+speculation backend (NativeBackend::Optimized), so
+     * speculated loads that actually trap deopt and replay mid-case.
      * Skipped on the same hosts as the native oracle.
      */
-    bool useOptimizedEngine = true;
+    bool useOptimizedOracle = true;
 
     /**
      * Also run the fast-vs-tiered oracle with a promotion threshold of
@@ -165,7 +167,7 @@ struct FuzzOptions
      * the worker's heap is taking real guard-page traps.  Skipped on
      * the same hosts as the native oracle.
      */
-    bool useTieredEngine = true;
+    bool useTieredOracle = true;
 
     /**
      * Compile through a per-worker CompileService sharing one compile

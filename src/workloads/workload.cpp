@@ -18,11 +18,18 @@ findWorkload(const std::string &name)
     return nullptr;
 }
 
+bool
+cycleModelEngineSelected()
+{
+    InterpEngineKind kind = interpEngineFromEnv();
+    return kind == InterpEngineKind::Reference ||
+           kind == InterpEngineKind::Fast;
+}
+
 WorkloadRun
 runWorkload(const Workload &workload, const Compiler &compiler,
             const Target &runtime_target, bool record_trace,
-            std::shared_ptr<DecodedProgramCache> decoded_cache,
-            std::shared_ptr<NativeCodeCache> native_cache)
+            std::shared_ptr<DecodedProgramCache> decoded_cache)
 {
     WorkloadRun run;
     std::unique_ptr<Module> mod = workload.build();
@@ -35,38 +42,26 @@ runWorkload(const Workload &workload, const Compiler &compiler,
     InterpOptions options;
     options.recordTrace = record_trace;
     ExecResult result;
-    ServiceCounters tiering;
     switch (interpEngineFromEnv()) {
       case InterpEngineKind::Reference: {
         Interpreter interp(*mod, runtime_target, options);
         result = interp.run(entry, {});
         break;
       }
-      case InterpEngineKind::Native: {
-        // Per-function fallback inside the engine keeps this valid on
-        // hosts without the native tier (it degrades to fast).
-        NativeEngine engine(*mod, runtime_target, options,
-                            std::move(decoded_cache), DecodeOptions{},
-                            std::move(native_cache));
-        result = engine.run(entry, {});
-        // No-ops under the baseline backend; under
-        // TRAPJIT_NATIVE_BACKEND=optimized this surfaces the regalloc
-        // and speculation counters in the same ServiceCounters slot
-        // the tiered engine reports through.
-        engine.addOptimizedCounters(tiering);
-        break;
-      }
+      case InterpEngineKind::Native:
       case InterpEngineKind::Tiered: {
-        // Hotness-driven promotion with the env-configured policy
-        // (TRAPJIT_TIER_THRESHOLD / TRAPJIT_TIER_SYNC); also valid on
-        // hosts without the native tier (promotions park Unsupported
-        // and everything stays interpreted).
+        // Native: every function compiles on its first call.  Tiered:
+        // hotness-driven promotion with the env-configured policy
+        // (TRAPJIT_TIER_THRESHOLD / TRAPJIT_TIER_SYNC).  The backend
+        // follows TRAPJIT_NATIVE_BACKEND / TRAPJIT_SPECULATE.  Both are
+        // valid on hosts without the native tier (promotions park
+        // Unsupported and everything stays interpreted).
         TieredEngine engine(*mod, runtime_target, options,
                             std::move(decoded_cache), DecodeOptions{},
-                            tieredOptionsFromEnv());
+                            interpEngineFromEnv() == InterpEngineKind::Native
+                                ? eagerTieredOptions()
+                                : tieredOptionsFromEnv());
         result = engine.run(entry, {});
-        engine.drainPromotions();
-        engine.addTieringCounters(tiering);
         break;
       }
       default: {
@@ -78,7 +73,6 @@ runWorkload(const Workload &workload, const Compiler &compiler,
     }
 
     run.stats = result.stats;
-    run.tiering = tiering;
     run.cycles = result.stats.cycles;
     if (result.outcome == ExecResult::Outcome::Returned) {
         run.ok = true;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "arch/target.h"
-#include "codegen/native/native_engine.h"
 #include "interp/fast_interpreter.h"
 #include "interp/interpreter.h"
 #include "ir/module.h"
@@ -63,14 +62,12 @@ struct WorkloadRun
 {
     bool ok = false;          ///< returned normally
     int64_t checksum = 0;     ///< main's return value
-    double cycles = 0.0;      ///< simulated cycles
+    /** Simulated cycles; only the reference and fast engines model
+     *  them (see cycleModelEngineSelected()). */
+    double cycles = 0.0;
     ExecStats stats;          ///< dynamic counters
     CompileReport compile;    ///< where the compile time went
     ExcKind exception = ExcKind::None;
-
-    /** Tier-up accounting (promotions, links, patches); only filled
-     *  when TRAPJIT_INTERP=tiered ran the workload. */
-    ServiceCounters tiering;
 };
 
 /**
@@ -79,22 +76,28 @@ struct WorkloadRun
  * compiler's target in the Illegal Implicit experiment).
  *
  * Execution uses the pre-decoded fast engine unless TRAPJIT_INTERP
- * selects the reference interpreter or the native x86-64 tier (see
- * interpEngineFromEnv()); the engines are differentially tested to be
- * bit-identical on everything but the simulated cycle count (which the
- * native tier does not model), so every bench harness reproduces the
- * same numbers under any engine.  Pass @p decoded_cache (e.g.
- * CompileService::decodedCache()) to reuse decodes across runs, and
- * @p native_cache (CompileService::nativeCodeCache()) to reuse native
- * code when the native engine is selected.
+ * selects the reference interpreter, the tiered engine or the
+ * all-native engine (see interpEngineFromEnv()).  The engines are
+ * differentially tested to be bit-identical on the checksum,
+ * exception, heap, trace and semantic counters — but not on
+ * WorkloadRun::cycles: native frames add no cycles, so under tiered
+ * the count covers only the interpreted frames and under native it is
+ * (close to) zero.  Harnesses that report cycles must refuse those
+ * engines (cycleModelEngineSelected()).  Pass @p decoded_cache (e.g.
+ * CompileService::decodedCache()) to reuse decodes across runs.
  */
 WorkloadRun runWorkload(const Workload &workload, const Compiler &compiler,
                         const Target &runtime_target,
                         bool record_trace = false,
                         std::shared_ptr<DecodedProgramCache> decoded_cache =
-                            nullptr,
-                        std::shared_ptr<NativeCodeCache> native_cache =
                             nullptr);
+
+/**
+ * True when TRAPJIT_INTERP selects an engine whose WorkloadRun::cycles
+ * is the full cost-model count (reference or fast); false for the
+ * tiered and native engines, whose native frames model no cycles.
+ */
+bool cycleModelEngineSelected();
 
 } // namespace trapjit
 

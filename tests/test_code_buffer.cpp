@@ -1,16 +1,15 @@
 /**
  * @file
- * Lifecycle tests for the W^X code buffer and the native-code cache.
+ * Lifecycle tests for the W^X code buffer and the finalize policy of
+ * compiled blocks.
  *
  * The buffer's contract is write *or* execute, never both, with
  * idempotent transitions in both directions — a recompile reuses the
  * same mapping by flipping it back to writable, repatching, and
  * finalizing again, and the entry address must survive every cycle
- * (the in-buffer handler table stores absolute addresses).  The cache's
- * contract is content addressing: the (function, target, fusion,
- * trace) tuple *is* the identity of the machine code, so any component
- * changing must change the key, and identical tuples must collide into
- * one first-writer-wins entry.
+ * (the in-buffer handler table stores absolute addresses).  Compiled
+ * blocks keep that contract unless they must stay patchable: only a
+ * block with a call slot the code registry may link is mapped RWX.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "interp/decoded_program.h"
 #include "ir/builder.h"
 #include "ir/module.h"
-#include "testing/random_program.h"
 
 #if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
 #if __has_feature(address_sanitizer)
@@ -108,81 +106,51 @@ TEST(CodeBuffer, MoveTransfersOwnership)
 }
 
 // ---------------------------------------------------------------------------
-// Content-addressed native-code cache
+// Finalize policy: W^X unless a call slot must stay linkable
 // ---------------------------------------------------------------------------
 
-TEST(NativeCodeKey, EveryTupleComponentChangesTheKey)
-{
-    GeneratorOptions opts;
-    opts.seed = 616161;
-    auto mod = generateRandomModule(opts);
-    const Function &main = mod->function(mod->findFunction("main"));
-    Target ia32 = makeIA32WindowsTarget();
-
-    Hash128 k = nativeCodeKey(main, ia32, {}, {});
-    EXPECT_EQ(k, nativeCodeKey(main, ia32, {}, {})) << "key not stable";
-
-    DecodeOptions noFuse;
-    noFuse.fuse = false;
-    EXPECT_FALSE(nativeCodeKey(main, ia32, noFuse, {}) == k)
-        << "fusion flag must be part of the identity";
-    EXPECT_FALSE(nativeCodeKey(main, makePPCAIXTarget(), {}, {}) == k)
-        << "target must be part of the identity";
-    NativeCompileOptions noTrace;
-    noTrace.recordTrace = false;
-    EXPECT_FALSE(nativeCodeKey(main, ia32, {}, noTrace) == k)
-        << "trace instrumentation must be part of the identity";
-
-    // A different function under the same knobs is a different key.
-    GeneratorOptions opts2;
-    opts2.seed = 616162;
-    auto mod2 = generateRandomModule(opts2);
-    const Function &main2 = mod2->function(mod2->findFunction("main"));
-    EXPECT_FALSE(nativeCodeKey(main2, ia32, {}, {}) == k);
-}
-
-TEST(NativeCodeCacheTest, FirstWriterWinsOnKeyCollision)
+TEST(BlockFinalize, OnlyBlocksWithStaticCallsAreMappedPatchable)
 {
     if (!nativeTierSupported())
         GTEST_SKIP() << "native tier requires x86-64 Linux";
 
+    // leaf() is call-free; main() calls it statically.
     auto mod = std::make_unique<Module>();
-    Function &fn = mod->addFunction("main", Type::I32);
+    Function &leaf = mod->addFunction("leaf", Type::I32);
     {
-        IRBuilder b(fn);
+        IRBuilder b(leaf);
         b.startBlock();
         b.ret(b.constInt(7));
     }
+    const FunctionId leafId = mod->findFunction("leaf");
+    Function &main = mod->addFunction("main", Type::I32);
+    {
+        IRBuilder b(main);
+        b.startBlock();
+        b.ret(b.callStatic(leafId, {}, Type::I32));
+    }
     Target ia32 = makeIA32WindowsTarget();
-    auto df = decodeFunction(fn, ia32);
 
-    NativeCodeCache cache;
-    Hash128 key = nativeCodeKey(fn, ia32, {}, {});
-    EXPECT_EQ(nullptr, cache.lookup(key));
+    for (bool optimized : {false, true}) {
+        NativeCompileOptions opts;
+        opts.optimized = optimized;
+        auto leafDf = decodeFunction(leaf, ia32);
+        NativeCompileResult leafCode = compileNative(leaf, *leafDf, opts);
+        ASSERT_NE(nullptr, leafCode.code) << leafCode.unsupportedReason;
+        EXPECT_TRUE(leafCode.code->buffer.executable());
+        EXPECT_FALSE(leafCode.code->buffer.patchable())
+            << "call-free block mapped RWX (optimized=" << optimized
+            << ")";
 
-    auto first = cache.insert(key, compileNative(fn, *df, {}));
-    ASSERT_NE(nullptr, first->code);
-    // A second compile colliding on the same (function, target, fusion,
-    // trace) key must not replace the installed code: callers may
-    // already hold entry addresses into the first buffer.
-    auto second = cache.insert(key, compileNative(fn, *df, {}));
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(first->code.get(), cache.lookup(key)->code.get());
-    EXPECT_EQ(1u, cache.size());
-
-    // Unsupported results are cached too (null code + reason), so a
-    // known-bad function is never recompiled.
-    Hash128 other = nativeCodeKey(fn, makePPCAIXTarget(), {}, {});
-    NativeCompileResult unsupported;
-    unsupported.unsupportedReason = "synthetic";
-    auto bad = cache.insert(other, std::move(unsupported));
-    EXPECT_EQ(nullptr, bad->code);
-    EXPECT_EQ("synthetic", cache.lookup(other)->unsupportedReason);
-    EXPECT_EQ(2u, cache.size());
-
-    cache.clear();
-    EXPECT_EQ(0u, cache.size());
-    EXPECT_EQ(nullptr, cache.lookup(key));
+        auto mainDf = decodeFunction(main, ia32);
+        NativeCompileResult mainCode = compileNative(main, *mainDf, opts);
+        ASSERT_NE(nullptr, mainCode.code) << mainCode.unsupportedReason;
+        ASSERT_EQ(1u, mainCode.code->callSlots.size());
+        EXPECT_EQ(leafId, mainCode.code->callSlots[0].callee);
+        EXPECT_TRUE(mainCode.code->buffer.patchable())
+            << "block with a static call is not linkable (optimized="
+            << optimized << ")";
+    }
 }
 
 } // namespace

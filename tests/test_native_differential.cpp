@@ -2,19 +2,24 @@
  * @file
  * Differential suite for the native x86-64 tier.
  *
- * The native engine (codegen/native/native_engine.h) claims to be
- * observably identical to the fast interpreter on everything but the
- * simulated cycle model: same heap bytes, same exceptions (Java-level
- * and HardFault, message included), same EventTrace, same semantic
- * counters (instructions, calls, allocations, trapsTaken,
- * speculativeReadsOfNull).  Unlike the interpreters it takes the
- * paper's mechanism literally — an implicit null check is *zero emitted
- * instructions* and recovery rides a real SIGSEGV from the heap guard
- * page — so this suite also asserts the machine-code shape:
+ * The all-native engine (TRAPJIT_INTERP=native: a TieredEngine with
+ * eagerTieredOptions(), so every function compiles on its first call)
+ * claims to be observably identical to the fast interpreter on
+ * everything but the simulated cycle model: same heap bytes, same
+ * exceptions (Java-level and HardFault, message included), same
+ * EventTrace, same semantic counters (instructions, calls,
+ * allocations, trapsTaken, speculativeReadsOfNull) — under both
+ * backends.  Unlike the interpreters it takes the paper's mechanism
+ * literally — an implicit null check is *zero emitted instructions*
+ * and recovery rides a real SIGSEGV from the heap guard page — so this
+ * suite also asserts the machine-code shape:
  *
- *  1. a parametrized sweep: 200 random programs × the full 11-arm
- *     config matrix, each compiled program executed under both engines
- *     and compared with compareNativeEngine();
+ *  1. parametrized sweeps: 200 random programs × the full 11-arm
+ *     config matrix under the baseline backend, 60 × 11 under the
+ *     optimized backend (regalloc + section-5.4 speculation, whose
+ *     trapped loads deopt into the interpreter), each compiled program
+ *     executed under both engines and compared with
+ *     compareTieredEngine();
  *  2. disassembly-level check-size assertions via NativeCode record
  *     offsets: an implicit NullCheck record is exactly the
  *     instruction-budget preamble (no compare, no branch), an explicit
@@ -22,7 +27,8 @@
  *  3. directed tests for the trap path (a real fault must be taken and
  *     must surface as the interpreter-identical NullPointerException),
  *     mixed native/interpreted call stacks, budget-fault message
- *     parity, and the TRAPJIT_INTERP selector.
+ *     parity, the all-native promise (no interpreter dispatch at all),
+ *     and the TRAPJIT_INTERP / backend selectors.
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -36,16 +42,16 @@
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/native_compiler.h"
-#include "codegen/native/native_engine.h"
+#include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
 #include "ir/builder.h"
 #include "ir/module.h"
-#include "jit/compile_service.h"
 #include "jit/compiler.h"
 #include "testing/equivalence.h"
 #include "testing/random_program.h"
 #include "testing/workload_gen/workload_gen.h"
+#include "workloads/workload.h"
 
 #if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
 #if __has_feature(address_sanitizer)
@@ -99,6 +105,46 @@ const Arm kArms[] = {
 
 using SeedAndArm = std::tuple<uint64_t, size_t>;
 
+/** The all-native policy with @p backend pinned. */
+TieredOptions
+eagerWith(NativeBackend backend)
+{
+    TieredOptions opts = eagerTieredOptions();
+    opts.backend = backend;
+    return opts;
+}
+
+/** compareTieredEngine on the all-native engine with @p backend. */
+EquivalenceReport
+compareNative(Module &mod, const Target &target,
+              NativeBackend backend = NativeBackend::Baseline,
+              DecodeOptions decode_options = {})
+{
+    return compareTieredEngine(mod, target, decode_options,
+                               eagerWith(backend));
+}
+
+/**
+ * Mixed dispatch without any engine option: a promotion threshold that
+ * is never reached keeps every function interpreted except the even
+ * ids, which promoteNow publishes before main runs — so calls cross the
+ * native/interpreted boundary in both directions.
+ */
+EquivalenceReport
+compareEvenIdsNative(Module &mod, const Target &target,
+                     NativeBackend backend)
+{
+    TieredOptions opts;
+    opts.threshold = UINT32_MAX;
+    opts.synchronous = true;
+    opts.backend = backend;
+    return compareTieredEngine(
+        mod, target, {}, opts, [&mod](TieredEngine &engine) {
+            for (FunctionId f = 0; f < mod.numFunctions(); f += 2)
+                engine.promoteNow(f);
+        });
+}
+
 class NativeDifferential : public ::testing::TestWithParam<SeedAndArm>
 {
 };
@@ -117,7 +163,7 @@ TEST_P(NativeDifferential, NativeMatchesFastInterpreter)
     Compiler compiler(target, arm.makeConfig());
     compiler.compile(*mod);
 
-    EquivalenceReport report = compareNativeEngine(*mod, target);
+    EquivalenceReport report = compareNative(*mod, target);
     EXPECT_TRUE(report.equivalent)
         << "seed " << seed << " on " << arm.targetName << " / "
         << arm.makeConfig().name << ": " << report.message;
@@ -164,7 +210,7 @@ TEST_P(NativeDifferentialShapes, FusionOffAndUnoptimizedShapes)
     std::unique_ptr<Module> mod = generateRandomModule(opts);
     Target target = arm.makeTarget();
 
-    EquivalenceReport unopt = compareNativeEngine(*mod, target);
+    EquivalenceReport unopt = compareNative(*mod, target);
     EXPECT_TRUE(unopt.equivalent)
         << "seed " << seed << " unoptimized on " << arm.targetName
         << ": " << unopt.message;
@@ -174,7 +220,8 @@ TEST_P(NativeDifferentialShapes, FusionOffAndUnoptimizedShapes)
 
     DecodeOptions noFuse;
     noFuse.fuse = false;
-    EquivalenceReport plain = compareNativeEngine(*mod, target, noFuse);
+    EquivalenceReport plain =
+        compareNative(*mod, target, NativeBackend::Baseline, noFuse);
     EXPECT_TRUE(plain.equivalent)
         << "seed " << seed << " on " << arm.targetName << " / "
         << arm.makeConfig().name << " (fusion off): " << plain.message;
@@ -190,7 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Mixed native / interpreted call stacks
 // ---------------------------------------------------------------------------
 
-TEST(NativeMixedDispatch, FilteredFunctionsFallBackPerFunction)
+TEST(NativeMixedDispatch, EvenPromotedFunctionsMixWithInterpreted)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
     Target target = makeIA32WindowsTarget();
@@ -205,19 +252,17 @@ TEST(NativeMixedDispatch, FilteredFunctionsFallBackPerFunction)
 
         // Alternate functions native / interpreted: calls cross the
         // boundary in both directions.
-        NativeEngineOptions alternate;
-        alternate.nativeFilter = [](FunctionId id) { return id % 2 == 0; };
         EquivalenceReport mixed =
-            compareNativeEngine(*mod, target, {}, alternate);
+            compareEvenIdsNative(*mod, target, NativeBackend::Baseline);
         EXPECT_TRUE(mixed.equivalent)
             << "seed " << seed << " mixed-dispatch: " << mixed.message;
 
-        // Everything filtered: the engine must degrade to the fast
+        // Nothing promoted: the engine must degrade to the fast
         // interpreter wholesale (the non-x86-64 code path, on x86-64).
-        NativeEngineOptions none;
-        none.nativeFilter = [](FunctionId) { return false; };
+        TieredOptions never;
+        never.threshold = UINT32_MAX;
         EquivalenceReport fallback =
-            compareNativeEngine(*mod, target, {}, none);
+            compareTieredEngine(*mod, target, {}, never);
         EXPECT_TRUE(fallback.equivalent)
             << "seed " << seed << " full-fallback: " << fallback.message;
     }
@@ -258,13 +303,16 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
     FunctionId entry = mod->findFunction("main");
     // Pin the baseline backend: these byte-layout assertions describe
     // the per-record lowering, and must not flip when the suite runs
-    // under TRAPJIT_NATIVE_BACKEND=optimized.
-    NativeEngineOptions baselineOpts;
-    baselineOpts.backend = NativeBackend::Baseline;
-    NativeEngine engine(*mod, target, {}, nullptr, {}, nullptr,
-                        baselineOpts);
-    const NativeCode *nc = engine.nativeCode(entry);
-    ASSERT_NE(nullptr, nc) << engine.unsupportedReason(entry);
+    // under TRAPJIT_NATIVE_BACKEND=optimized.  The all-native engine
+    // compiles main on its first call, and the code still runs
+    // correctly.
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerWith(NativeBackend::Baseline));
+    ExecResult r = engine.run(entry, {});
+    ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
+    EXPECT_EQ(42, r.value.i);
+    const NativeCode *nc = engine.registry()->published(entry);
+    ASSERT_NE(nullptr, nc) << "main did not compile natively";
     ASSERT_GT(nc->implicitChecksCompiled, 0u)
         << "trap config did not produce implicit checks";
     EXPECT_EQ(0u, nc->implicitNullCheckBytes);
@@ -294,11 +342,6 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
         }
     }
     EXPECT_GT(implicitSeen, 0u);
-
-    // And the code still runs correctly.
-    ExecResult r = engine.run(entry, {});
-    ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
-    EXPECT_EQ(42, r.value.i);
 }
 
 TEST(NativeCheckBytes, ExplicitChecksCarryTheCompareAndBranch)
@@ -310,12 +353,11 @@ TEST(NativeCheckBytes, ExplicitChecksCarryTheCompareAndBranch)
     compiler.compile(*mod);
 
     FunctionId entry = mod->findFunction("main");
-    NativeEngineOptions baselineOpts;
-    baselineOpts.backend = NativeBackend::Baseline;
-    NativeEngine engine(*mod, target, {}, nullptr, {}, nullptr,
-                        baselineOpts);
-    const NativeCode *nc = engine.nativeCode(entry);
-    ASSERT_NE(nullptr, nc) << engine.unsupportedReason(entry);
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerWith(NativeBackend::Baseline));
+    engine.run(entry, {});
+    const NativeCode *nc = engine.registry()->published(entry);
+    ASSERT_NE(nullptr, nc) << "main did not compile natively";
     EXPECT_EQ(0u, nc->implicitChecksCompiled);
     ASSERT_GT(nc->explicitChecksCompiled, 0u);
     EXPECT_EQ(nc->explicitChecksCompiled * kNativeExplicitNullCheckBytes,
@@ -337,18 +379,20 @@ TEST(NativeTrap, GuardPageFaultBecomesTheInterpreterIdenticalNpe)
     FunctionId entry = mod->findFunction("main");
 
     // Both engines must agree on everything observable...
-    EquivalenceReport report = compareNativeEngine(*mod, target);
+    EquivalenceReport report = compareNative(*mod, target);
     EXPECT_TRUE(report.equivalent) << report.message;
 
     // ...and the native run must have taken a *real* hardware trap.
-    NativeEngine engine(*mod, target);
-    const NativeCode *nc = engine.nativeCode(entry);
-    ASSERT_NE(nullptr, nc) << engine.unsupportedReason(entry);
-    ASSERT_GT(nc->implicitChecksCompiled, 0u);
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerWith(NativeBackend::Baseline));
     ExecResult r = engine.run(entry, {});
+    const NativeCode *nc = engine.registry()->published(entry);
+    ASSERT_NE(nullptr, nc) << "main did not compile natively";
+    ASSERT_GT(nc->implicitChecksCompiled, 0u);
     EXPECT_EQ(ExecResult::Outcome::Threw, r.outcome);
     EXPECT_EQ(ExcKind::NullPointer, r.exception);
     EXPECT_EQ(1u, r.stats.trapsTaken);
+    EXPECT_EQ(0u, r.stats.dispatches) << "main ran on the interpreter";
 
     FastInterpreter fast(*mod, target);
     ExecResult fr = fast.run(entry, {});
@@ -406,8 +450,10 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
             fastCount = fast.stats().instructions;
         }
     }
-    {
-        NativeEngine engine(*mod, target, options);
+    for (NativeBackend backend :
+         {NativeBackend::Baseline, NativeBackend::Optimized}) {
+        TieredEngine engine(*mod, target, options, nullptr, {},
+                            eagerWith(backend));
         try {
             engine.run(mod->findFunction("main"), {});
             FAIL() << "native engine did not hit the budget";
@@ -415,46 +461,45 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
             nativeMessage = fault.what();
             nativeCount = engine.stats().instructions;
         }
+        EXPECT_EQ(fastMessage, nativeMessage);
+        EXPECT_EQ(fastCount, nativeCount);
     }
-    EXPECT_EQ(fastMessage, nativeMessage);
-    EXPECT_EQ(fastCount, nativeCount);
 }
 
 // ---------------------------------------------------------------------------
-// Cache sharing with the compile service
+// The all-native promise: nothing is interpreted
 // ---------------------------------------------------------------------------
 
-TEST(NativeCodeCacheSharing, ServicePrecompilesAndEngineReuses)
+// With threshold 1 and synchronous promotion, a call whose promotion
+// publishes the block enters it at once — so on a trap-free program
+// whose functions all compile, the interpreter never dispatches a
+// single record, under either backend.
+TEST(NativeEager, TrapFreeProgramsNeverDispatchInTheInterpreter)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
-    GeneratorOptions opts;
-    opts.seed = 515151;
-    auto mod = generateRandomModule(opts);
     Target target = makeIA32WindowsTarget();
-    PipelineConfig config = makeNewFullConfig();
-
-    CompileServiceOptions serviceOpts;
-    serviceOpts.numWorkers = 2;
-    CompileService service(target, serviceOpts);
-    ServiceReport report = service.compileModule(*mod, config);
-    EXPECT_GT(report.counters.functionsNativeCompiled, 0u);
-    EXPECT_GE(report.counters.nativeCompileSeconds, 0.0);
-    EXPECT_GE(service.nativeCodeCache()->size(),
-              report.counters.functionsNativeCompiled);
-
-    // The service precompiles the trace-free variant the bench
-    // harnesses execute; an engine running with recordTrace off shares
-    // those entries, and a second compile of the identical module
-    // compiles nothing new.
-    InterpOptions traceFree;
-    traceFree.recordTrace = false;
-    NativeEngine engine(*mod, target, traceFree, service.decodedCache(),
-                        DecodeOptions{}, service.nativeCodeCache());
-    ExecResult r = engine.run(mod->findFunction("main"), {});
-    (void)r;
-    auto again = generateRandomModule(opts);
-    ServiceReport second = service.compileModule(*again, config);
-    EXPECT_EQ(0u, second.counters.functionsNativeCompiled);
+    InterpOptions options;
+    options.recordTrace = false;
+    for (NativeBackend backend :
+         {NativeBackend::Baseline, NativeBackend::Optimized}) {
+        for (const Workload &w : jbytemarkWorkloads()) {
+            auto mod = w.build();
+            Compiler compiler(target, makeNewFullConfig());
+            compiler.compile(*mod);
+            TieredEngine engine(*mod, target, options, nullptr, {},
+                                eagerWith(backend));
+            ExecResult r = engine.run(mod->findFunction("main"), {});
+            ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome) << w.name;
+            ASSERT_EQ(0u, r.stats.trapsTaken) << w.name;
+            for (FunctionId f = 0; f < mod->numFunctions(); ++f)
+                EXPECT_NE(TierState::Unsupported,
+                          engine.registry()->state(f))
+                    << w.name << ": " << mod->function(f).name();
+            EXPECT_EQ(0u, r.stats.dispatches)
+                << w.name << " interpreted records under the all-native "
+                << "engine";
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +584,7 @@ TEST(NativeBigOffset, BigOffsetProgramsMatchAcrossEngines)
             auto mod = buildBigOffsetModule(seed);
             Compiler compiler(target, arm.makeConfig());
             compiler.compile(*mod);
-            EquivalenceReport report = compareNativeEngine(*mod, target);
+            EquivalenceReport report = compareNative(*mod, target);
             EXPECT_TRUE(report.equivalent)
                 << "big_offset seed " << seed << " on " << arm.targetName
                 << " / " << arm.makeConfig().name << ": "
@@ -552,13 +597,11 @@ TEST(NativeBigOffset, BigOffsetProgramsMatchAcrossEngines)
 // Optimized backend: regalloc + section-5.4 speculation sweep
 // ---------------------------------------------------------------------------
 
-/** compareNativeEngine with the optimized backend pinned. */
+/** compareNative with the optimized backend pinned. */
 EquivalenceReport
 compareOptimized(Module &mod, const Target &target)
 {
-    NativeEngineOptions opts;
-    opts.backend = NativeBackend::Optimized;
-    return compareNativeEngine(mod, target, {}, opts);
+    return compareNative(mod, target, NativeBackend::Optimized);
 }
 
 class OptimizedDifferential : public ::testing::TestWithParam<SeedAndArm>
@@ -567,7 +610,7 @@ class OptimizedDifferential : public ::testing::TestWithParam<SeedAndArm>
 
 // The same 11-arm matrix as the baseline sweep, with linear-scan
 // register allocation, batched budget runs and speculated loads in the
-// code under test.  Every deopt side-exit replays on the fast
+// code under test.  Every deopt exit finishes its frame on the fast
 // interpreter, so bit-identity here covers the whole deopt protocol.
 TEST_P(OptimizedDifferential, OptimizedMatchesFastInterpreter)
 {
@@ -599,9 +642,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Mid-loop deopt, for real: the null_storm profile pushes nulls through
 // checked accesses, so under the no-opt trap arms (checks stay explicit
 // — exactly what section-5.4 speculation pairs on) speculated loads
-// actually trap and the frame must resume on the interpreter with the
-// canonical slot file.  At least one seed must take a real deopt or the
-// sweep is vacuous.
+// actually trap and the frame must finish on the interpreter with the
+// canonical slot file.  At least one seed must take a real deopt and
+// speculate a real load, or the sweep is vacuous.
 TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -622,13 +665,11 @@ TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
         EXPECT_TRUE(report.equivalent)
             << "null_storm seed " << seed << ": " << report.message;
 
-        NativeEngineOptions opts;
-        opts.backend = NativeBackend::Optimized;
-        NativeEngine engine(*mod, target, {}, nullptr, {}, nullptr,
-                            opts);
+        TieredEngine engine(*mod, target, {}, nullptr, {},
+                            eagerWith(NativeBackend::Optimized));
         ServiceCounters c;
         engine.run(mod->findFunction("main"), {});
-        engine.addOptimizedCounters(c);
+        engine.addTieringCounters(c);
         deopts += c.deoptsTaken;
         speculated += c.loadsSpeculated;
     }
@@ -636,6 +677,40 @@ TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
         << "no null_storm seed produced a speculated load";
     EXPECT_GT(deopts, 0u)
         << "no null_storm seed took a deopt side-exit";
+}
+
+// A failed speculation is a one-time cost: the speculated load's trap
+// invalidates the function's block, and its next promotion compiles
+// the NullCheck explicitly again (the JVM's uncommon-trap response).
+TEST(OptimizedDeopt, FailedSpeculationRetiersWithoutSpeculating)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildFieldReadModule(/*throughNull=*/true);
+    Compiler compiler(target, makeNoOptNoTrapConfig());
+    compiler.compile(*mod);
+    FunctionId entry = mod->findFunction("main");
+
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerWith(NativeBackend::Optimized));
+    ExecResult first = engine.run(entry, {});
+    EXPECT_EQ(ExcKind::NullPointer, first.exception);
+    ServiceCounters c;
+    engine.addTieringCounters(c);
+    EXPECT_GT(c.loadsSpeculated, 0u) << "main's load was not speculated";
+    EXPECT_EQ(1u, c.deoptsTaken);
+    EXPECT_EQ(1u, c.blocksInvalidated);
+    EXPECT_EQ(TierState::Cold, engine.registry()->state(entry));
+
+    ExecResult second = engine.run(entry, {});
+    EXPECT_EQ(ExcKind::NullPointer, second.exception);
+    const NativeCode *nc = engine.registry()->published(entry);
+    ASSERT_NE(nullptr, nc);
+    EXPECT_TRUE(nc->optimized);
+    EXPECT_EQ(0u, nc->loadsSpeculated);
+    EXPECT_GT(nc->explicitChecksCompiled, 0u);
+    // Stats accumulate across runs: both runs retired the same count.
+    EXPECT_EQ(first.stats.instructions * 2, second.stats.instructions);
 }
 
 // The big-offset regime under the optimized backend: accesses past the
@@ -660,7 +735,7 @@ TEST(OptimizedDeopt, BigOffsetProgramsMatchUnderOptimizedBackend)
     }
 }
 
-// Mixed dispatch under the optimized backend: deopt replays and
+// Mixed dispatch under the optimized backend: deopt exits and
 // interpreted callees share one frame protocol.
 TEST(OptimizedDeopt, MixedDispatchMatchesUnderOptimizedBackend)
 {
@@ -674,11 +749,8 @@ TEST(OptimizedDeopt, MixedDispatchMatchesUnderOptimizedBackend)
         Compiler compiler(target, config);
         compiler.compile(*mod);
 
-        NativeEngineOptions alternate;
-        alternate.backend = NativeBackend::Optimized;
-        alternate.nativeFilter = [](FunctionId id) { return id % 2 == 0; };
         EquivalenceReport mixed =
-            compareNativeEngine(*mod, target, {}, alternate);
+            compareEvenIdsNative(*mod, target, NativeBackend::Optimized);
         EXPECT_TRUE(mixed.equivalent)
             << "seed " << seed
             << " optimized mixed-dispatch: " << mixed.message;
@@ -689,51 +761,59 @@ TEST(OptimizedDeopt, MixedDispatchMatchesUnderOptimizedBackend)
 // Engine selection
 // ---------------------------------------------------------------------------
 
+/** What one all-native run with the env-selected backend compiled. */
+struct EnvBackendRun
+{
+    bool compiled = false;
+    bool optimized = false;
+    size_t loadsSpeculated = 0;
+    int64_t result = 0;
+};
+
+EnvBackendRun
+runWithEnvBackend(PipelineConfig (*makeConfig)())
+{
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildFieldReadModule(false);
+    Compiler compiler(target, makeConfig());
+    compiler.compile(*mod);
+    FunctionId entry = mod->findFunction("main");
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerTieredOptions());
+    EnvBackendRun out;
+    out.result = engine.run(entry, {}).value.i;
+    if (const NativeCode *nc = engine.registry()->published(entry)) {
+        out.compiled = true;
+        out.optimized = nc->optimized;
+        out.loadsSpeculated = nc->loadsSpeculated;
+    }
+    return out;
+}
+
 TEST(NativeBackendSelection, EnvVariablePicksOptimizedAndSpeculation)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
-    Target target = makeIA32WindowsTarget();
 
     // Unset env: FromEnv resolves to the baseline.
     ASSERT_EQ(0, unsetenv("TRAPJIT_NATIVE_BACKEND"));
     ASSERT_EQ(0, unsetenv("TRAPJIT_SPECULATE"));
-    {
-        auto mod = buildFieldReadModule(false);
-        Compiler compiler(target, makeNoOptTrapConfig());
-        compiler.compile(*mod);
-        NativeEngine engine(*mod, target);
-        const NativeCode *nc = engine.nativeCode(mod->findFunction("main"));
-        ASSERT_NE(nullptr, nc);
-        EXPECT_FALSE(nc->optimized);
-    }
+    EnvBackendRun run = runWithEnvBackend(makeNoOptTrapConfig);
+    ASSERT_TRUE(run.compiled);
+    EXPECT_FALSE(run.optimized);
 
     // TRAPJIT_NATIVE_BACKEND=optimized selects the optimized backend.
     ASSERT_EQ(0, setenv("TRAPJIT_NATIVE_BACKEND", "optimized", 1));
-    {
-        auto mod = buildFieldReadModule(false);
-        Compiler compiler(target, makeNoOptTrapConfig());
-        compiler.compile(*mod);
-        NativeEngine engine(*mod, target);
-        const NativeCode *nc = engine.nativeCode(mod->findFunction("main"));
-        ASSERT_NE(nullptr, nc);
-        EXPECT_TRUE(nc->optimized);
-        ExecResult r = engine.run(mod->findFunction("main"), {});
-        ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
-        EXPECT_EQ(42, r.value.i);
-    }
+    run = runWithEnvBackend(makeNoOptTrapConfig);
+    ASSERT_TRUE(run.compiled);
+    EXPECT_TRUE(run.optimized);
+    EXPECT_EQ(42, run.result);
 
     // TRAPJIT_SPECULATE=0 keeps the backend but disables section 5.4.
     ASSERT_EQ(0, setenv("TRAPJIT_SPECULATE", "0", 1));
-    {
-        auto mod = buildFieldReadModule(false);
-        Compiler compiler(target, makeNoOptNoTrapConfig());
-        compiler.compile(*mod);
-        NativeEngine engine(*mod, target);
-        const NativeCode *nc = engine.nativeCode(mod->findFunction("main"));
-        ASSERT_NE(nullptr, nc);
-        EXPECT_TRUE(nc->optimized);
-        EXPECT_EQ(0u, nc->loadsSpeculated);
-    }
+    run = runWithEnvBackend(makeNoOptNoTrapConfig);
+    ASSERT_TRUE(run.compiled);
+    EXPECT_TRUE(run.optimized);
+    EXPECT_EQ(0u, run.loadsSpeculated);
 
     ASSERT_EQ(0, unsetenv("TRAPJIT_NATIVE_BACKEND"));
     ASSERT_EQ(0, unsetenv("TRAPJIT_SPECULATE"));

@@ -454,7 +454,6 @@ TEST(PersistentCache, TwoServicesPopulateOneDirConcurrently)
     options.numWorkers = 4;
     options.cacheDir = dir.str();
     options.predecode = false;
-    options.precompileNative = false;
 
     // Two services (private in-memory caches, private persistent
     // handles) compile the same batch at once: flock serializes their

@@ -12,11 +12,13 @@
  * including across invalidation and re-promotion.  This suite holds it
  * to that:
  *
- *  1. a parametrized sweep: 200 random programs × the full 11-arm
+ *  1. parametrized sweeps: 200 random programs × the full 11-arm
  *     config matrix, each compiled program executed under the fast
  *     interpreter and the tiered engine with a threshold of 2 and
  *     synchronous promotion, so functions tier up in the middle of the
- *     case and frames cross interp -> native -> interp both ways;
+ *     case and frames cross interp -> native -> interp both ways; and
+ *     60 × 11 more with the optimized backend, whose deopt exits then
+ *     also hand frames back to the interpreter mid-case;
  *  2. a policy sweep over the other promotion regimes: background
  *     workers (nondeterministic publish instants must be invisible),
  *     linking off (every cross-block call through the slow stub), and
@@ -25,7 +27,8 @@
  *     with bit-identical results at every stage, re-tiering driven by
  *     the interpreter's own hotness counters after invalidation, and
  *     the tiering counters (functionsPromoted, slotsPatched,
- *     blocksLinked, blocksInvalidated, tierUpLatencySeconds);
+ *     blocksLinked, blocksInvalidated, tierUpLatencySeconds), and
+ *     direct links between optimized blocks;
  *  4. an 8-thread promotion stress: engines sharing one CodeRegistry
  *     and TierController race promotions while the main thread
  *     invalidates published blocks under them;
@@ -50,7 +53,6 @@
 #include "analysis/audit/audit.h"
 #include "codegen/native/code_registry.h"
 #include "codegen/native/native_compiler.h"
-#include "codegen/native/native_engine.h"
 #include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
@@ -161,6 +163,46 @@ TEST_P(TieredDifferential, TieredMatchesFastInterpreterMidPromotion)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TieredDifferential,
     ::testing::Combine(::testing::Range<uint64_t>(500, 700),
+                       ::testing::Range<size_t>(0, std::size(kArms))),
+    armName);
+
+class TieredOptimizedDifferential
+    : public ::testing::TestWithParam<SeedAndArm>
+{
+};
+
+// The same mid-case promotion with the optimized backend: regalloc
+// homes, batched budget runs and speculated loads in published blocks
+// that are entered and left mid-run, with deopt exits finishing frames
+// on the interpreter.
+TEST_P(TieredOptimizedDifferential, OptimizedBlocksMatchMidPromotion)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    const auto [seed, armIdx] = GetParam();
+    const Arm &arm = kArms[armIdx];
+
+    GeneratorOptions opts;
+    opts.seed = seed;
+    std::unique_ptr<Module> mod = generateRandomModule(opts);
+
+    Target target = arm.makeTarget();
+    Compiler compiler(target, arm.makeConfig());
+    compiler.compile(*mod);
+
+    TieredOptions optimized;
+    optimized.threshold = 2;
+    optimized.synchronous = true;
+    optimized.backend = NativeBackend::Optimized;
+    EquivalenceReport report =
+        compareTieredEngine(*mod, target, {}, optimized);
+    EXPECT_TRUE(report.equivalent)
+        << "seed " << seed << " on " << arm.targetName << " / "
+        << arm.makeConfig().name << " (optimized): " << report.message;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TieredOptimizedDifferential,
+    ::testing::Combine(::testing::Range<uint64_t>(500, 560),
                        ::testing::Range<size_t>(0, std::size(kArms))),
     armName);
 
@@ -417,6 +459,32 @@ TEST(TieredLifecycle, TieringCountersFlowIntoServiceCounters)
     EXPECT_GE(after.slotsPatched, counters.slotsPatched);
 }
 
+TEST(TieredLifecycle, OptimizedBlocksLinkDirectly)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildCallWebModule(31);
+
+    TieredOptions opts = eagerTieredOptions();
+    opts.backend = NativeBackend::Optimized;
+    TieredEngine engine(*mod, target, {}, nullptr, {}, opts);
+    Observed ref = referenceRun(*mod, target);
+    EXPECT_EQ(ref, tieredRun(engine, *mod));
+
+    // Optimized blocks use the same patchable call sites as the
+    // baseline, so publishing call_web's callees links them directly.
+    size_t optimized = 0;
+    for (FunctionId f = 0; f < mod->numFunctions(); ++f)
+        if (const NativeCode *nc = engine.registry()->published(f))
+            optimized += nc->optimized ? 1 : 0;
+    EXPECT_GT(optimized, 1u);
+    ServiceCounters counters;
+    engine.addTieringCounters(counters);
+    EXPECT_GT(counters.blocksLinked, 0u);
+    EXPECT_GT(counters.functionsRegalloc, 0u);
+    EXPECT_EQ(ref, tieredRun(engine, *mod)) << "warm linked rerun";
+}
+
 // ---------------------------------------------------------------------------
 // 4. Concurrent promotion stress
 // ---------------------------------------------------------------------------
@@ -531,10 +599,9 @@ TEST(TieredAudit, EveryPublishedBlockPassesTrapSiteAudit)
 // Decode sharing: one decode per function per process, not per engine
 // ---------------------------------------------------------------------------
 
-// The native engine's per-function fast-interp fallback used to decode
-// privately when constructed without a cache; it now always routes
-// through a DecodedProgramCache, so a cache shared with the compile
-// service (or the tier controller, or sibling engines) means the
+// The tiered engine always routes its fallback interpreter and its
+// promotion compiles through one DecodedProgramCache, so a cache
+// shared with the compile service (or sibling engines) means each
 // decode happens at most once process-wide.  ExecStats.functionsDecoded
 // counts decode-cache *misses*, so zero means every lookup was served.
 
@@ -553,47 +620,39 @@ TEST(TieredDecodeSharing, NoRedundantDecodeAcrossServiceAndEngines)
     ServiceReport report = service.compileModule(*mod, makeNewFullConfig());
     ASSERT_GT(report.counters.functionsPredecoded, 0u);
 
-    // Everything forced onto the fallback interpreter: the decode the
-    // service already did must be the one the fallback executes from.
-    NativeEngineOptions allInterp;
-    allInterp.nativeFilter = [](FunctionId) { return false; };
-    NativeEngine fallback(*mod, target, {}, service.decodedCache(), {},
-                          nullptr, allInterp);
-    fallback.run(entry, {});
-    EXPECT_EQ(0u, fallback.stats().functionsDecoded)
+    // Nothing ever promotes: the decode the service already did must be
+    // the one the interpreter executes from.
+    TieredOptions never;
+    never.threshold = UINT32_MAX;
+    TieredEngine interpreted(*mod, target, {}, service.decodedCache(), {},
+                             never);
+    interpreted.run(entry, {});
+    EXPECT_EQ(0u, interpreted.stats().functionsDecoded)
         << "fallback interpreter re-decoded service-predecoded functions";
 
-    // Mixed native/interpreted dispatch through the same shared cache.
-    NativeEngine native(*mod, target, {}, service.decodedCache());
+    // All-native through the same shared cache: promotion compiles
+    // decode nothing new either.
+    TieredEngine native(*mod, target, {}, service.decodedCache(), {},
+                        eagerTieredOptions());
     native.run(entry, {});
     EXPECT_EQ(0u, native.stats().functionsDecoded);
 
     // Sibling engines sharing a fresh cache: the first pays each
     // decode once, the second none.
     auto cache = std::make_shared<DecodedProgramCache>();
-    NativeEngine first(*mod, target, {}, cache);
+    TieredEngine first(*mod, target, {}, cache, {}, never);
     first.run(entry, {});
     EXPECT_GT(first.stats().functionsDecoded, 0u);
-    NativeEngine second(*mod, target, {}, cache);
+    TieredEngine second(*mod, target, {}, cache, {}, never);
     second.run(entry, {});
     EXPECT_EQ(0u, second.stats().functionsDecoded);
-
-    // The tiered engine shares its decode cache with its controller,
-    // so even promotion compiles decode nothing new.
-    TieredOptions topts;
-    topts.threshold = 1;
-    topts.synchronous = true;
-    TieredEngine tiered(*mod, target, {}, service.decodedCache(), {},
-                        topts);
-    tiered.run(entry, {});
-    EXPECT_EQ(0u, tiered.stats().functionsDecoded);
 }
 
-// The optimized backend's deopt side-exits resume frames on the
-// fallback interpreter mid-function.  That replay must execute from the
-// same shared DecodedProgramCache entry the compile used — a re-decode
-// on the deopt path would double the decode cost of exactly the runs
-// that are already paying for a trap.
+// The optimized backend's deopt exits finish frames on the interpreter
+// mid-function.  That replay must execute from the same shared
+// DecodedProgramCache entry the compile used — a re-decode on the deopt
+// path would double the decode cost of exactly the runs that are
+// already paying for a trap.
 TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -601,6 +660,8 @@ TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
     const WorkloadProfile *preset = findWorkloadProfile("null_storm");
     ASSERT_NE(preset, nullptr);
 
+    TieredOptions opts = eagerTieredOptions();
+    opts.backend = NativeBackend::Optimized;
     size_t deopts = 0;
     for (uint64_t seed = 900; seed < 916; ++seed) {
         WorkloadProfile p = *preset;
@@ -612,25 +673,24 @@ TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
 
         // First engine populates the shared cache (pays the decodes).
         auto cache = std::make_shared<DecodedProgramCache>();
-        NativeEngineOptions opts;
-        opts.backend = NativeBackend::Optimized;
         {
-            NativeEngine warm(*mod, target, {}, cache, {}, nullptr,
-                              opts);
+            TieredEngine warm(*mod, target, {}, cache, {}, opts);
             warm.run(entry, {});
         }
 
         // Second engine shares it; its run deopts (null_storm pushes
         // nulls through speculated loads) and the replay must not
         // decode anything.
-        NativeEngine engine(*mod, target, {}, cache, {}, nullptr, opts);
+        TieredEngine engine(*mod, target, {}, cache, {}, opts);
         engine.run(entry, {});
-        deopts += engine.deoptsTaken();
+        ServiceCounters c;
+        engine.addTieringCounters(c);
+        deopts += c.deoptsTaken;
         EXPECT_EQ(0u, engine.stats().functionsDecoded)
             << "seed " << seed
             << ": the deopt replay re-decoded a cached function";
     }
-    // The sweep is only meaningful if deopt side-exits actually ran.
+    // The sweep is only meaningful if deopt exits actually ran.
     EXPECT_GT(deopts, 0u) << "no null_storm seed took a deopt";
 }
 

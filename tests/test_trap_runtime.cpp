@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "arch/target.h"
-#include "codegen/native/native_engine.h"
+#include "codegen/native/tiered_engine.h"
 #include "interp/fast_interpreter.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
@@ -123,12 +123,14 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
 {
     // The full-stack version of ConcurrentTrapsRecoverIndependently:
     // eight mutator threads simultaneously execute *different*
-    // fuzz-generated trap-heavy programs on all three engines
-    // (reference, fast, native where available — the native threads
-    // take real guard-page SIGSEGVs), and every thread must reproduce
-    // the exact single-threaded result — outcome, exception, return value, trap
-    // count and final heap bytes.  Cross-thread trap delivery would
-    // corrupt one of them instantly.
+    // fuzz-generated trap-heavy programs on all-native engines
+    // (eagerTieredOptions(), alternating the baseline and optimized
+    // backends), each taking real guard-page SIGSEGVs, and every
+    // thread must reproduce the exact single-threaded reference result
+    // — outcome, exception, return value, trap count and final heap
+    // bytes.  Cross-thread trap delivery would corrupt one of them
+    // instantly.  Where native code cannot run, the threads use the
+    // fast interpreter instead.
     constexpr int kThreads = 8;
     constexpr int kItersPerThread = 6;
 
@@ -177,17 +179,16 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
             for (int i = 0; i < kItersPerThread; ++i) {
                 ExecResult got;
                 uint64_t digest = 0;
-                const int engine = t % 3;
-                if (engine == 0) {
-                    Interpreter ref(*want.mod, target);
-                    got = ref.run(want.entry, {});
-                    digest = ref.heap().digest();
-                } else if (engine == 1 || !nativeUsable) {
+                if (!nativeUsable) {
                     FastInterpreter fast(*want.mod, target);
                     got = fast.run(want.entry, {});
                     digest = fast.heap().digest();
                 } else {
-                    NativeEngine native(*want.mod, target);
+                    TieredOptions opts = eagerTieredOptions();
+                    opts.backend = t % 2 == 0 ? NativeBackend::Baseline
+                                              : NativeBackend::Optimized;
+                    TieredEngine native(*want.mod, target, {}, nullptr,
+                                        {}, opts);
                     got = native.run(want.entry, {});
                     digest = native.heap().digest();
                 }

@@ -231,11 +231,11 @@ run(int argc, char **argv)
         } else if (flag == "--cache-dir") {
             opts.cacheDir = value();
         } else if (flag == "--no-native") {
-            opts.useNativeEngine = false;
+            opts.useNativeOracle = false;
         } else if (flag == "--no-optimized") {
-            opts.useOptimizedEngine = false;
+            opts.useOptimizedOracle = false;
         } else if (flag == "--no-tiered") {
-            opts.useTieredEngine = false;
+            opts.useTieredOracle = false;
         } else if (flag == "--no-service") {
             opts.useService = false;
         } else if (flag == "--repro") {
