@@ -24,10 +24,11 @@
  *    time — the win the paper measures in Table 1.
  *
  *  - BM_Tiered_{Fast,Cold,Warm,WarmNoLink}_<preset>: the
- *    profile-guided tiering story on call-heavy workload-gen presets
- *    (CI uploads these as BENCH_tiering.json).  Cold start vs warmed
+ *    profile-guided tiering story on every workload-gen preset (CI
+ *    uploads these as BENCH_tiering.json).  Cold start vs warmed
  *    steady state, direct block linking vs trampoline-only, against
- *    the fused interpreter baseline.
+ *    the fused interpreter baseline: Warm must not lose to Fast on any
+ *    preset, trap-heavy ones included.
  *
  * Native benches skip (with a notice in the JSON) on hosts without the
  * native tier; the interpreter baselines run everywhere.
@@ -199,15 +200,17 @@ TRAPJIT_NATIVE_BENCH(idea, "IDEA encryption");
 // Profile-guided tiering (BM_Tiered_* — CI uploads BENCH_tiering.json)
 // ---------------------------------------------------------------------------
 //
-// Call-heavy workload-gen presets (call_web, pointer_chase) under the
-// tiering policies the engine supports:
+// Every workload-gen preset under the tiering policies the engine
+// supports:
 //
 //  - BM_Tiered_Fast:       fused-interpreter baseline
 //  - BM_Tiered_Cold:       cold start — a fresh engine per iteration
 //                          pays interpretation, promotion compiles and
 //                          publishing inside the measured region
 //  - BM_Tiered_Warm:       everything published and direct-linked;
-//                          hot call chains never leave native code
+//                          hot call chains never leave native code,
+//                          and sites that trapped during warm-up test
+//                          for null explicitly
 //  - BM_Tiered_WarmNoLink: published but trampoline-only (linkBlocks
 //                          off) — isolates the value of the rel32
 //                          direct patches from the rest of the tier
@@ -305,11 +308,15 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
 
     TieredEngine engine(*mod, target, options, nullptr, {}, topts);
     // Warm outside the timed region: after one run every touched
-    // function is published (threshold 1, synchronous); reset() keeps
-    // the published blocks.
-    engine.run(entry, {});
-    engine.drainPromotions();
-    engine.reset();
+    // function is published (threshold 1, synchronous), except those
+    // whose implicit checks trapped; the second run re-promotes them
+    // with those sites tested explicitly.  reset() keeps the published
+    // blocks and the explicit sets.
+    for (int warm = 0; warm < 2; ++warm) {
+        engine.run(entry, {});
+        engine.drainPromotions();
+        engine.reset();
+    }
     timeRuns(engine);
 
     ServiceCounters tiering;
@@ -321,6 +328,8 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
     state.counters["slots_patched"] =
         static_cast<double>(tiering.slotsPatched);
     state.counters["tier_up_ms"] = tiering.tierUpLatencySeconds * 1e3;
+    state.counters["sites_explicitized"] =
+        static_cast<double>(tiering.sitesExplicitized);
 }
 
 #define TRAPJIT_TIERED_BENCH(kernel, preset)                              \
@@ -345,8 +354,13 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
     BENCHMARK(BM_Tiered_Warm_##kernel);                                   \
     BENCHMARK(BM_Tiered_WarmNoLink_##kernel)
 
-TRAPJIT_TIERED_BENCH(call_web, "call_web");
+TRAPJIT_TIERED_BENCH(mixed, "mixed");
 TRAPJIT_TIERED_BENCH(pointer_chase, "pointer_chase");
+TRAPJIT_TIERED_BENCH(array_stream, "array_stream");
+TRAPJIT_TIERED_BENCH(big_offset, "big_offset");
+TRAPJIT_TIERED_BENCH(try_storm, "try_storm");
+TRAPJIT_TIERED_BENCH(call_web, "call_web");
+TRAPJIT_TIERED_BENCH(null_storm, "null_storm");
 
 #undef TRAPJIT_TIERED_BENCH
 

@@ -781,6 +781,16 @@ auditNativeTrapSites(const Function &func, const Target &target,
                          " carries deopt metadata in the baseline "
                          "backend");
             }
+            // The SIGSEGV handler sends an implicit check's trap to this
+            // exit: it must exist and lie in the cold stubs past the
+            // record bodies, or the NPE would resume mid-code.
+            if (nativeImplicitNpeSite(df.code[site.recordIndex]) &&
+                (site.npeExit < code.recordOffsets.back() ||
+                 site.npeExit >= code.codeSize)) {
+                fail(site.recordIndex, kNoValue,
+                     "implicit-check trap site " + std::to_string(s) +
+                         " has no NPE exit in the block's stubs");
+            }
             continue;
         }
         if (site.deoptIndex < 0 ||

@@ -176,9 +176,12 @@ CodeRegistry::markUnsupported(FunctionId fn)
 }
 
 void
-CodeRegistry::invalidate(FunctionId fn)
+CodeRegistry::invalidate(FunctionId fn, const NativeCode *block)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (block != nullptr &&
+        published_[fn].load(std::memory_order_relaxed) != block)
+        return;
     invalidateLocked(fn);
 }
 

@@ -90,9 +90,11 @@ class CodeRegistry
     /**
      * Unlink every inbound call slot (back to the slow stubs), clear
      * the published pointer and return @p fn to Cold so it can re-tier.
-     * No-op unless currently Published.
+     * No-op unless currently Published — and, when @p block is given,
+     * unless @p block is the published block (a block that trapped
+     * after its replacement was published must not evict it).
      */
-    void invalidate(FunctionId fn);
+    void invalidate(FunctionId fn, const NativeCode *block = nullptr);
 
     /** Lock-free: the published block, or null.  Never dangles. */
     const NativeCode *

@@ -173,10 +173,11 @@ NativeCode::findSite(uint32_t off) const
 
 NativeCompileResult
 compileNative(const Function &fn, const DecodedFunction &df,
-              const NativeCompileOptions &options)
+              const NativeCompileOptions &options,
+              const std::vector<uint32_t> &explicitSites)
 {
     if (options.optimized)
-        return compileNativeOptimized(fn, df, options);
+        return compileNativeOptimized(fn, df, options, explicitSites);
     (void)fn; // codegen is decode-only
     NativeCompileResult out;
     if (!nativeTierSupported()) {
@@ -444,6 +445,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
     for (size_t i = 0; i < nrec; ++i)
         recLabel[i] = e.newLabel();
     const int lDispatch = e.newLabel();
+    const int lHandlerJump = e.newLabel();
+    const int lNpe = e.newLabel();
     const int lBudget = e.newLabel();
     const int lBudgetFused = e.newLabel();
     const int lReturn = frame.returnLabel();
@@ -453,7 +456,32 @@ compileNative(const Function &fn, const DecodedFunction &df,
     std::vector<StatusStub> statuses;
     std::vector<NativeTrapSite> sites;
     size_t explicitBytes = 0, implicitBytes = 0, boundBytes = 0;
-    size_t explicitCount = 0, implicitCount = 0;
+    size_t explicitCount = 0, implicitCount = 0, explicitizedCount = 0;
+
+    // Uncommon-trap exits: every implicit-check access gets an NPE exit
+    // (trapjitTieredNullPointer), where the SIGSEGV handler sends its
+    // trap; sites in the explicit set — they trapped before — branch
+    // there from a test+jz instead (DESIGN.md section 17).
+    std::vector<int> npeLabel(nrec, -1);
+    std::vector<bool> explicitRec(nrec, false);
+    for (uint32_t r : explicitSites)
+        if (r < nrec)
+            explicitRec[r] = true;
+    auto npeExit = [&](size_t recIndex) {
+        if (npeLabel[recIndex] < 0)
+            npeLabel[recIndex] = e.newLabel();
+        return npeLabel[recIndex];
+    };
+    // Right before the access of record @p recIndex, whose budget is
+    // already charged: the same state a trap there leaves.
+    auto explicitTest = [&](R ref, size_t recIndex) {
+        if (!explicitRec[recIndex] ||
+            !nativeImplicitNpeSite(df.code[recIndex]))
+            return;
+        e.testRegReg(ref, ref, true);
+        e.jccLabel(CC::E, npeExit(recIndex));
+        ++explicitizedCount;
+    };
 
     auto raiseTo = [&](ExcKind kind, const DecodedInst &rec) {
         int l = e.newLabel();
@@ -477,6 +505,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
         sites.push_back(NativeTrapSite{
             begin, static_cast<uint32_t>(e.size()),
             static_cast<uint32_t>(recIndex), 0});
+        if (nativeImplicitNpeSite(df.code[recIndex]))
+            npeExit(recIndex);
     };
 
     frame.prologue();
@@ -656,6 +686,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 }
                 e.decReg64(R::R14); // ArrayLength budget
                 e.jccLabel(CC::S, lBudget);
+                explicitTest(R::RAX, i + 1);
                 begin = beginSite();
                 e.loadHeap32Sx(R::RCX, R::RAX,
                                static_cast<int32_t>(kArrayLengthOffset));
@@ -1019,6 +1050,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
 
           case Opcode::GetField: {
             e.loadSlot(R::RAX, rec.a);
+            explicitTest(R::RAX, i);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
                 e.loadHeap32Sx(R::RCX, R::RAX,
@@ -1033,6 +1065,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
           case Opcode::PutField: {
             e.loadSlot(R::RAX, rec.a);
             e.loadSlot(R::RCX, rec.b);
+            explicitTest(R::RAX, i);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
                 e.storeHeap32(R::RAX, static_cast<int32_t>(rec.imm),
@@ -1047,6 +1080,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
           }
           case Opcode::ArrayLength: {
             e.loadSlot(R::RAX, rec.a);
+            explicitTest(R::RAX, i);
             uint32_t begin = beginSite();
             e.loadHeap32Sx(R::RCX, R::RAX,
                            static_cast<int32_t>(kArrayLengthOffset));
@@ -1056,6 +1090,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
           }
           case Opcode::ArrayLoad: {
             e.loadSlot(R::RAX, rec.a);
+            explicitTest(R::RAX, i);
             e.leaHostAddr(R::RAX, R::RAX);
             e.loadSlotSx32(R::RCX, rec.b);
             uint32_t begin = beginSite();
@@ -1071,6 +1106,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
           }
           case Opcode::ArrayStore: {
             e.loadSlot(R::RAX, rec.a);
+            explicitTest(R::RAX, i);
             e.leaHostAddr(R::RAX, R::RAX);
             e.loadSlotSx32(R::RCX, rec.b);
             e.loadSlot(R::RDX, rec.c);
@@ -1152,6 +1188,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
     e.movRegImm64(R::RAX,
                   reinterpret_cast<uint64_t>(&trapjitTieredFindHandler));
     e.callReg(R::RAX);
+    e.bind(lHandlerJump);
     e.cmpRegImm8(R::RAX, -1, false);
     e.jccLabel(CC::E, lUnwind);
     e.movsxdRegReg(R::RAX, R::RAX); // canonicalize the int32 return
@@ -1191,6 +1228,21 @@ compileNative(const Function &fn, const DecodedFunction &df,
         e.movRegImm32(R::RSI, s.tryRegion);
         e.jmpLabel(lDispatch);
     }
+    // NPE exits: esi = the record; the helper raises the exception and
+    // returns its handler index, so the dispatch stub's tail takes over.
+    for (size_t k = 0; k < nrec; ++k) {
+        if (npeLabel[k] < 0)
+            continue;
+        e.bind(npeLabel[k]);
+        e.movRegImm32(R::RSI, static_cast<uint32_t>(k));
+        e.jmpLabel(lNpe);
+    }
+    e.bind(lNpe);
+    e.movRegReg(R::RDI, R::R12);
+    e.movRegImm64(R::RAX,
+                  reinterpret_cast<uint64_t>(&trapjitTieredNullPointer));
+    e.callReg(R::RAX);
+    e.jmpLabel(lHandlerJump);
     frame.finish();
 
     e.patchLabels();
@@ -1209,8 +1261,11 @@ compileNative(const Function &fn, const DecodedFunction &df,
     for (size_t i = 0; i < nrec; ++i)
         nc->recordOffsets[i] = e.labelOffset(recLabel[i]);
     nc->recordOffsets[nrec] = static_cast<uint32_t>(hotEnd);
-    for (NativeTrapSite &s : sites)
+    for (NativeTrapSite &s : sites) {
         s.resumeNext = nc->recordOffsets[s.recordIndex + 1];
+        if (npeLabel[s.recordIndex] >= 0)
+            s.npeExit = e.labelOffset(npeLabel[s.recordIndex]);
+    }
     nc->sites = std::move(sites);
     nc->explicitNullCheckBytes = explicitBytes;
     nc->implicitNullCheckBytes = implicitBytes;
@@ -1218,6 +1273,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
     nc->explicitChecksCompiled = explicitCount;
     nc->implicitChecksCompiled = implicitCount;
     nc->checksEliminated = eliminatedCount;
+    nc->checksExplicitized = explicitizedCount;
 
     uint64_t tableBase = reinterpret_cast<uint64_t>(base) + tableOffset;
     std::memcpy(base + tablePatchAt, &tableBase, sizeof(tableBase));

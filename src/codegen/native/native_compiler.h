@@ -28,9 +28,16 @@
  *  - Memory accesses record a NativeTrapSite covering the single
  *    faulting instruction; the SIGSEGV handler maps the fault PC back
  *    to the record and rewrites RIP in place
- *    (codegen/native/native_runtime.h).  Baseline sites resume at the
- *    next record or a catch handler; optimized sites leave through the
- *    block's deopt exit into the fast interpreter.
+ *    (codegen/native/native_runtime.h).  A trap at an implicit null
+ *    check leaves through the site's uncommon-trap exit: the record's
+ *    NPE exit in the baseline, the deopt exit into the fast
+ *    interpreter in the optimized backend.
+ *  - Trap-adaptive checks: the records in a compile's explicit set
+ *    (sites that trapped before, kept by the TierController) keep
+ *    their implicit check's semantics but are tested with test+jz into
+ *    that same exit, so their NPEs never reach the kernel again; the
+ *    optimized backend also stops speculating their loads (DESIGN.md
+ *    section 17).
  *
  * Functions containing anything the tier cannot lower (none on
  * x86-64/Linux today, every srcOp is covered — but the set is checked,
@@ -69,7 +76,28 @@ struct NativeTrapSite
      * by the deopt info.
      */
     int32_t deoptIndex = -1;
+    /**
+     * Baseline backend: code offset of the record's NPE exit, where
+     * the SIGSEGV handler sends a trap at an implicit null check (see
+     * nativeImplicitNpeSite); 0 when the record is no such site.
+     */
+    uint32_t npeExit = 0;
 };
+
+/**
+ * True when a null base at @p rec raises the NullPointerException of
+ * a trap-covered implicit check: an exception site the target's guard
+ * page covers that is not a speculative read.  These are the records
+ * whose trap leaves through an uncommon-trap exit, and the only ones
+ * an explicit set can make explicit.
+ */
+constexpr bool
+nativeImplicitNpeSite(const DecodedInst &rec)
+{
+    return (rec.flags & (kDecodedExceptionSite | kDecodedTrapCovered |
+                         kDecodedSpeculative)) ==
+           (kDecodedExceptionSite | kDecodedTrapCovered);
+}
 
 /**
  * Deopt metadata of one optimized-backend trap site: where the fast
@@ -166,6 +194,9 @@ struct NativeCode
      * at the quad level).  Zero bytes in both check flavors.
      */
     size_t checksEliminated = 0;
+    /** Implicit-check accesses tested with test+jz because their site
+     *  is in the compile's explicit set (it trapped before). */
+    size_t checksExplicitized = 0;
 
     explicit NativeCode(CodeBuffer buf) : buffer(std::move(buf)) {}
 
@@ -220,20 +251,29 @@ struct NativeCompileResult
  * Lower @p df (the decoded form of @p fn) to machine code.  Never
  * throws for unsupported input — it reports the reason so the engine
  * can fall back per function.
+ *
+ * @param explicitSites  the function's explicit set: sorted record
+ *                       indices of accesses whose hardware trap raised
+ *                       an NPE — implicit-check sites, and loads the
+ *                       optimized backend had speculated.  Other
+ *                       entries are ignored.
  */
-NativeCompileResult compileNative(const Function &fn,
-                                  const DecodedFunction &df,
-                                  const NativeCompileOptions &options);
+NativeCompileResult
+compileNative(const Function &fn, const DecodedFunction &df,
+              const NativeCompileOptions &options,
+              const std::vector<uint32_t> &explicitSites = {});
 
 /**
  * The optimized backend: lower @p df with linear-scan register
  * allocation, batched budget runs and section-5.4 load speculation.
  * Called by compileNative when options.optimized is set; exposed for
- * tests.  Same fallback contract as compileNative.
+ * tests.  Same fallback contract as compileNative; a speculated load
+ * in @p explicitSites is not hoisted again.
  */
 NativeCompileResult
 compileNativeOptimized(const Function &fn, const DecodedFunction &df,
-                       const NativeCompileOptions &options);
+                       const NativeCompileOptions &options,
+                       const std::vector<uint32_t> &explicitSites = {});
 
 /** True when this build can execute natively compiled code at all. */
 constexpr bool

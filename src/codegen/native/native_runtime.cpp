@@ -45,13 +45,17 @@ chainToPrevious(int signo, siginfo_t *info, void *context)
 
 #if defined(__x86_64__) && defined(__linux__)
 /**
- * Resolve a fault whose PC lies inside a published block.  All
- * decisions mirror FastInterpreter::handleNullAccess bit for bit; the
- * outcome is a rewritten REG_RIP (resume, catch handler, the block's
- * unwind exit, or an optimized block's deopt exit) — no per-frame
- * setup anywhere.  Everything here is async-signal-safe: binary
- * search, flag tests and plain stores; messages are built later,
- * engine-side, from the parked (code, record, function) triple.
+ * Resolve a fault whose PC lies inside a published block by rewriting
+ * REG_RIP — no per-frame setup anywhere.  A trap at an implicit null
+ * check goes to the site's uncommon-trap exit (the baseline's NPE exit,
+ * the optimized backend's deopt exit), whose helper raises the NPE;
+ * the block and record are left in the context so that helper can
+ * make the site explicit.  The remaining outcomes mirror
+ * FastInterpreter::handleNullAccess: speculative and illegal-implicit
+ * reads of null resume with a zero, everything else unwinds as a
+ * HardFault.  Everything here is async-signal-safe: binary search,
+ * flag tests and plain stores; messages are built later, engine-side,
+ * from the parked (code, record, function) triple.
  */
 void
 resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
@@ -79,12 +83,17 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
         gregs[REG_RIP] =
             static_cast<greg_t>(blk.lo + nc.unwindOffset);
     };
+    auto noteTrap = [&] {
+        ctx->trapBlock = &nc;
+        ctx->trapRecord = site->recordIndex;
+    };
 
     bool inGuard = fault >= run.guardLo && fault < run.guardHi;
     if (!inGuard || rec == nullptr || slots[rec->a] != 0) {
         park(TieredPark::Wild);
         return;
     }
+    ++*run.hardwareTraps;
     if (site->deoptIndex >= 0) {
         // Optimized site: never resumed in native code.  Refund the
         // records the batched budget run pre-charged at and after the
@@ -94,20 +103,24 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
         // itself.
         const NativeDeoptInfo &info =
             nc.deopts[static_cast<size_t>(site->deoptIndex)];
+        if (info.speculated || nativeImplicitNpeSite(*rec))
+            noteTrap();
         ctx->deoptRecord = info.deoptRecord;
-        ctx->deoptSpeculated = info.speculated ? 1 : 0;
         gregs[REG_R14] += static_cast<greg_t>(info.budgetAdjust);
         gregs[REG_RIP] = static_cast<greg_t>(blk.lo + nc.deoptOffset);
         return;
     }
-    // Loads (and ArrayLength) substitute the zero the interpreter
-    // writes through handleNullAccess's return value — including on
-    // the trap-NPE path, where the write precedes dispatch.
+    if (nativeImplicitNpeSite(*rec)) {
+        if (site->npeExit == 0) {
+            park(TieredPark::Wild);
+            return;
+        }
+        noteTrap();
+        gregs[REG_RIP] = static_cast<greg_t>(blk.lo + site->npeExit);
+        return;
+    }
     auto zeroDst = [&]() {
-        if (rec->dst != kNoValue &&
-            (rec->srcOp == Opcode::GetField ||
-             rec->srcOp == Opcode::ArrayLength ||
-             rec->srcOp == Opcode::ArrayLoad))
+        if (nativeNullAccessZeroesDst(*rec))
             slots[rec->dst] = 0;
     };
     if (rec->flags & kDecodedSpeculative) {
@@ -122,23 +135,7 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
         return;
     }
     if (rec->flags & kDecodedExceptionSite) {
-        if (rec->flags & kDecodedTrapCovered) {
-            ++*run.trapsTaken;
-            zeroDst();
-            int32_t handler = nativeFindHandlerIndex(
-                df, rec->tryRegion, ExcKind::NullPointer);
-            if (handler >= 0) {
-                gregs[REG_RIP] = static_cast<greg_t>(
-                    blk.lo + nc.recordOffsets[handler]);
-            } else {
-                ctx->pendingKind =
-                    static_cast<int32_t>(ExcKind::NullPointer);
-                ctx->pendingSite = rec->site;
-                gregs[REG_RIP] =
-                    static_cast<greg_t>(blk.lo + nc.unwindOffset);
-            }
-            return;
-        }
+        // Not trap-covered (nativeImplicitNpeSite took those).
         if (rec->flags & kDecodedIllegalZero) {
             zeroDst();
             gregs[REG_RIP] =

@@ -23,15 +23,21 @@
  *    TieredEngine::run.
  *
  * Trap recovery: there is no per-frame setup at all.  The SIGSEGV
- * handler looks the faulting PC up in the registry's pc-map, applies
- * the interpreters' null-access decision table against the site's
- * record, and rewrites RIP — to the next record, a catch handler, the
- * block's unwind exit, or (optimized-backend sites) the block's deopt
- * exit.  Faults that don't match a trap site, or whose reference slot
- * is not actually null, become a HardFault instead of corrupting
- * state.  The handler runs on a per-thread alternate stack
- * (runtime/signal_stack.h) and chains to the previously installed
- * handler for faults outside any published block.
+ * handler looks the faulting PC up in the registry's pc-map, validates
+ * the fault against the site's record and rewrites RIP.  It does not
+ * decide NullPointerExceptions: a trap at an implicit null check goes
+ * to the block's uncommon-trap exit for that site — the record's NPE
+ * exit in the baseline backend, the deopt exit in the optimized one —
+ * and the helper behind the exit raises the exception and makes the
+ * site explicit for the function's next promotion (DESIGN.md section
+ * 17).  What the handler still resolves itself are the non-NPE
+ * outcomes: a speculative or illegal-implicit read of null resumes at
+ * the next record with a zero, and a fault that doesn't match a trap
+ * site, or whose reference slot is not actually null, becomes a
+ * HardFault through the unwind exit instead of corrupting state.  The
+ * handler runs on a per-thread alternate stack (runtime/signal_stack.h)
+ * and chains to the previously installed handler for faults outside
+ * any published block.
  */
 
 #include <atomic>
@@ -82,12 +88,18 @@ struct NativeContext
      * handler for traps at optimized sites.
      */
     uint32_t deoptRecord = 0;
-    /** Set by the SIGSEGV handler when the deopt is a failed section-
-     *  5.4 speculation (a speculated load read through null). */
-    uint32_t deoptSpeculated = 0;
 
     // ---- cold, C++-only fields --------------------------------------
     TieredEngine *tieredEngine = nullptr;
+    /**
+     * Left by the SIGSEGV handler when a hardware trap at an implicit
+     * null check (or at a section-5.4 speculated load) sends the frame
+     * to its uncommon-trap exit: the faulting block and the record
+     * whose access faulted.  The exit's helper consumes both to make
+     * that site explicit; null when the exit was reached in code.
+     */
+    const NativeCode *trapBlock = nullptr;
+    uint32_t trapRecord = 0;
     /** TieredPark reason left by the SIGSEGV handler (0 = none). */
     int32_t parkCode = 0;
     /** Record index of the parked fault inside parkDf. */
@@ -178,11 +190,26 @@ enum class TieredPark : int32_t
 struct TieredRun
 {
     const std::atomic<const TieredPcMap *> *pcMap = nullptr;
-    uint64_t *trapsTaken = nullptr; ///< ExecStats::trapsTaken
-    uint64_t *specReads = nullptr;  ///< ExecStats::speculativeReadsOfNull
+    /** Guard-page faults on a null base resolved in compiled code. */
+    uint64_t *hardwareTraps = nullptr;
+    uint64_t *specReads = nullptr; ///< ExecStats::speculativeReadsOfNull
     uintptr_t guardLo = 0, guardHi = 0;
     TieredRun *prev = nullptr;
 };
+
+/**
+ * True when a null access at @p rec writes into its destination the
+ * zero FastInterpreter::handleNullAccess returns: the loads do, on
+ * every path — resumed, silently zeroed, or raising an NPE whose
+ * handler may read the destination.
+ */
+inline bool
+nativeNullAccessZeroesDst(const DecodedInst &rec)
+{
+    return rec.dst != kNoValue && (rec.srcOp == Opcode::GetField ||
+                                   rec.srcOp == Opcode::ArrayLength ||
+                                   rec.srcOp == Opcode::ArrayLoad);
+}
 
 /** Enter/exit the calling thread's run scope (LIFO). */
 void tieredEnterRun(TieredRun *run);
@@ -198,8 +225,8 @@ void nativeUninstallSegvHandler();
 /**
  * Walk @p df's try-region parent chain from @p region for an handler
  * catching @p kind; returns the handler's stream index or -1.  The
- * shared L_dispatch stub calls this (through trapjitTieredFindHandler)
- * and the SIGSEGV handler calls it directly for trap NPEs.
+ * shared L_dispatch stub calls this through trapjitTieredFindHandler
+ * and trapjitTieredNullPointer.
  */
 int32_t nativeFindHandlerIndex(const DecodedFunction &df,
                                TryRegionId region, ExcKind kind);
@@ -239,6 +266,16 @@ uint32_t trapjitTieredDeopt(NativeContext *ctx, uint32_t pending);
 /** Handler index for the pending exception in ctx->activeDf, or -1
  *  (clears the pending exception when a handler catches it). */
 int32_t trapjitTieredFindHandler(NativeContext *ctx, uint32_t tryRegion);
+/**
+ * A baseline block's NPE exit for implicit-check record @p rec,
+ * reached from the SIGSEGV handler or from the test+jz of a site made
+ * explicit: raises the NullPointerException exactly as the
+ * interpreters' trap path does (a load's destination reads zero,
+ * trapsTaken counts it) and, when a hardware trap led here, makes the
+ * site explicit.  Returns the catching handler's record index (the
+ * exception is consumed) or -1 (it stays pending; the block unwinds).
+ */
+int32_t trapjitTieredNullPointer(NativeContext *ctx, uint32_t rec);
 }
 
 } // namespace trapjit

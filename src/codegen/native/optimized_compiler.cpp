@@ -51,6 +51,8 @@
  * itself becomes the check, and its trap site carries a deopt record
  * pointing *back at the check*, so a trap replays the NullCheck in the
  * interpreter and raises the exact exception the baseline would have.
+ * A load in the compile's explicit set read through null before, so
+ * it is not hoisted again; the function's other loads still are.
  */
 
 namespace trapjit
@@ -212,7 +214,8 @@ isCallerSavedHome(R r)
 
 NativeCompileResult
 compileNativeOptimized(const Function &fn, const DecodedFunction &df,
-                       const NativeCompileOptions &options)
+                       const NativeCompileOptions &options,
+                       const std::vector<uint32_t> &explicitSites)
 {
     (void)fn; // codegen is decode-only
     NativeCompileResult out;
@@ -337,6 +340,14 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
         }
     }
 
+    // Sites that trapped before (the explicit set, DESIGN.md section
+    // 17): an implicit-check access among them is tested with test+jz
+    // into its deopt stub, and a load among them is not speculated.
+    std::vector<bool> explicitRec(nrec, false);
+    for (uint32_t r : explicitSites)
+        if (r < nrec)
+            explicitRec[r] = true;
+
     // ---- section 5.4 speculation pairing -------------------------------
     // An explicit NullCheck whose guarded load follows immediately (and
     // nothing jumps between them) is elided; the load runs first and
@@ -350,7 +361,8 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
         for (size_t i = 0; i + 1 < nrec; ++i) {
             const DecodedInst &rec = df.code[i];
             if (rec.srcOp != Opcode::NullCheck ||
-                rec.flavor != CheckFlavor::Explicit || jumpTarget[i + 1])
+                rec.flavor != CheckFlavor::Explicit || jumpTarget[i + 1] ||
+                explicitRec[i + 1])
                 continue;
             const DecodedInst &ax = df.code[i + 1];
             bool coverable = false;
@@ -553,7 +565,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
     std::vector<NativeTrapSite> sites;
     std::vector<NativeDeoptInfo> deopts;
     size_t explicitBytes = 0, implicitBytes = 0, boundBytes = 0;
-    size_t explicitCount = 0, implicitCount = 0;
+    size_t explicitCount = 0, implicitCount = 0, explicitizedCount = 0;
     size_t speculatedCount = 0;
 
     auto deoptTo = [&](size_t recIndex) {
@@ -615,6 +627,17 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
         if (home[v] >= 0 && hreg(v) != res)
             e.movRegReg(hreg(v), res);
         e.storeSlot(v, res);
+    };
+    // Right before the access of record @p recIndex: a null base leaves
+    // through the deopt stub a trap there would take, and the
+    // interpreter replays the access and raises its NPE.
+    auto explicitTest = [&](R ref, size_t recIndex) {
+        if (!explicitRec[recIndex] ||
+            !nativeImplicitNpeSite(df.code[recIndex]))
+            return;
+        e.testRegReg(ref, ref, true);
+        e.jccLabel(CC::E, deoptTo(recIndex));
+        ++explicitizedCount;
     };
     auto beginSite = [&] { return static_cast<uint32_t>(e.size()); };
     auto endSite = [&](uint32_t begin, size_t recIndex) {
@@ -953,6 +976,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
 
           case Opcode::GetField: {
             R ref = srcReg(rec.a, R::RAX);
+            explicitTest(ref, i);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
                 e.loadHeap32Sx(R::RCX, ref,
@@ -968,6 +992,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
             R val =
                 home[rec.b] >= 0 ? hreg(rec.b)
                                  : (e.loadSlot(R::RCX, rec.b), R::RCX);
+            explicitTest(ref, i);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
                 e.storeHeap32(ref, static_cast<int32_t>(rec.imm), val);
@@ -982,6 +1007,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
           }
           case Opcode::ArrayLength: {
             R ref = srcReg(rec.a, R::RAX);
+            explicitTest(ref, i);
             uint32_t begin = beginSite();
             e.loadHeap32Sx(R::RCX, ref,
                            static_cast<int32_t>(kArrayLengthOffset));
@@ -990,7 +1016,9 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
             break;
           }
           case Opcode::ArrayLoad: {
-            e.leaHostAddr(R::RAX, srcReg(rec.a, R::RAX));
+            R ref = srcReg(rec.a, R::RAX);
+            explicitTest(ref, i);
+            e.leaHostAddr(R::RAX, ref);
             if (home[rec.b] >= 0)
                 e.movsxdRegReg(R::RCX, hreg(rec.b));
             else
@@ -1007,7 +1035,9 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
             break;
           }
           case Opcode::ArrayStore: {
-            e.leaHostAddr(R::RAX, srcReg(rec.a, R::RAX));
+            R ref = srcReg(rec.a, R::RAX);
+            explicitTest(ref, i);
+            e.leaHostAddr(R::RAX, ref);
             if (home[rec.b] >= 0)
                 e.movsxdRegReg(R::RCX, hreg(rec.b));
             else
@@ -1169,6 +1199,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
     nc->boundCheckBytes = boundBytes;
     nc->explicitChecksCompiled = explicitCount;
     nc->implicitChecksCompiled = implicitCount;
+    nc->checksExplicitized = explicitizedCount;
 
     // Test-only fault injection: corrupt the published metadata the
     // way a buggy backend would, so test_audit_mutations can prove the

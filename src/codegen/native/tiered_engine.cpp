@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "codegen/native/code_buffer_pool.h"
 #include "interp/java_semantics.h"
 #include "ir/layout.h"
@@ -104,12 +106,19 @@ TieredEngine::TieredEngine(const Module &mod, const Target &target,
     for (FunctionId f = 0; f < mod_.numFunctions(); ++f)
         maxNumValues =
             std::max(maxNumValues, mod_.function(f).numValues());
-    pool_.resize((options_.maxCallDepth + 2) * maxNumValues);
+    const size_t poolBytes = (options_.maxCallDepth + 2) * maxNumValues *
+                             sizeof(uint64_t);
+    void *pool = mmap(nullptr, poolBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (pool == MAP_FAILED)
+        TRAPJIT_FATAL("mmap of the native frame pool failed");
+    pool_ = std::unique_ptr<uint8_t, FramePoolUnmap>(
+        static_cast<uint8_t *>(pool), FramePoolUnmap{poolBytes});
     hotness_.assign(mod_.numFunctions(), 0);
 
     ctx_.tieredEngine = this;
-    ctx_.poolTop = reinterpret_cast<uint8_t *>(pool_.data());
-    ctx_.poolEnd = ctx_.poolTop + pool_.size() * sizeof(uint64_t);
+    ctx_.poolTop = pool_.get();
+    ctx_.poolEnd = pool_.get() + poolBytes;
 
     // Wire the interpreter's tiering hooks (friend access).
     fi_.tierHooks_ = this;
@@ -131,6 +140,12 @@ TieredEngine::~TieredEngine()
 }
 
 void
+FramePoolUnmap::operator()(uint8_t *pool) const
+{
+    munmap(pool, bytes);
+}
+
+void
 TieredEngine::reset()
 {
     controller_->drain();
@@ -138,13 +153,15 @@ TieredEngine::reset()
     std::fill(hotness_.begin(), hotness_.end(), 0);
     hardFaultPending_ = false;
     hardFaultMsg_.clear();
-    ctx_.poolTop = reinterpret_cast<uint8_t *>(pool_.data());
+    ctx_.poolTop = pool_.get();
     ctx_.hardFault = 0;
     ctx_.parkCode = 0;
     ctx_.pendingKind = 0;
     ctx_.pendingSite = 0;
     ctx_.linkedCalls = 0;
+    ctx_.trapBlock = nullptr;
     deoptsTaken_ = 0;
+    hardwareTraps_ = 0;
 }
 
 void
@@ -166,6 +183,7 @@ TieredEngine::addTieringCounters(ServiceCounters &counters) const
 {
     counters += controller_->counters();
     counters.deoptsTaken += deoptsTaken_;
+    counters.hardwareTraps += hardwareTraps_;
     counters.blocksLinked += registry_->blocksLinked();
     counters.slotsPatched += registry_->slotsPatched();
     counters.blocksInvalidated += registry_->blocksInvalidated();
@@ -210,9 +228,10 @@ TieredEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
     ctx_.pendingKind = 0;
     ctx_.pendingSite = 0;
     ctx_.linkedCalls = 0;
+    ctx_.trapBlock = nullptr;
     // Unwinds restore the bump pointer frame by frame, so this is a
     // no-op unless a previous run died mid-flight.
-    ctx_.poolTop = reinterpret_cast<uint8_t *>(pool_.data());
+    ctx_.poolTop = pool_.get();
 
     const DecodedFunction &df = fi_.decoded(func);
     const Function &fn = mod_.function(func);
@@ -353,7 +372,7 @@ TieredEngine::enterTiered(const DecodedFunction &df, const NativeCode &nc,
 
     TieredRun scope;
     scope.pcMap = registry_->pcMapSlot();
-    scope.trapsTaken = &fi_.stats_.trapsTaken;
+    scope.hardwareTraps = &hardwareTraps_;
     scope.specReads = &fi_.stats_.speculativeReadsOfNull;
     scope.guardLo = fi_.heap_.guardLo();
     scope.guardHi = fi_.heap_.guardHi();
@@ -411,10 +430,7 @@ TieredEngine::decideNullAccess(NativeContext &ctx, const DecodedInst &d)
     }
     if (d.flags & kDecodedExceptionSite) {
         if (d.flags & kDecodedTrapCovered) {
-            ++fi_.stats_.trapsTaken;
-            ctx.pendingKind =
-                static_cast<int32_t>(ExcKind::NullPointer);
-            ctx.pendingSite = d.site;
+            raiseImplicitNpe(ctx, d);
             return 1;
         }
         if (d.flags & kDecodedIllegalZero)
@@ -427,6 +443,30 @@ TieredEngine::decideNullAccess(NativeContext &ctx, const DecodedInst &d)
                   opcodeName(d.srcOp) + " at site " +
                   std::to_string(d.site));
     return 2;
+}
+
+void
+TieredEngine::raiseImplicitNpe(NativeContext &ctx, const DecodedInst &d)
+{
+    ++fi_.stats_.trapsTaken;
+    ctx.pendingKind = static_cast<int32_t>(ExcKind::NullPointer);
+    ctx.pendingSite = d.site;
+}
+
+void
+TieredEngine::explicitizeTrappedSite(NativeContext &ctx)
+{
+    const NativeCode *block = ctx.trapBlock;
+    if (block == nullptr)
+        return;
+    ctx.trapBlock = nullptr;
+    // Only the published block goes: a frame still running an older
+    // one (from the graveyard) must not invalidate its replacement,
+    // which already tests the site.  This frame keeps executing its
+    // block either way.
+    const FunctionId fn = ctx.activeDf->id;
+    controller_->explicitize(fn, ctx.trapRecord);
+    registry_->invalidate(fn, block);
 }
 
 // ---- helpers called from JIT code -----------------------------------
@@ -546,16 +586,11 @@ TieredEngine::helperDeopt(NativeContext &ctx, uint32_t pending)
         ctx.pendingSite = 0;
     }
     ++deoptsTaken_;
-    if (ctx.deoptSpeculated != 0) {
-        // A speculated load read through null.  Like a JVM's uncommon
-        // trap, stop speculating in this function: its block is
-        // invalidated (this frame keeps executing it from the
-        // graveyard) and the function re-tiers without speculation, so
-        // a null-heavy site costs one trap, not one per call.
-        ctx.deoptSpeculated = 0;
-        controller_->despeculate(df.id);
-        invalidate(df.id);
-    }
+    // A trap at an implicit check or a speculated load: like a JVM's
+    // uncommon trap, the site is recompiled with an explicit test (a
+    // speculated load is no longer hoisted), so a null-heavy site
+    // costs one kernel trap, not one per call.
+    explicitizeTrappedSite(ctx);
     syncStatsFromCtx(ctx);
     // The prologue already took this frame's depth slot.
     const size_t depth = static_cast<size_t>(
@@ -587,6 +622,20 @@ TieredEngine::helperDeopt(NativeContext &ctx, uint32_t pending)
     }
     ctx.retBits = sub.value.bits;
     return 0;
+}
+
+int32_t
+TieredEngine::helperNullPointer(NativeContext &ctx, uint32_t recIdx)
+{
+    const DecodedFunction &df = *ctx.activeDf;
+    const DecodedInst &rec = df.code[recIdx];
+    explicitizeTrappedSite(ctx);
+    // The interpreters write the load's zero before dispatching, so a
+    // handler that reads the destination sees it.
+    if (nativeNullAccessZeroesDst(rec))
+        static_cast<Slot *>(ctx.activeSlots)[rec.dst].bits = 0;
+    raiseImplicitNpe(ctx, rec);
+    return trapjitTieredFindHandler(&ctx, rec.tryRegion);
 }
 
 uint32_t
@@ -803,6 +852,12 @@ extern "C" uint32_t
 trapjitTieredDeopt(NativeContext *ctx, uint32_t pending)
 {
     return ctx->tieredEngine->helperDeopt(*ctx, pending);
+}
+
+extern "C" int32_t
+trapjitTieredNullPointer(NativeContext *ctx, uint32_t rec)
+{
+    return ctx->tieredEngine->helperNullPointer(*ctx, rec);
 }
 
 } // namespace trapjit

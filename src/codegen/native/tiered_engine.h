@@ -31,16 +31,29 @@
  *    through trapjitTieredSlowCall, which enters published callees
  *    directly or falls back to the interpreter — bumping hotness.
  *  - There is no per-frame setup for traps: the SIGSEGV handler
- *    resolves a null-check trap in place against the registry's
- *    pc-map and rewrites RIP to the resume point, the block's unwind
- *    exit (hard-fault cases, reason parked in the context) or an
- *    optimized block's deopt exit, which finishes the frame on the
- *    fast interpreter (trapjitTieredDeopt).
+ *    resolves a fault in place against the registry's pc-map and
+ *    rewrites RIP.  A trap at an implicit null check goes to the
+ *    site's uncommon-trap exit — the baseline block's NPE exit
+ *    (trapjitTieredNullPointer) or the optimized block's deopt exit,
+ *    which finishes the frame on the fast interpreter
+ *    (trapjitTieredDeopt); other faults resume with a zero or unwind
+ *    as hard faults (reason parked in the context).
+ *  - NPEs are rare per site, not by assumption: the first hardware
+ *    trap at an implicit-check site puts that site in its function's
+ *    explicit set (kept by the TierController, so engines sharing it
+ *    share the set, and reset() keeps it) and invalidates the block.
+ *    The next promotion tests that access with test+jz into the same
+ *    exit, and a speculated load there is not hoisted again; later
+ *    NPEs at the site never reach the kernel (DESIGN.md section 17).
  *
  * Observable semantics (heap, trace, exceptions, instructions, calls,
- * allocations, traps) are bit-identical to the fast and reference
+ * allocations, trapsTaken) are bit-identical to the fast and reference
  * engines — including mid-run promotion, deoptimization, invalidation
- * and re-promotion.  Cycles are not modeled in native frames.
+ * and re-promotion.  trapsTaken counts NPEs raised at trap-covered
+ * implicit checks, whether the guard page or an explicitized test
+ * caught the null; the guard-page faults themselves are counted apart
+ * (ServiceCounters::hardwareTraps).  Cycles are not modeled in native
+ * frames.
  */
 
 #include <cstdint>
@@ -104,6 +117,13 @@ TieredOptions tieredOptionsFromEnv();
  */
 TieredOptions eagerTieredOptions();
 
+/** Deleter of a TieredEngine's frame pool mapping: munmap()s it. */
+struct FramePoolUnmap
+{
+    size_t bytes = 0;
+    void operator()(uint8_t *pool) const;
+};
+
 /**
  * The tiered engine; mirrors the FastInterpreter surface so call
  * sites switch between engines with a branch.  Not thread-safe per
@@ -140,8 +160,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
     EventTrace &trace() { return fi_.trace_; }
     const ExecStats &stats() const { return fi_.stats_; }
 
-    /** Clear heap, trace, stats, hotness and the deopt count;
-     *  published blocks stay. */
+    /** Clear heap, trace, stats, hotness and the deopt and hardware-
+     *  trap counts; published blocks and explicit sets stay. */
     void reset();
 
     // ---- tiering control / introspection ----------------------------
@@ -168,8 +188,9 @@ class TieredEngine final : public FastInterpreter::TierHooks
      * Fold this engine's tiering counters into @p counters: the
      * controller's promotion and compile totals (including the
      * optimized backend's functionsRegalloc / spillsEmitted /
-     * loadsSpeculated / regallocSeconds), the registry's link and
-     * eviction counts, and deoptsTaken since the last reset().
+     * loadsSpeculated / regallocSeconds, and sitesExplicitized), the
+     * registry's link and eviction counts, and deoptsTaken and
+     * hardwareTraps since the last reset().
      */
     void addTieringCounters(ServiceCounters &counters) const;
 
@@ -187,6 +208,7 @@ class TieredEngine final : public FastInterpreter::TierHooks
     uint32_t helperPoolFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperSlowCall(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperDeopt(NativeContext &ctx, uint32_t pending);
+    int32_t helperNullPointer(NativeContext &ctx, uint32_t recIdx);
 
   private:
     using Slot = FastInterpreter::Slot;
@@ -217,6 +239,17 @@ class TieredEngine final : public FastInterpreter::TierHooks
     void consumePark(NativeContext &ctx);
     void parkHardFault(std::string msg);
     uint32_t decideNullAccess(NativeContext &ctx, const DecodedInst &d);
+    /** Raise the NPE of trap-covered implicit check @p d (counts
+     *  trapsTaken, like the interpreters). */
+    void raiseImplicitNpe(NativeContext &ctx, const DecodedInst &d);
+    /**
+     * When a hardware trap led to the exit being served (the handler
+     * left ctx.trapBlock), put the faulting site in its function's
+     * explicit set and invalidate the block unless it was already
+     * replaced.  Hotness is kept: the function's next call re-requests
+     * promotion.
+     */
+    void explicitizeTrappedSite(NativeContext &ctx);
     void bumpHotness(FunctionId fn);
 
     const Module &mod_;
@@ -230,8 +263,12 @@ class TieredEngine final : public FastInterpreter::TierHooks
 
     /** Persistent context every tiered frame of this engine shares. */
     NativeContext ctx_;
-    /** Frame pool: (maxCallDepth + 2) x widest slot file. */
-    std::vector<uint64_t> pool_;
+    /**
+     * Frame pool: (maxCallDepth + 2) x widest slot file, mapped
+     * anonymous, so only the frames a run actually reaches are ever
+     * committed (typical call trees touch a few of its pages).
+     */
+    std::unique_ptr<uint8_t, FramePoolUnmap> pool_;
     /** Per-function hotness (calls + back-edges); fi_.tierHot_. */
     std::vector<uint32_t> hotness_;
 
@@ -239,6 +276,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
     std::string hardFaultMsg_;
     /** Deopt exits taken since construction / the last reset(). */
     size_t deoptsTaken_ = 0;
+    /** Guard-page faults resolved in compiled code, same window. */
+    uint64_t hardwareTraps_ = 0;
 };
 
 } // namespace trapjit

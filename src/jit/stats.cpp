@@ -90,6 +90,8 @@ ServiceCounters::operator+=(const ServiceCounters &other)
     spillsEmitted += other.spillsEmitted;
     loadsSpeculated += other.loadsSpeculated;
     deoptsTaken += other.deoptsTaken;
+    hardwareTraps += other.hardwareTraps;
+    sitesExplicitized += other.sitesExplicitized;
     regallocSeconds += other.regallocSeconds;
     persistentHits += other.persistentHits;
     persistentMisses += other.persistentMisses;

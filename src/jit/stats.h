@@ -100,6 +100,14 @@ struct ServiceCounters
     size_t deoptsTaken = 0;       ///< side-exits into the interpreter
     double regallocSeconds = 0.0; ///< host time in the optimized backend
 
+    // Trap-adaptive lowering (DESIGN.md section 17), filled by
+    // TieredEngine::addTieringCounters: guard-page faults the SIGSEGV
+    // handler resolved in compiled code since the engine's last
+    // reset(), and implicit-check sites the TierController made
+    // explicit after their first trap (monotonic).
+    size_t hardwareTraps = 0;
+    size_t sitesExplicitized = 0;
+
     // Serving-tier memory + persistence governance.  The first three
     // are monotonic event counts (summed on merge); the last two are
     // gauges — "how much is live/mapped right now" — merged with max,

@@ -1,5 +1,7 @@
 #include "jit/tier_controller.h"
 
+#include <algorithm>
+
 #include "analysis/audit/audit.h"
 #include "codegen/native/native_compiler.h"
 #include "jit/timing.h"
@@ -16,7 +18,7 @@ TierController::TierController(
     : mod_(mod), target_(target), registry_(std::move(registry)),
       decodedCache_(std::move(decodedCache)),
       decodeOptions_(decodeOptions), options_(options),
-      despeculated_(mod.numFunctions())
+      explicit_(mod.numFunctions())
 {
     if (!options_.synchronous)
         pool_ = std::make_unique<WorkerPool>(
@@ -64,11 +66,13 @@ TierController::compileAndPublish(FunctionId fn)
         df = decodedCache_->insert(
             dkey, decodeFunction(func, target_, decodeOptions_));
 
-    NativeCompileOptions compileOptions = options_.compile;
-    if (despeculated_[fn].load(std::memory_order_acquire))
-        compileOptions.speculate = false;
+    // Read once, before lowering.  A site added after this point is
+    // missed by this block, which traps there once and is invalidated
+    // in turn (DESIGN.md section 17).
+    const std::vector<uint32_t> explicitSet = explicitSites(fn);
     Stopwatch compileWatch;
-    NativeCompileResult res = compileNative(func, *df, compileOptions);
+    NativeCompileResult res =
+        compileNative(func, *df, options_.compile, explicitSet);
     const double compileSeconds = compileWatch.elapsed();
     if (res.code == nullptr) {
         registry_->markUnsupported(fn);
@@ -105,9 +109,22 @@ TierController::compileAndPublish(FunctionId fn)
 }
 
 void
-TierController::despeculate(FunctionId fn)
+TierController::explicitize(FunctionId fn, uint32_t rec)
 {
-    despeculated_[fn].store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<uint32_t> &set = explicit_[fn];
+    auto it = std::lower_bound(set.begin(), set.end(), rec);
+    if (it != set.end() && *it == rec)
+        return;
+    set.insert(it, rec);
+    ++counters_.sitesExplicitized;
+}
+
+std::vector<uint32_t>
+TierController::explicitSites(FunctionId fn) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return explicit_[fn];
 }
 
 void

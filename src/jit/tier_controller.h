@@ -16,9 +16,14 @@
  * tier rejects (non-x86-64 hosts, audit findings) are parked in
  * Unsupported so they are never re-requested; invalidate() on the
  * registry returns a function to Cold and the whole cycle can repeat.
+ *
+ * The controller also owns the trap-adaptive policy's state: per
+ * function, the explicit set of implicit-check sites that took a
+ * hardware trap.  Every compile lowers the set's sites with an
+ * explicit test (DESIGN.md section 17); the set only grows, is shared
+ * by every engine on this controller and outlives their reset().
  */
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -83,11 +88,16 @@ class TierController
     void drain();
 
     /**
-     * A section-5.4 speculation of @p fn failed at runtime: compile it
-     * without speculation from its next promotion on (the caller
-     * invalidates the current block).  Safe from any thread.
+     * The access at record @p rec of @p fn took a hardware trap: lower
+     * it with an explicit test (and, if the optimized backend had
+     * speculated the load, without speculation) from @p fn's next
+     * promotion on.  The caller invalidates the trapping block.  Safe
+     * from any thread.
      */
-    void despeculate(FunctionId fn);
+    void explicitize(FunctionId fn, uint32_t rec);
+
+    /** @p fn's explicit set: sorted record indices. */
+    std::vector<uint32_t> explicitSites(FunctionId fn) const;
 
     const std::shared_ptr<CodeRegistry> &registry() const
     {
@@ -98,9 +108,10 @@ class TierController
     uint64_t functionsPromoted() const;
     /**
      * Promotion totals since construction: functionsPromoted,
-     * tierUpLatencySeconds (request-to-publish, summed), and for the
-     * optimized backend functionsRegalloc, spillsEmitted,
-     * loadsSpeculated and regallocSeconds (its compile time).
+     * tierUpLatencySeconds (request-to-publish, summed),
+     * sitesExplicitized, and for the optimized backend
+     * functionsRegalloc, spillsEmitted, loadsSpeculated and
+     * regallocSeconds (its compile time).
      */
     ServiceCounters counters() const;
 
@@ -115,13 +126,13 @@ class TierController
     DecodeOptions decodeOptions_;
     TierControllerOptions options_;
     std::unique_ptr<WorkerPool> pool_; ///< null in synchronous mode
-    /** Per function: never speculate again (see despeculate()). */
-    std::vector<std::atomic<bool>> despeculated_;
 
     mutable std::mutex mutex_;
     std::condition_variable idle_;
     size_t inFlight_ = 0;
     ServiceCounters counters_;
+    /** Per function: the explicit set (see explicitize()), sorted. */
+    std::vector<std::vector<uint32_t>> explicit_;
 };
 
 } // namespace trapjit

@@ -45,6 +45,23 @@ void
 inlineCallSite(Function &caller, BlockId site_block, size_t idx,
                const Function &callee)
 {
+    // The callee may not have been verified yet (a service worker can
+    // inline it before its own job runs): an operand outside its value
+    // table is reported before the caller is touched.
+    auto defined = [&](ValueId v) {
+        return v == kNoValue || v < callee.numValues();
+    };
+    for (BlockId cb = 0; cb < callee.numBlocks(); ++cb) {
+        for (const Instruction &inst : callee.block(cb).insts()) {
+            bool ok = defined(inst.dst) && defined(inst.a) &&
+                      defined(inst.b) && defined(inst.c);
+            for (ValueId arg : inst.args)
+                ok = ok && defined(arg);
+            TRAPJIT_ASSERT(ok, "inlined callee ", callee.name(),
+                           " uses a value it does not define");
+        }
+    }
+
     BasicBlock &bb = caller.block(site_block);
     const Instruction call = bb.insts()[idx];
     const TryRegionId siteRegion = bb.tryRegion();

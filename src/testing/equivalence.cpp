@@ -1,5 +1,6 @@
 #include "testing/equivalence.h"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -343,6 +344,121 @@ compareEngines(Module &mod, const Target &runtime_target,
     return report;
 }
 
+namespace
+{
+
+/**
+ * First difference between a fast-interpreter and a tiered observation
+ * of one run of `main`, or "" when they agree on everything
+ * compareTieredEngine compares.
+ */
+std::string
+diffTieredRun(const Observation &fast, const Heap &fastHeap,
+              const Observation &tiered, const Heap &tieredHeap,
+              Type returnType)
+{
+    std::ostringstream os;
+    if (fast.hardFault != tiered.hardFault) {
+        os << "HardFault parity differs: fast "
+           << (fast.hardFault ? "faulted (" + fast.fault + ")"
+                              : "completed")
+           << ", tiered "
+           << (tiered.hardFault ? "faulted (" + tiered.fault + ")"
+                                : "completed");
+        return os.str();
+    }
+    if (fast.hardFault) {
+        if (fast.fault != tiered.fault) {
+            os << "HardFault message differs: fast \"" << fast.fault
+               << "\", tiered \"" << tiered.fault << "\"";
+        }
+        return os.str();
+    }
+
+    if (fast.result.outcome != tiered.result.outcome) {
+        os << "outcome differs: fast "
+           << (fast.result.outcome == ExecResult::Outcome::Returned
+                   ? "returned"
+                   : "threw")
+           << ", tiered "
+           << (tiered.result.outcome == ExecResult::Outcome::Returned
+                   ? "returned"
+                   : "threw");
+        return os.str();
+    }
+    if (fast.result.exception != tiered.result.exception) {
+        os << "exception differs: fast "
+           << excName(fast.result.exception) << ", tiered "
+           << excName(tiered.result.exception);
+        return os.str();
+    }
+    if (fast.result.outcome == ExecResult::Outcome::Returned) {
+        const RuntimeValue &fv = fast.result.value;
+        const RuntimeValue &tv = tiered.result.value;
+        bool same = true;
+        switch (returnType) {
+          case Type::F64:
+            same = std::bit_cast<uint64_t>(fv.f) ==
+                   std::bit_cast<uint64_t>(tv.f);
+            break;
+          case Type::Ref:
+            same = fv.ref == tv.ref;
+            break;
+          case Type::Void:
+            break;
+          default:
+            same = fv.i == tv.i;
+            break;
+        }
+        if (!same) {
+            os << "return value differs: fast (i=" << fv.i
+               << ", f=" << fv.f << ", ref=" << fv.ref
+               << "), tiered (i=" << tv.i << ", f=" << tv.f
+               << ", ref=" << tv.ref << ")";
+            return os.str();
+        }
+    }
+
+    size_t n = std::min(fast.events.size(), tiered.events.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (!(fast.events[i] == tiered.events[i])) {
+            os << "event " << i << " differs: fast "
+               << fast.events[i].toString() << ", tiered "
+               << tiered.events[i].toString();
+            return os.str();
+        }
+    }
+    if (fast.events.size() != tiered.events.size()) {
+        os << "event count differs: fast " << fast.events.size()
+           << ", tiered " << tiered.events.size();
+        return os.str();
+    }
+    if (fast.heapDigest != tiered.heapDigest)
+        return describeHeapDifference(fastHeap, tieredHeap, "fast",
+                                      "tiered");
+
+    // The counters both engines maintain must agree exactly; the purely
+    // engine-side ones (dispatches, per-check counts, heap access
+    // counts) and the simulated cycle model are out of scope for frames
+    // that ran as machine code.
+    const ExecStats &a = fast.result.stats;
+    const ExecStats &b = tiered.result.stats;
+    auto counter = [&](const char *name, uint64_t x, uint64_t y) {
+        if (x != y && os.tellp() == 0)
+            os << "stats." << name << " differs: fast " << x
+               << ", tiered " << y;
+    };
+    counter("instructions", a.instructions, b.instructions);
+    counter("calls", a.calls, b.calls);
+    counter("allocations", a.allocations, b.allocations);
+    counter("trapsTaken", a.trapsTaken, b.trapsTaken);
+    counter("speculativeReadsOfNull", a.speculativeReadsOfNull,
+            b.speculativeReadsOfNull);
+    return os.str();
+}
+
+} // namespace
+
 EquivalenceReport
 compareTieredEngine(Module &mod, const Target &runtime_target,
                     DecodeOptions decode_options,
@@ -369,138 +485,44 @@ compareTieredEngine(Module &mod, const Target &runtime_target,
         fast.fault = fault.what();
     }
 
-    Observation tiered;
     TieredEngine engine(mod, runtime_target, options, nullptr,
                         decode_options, tiered_options);
     if (prepare)
         prepare(engine);
-    try {
-        tiered.result = engine.run(entry, {});
-        tiered.events = engine.trace().events();
-        tiered.heapDigest = engine.heap().digest();
-    } catch (const HardFault &fault) {
-        tiered.hardFault = true;
-        tiered.fault = fault.what();
-    }
-
-    std::ostringstream os;
-    if (fast.hardFault != tiered.hardFault) {
-        os << "HardFault parity differs: fast "
-           << (fast.hardFault ? "faulted (" + fast.fault + ")"
-                              : "completed")
-           << ", tiered "
-           << (tiered.hardFault ? "faulted (" + tiered.fault + ")"
-                                : "completed");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.hardFault) {
-        if (fast.fault != tiered.fault) {
-            os << "HardFault message differs: fast \"" << fast.fault
-               << "\", tiered \"" << tiered.fault << "\"";
-            report.message = os.str();
-            return report;
+    auto runTiered = [&] {
+        Observation tiered;
+        try {
+            tiered.result = engine.run(entry, {});
+            tiered.events = engine.trace().events();
+            tiered.heapDigest = engine.heap().digest();
+        } catch (const HardFault &fault) {
+            tiered.hardFault = true;
+            tiered.fault = fault.what();
         }
-        report.equivalent = true;
-        report.hardFaulted = true;
-        return report;
-    }
-
-    if (fast.result.outcome != tiered.result.outcome) {
-        os << "outcome differs: fast "
-           << (fast.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw")
-           << ", tiered "
-           << (tiered.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.exception != tiered.result.exception) {
-        os << "exception differs: fast "
-           << excName(fast.result.exception) << ", tiered "
-           << excName(tiered.result.exception);
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.outcome == ExecResult::Outcome::Returned) {
-        const RuntimeValue &fv = fast.result.value;
-        const RuntimeValue &tv = tiered.result.value;
-        bool same = true;
-        switch (returnType) {
-          case Type::F64:
-            same = std::bit_cast<uint64_t>(fv.f) ==
-                   std::bit_cast<uint64_t>(tv.f);
-            break;
-          case Type::Ref:
-            same = fv.ref == tv.ref;
-            break;
-          case Type::Void:
-            break;
-          default:
-            same = fv.i == tv.i;
-            break;
-        }
-        if (!same) {
-            os << "return value differs: fast (i=" << fv.i
-               << ", f=" << fv.f << ", ref=" << fv.ref
-               << "), tiered (i=" << tv.i << ", f=" << tv.f
-               << ", ref=" << tv.ref << ")";
-            report.message = os.str();
-            return report;
-        }
-    }
-
-    size_t n = std::min(fast.events.size(), tiered.events.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (!(fast.events[i] == tiered.events[i])) {
-            os << "event " << i << " differs: fast "
-               << fast.events[i].toString() << ", tiered "
-               << tiered.events[i].toString();
-            report.message = os.str();
-            return report;
-        }
-    }
-    if (fast.events.size() != tiered.events.size()) {
-        os << "event count differs: fast " << fast.events.size()
-           << ", tiered " << tiered.events.size();
-        report.message = os.str();
-        return report;
-    }
-    if (fast.heapDigest != tiered.heapDigest) {
-        report.message = describeHeapDifference(
-            fastInterp.heap(), engine.heap(), "fast", "tiered");
-        return report;
-    }
-
-    // The counters both engines maintain must agree exactly; the purely
-    // engine-side ones (dispatches, per-check counts, heap access
-    // counts) and the simulated cycle model are out of scope for frames
-    // that ran as machine code.
-    const ExecStats &a = fast.result.stats;
-    const ExecStats &b = tiered.result.stats;
-    auto counter = [&](const char *name, uint64_t x, uint64_t y) {
-        if (x != y && report.message.empty()) {
-            std::ostringstream cs;
-            cs << "stats." << name << " differs: fast " << x
-               << ", tiered " << y;
-            report.message = cs.str();
-        }
+        return tiered;
     };
-    counter("instructions", a.instructions, b.instructions);
-    counter("calls", a.calls, b.calls);
-    counter("allocations", a.allocations, b.allocations);
-    counter("trapsTaken", a.trapsTaken, b.trapsTaken);
-    counter("speculativeReadsOfNull", a.speculativeReadsOfNull,
-            b.speculativeReadsOfNull);
+
+    report.message = diffTieredRun(fast, fastInterp.heap(), runTiered(),
+                                   engine.heap(), returnType);
     if (!report.message.empty())
         return report;
+    // Run 2 on the same engine: the blocks run 1's traps had recompiled
+    // (explicit sites, loads no longer speculated) and the ones it
+    // left cold execute under the oracle as well.
+    engine.reset();
+    std::string again = diffTieredRun(fast, fastInterp.heap(), runTiered(),
+                                      engine.heap(), returnType);
+    if (!again.empty()) {
+        report.message = "after reset(): " + again;
+        return report;
+    }
 
     report.equivalent = true;
-    report.trapsTaken = fast.result.stats.trapsTaken;
-    report.instructionsExecuted = fast.result.stats.instructions;
+    report.hardFaulted = fast.hardFault;
+    if (!fast.hardFault) {
+        report.trapsTaken = fast.result.stats.trapsTaken;
+        report.instructionsExecuted = fast.result.stats.instructions;
+    }
     return report;
 }
 

@@ -92,14 +92,18 @@ EquivalenceReport compareEngines(Module &mod, const Target &runtime_target,
 
 /**
  * Native-tier differential oracle: run @p mod's `main` once under the
- * fast interpreter and once under the TieredEngine
- * (codegen/native/tiered_engine.h) and compare HardFault parity
+ * fast interpreter and twice under one TieredEngine
+ * (codegen/native/tiered_engine.h), with reset() in between, and
+ * compare each tiered run with the fast one: HardFault parity
  * (including the message), outcome, exception kind, the typed return
  * value (F64 bitwise), the full ordered EventTrace, the final heap
  * digest, and the semantic counters native frames maintain
  * (instructions, calls, allocations, trapsTaken,
  * speculativeReadsOfNull).  The cycle cost model and the engine-side
- * dynamic counters are excluded: native frames run on real time.
+ * dynamic counters are excluded: native frames run on real time.  The
+ * second run executes what the first left behind — blocks recompiled
+ * after traps with their sites explicit, functions the first run only
+ * interpreted — so those stay under the oracle too.
  *
  * The default options force synchronous promotion at a threshold of 2
  * so functions tier up *mid-case* and the run crosses interpreter ->

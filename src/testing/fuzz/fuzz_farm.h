@@ -97,7 +97,9 @@ struct FuzzStats
     uint64_t casesRun = 0;      ///< (seed, profile, arm) cases executed
     uint64_t modulesBuilt = 0;
     uint64_t functionsCompiled = 0;
-    uint64_t trapsTaken = 0;    ///< hardware-trap NPEs across all runs
+    /** NPEs raised at trap-covered implicit checks (ExecStats::
+     *  trapsTaken), across all runs. */
+    uint64_t trapsTaken = 0;
     uint64_t instructionsExecuted = 0;
     uint64_t nativeComparisons = 0;
     uint64_t optimizedComparisons = 0;

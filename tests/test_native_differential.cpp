@@ -386,19 +386,40 @@ TEST(NativeTrap, GuardPageFaultBecomesTheInterpreterIdenticalNpe)
     TieredEngine engine(*mod, target, {}, nullptr, {},
                         eagerWith(NativeBackend::Baseline));
     ExecResult r = engine.run(entry, {});
-    const NativeCode *nc = engine.registry()->published(entry);
-    ASSERT_NE(nullptr, nc) << "main did not compile natively";
-    ASSERT_GT(nc->implicitChecksCompiled, 0u);
     EXPECT_EQ(ExecResult::Outcome::Threw, r.outcome);
     EXPECT_EQ(ExcKind::NullPointer, r.exception);
     EXPECT_EQ(1u, r.stats.trapsTaken);
     EXPECT_EQ(0u, r.stats.dispatches) << "main ran on the interpreter";
+    ServiceCounters c;
+    engine.addTieringCounters(c);
+    EXPECT_EQ(1u, c.hardwareTraps);
+    // The trap made its site explicit and retired main's block.
+    EXPECT_EQ(1u, c.sitesExplicitized);
+    EXPECT_EQ(1u, c.blocksInvalidated);
+    EXPECT_EQ(nullptr, engine.registry()->published(entry));
 
     FastInterpreter fast(*mod, target);
     ExecResult fr = fast.run(entry, {});
     EXPECT_EQ(ExecResult::Outcome::Threw, fr.outcome);
     EXPECT_EQ(ExcKind::NullPointer, fr.exception);
     EXPECT_EQ(r.stats.trapsTaken, fr.stats.trapsTaken);
+
+    // The rerun compiles the site as test+jz into the same NPE exit:
+    // the identical NullPointerException, still counted as a trap-
+    // covered NPE, with no SIGSEGV.  The check stays implicit for the
+    // paper's accounting.
+    engine.reset();
+    ExecResult again = engine.run(entry, {});
+    const NativeCode *nc = engine.registry()->published(entry);
+    ASSERT_NE(nullptr, nc) << "main did not compile natively";
+    EXPECT_GT(nc->implicitChecksCompiled, 0u);
+    EXPECT_EQ(1u, nc->checksExplicitized);
+    EXPECT_EQ(ExcKind::NullPointer, again.exception);
+    EXPECT_EQ(fr.stats.trapsTaken, again.stats.trapsTaken);
+    EXPECT_EQ(fr.stats.instructions, again.stats.instructions);
+    ServiceCounters c2;
+    engine.addTieringCounters(c2);
+    EXPECT_EQ(0u, c2.hardwareTraps);
 }
 
 // ---------------------------------------------------------------------------
@@ -654,6 +675,7 @@ TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
 
     size_t deopts = 0;
     size_t speculated = 0;
+    size_t hardwareTraps = 0;
     for (uint64_t seed = 900; seed < 916; ++seed) {
         WorkloadProfile p = *preset;
         p.seed = seed;
@@ -672,11 +694,14 @@ TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
         engine.addTieringCounters(c);
         deopts += c.deoptsTaken;
         speculated += c.loadsSpeculated;
+        hardwareTraps += c.hardwareTraps;
     }
     EXPECT_GT(speculated, 0u)
         << "no null_storm seed produced a speculated load";
     EXPECT_GT(deopts, 0u)
         << "no null_storm seed took a deopt side-exit";
+    EXPECT_GT(hardwareTraps, 0u)
+        << "no null_storm seed took a guard-page trap";
 }
 
 // A failed speculation is a one-time cost: the speculated load's trap
@@ -711,6 +736,60 @@ TEST(OptimizedDeopt, FailedSpeculationRetiersWithoutSpeculating)
     EXPECT_GT(nc->explicitChecksCompiled, 0u);
     // Stats accumulate across runs: both runs retired the same count.
     EXPECT_EQ(first.stats.instructions * 2, second.stats.instructions);
+}
+
+/** main: two checked field reads, the second through null. */
+std::unique_ptr<Module>
+buildTwoFieldReadModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    b.startBlock();
+    ValueId obj = b.newObject(0, 24);
+    b.putField(obj, 8, b.constInt(41));
+    ValueId v = b.getField(obj, 8, Type::I32);
+    ValueId w = b.getField(b.constNull(), 16, Type::I32);
+    b.ret(b.binop(Opcode::IAdd, v, w));
+    return mod;
+}
+
+// Despeculation is per site: only the load that read through null
+// loses its speculation on re-promotion; the function's other load
+// stays hoisted above its check.
+TEST(OptimizedDeopt, FailedSpeculationDespeculatesOnlyThatLoad)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildTwoFieldReadModule();
+    Compiler compiler(target, makeNoOptNoTrapConfig());
+    compiler.compile(*mod);
+    FunctionId entry = mod->findFunction("main");
+
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerWith(NativeBackend::Optimized));
+    ExecResult first = engine.run(entry, {});
+    EXPECT_EQ(ExcKind::NullPointer, first.exception);
+    ServiceCounters c;
+    engine.addTieringCounters(c);
+    EXPECT_EQ(2u, c.loadsSpeculated);
+    EXPECT_EQ(1u, c.hardwareTraps);
+    EXPECT_EQ(1u, c.sitesExplicitized);
+    EXPECT_EQ(TierState::Cold, engine.registry()->state(entry));
+
+    engine.reset();
+    ExecResult second = engine.run(entry, {});
+    EXPECT_EQ(ExcKind::NullPointer, second.exception);
+    EXPECT_EQ(first.stats.instructions, second.stats.instructions);
+    const NativeCode *nc = engine.registry()->published(entry);
+    ASSERT_NE(nullptr, nc);
+    EXPECT_EQ(1u, nc->loadsSpeculated);
+    ServiceCounters again;
+    engine.addTieringCounters(again);
+    EXPECT_EQ(0u, again.hardwareTraps);
+
+    EquivalenceReport report = compareOptimized(*mod, target);
+    EXPECT_TRUE(report.equivalent) << report.message;
 }
 
 // The big-offset regime under the optimized backend: accesses past the

@@ -34,7 +34,12 @@
  *     invalidates published blocks under them;
  *  5. auditNativeTrapSites re-run on every block the registry
  *     published (the controller already gates publishing on it; this
- *     checks the published artifacts directly).
+ *     checks the published artifacts directly);
+ *  6. trap-adaptive lowering: on every workload-gen preset and both
+ *     backends, the run that takes the guard-page traps and the rerun
+ *     on the recompiled blocks both match the fast interpreter, and
+ *     the rerun takes no hardware trap; eight engines trapping at one
+ *     shared site stop trapping once they all run its new block.
  *
  * Execution tests skip where the native tier cannot run (non-x86-64,
  * ASan); the engine-selection and option-parsing tests run anywhere.
@@ -56,6 +61,7 @@
 #include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
+#include "ir/builder.h"
 #include "ir/module.h"
 #include "jit/compile_service.h"
 #include "jit/compiler.h"
@@ -283,6 +289,7 @@ struct Observed
     uint64_t calls;
     uint64_t allocations;
     uint64_t trapsTaken;
+    uint64_t speculativeReadsOfNull;
     uint64_t heapDigest;
     std::vector<Event> events;
 
@@ -302,6 +309,7 @@ observe(const ExecResult &r, const Heap &heap, const EventTrace &trace,
     o.calls = stats.calls;
     o.allocations = stats.allocations;
     o.trapsTaken = stats.trapsTaken;
+    o.speculativeReadsOfNull = stats.speculativeReadsOfNull;
     o.heapDigest = heap.digest();
     o.events = trace.events();
     return o;
@@ -371,7 +379,9 @@ TEST(TieredLifecycle, PromoteInvalidateRepromoteStaysBitIdentical)
 
         // Invalidate every published block: states return to Cold, the
         // published pointers clear, and execution falls back to the
-        // interpreter with identical observables.
+        // interpreter with identical observables.  (call_web traps, so
+        // the run above may already have invalidated a trapping block.)
+        const uint64_t byTraps = registry.blocksInvalidated();
         size_t invalidated = 0;
         for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
             if (registry.state(f) != TierState::Published)
@@ -382,7 +392,7 @@ TEST(TieredLifecycle, PromoteInvalidateRepromoteStaysBitIdentical)
             EXPECT_EQ(nullptr, registry.published(f));
         }
         ASSERT_GT(invalidated, 0u);
-        EXPECT_EQ(invalidated, registry.blocksInvalidated());
+        EXPECT_EQ(invalidated, registry.blocksInvalidated() - byTraps);
         EXPECT_EQ(ref, tieredRun(engine, *mod))
             << "seed " << seed << " after invalidation";
 
@@ -439,21 +449,36 @@ TEST(TieredLifecycle, TieringCountersFlowIntoServiceCounters)
     Observed ref = referenceRun(*mod, target);
     EXPECT_EQ(ref, tieredRun(engine, *mod));
 
+    ServiceCounters first;
+    engine.addTieringCounters(first);
+    // call_web takes guard-page traps: each trapping site became
+    // explicit, and only those traps invalidated blocks.
+    EXPECT_GT(first.hardwareTraps, 0u);
+    EXPECT_GT(first.sitesExplicitized, 0u);
+    EXPECT_GT(first.blocksInvalidated, 0u);
+    EXPECT_LE(first.blocksInvalidated, first.sitesExplicitized);
+
+    // The rerun re-promotes what the traps invalidated and takes no
+    // hardware trap: the same NPEs now come from explicit tests.
+    EXPECT_EQ(ref, tieredRun(engine, *mod));
     ServiceCounters counters;
     engine.addTieringCounters(counters);
+    EXPECT_EQ(0u, counters.hardwareTraps);
+    EXPECT_EQ(first.sitesExplicitized, counters.sitesExplicitized);
+    EXPECT_EQ(first.blocksInvalidated, counters.blocksInvalidated);
     EXPECT_GT(counters.functionsPromoted, 0u);
     EXPECT_GE(counters.tierUpLatencySeconds, 0.0);
     // call_web publishes several blocks with static calls between
     // them: publishing must have patched direct links.
     EXPECT_GT(counters.slotsPatched, 0u);
     EXPECT_GT(counters.blocksLinked, 0u);
-    EXPECT_EQ(0u, counters.blocksInvalidated);
 
     FunctionId entry = mod->findFunction("main");
+    ASSERT_EQ(TierState::Published, engine.registry()->state(entry));
     engine.invalidate(entry);
     ServiceCounters after;
     engine.addTieringCounters(after);
-    EXPECT_EQ(1u, after.blocksInvalidated);
+    EXPECT_EQ(counters.blocksInvalidated + 1, after.blocksInvalidated);
     // Unlinking retargets inbound slots back to their stubs, so the
     // patch counter keeps growing on invalidation.
     EXPECT_GE(after.slotsPatched, counters.slotsPatched);
@@ -520,6 +545,7 @@ TEST(TieredStress, EightEnginesRacePromotionsUnderInvalidation)
             registry, controller));
 
     std::atomic<int> mismatches{0};
+    std::atomic<size_t> finished{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (size_t t = 0; t < kThreads; ++t) {
@@ -527,6 +553,7 @@ TEST(TieredStress, EightEnginesRacePromotionsUnderInvalidation)
             for (int i = 0; i < kRunsPerThread; ++i)
                 if (!(tieredRun(*engines[t], *mod) == ref))
                     ++mismatches;
+            finished.fetch_add(1, std::memory_order_release);
         });
     }
 
@@ -534,11 +561,16 @@ TEST(TieredStress, EightEnginesRacePromotionsUnderInvalidation)
     // rel32 targets are valid at every instant and invalidated blocks
     // stay alive (graveyard), so in-flight frames finish correctly and
     // later calls fall back to the interpreter until re-promotion.
-    for (int round = 0; round < 50; ++round) {
+    // The rounds start once a background promotion has published (the
+    // engines requested them on their first calls) and last until
+    // every engine is done, so there is always something to rip out.
+    while (controller->functionsPromoted() == 0)
+        std::this_thread::yield();
+    do {
         for (FunctionId f = 0; f < mod->numFunctions(); ++f)
             registry->invalidate(f);
         std::this_thread::yield();
-    }
+    } while (finished.load(std::memory_order_acquire) < kThreads);
 
     for (std::thread &th : threads)
         th.join();
@@ -592,6 +624,172 @@ TEST(TieredAudit, EveryPublishedBlockPassesTrapSiteAudit)
             ++audited;
         }
         EXPECT_GT(audited, 0u) << "seed " << seed;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 6. Trap-adaptive lowering
+// ---------------------------------------------------------------------------
+
+/** Workload-gen preset @p preset at @p seed, Phase1+Phase2 on IA32. */
+std::unique_ptr<Module>
+buildPresetModule(const WorkloadProfile &preset, uint64_t seed)
+{
+    WorkloadProfile p = preset;
+    p.seed = seed;
+    auto mod = generateWorkloadModule(p);
+    Compiler compiler(makeIA32WindowsTarget(), makeNewFullConfig());
+    compiler.compile(*mod);
+    return mod;
+}
+
+using PresetAndBackend = std::tuple<size_t, NativeBackend>;
+
+std::string
+presetName(const ::testing::TestParamInfo<PresetAndBackend> &info)
+{
+    const auto [preset, backend] = info.param;
+    return workloadProfiles()[preset].name +
+           (backend == NativeBackend::Optimized ? "_optimized"
+                                                : "_baseline");
+}
+
+class TrapAdaptive : public ::testing::TestWithParam<PresetAndBackend>
+{
+};
+
+// The first run takes the guard-page traps: each trapping site joins
+// its function's explicit set and its block is invalidated.  The
+// second run, after reset(), re-promotes those functions with the
+// sites tested by test+jz.  Both runs must match the fast interpreter
+// on everything (trapsTaken included: an explicitized site still
+// raises a trap-covered NPE), and the second takes no hardware trap.
+TEST_P(TrapAdaptive, RerunOnRecompiledBlocksMatchesWithoutHardwareTraps)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    const auto [presetIdx, backend] = GetParam();
+    const WorkloadProfile &preset = workloadProfiles()[presetIdx];
+    Target target = makeIA32WindowsTarget();
+
+    uint64_t npes = 0, hardwareTraps = 0, explicitized = 0;
+    for (uint64_t seed = 3000; seed < 3004; ++seed) {
+        auto mod = buildPresetModule(preset, seed);
+        Observed ref = referenceRun(*mod, target);
+        TieredOptions opts = eagerTieredOptions();
+        opts.backend = backend;
+        TieredEngine engine(*mod, target, {}, nullptr, {}, opts);
+
+        EXPECT_EQ(ref, tieredRun(engine, *mod)) << "seed " << seed;
+        ServiceCounters first;
+        engine.addTieringCounters(first);
+        EXPECT_EQ(ref, tieredRun(engine, *mod))
+            << "seed " << seed << " rerun after reset()";
+        ServiceCounters second;
+        engine.addTieringCounters(second);
+        EXPECT_EQ(0u, second.hardwareTraps) << "seed " << seed;
+        EXPECT_EQ(first.sitesExplicitized, second.sitesExplicitized)
+            << "seed " << seed;
+
+        npes += ref.trapsTaken;
+        hardwareTraps += first.hardwareTraps;
+        explicitized += first.sitesExplicitized;
+    }
+    // Wherever the interpreters raise trap-covered NPEs, the first runs
+    // must have taken real traps and explicitized their sites.
+    if (npes > 0) {
+        EXPECT_GT(hardwareTraps, 0u);
+        EXPECT_GT(explicitized, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, TrapAdaptive,
+    ::testing::Combine(::testing::Range<size_t>(0, workloadProfiles().size()),
+                       ::testing::Values(NativeBackend::Baseline,
+                                         NativeBackend::Optimized)),
+    presetName);
+
+/** main: one checked field read through null (an implicit check). */
+std::unique_ptr<Module>
+buildNullReadModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    b.startBlock();
+    ValueId v = b.getField(b.constNull(), 8, Type::I32);
+    b.ret(b.binop(Opcode::IAdd, v, b.constInt(1)));
+    Compiler(makeIA32WindowsTarget(), makeNoOptTrapConfig()).compile(*mod);
+    return mod;
+}
+
+// Eight engines share one registry and controller and hit the same
+// implicit check at once.  Every run matches the fast interpreter; the
+// site joins the shared explicit set once, however many engines trap
+// on it concurrently; only main's first block traps, so no engine
+// traps twice, and once all run the new block none traps at all.
+TEST(TrapAdaptiveStress, EightEnginesTrappingAtOneSiteStopTogether)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildNullReadModule();
+    Observed ref = referenceRun(*mod, target);
+    ASSERT_EQ(1u, ref.trapsTaken);
+
+    constexpr size_t kThreads = 8;
+    constexpr int kRunsPerThread = 16;
+    auto registry = std::make_shared<CodeRegistry>(mod->numFunctions());
+    auto decoded = std::make_shared<DecodedProgramCache>();
+    TierControllerOptions copts;
+    copts.synchronous = true;
+    auto controller = std::make_shared<TierController>(
+        *mod, target, registry, decoded, DecodeOptions{}, copts);
+    std::vector<std::unique_ptr<TieredEngine>> engines;
+    for (size_t t = 0; t < kThreads; ++t)
+        engines.push_back(std::make_unique<TieredEngine>(
+            *mod, target, InterpOptions{}, decoded, DecodeOptions{},
+            eagerTieredOptions(), registry, controller));
+
+    std::atomic<int> mismatches{0};
+    std::vector<uint64_t> trapsPerEngine(kThreads, 0);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load(std::memory_order_acquire)) {
+            }
+            for (int i = 0; i < kRunsPerThread; ++i) {
+                if (!(tieredRun(*engines[t], *mod) == ref))
+                    ++mismatches;
+                ServiceCounters c;
+                engines[t]->addTieringCounters(c);
+                trapsPerEngine[t] += c.hardwareTraps;
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(0, mismatches.load());
+    uint64_t total = 0;
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_LE(trapsPerEngine[t], 1u) << "engine " << t;
+        total += trapsPerEngine[t];
+    }
+    EXPECT_GT(total, 0u);
+
+    const FunctionId entry = mod->findFunction("main");
+    EXPECT_EQ(1u, controller->explicitSites(entry).size());
+    const NativeCode *nc = registry->published(entry);
+    ASSERT_NE(nullptr, nc);
+    EXPECT_EQ(1u, nc->checksExplicitized);
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(ref, tieredRun(*engines[t], *mod)) << "engine " << t;
+        ServiceCounters c;
+        engines[t]->addTieringCounters(c);
+        EXPECT_EQ(0u, c.hardwareTraps) << "engine " << t;
+        EXPECT_EQ(1u, c.sitesExplicitized);
     }
 }
 

@@ -169,6 +169,7 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     ASSERT_GT(expectedTraps, 0u);
 
     std::atomic<int> mistakes{0};
+    std::atomic<uint64_t> hardwareTraps{0};
     std::atomic<bool> go{false};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -191,6 +192,9 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
                                         {}, opts);
                     got = native.run(want.entry, {});
                     digest = native.heap().digest();
+                    ServiceCounters c;
+                    native.addTieringCounters(c);
+                    hardwareTraps += c.hardwareTraps;
                 }
                 const bool ok =
                     got.outcome == want.result.outcome &&
@@ -209,6 +213,9 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     for (std::thread &th : threads)
         th.join();
     EXPECT_EQ(0, mistakes.load());
+    if (nativeUsable)
+        EXPECT_GT(hardwareTraps.load(), 0u)
+            << "no engine took a real guard-page trap";
 }
 
 TEST(TrapRuntime, TrapCoverageMatchesPageBounds)
