@@ -308,18 +308,25 @@ decodeFunction(const Function &fn, const Target &target,
 }
 
 Hash128
-decodedProgramKey(const Function &fn, const Target &target,
+decodedProgramKey(const Hash128 &textDigest, const Target &target,
                   const DecodeOptions &options)
 {
     Hasher hasher;
-    std::string body = serializeFunctionToString(fn);
-    hasher.update(static_cast<uint64_t>(body.size()));
-    hasher.update(body);
+    hasher.update(textDigest.hi);
+    hasher.update(textDigest.lo);
     std::string fingerprint = targetFingerprint(target);
     hasher.update(static_cast<uint64_t>(fingerprint.size()));
     hasher.update(fingerprint);
     hasher.update(static_cast<uint64_t>(options.fuse ? 1 : 0));
     return hasher.digest();
+}
+
+Hash128
+decodedProgramKey(const Function &fn, const Target &target,
+                  const DecodeOptions &options)
+{
+    return decodedProgramKey(hashBytes(serializeFunctionToString(fn)),
+                             target, options);
 }
 
 } // namespace trapjit

@@ -143,21 +143,4 @@ Function::instructionCount() const
     return n;
 }
 
-std::unique_ptr<Function>
-Function::cloneWithId(FunctionId id) const
-{
-    auto fn = std::make_unique<Function>(id, name_, returnType_,
-                                         isInstance_);
-    fn->numParams_ = numParams_;
-    fn->values_ = values_;
-    fn->tryRegions_ = tryRegions_;
-    fn->nextSite_ = nextSite_;
-    fn->intrinsic_ = intrinsic_;
-    fn->neverInline_ = neverInline_;
-    fn->blocks_.reserve(blocks_.size());
-    for (const auto &bb : blocks_)
-        fn->blocks_.push_back(std::make_unique<BasicBlock>(*bb));
-    return fn;
-}
-
 } // namespace trapjit

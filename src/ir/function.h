@@ -169,14 +169,6 @@ class Function
     bool neverInline() const { return neverInline_; }
     void setNeverInline(bool never) { neverInline_ = never; }
 
-    /**
-     * Deep copy under a new function id.  The compile service installs
-     * batch results with this: identical compiled texts (replicated
-     * modules, deduped jobs) deserialize once and clone per slot,
-     * which is several times cheaper than re-parsing the text.
-     */
-    std::unique_ptr<Function> cloneWithId(FunctionId id) const;
-
   private:
     FunctionId id_;
     std::string name_;

@@ -13,7 +13,9 @@
  *   - the target fingerprint (arch/target.h),
  *   - the config fingerprint (jit/pipeline.h),
  *   - the class table (devirtualization reads vtables and layouts),
- *   - the serialized pristine function itself, and
+ *   - the serialized pristine function itself and its id (a call
+ *     closure does not say which of its members is being compiled),
+ *     and
  *   - the serialized bodies of every function the inliner could read
  *     while compiling it (its call closure, widened by all vtable
  *     implementations when the closure contains a virtual call).

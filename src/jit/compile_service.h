@@ -10,19 +10,32 @@
  * compileModules() — enqueues one job per function across every module
  * handed in, blocks until the pool has drained them, and only then
  * installs the results; until that point each input module is treated
- * as an immutable snapshot:
+ * as an immutable snapshot.  Each byte's work happens once, almost all
+ * of it on the workers:
  *
- *   1. The batch serializes the class table and every pristine
- *      function once (ir/serializer.h).
- *   2. Each job compiles a *private* deserialized copy of its function
+ *   1. Snapshot: one pool job per function serializes its pristine
+ *      text (ir/serializer.h) and hashes it; the client thread digests
+ *      the class tables and computes call closures meanwhile.  A latch
+ *      ends the phase, since every job key needs its closure's digests.
+ *   2. The client keys every job with a content hash covering
+ *      everything a compile can read.  The first job of each key leads;
+ *      leaders are submitted largest closure text first, so the batch's
+ *      longest job starts first, and a key's repeats (identical jobs in
+ *      other modules) when their leader finishes.  Each job consults
+ *      the function-level CompileCache, then the persistent tier.  Only
+ *      a miss compiles a *private* deserialized copy of its function
  *      with a *private* PassManager (buildPipeline per job — no shared
  *      pass state whatsoever), reading callee bodies and the class
  *      table from the untouched input module.  Since every pass may
  *      mutate only the function it compiles (the contract documented
  *      in opt/pass_manager.h), concurrent jobs never race.
- *   3. Results are published into a function-level CompileCache keyed
- *      by a content hash covering everything step 2 can read, then
- *      installed with Module::replaceFunction after the batch barrier.
+ *   3. Each job then finishes its function: it parses the result text
+ *      and pre-decodes it into the decoded-program cache under a key
+ *      composed from the text's digest — on a persistent hit, the
+ *      payload checksum the tier just verified.
+ *   4. After the batch barrier, install is one Module::replaceFunction
+ *      move per function.  A batch in which any job threw rethrows and
+ *      installs nothing.
  *
  * Consequences worth spelling out:
  *
@@ -80,9 +93,10 @@ struct CompileServiceOptions
     bool enableCache = true;
 
     /**
-     * Pre-decode every installed function into the decoded-program
-     * cache after each batch, so fast interpreters sharing
-     * decodedCache() never decode on the execution path.
+     * Pre-decode every function a batch installs into the
+     * decoded-program cache (each job decodes its own), so fast
+     * interpreters sharing decodedCache() never decode on the
+     * execution path.
      */
     bool predecode = true;
 
@@ -120,7 +134,9 @@ struct ServiceReport
 {
     ServiceCounters counters;
     PassTimings timings;     ///< merged per-job pass timings
-    double busySeconds = 0.0; ///< sum of per-job compile seconds
+    /** Sum of per-job seconds on the workers (snapshot and key jobs,
+     *  pre-decoding excluded: that is counters.decodeSeconds). */
+    double busySeconds = 0.0;
     double wallSeconds = 0.0; ///< batch wall clock
 };
 

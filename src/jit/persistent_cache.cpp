@@ -19,9 +19,11 @@ namespace trapjit
 namespace
 {
 
-// On-disk format v1.  The schema fingerprint folds in the serializer
-// format tag, so changing either the cache layout or the IR text
-// format self-invalidates old directories.
+// On-disk format v1.  The schema fingerprint folds in the job-key
+// scheme ("pcache v2": keys cover the compiled function's id and its
+// call closure) and the serializer format tag, so changing the cache
+// layout, how keys are derived or the IR text format self-invalidates
+// old directories.
 constexpr uint32_t kSegMagic = 0x47534A54;   // "TJSG"
 constexpr uint32_t kEntryMagic = 0x4E454A54; // "TJEN"
 constexpr uint32_t kIndexMagic = 0x58494A54; // "TJIX"
@@ -40,7 +42,7 @@ constexpr uint32_t kMaxPayloadSize = 256u << 20;
 Hash128
 schemaFingerprint()
 {
-    return hashBytes("trapjit-pcache v1; trapjit-module v1");
+    return hashBytes("trapjit-pcache v2; trapjit-module v1");
 }
 
 uint32_t
@@ -387,6 +389,7 @@ PersistentCache::loadIndexSlotsLocked()
         Rec rec;
         rec.offset = offset;
         rec.size = static_cast<uint32_t>(size);
+        rec.sum = Hash128{loadU64(hdr + 24), loadU64(hdr + 32)};
         rec.validated = false; // checksum checked on first lookup
         map_.emplace(key, rec);
     }
@@ -438,6 +441,7 @@ PersistentCache::reconcileLocked()
         Rec rec;
         rec.offset = pos;
         rec.size = size;
+        rec.sum = sum;
         rec.validated = true;
         map_.emplace(key, rec);
         publishIndexSlotLocked(key, pos, size);
@@ -532,42 +536,78 @@ PersistentCache::growIndexLocked()
 }
 
 PersistentCache::Value
-PersistentCache::lookup(const Hash128 &key)
+PersistentCache::lookup(const Hash128 &key, Hash128 *checksum)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    Rec &rec = it->second;
-    if (rec.memValue == nullptr) {
-        if (rec.offset + kEntryHeaderSize + rec.size > segMapSize_) {
-            ++corrupt_;
+    std::string payload;
+    uint64_t offset = 0;
+    Hash128 sum;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = map_.find(key);
+        if (it == map_.end()) {
             ++misses_;
-            map_.erase(it);
             return nullptr;
         }
-        const uint8_t *hdr = segMap_ + rec.offset;
-        std::string_view payload(
-            reinterpret_cast<const char *>(hdr + kEntryHeaderSize),
-            rec.size);
-        if (!rec.validated) {
-            Hash128 sum{loadU64(hdr + 24), loadU64(hdr + 32)};
-            if (hashBytes(payload) != sum) {
+        Rec &rec = it->second;
+        if (rec.memValue == nullptr) {
+            if (rec.offset + kEntryHeaderSize + rec.size > segMapSize_) {
                 ++corrupt_;
                 ++misses_;
                 map_.erase(it);
                 return nullptr;
             }
-            rec.validated = true;
+            // Copy under the lock: an insert may remap the segment as
+            // soon as the lock is released.
+            const char *bytes = reinterpret_cast<const char *>(
+                segMap_ + rec.offset + kEntryHeaderSize);
+            if (rec.validated) {
+                rec.memValue =
+                    std::make_shared<const std::string>(bytes, rec.size);
+            } else {
+                payload.assign(bytes, rec.size);
+                offset = rec.offset;
+                sum = rec.sum;
+            }
         }
-        rec.memValue =
-            std::make_shared<const std::string>(payload.data(),
-                                                payload.size());
+        if (rec.memValue != nullptr) {
+            ++hits_;
+            if (checksum != nullptr)
+                *checksum = rec.sum;
+            return rec.memValue;
+        }
+    }
+
+    // First use on this handle: verify the private copy unlocked, so
+    // workers looking up other keys do not queue behind the hash.
+    const bool intact = hashBytes(payload) == sum;
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = map_.find(key);
+    // Still the record this copy came from, not yet published by a
+    // concurrent verifier (a corrupt record may also have been erased
+    // and the key re-inserted by a compile meanwhile).
+    const bool same = it != map_.end() && it->second.offset == offset &&
+                      it->second.memValue == nullptr;
+    if (!intact) {
+        ++misses_;
+        if (same) { // count each rejected entry once
+            ++corrupt_;
+            map_.erase(it);
+        }
+        return nullptr;
     }
     ++hits_;
-    return rec.memValue;
+    if (checksum != nullptr)
+        *checksum = sum;
+    if (same) {
+        it->second.validated = true;
+        it->second.memValue =
+            std::make_shared<const std::string>(std::move(payload));
+        return it->second.memValue;
+    }
+    if (it != map_.end() && it->second.offset == offset)
+        return it->second.memValue; // a concurrent verifier published
+    return std::make_shared<const std::string>(std::move(payload));
 }
 
 void
@@ -616,6 +656,7 @@ PersistentCache::insert(const Hash128 &key, const Value &value)
     Rec rec;
     rec.offset = offset;
     rec.size = static_cast<uint32_t>(value->size());
+    rec.sum = sum;
     rec.validated = true;
     rec.memValue = value;
     map_.emplace(key, rec);

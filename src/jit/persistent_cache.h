@@ -9,8 +9,9 @@
  * one process; this tier amortizes it across *processes and runs*.  It
  * is safe for exactly the same reason: the jobKey is a content address
  * covering the target fingerprint, the config fingerprint, the class
- * table, and the serialized call closure, so key equality implies
- * bit-identical compile output no matter which process produced it.
+ * table, the compiled function's id and its serialized call closure, so
+ * key equality implies bit-identical compile output no matter which
+ * process produced it.
  *
  * On-disk layout inside the cache directory (see DESIGN.md §16):
  *
@@ -68,8 +69,10 @@ struct PersistentCacheStats
 
 /**
  * One handle onto an on-disk cache directory.  Thread-safe; all
- * operations serialize on an internal mutex (the lock-free fast path
- * is the in-memory CompileCache in front of this tier).
+ * bookkeeping serializes on an internal mutex (the lock-free fast path
+ * is the in-memory CompileCache in front of this tier).  The one
+ * expensive step of a lookup, checksumming a payload on its first use,
+ * runs outside that mutex on a private copy of the bytes.
  */
 class PersistentCache
 {
@@ -88,8 +91,18 @@ class PersistentCache
     PersistentCache(const PersistentCache &) = delete;
     PersistentCache &operator=(const PersistentCache &) = delete;
 
-    /** The compiled IR for @p key, or nullptr on a miss. */
-    Value lookup(const Hash128 &key);
+    /**
+     * The compiled IR for @p key, or nullptr on a miss.  A payload is
+     * checksum-verified before its first use on this handle; a payload
+     * that fails is a miss (counted corrupt), never served.  On a hit,
+     * a non-null @p checksum receives the verified payload checksum,
+     * which is hashBytes(*value).
+     *
+     * Concurrent first lookups of one key each verify a private copy
+     * unlocked and then share the first published value, so all of
+     * them return the same bytes.
+     */
+    Value lookup(const Hash128 &key, Hash128 *checksum = nullptr);
 
     /** Durably publish a compile result (first writer wins). */
     void insert(const Hash128 &key, const Value &value);
@@ -111,6 +124,7 @@ class PersistentCache
     {
         uint64_t offset = 0; ///< EntryHeader offset in the segment
         uint32_t size = 0;   ///< payload size
+        Hash128 sum;         ///< payload checksum from the entry header
         bool validated = false;
         Value memValue; ///< decoded payload, cached after validation
     };

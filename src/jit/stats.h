@@ -58,12 +58,13 @@ struct ServiceCounters
     size_t solverBlockVisits = 0; ///< worklist pops across all solves
 
     // Pre-decoding for the fast interpreter (interp/decoded_program.h):
-    // after the batch installs its results, the service decodes each
-    // compiled function into its DecodedProgramCache so bench runs pay
-    // for decoding once, not per interpreter instance.  These separate
-    // that cost from compilation proper in the compile-time benches.
+    // each job decodes the function it parsed into the service's
+    // DecodedProgramCache so bench runs pay for decoding once, not per
+    // interpreter instance.  These separate that cost from compilation
+    // proper in the compile-time benches.  Like busySeconds, the time
+    // is summed over workers, so it can exceed the batch's wall clock.
     size_t functionsPredecoded = 0; ///< decode-cache misses this batch
-    double decodeSeconds = 0.0;     ///< host time spent pre-decoding
+    double decodeSeconds = 0.0;     ///< worker time spent pre-decoding
 
     // The service emits no native code (blocks compile on promotion;
     // their cost is tierUpLatencySeconds below), so these two stay

@@ -5,20 +5,33 @@
  *  - bit-determinism: per-function serialized IR from an 8-worker run
  *    equals the 1-worker run, for every pipeline config arm, with the
  *    cache cold, warm, and disabled;
- *  - cache accounting: cold batches miss, warm batches hit, shared
- *    caches hit across services, disabled caches never hit;
+ *  - cache accounting: cold batches miss, warm batches hit, identical
+ *    jobs in one batch compile once, shared caches hit across
+ *    services, disabled caches never hit;
  *  - stress: many more jobs than workers drain correctly and still
- *    verify and match the sequential output.
+ *    verify and match the sequential output;
+ *  - job keys: two functions with one call closure keep their own
+ *    compiled bodies, in memory and across a persistent restart;
+ *  - pre-decoding: every installed function's decoded program sits
+ *    under the key an engine computes, so engines decode nothing.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "interp/fast_interpreter.h"
+#include "interp/interpreter.h"
+#include "ir/builder.h"
 #include "ir/serializer.h"
 #include "ir/verifier.h"
 #include "jit/compile_service.h"
+#include "support/hash.h"
 #include "testing/random_program.h"
 
 namespace trapjit
@@ -68,6 +81,26 @@ pointers(const std::vector<std::unique_ptr<Module>> &mods)
         out.push_back(mod.get());
     return out;
 }
+
+/** A fresh temp directory, removed by the destructor. */
+struct TempDir
+{
+    explicit TempDir(const std::string &tag)
+    {
+        path = std::filesystem::temp_directory_path() /
+               ("trapjit-test-service-" + tag + "-" +
+                std::to_string(::getpid()));
+        std::filesystem::remove_all(path);
+        std::filesystem::create_directories(path);
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+    std::string str() const { return path.string(); }
+    std::filesystem::path path;
+};
 
 /** Serialized IR of every function across every module, in order. */
 std::vector<std::string>
@@ -209,6 +242,32 @@ TEST(CompileCache, ColdBatchMissesWarmBatchHits)
               other.counters.functionsRequested);
 }
 
+TEST(CompileCache, IdenticalJobsInOneBatchCompileOnce)
+{
+    // Four copies of one module in one cold batch, more workers than
+    // functions: each key's repeats wait for its first job, so every
+    // function compiles exactly once and the copies are cache hits.
+    Target target = makeIA32WindowsTarget();
+    CompileServiceOptions options;
+    options.numWorkers = 8;
+    options.enablePersistent = false;
+    CompileService service(target, options);
+
+    constexpr size_t kCopies = 4;
+    std::vector<std::unique_ptr<Module>> mods;
+    for (size_t i = 0; i < kCopies; ++i)
+        mods.push_back(std::move(buildRandomModules(13, 1).front()));
+    const size_t perModule = mods.front()->numFunctions();
+    ServiceReport rep =
+        service.compileModules(pointers(mods), makeNewFullConfig());
+    EXPECT_EQ(perModule, rep.counters.functionsCompiled);
+    EXPECT_EQ((kCopies - 1) * perModule, rep.counters.cacheHits);
+    for (size_t i = 1; i < kCopies; ++i)
+        for (FunctionId f = 0; f < perModule; ++f)
+            EXPECT_EQ(serializeFunctionToString(mods[0]->function(f)),
+                      serializeFunctionToString(mods[i]->function(f)));
+}
+
 TEST(CompileCache, SharedCacheHitsAcrossServices)
 {
     Target target = makeIA32WindowsTarget();
@@ -301,6 +360,193 @@ TEST(CompileService, DrainsManyMoreJobsThanWorkers)
     auto seqPtrs = pointers(seqMods);
     sequential.compileModules(seqPtrs, config);
     EXPECT_EQ(perFunctionIR(seqMods), perFunctionIR(mods));
+}
+
+// ---------------------------------------------------------------------
+// Job keys: the compiled function, not only its closure
+// ---------------------------------------------------------------------
+
+/**
+ * f(x) = x <= 0 ? 1 : g(x - 1) + 10 and g(x) = x <= 0 ? 2 : f(x - 1) * 3,
+ * both never inlined, so both have the call closure {f, g}; main
+ * returns f(5) * 1000 + g(5) = 148147.
+ */
+std::unique_ptr<Module>
+buildMutualRecursion()
+{
+    auto mod = std::make_unique<Module>();
+    Function &f = mod->addFunction("f", Type::I32);
+    Function &g = mod->addFunction("g", Type::I32);
+    Function &main = mod->addFunction("main", Type::I32);
+
+    auto define = [](Function &fn, FunctionId other, int64_t base,
+                     Opcode op, int64_t k) {
+        fn.setNeverInline(true);
+        ValueId x = fn.addParam(Type::I32, "x");
+        IRBuilder b(fn);
+        BasicBlock &entry = b.startBlock();
+        BasicBlock &done = fn.newBlock();
+        BasicBlock &recurse = fn.newBlock();
+        b.atEnd(entry);
+        b.branch(b.cmp(Opcode::ICmp, CmpPred::LE, x, b.constInt(0)), done,
+                 recurse);
+        b.atEnd(done);
+        b.ret(b.constInt(base));
+        b.atEnd(recurse);
+        ValueId r = b.callStatic(
+            other, {b.binop(Opcode::ISub, x, b.constInt(1))}, Type::I32);
+        b.ret(b.binop(op, r, b.constInt(k)));
+    };
+    define(f, g.id(), 1, Opcode::IAdd, 10);
+    define(g, f.id(), 2, Opcode::IMul, 3);
+
+    IRBuilder b(main);
+    b.startBlock();
+    ValueId fv = b.callStatic(f.id(), {b.constInt(5)}, Type::I32);
+    ValueId gv = b.callStatic(g.id(), {b.constInt(5)}, Type::I32);
+    b.ret(b.binop(Opcode::IAdd, b.binop(Opcode::IMul, fv, b.constInt(1000)),
+                  gv));
+    return mod;
+}
+
+/** Reference-interpreter result of @p fn(@p args) on @p mod. */
+int64_t
+runReference(const Module &mod, const Target &target, FunctionId fn,
+             const std::vector<RuntimeValue> &args)
+{
+    Interpreter interp(mod, target);
+    ExecResult r = interp.run(fn, args);
+    EXPECT_EQ(ExecResult::Outcome::Returned, r.outcome);
+    return r.value.i;
+}
+
+TEST(JobKey, FunctionsSharingAClosureKeepTheirOwnBodies)
+{
+    Target target = makeIA32WindowsTarget();
+    PipelineConfig config = makeNewFullConfig();
+    auto pristine = buildMutualRecursion();
+    const FunctionId mainId = pristine->findFunction("main");
+    ASSERT_EQ(148147, runReference(*pristine, target, mainId, {}));
+
+    // One worker runs the jobs in submission order, so a shared key
+    // would deterministically serve the second job the first's body.
+    auto compileAndCheck = [&](CompileService &service,
+                               const std::string &what) {
+        auto mod = buildMutualRecursion();
+        ServiceReport rep = service.compileModule(*mod, config);
+        EXPECT_EQ(148147, runReference(*mod, target, mainId, {})) << what;
+        for (FunctionId fn : {FunctionId{0}, FunctionId{1}})
+            for (int64_t x = 0; x <= 6; ++x)
+                EXPECT_EQ(runReference(*pristine, target, fn,
+                                       {RuntimeValue::ofInt(x)}),
+                          runReference(*mod, target, fn,
+                                       {RuntimeValue::ofInt(x)}))
+                    << what << ": " << mod->function(fn).name() << "("
+                    << x << ")";
+        return rep;
+    };
+
+    CompileServiceOptions options;
+    options.numWorkers = 1;
+    options.enablePersistent = false;
+    {
+        CompileService memory(target, options);
+        ServiceReport cold = compileAndCheck(memory, "in-memory, cold");
+        EXPECT_EQ(0u, cold.counters.cacheHits);
+        ServiceReport warm = compileAndCheck(memory, "in-memory, warm");
+        EXPECT_EQ(0u, warm.counters.functionsCompiled);
+    }
+
+    TempDir dir("jobkey");
+    options.enablePersistent = true;
+    options.cacheDir = dir.str();
+    {
+        CompileService cold(target, options);
+        ASSERT_NE(nullptr, cold.persistentCache());
+        ServiceReport rep = compileAndCheck(cold, "persistent, cold");
+        EXPECT_EQ(0u, rep.counters.cacheHits);
+    }
+    CompileService warm(target, options);
+    ServiceReport rep = compileAndCheck(warm, "persistent, warm");
+    EXPECT_EQ(0u, rep.counters.functionsCompiled);
+    EXPECT_EQ(3u, rep.counters.persistentHits);
+}
+
+// ---------------------------------------------------------------------
+// Pre-decoding: the service's decode keys are the engines' keys
+// ---------------------------------------------------------------------
+
+/** Every installed function's decoded program sits under the key an
+ *  engine computes from the function itself. */
+void
+expectEngineDecodeKeys(const CompileService &service,
+                       const std::vector<std::unique_ptr<Module>> &mods,
+                       const std::string &what)
+{
+    const Target &target = service.target();
+    for (const auto &mod : mods) {
+        for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
+            const Function &fn = mod->function(f);
+            Hash128 engineKey = decodedProgramKey(fn, target);
+            EXPECT_EQ(decodedProgramKey(
+                          hashBytes(serializeFunctionToString(fn)), target),
+                      engineKey)
+                << what << ": " << fn.name();
+            EXPECT_NE(nullptr, service.decodedCache()->lookup(engineKey))
+                << what << ": " << fn.name() << " was not pre-decoded "
+                << "under the engines' key";
+        }
+    }
+}
+
+TEST(CompileService, PredecodesUnderTheEnginesKeys)
+{
+    TempDir dir("predecode");
+    Target target = makeIA32WindowsTarget();
+    PipelineConfig config = makeNewFullConfig();
+    constexpr uint64_t kSeed = 41;
+    constexpr size_t kModules = 3;
+    auto memory = std::make_shared<CompileCache>();
+
+    CompileServiceOptions options;
+    options.numWorkers = 4;
+    options.cacheDir = dir.str();
+    options.cache = memory;
+    {
+        // Cold: every text is a fresh compile result.
+        CompileService cold(target, options);
+        auto mods = buildRandomModules(kSeed, kModules);
+        ServiceReport rep = cold.compileModules(pointers(mods), config);
+        EXPECT_GT(rep.counters.functionsCompiled, 0u);
+        expectEngineDecodeKeys(cold, mods, "compiled");
+    }
+    {
+        // In-memory hits, into a fresh decoded-program cache.
+        CompileServiceOptions shared = options;
+        shared.enablePersistent = false;
+        CompileService hits(target, shared);
+        auto mods = buildRandomModules(kSeed, kModules);
+        ServiceReport rep = hits.compileModules(pointers(mods), config);
+        EXPECT_EQ(rep.counters.functionsRequested, rep.counters.cacheHits);
+        EXPECT_EQ(0u, rep.counters.persistentHits);
+        expectEngineDecodeKeys(hits, mods, "in-memory hit");
+    }
+
+    // Restart: a fresh service over the filled directory decodes under
+    // the persistent tier's verified checksums, and an engine sharing
+    // its decoded-program cache decodes nothing.
+    options.cache = nullptr;
+    CompileService warm(target, options);
+    auto mods = buildRandomModules(kSeed, kModules);
+    ServiceReport rep = warm.compileModules(pointers(mods), config);
+    EXPECT_EQ(0u, rep.counters.functionsCompiled);
+    EXPECT_GT(rep.counters.persistentHits, 0u);
+    expectEngineDecodeKeys(warm, mods, "persistent hit");
+    for (const auto &mod : mods) {
+        FastInterpreter engine(*mod, target, {}, warm.decodedCache());
+        ExecResult r = engine.run(mod->findFunction("main"), {});
+        EXPECT_EQ(0u, r.stats.functionsDecoded);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,9 @@
  *    the whole directory instead of serving stale bytes;
  *  - concurrency: 8 writer threads with private handles populate one
  *    shared directory; a fresh handle then sees every entry intact;
+ *    8 threads racing the first lookup of one key on a fresh handle
+ *    all get the same verified bytes and checksum, or, when the
+ *    payload is damaged, all miss;
  *  - governance: a small code budget forces CodeRegistry to evict
  *    published blocks (functions drop to Cold), execution stays
  *    bit-identical, and evicted functions re-promote on demand.
@@ -21,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -310,33 +314,36 @@ TEST(PersistentCache, TruncatedTailLosesOnlyTheTornEntry)
     EXPECT_EQ(*value(kEntries - 1), *hit);
 }
 
+/** Flip one payload byte of the directory's first segment entry. */
+void
+flipFirstPayloadByte(const TempDir &dir)
+{
+    // Segment layout: 24-byte file header, then per entry a 40-byte
+    // header followed by the payload.
+    constexpr std::streamoff kAt = 24 + 40 + 3;
+    std::fstream seg(dir.path / "segment.tjs",
+                     std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(seg.is_open());
+    seg.seekg(kAt);
+    char c = 0;
+    seg.get(c);
+    seg.seekp(kAt);
+    seg.put(static_cast<char>(c ^ 0x40));
+}
+
 TEST(PersistentCache, FlippedPayloadByteDemotesThatEntryToAMiss)
 {
     TempDir dir("bitrot");
     constexpr uint64_t kEntries = 8;
-    uint64_t firstPayloadAt = 0;
     {
         auto cache = PersistentCache::open(dir.str());
         ASSERT_NE(nullptr, cache);
-        // Segment layout: 24-byte file header, then per entry a
-        // 40-byte header followed by the payload.
-        firstPayloadAt = 24 + 40;
         for (uint64_t n = 0; n < kEntries; ++n)
             cache->insert(key(n), value(n));
     }
 
     // Flip one byte inside entry 0's payload.
-    {
-        std::fstream seg(dir.path / "segment.tjs",
-                         std::ios::in | std::ios::out |
-                             std::ios::binary);
-        ASSERT_TRUE(seg.is_open());
-        seg.seekg(static_cast<std::streamoff>(firstPayloadAt + 3));
-        char c = 0;
-        seg.get(c);
-        seg.seekp(static_cast<std::streamoff>(firstPayloadAt + 3));
-        seg.put(static_cast<char>(c ^ 0x40));
-    }
+    ASSERT_NO_FATAL_FAILURE(flipFirstPayloadByte(dir));
 
     auto reopened = PersistentCache::open(dir.str());
     ASSERT_NE(nullptr, reopened);
@@ -440,6 +447,64 @@ TEST(PersistentCache, EightWritersShareOneDirectory)
         }
     }
     EXPECT_EQ(0u, reopened->stats().corruptEntries);
+}
+
+TEST(PersistentCache, RacingFirstLookupsShareOneVerifiedValue)
+{
+    constexpr size_t kThreads = 8;
+    // Large enough that checksumming overlaps across threads.
+    auto payload = std::make_shared<const std::string>(
+        std::string(256 << 10, 'x') + "tail");
+
+    struct Got
+    {
+        PersistentCache::Value value;
+        Hash128 checksum;
+    };
+    // kThreads first lookups of key(1) on a fresh handle, where the
+    // entry is known from the index but not yet checksum-verified.
+    auto race = [&](PersistentCache &cache) {
+        std::vector<Got> got(kThreads);
+        std::atomic<bool> go{false};
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                while (!go.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+                got[t].value = cache.lookup(key(1), &got[t].checksum);
+            });
+        }
+        go.store(true, std::memory_order_release);
+        for (std::thread &th : threads)
+            th.join();
+        return got;
+    };
+
+    TempDir dir("first-lookup");
+    {
+        auto cache = PersistentCache::open(dir.str());
+        ASSERT_NE(nullptr, cache);
+        cache->insert(key(1), payload);
+    }
+    auto fresh = PersistentCache::open(dir.str());
+    ASSERT_NE(nullptr, fresh);
+    for (const Got &g : race(*fresh)) {
+        ASSERT_NE(nullptr, g.value);
+        EXPECT_EQ(*payload, *g.value);
+        EXPECT_EQ(hashBytes(*payload), g.checksum);
+    }
+    EXPECT_EQ(kThreads, fresh->stats().hits);
+    EXPECT_EQ(0u, fresh->stats().corruptEntries);
+
+    ASSERT_NO_FATAL_FAILURE(flipFirstPayloadByte(dir));
+    auto damaged = PersistentCache::open(dir.str());
+    ASSERT_NE(nullptr, damaged);
+    for (const Got &g : race(*damaged))
+        EXPECT_EQ(nullptr, g.value);
+    PersistentCacheStats stats = damaged->stats();
+    EXPECT_EQ(0u, stats.hits);
+    EXPECT_EQ(kThreads, stats.misses);
+    EXPECT_GE(stats.corruptEntries, 1u);
 }
 
 TEST(PersistentCache, TwoServicesPopulateOneDirConcurrently)
