@@ -5,7 +5,8 @@
  * tier (the all-native engine, TRAPJIT_INTERP=native: every function
  * compiled on its first call), on jBYTEmark kernels (BM_Native_* — CI
  * uploads the results as BENCH_native.json next to BENCH_interp.json).
- * The backend follows TRAPJIT_NATIVE_BACKEND.
+ * The configuration (slot-resident, or register homes + speculation)
+ * follows TRAPJIT_NATIVE_BACKEND; exceptions dispatch in code in both.
  *
  * Three families:
  *

@@ -1,31 +1,30 @@
 /**
  * @file
- * Optimized-backend benchmarks: linear-scan register allocation and
- * section-5.4 load speculation against the slot-machine baseline
- * backend, both on the all-native engine (TRAPJIT_INTERP=native:
- * every function compiled on its first call) — BM_Regalloc_* /
- * BM_Speculate_*; CI uploads the results as BENCH_regalloc.json.
+ * Benchmarks of the native lowering's two options: linear-scan
+ * register homes and section-5.4 load speculation against the
+ * slot-resident baseline configuration, all on the all-native engine
+ * (TRAPJIT_INTERP=native: every function compiled on its first call)
+ * — BM_Regalloc_* / BM_Speculate_*; CI uploads the results as
+ * BENCH_regalloc.json.
  *
  * Two families:
  *
  *  - BM_Regalloc_{Fast,Baseline,Optimized}_<preset>: the same fully
  *    optimized module under the fused interpreter, the baseline
- *    native tier (every IR value lives in its stack slot) and the
- *    optimized backend (hot values promoted to callee-/caller-saved
- *    GPRs, budget checks batched per straight-line run).  Every
- *    exception in an optimized block deopts, so exception-heavy
- *    presets (pointer_chase throws several NPEs per run) can favour
- *    the baseline, which dispatches them in code.
+ *    configuration (every IR value lives in its stack slot) and the
+ *    optimized one (hot values promoted to callee-/caller-saved
+ *    GPRs).  Both dispatch exceptions in code, so exception-heavy
+ *    presets (pointer_chase throws several NPEs per run) measure the
+ *    same exit paths in both.
  *
  *  - BM_Speculate_{On,Off}_<preset> and BM_Speculate_DeoptStorm: the
- *    paper's section-5.4 experiment on the optimized backend.  With
- *    speculation on, loads are hoisted above their explicit null
+ *    paper's section-5.4 experiment in the optimized configuration.
+ *    With speculation on, loads are hoisted above their explicit null
  *    checks (the check compiles to zero bytes); a null base takes the
  *    guard-page trap, the frame finishes on the interpreter, and the
  *    function re-tiers without speculation.  The storm bench runs the
  *    null_storm preset, where speculated loads actually fault, and
- *    reports deopts_taken so the JSON shows the deopt path was really
- *    measured.
+ *    reports deopts_taken.
  *
  * All benches skip (with a notice in the JSON) on hosts without the
  * native tier.
@@ -47,8 +46,8 @@ enum class RegallocMode
 {
     Fast,      ///< fused-interpreter baseline
     Baseline,  ///< native tier, slots only
-    Optimized, ///< regalloc + batched budget + speculation
-    NoSpec,    ///< optimized backend with speculation forced off
+    Optimized, ///< register homes + speculation
+    NoSpec,    ///< register homes with speculation forced off
 };
 
 std::unique_ptr<Module>
@@ -149,8 +148,8 @@ runRegallocBenchmark(benchmark::State &state, const char *preset,
     state.counters["regalloc_ms"] = c.regallocSeconds * 1e3;
 }
 
-// Regalloc family: fully optimized modules (the IR the backend is
-// named for), interpreter / baseline-native / optimized-native.
+// Regalloc family: fully optimized modules (the IR the configuration
+// is named for), interpreter / baseline-native / optimized-native.
 #define TRAPJIT_REGALLOC_BENCH(kernel, preset)                            \
     void BM_Regalloc_Fast_##kernel(benchmark::State &state)               \
     {                                                                     \
@@ -200,10 +199,11 @@ TRAPJIT_SPECULATE_BENCH(array_stream, "array_stream");
 #undef TRAPJIT_SPECULATE_BENCH
 
 // The deopt storm: null_storm dereferences null bases constantly — the
-// worst case for speculation.  Speculated loads trap during warm-up,
-// which re-tiers their functions without speculation; the measured
-// steady state then deopts on every failing explicit check, so the
-// deopt path stays on the measured profile (deopts_taken > 0).
+// worst case for speculation.  Speculated loads trap and deopt during
+// warm-up, which re-tiers their functions without speculation; the
+// measured steady state then dispatches every failing explicit check
+// in code (deopts_taken reports any deopt the measured runs still
+// take).
 void
 BM_Speculate_DeoptStorm(benchmark::State &state)
 {

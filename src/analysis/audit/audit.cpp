@@ -765,8 +765,8 @@ auditNativeTrapSites(const Function &func, const Target &target,
         }
     }
 
-    // ---- Optimized-backend obligations --------------------------------
-    // Deopt metadata and register homes are load-bearing: a wrong
+    // ---- Exit, speculation and register-home obligations --------------
+    // A lost NPE exit resumes an implicit check's trap nowhere, a wrong
     // deoptRecord replays the wrong instruction, a wrong budgetAdjust
     // desynchronizes the instruction budget, and a home on a reserved
     // register silently corrupts the pinned engine state.
@@ -774,29 +774,21 @@ auditNativeTrapSites(const Function &func, const Target &target,
         const NativeTrapSite &site = code.sites[s];
         if (site.recordIndex >= df.code.size())
             continue; // already reported above
-        if (!code.optimized) {
-            if (site.deoptIndex != -1) {
-                fail(site.recordIndex, kNoValue,
-                     "trap site " + std::to_string(s) +
-                         " carries deopt metadata in the baseline "
-                         "backend");
-            }
-            // The SIGSEGV handler sends an implicit check's trap to this
-            // exit: it must exist and lie in the cold stubs past the
-            // record bodies, or the NPE would resume mid-code.
-            if (nativeImplicitNpeSite(df.code[site.recordIndex]) &&
-                (site.npeExit < code.recordOffsets.back() ||
-                 site.npeExit >= code.codeSize)) {
-                fail(site.recordIndex, kNoValue,
-                     "implicit-check trap site " + std::to_string(s) +
-                         " has no NPE exit in the block's stubs");
-            }
-            continue;
-        }
-        if (site.deoptIndex < 0 ||
-            static_cast<size_t>(site.deoptIndex) >= code.deopts.size()) {
+        // The SIGSEGV handler sends an implicit check's trap to this
+        // exit: it must exist and lie in the cold stubs past the
+        // record bodies, or the NPE would resume mid-code.
+        if (nativeImplicitNpeSite(df.code[site.recordIndex]) &&
+            (site.npeExit < code.recordOffsets.back() ||
+             site.npeExit >= code.codeSize)) {
             fail(site.recordIndex, kNoValue,
-                 "optimized trap site " + std::to_string(s) +
+                 "implicit-check trap site " + std::to_string(s) +
+                     " has no NPE exit in the block's stubs");
+        }
+        if (site.deoptIndex < 0)
+            continue;
+        if (static_cast<size_t>(site.deoptIndex) >= code.deopts.size()) {
+            fail(site.recordIndex, kNoValue,
+                 "trap site " + std::to_string(s) +
                      " has no in-range deopt record");
             continue;
         }
@@ -810,106 +802,93 @@ auditNativeTrapSites(const Function &func, const Target &target,
                      "refund");
             continue;
         }
-        if (info.speculated) {
-            // A speculated access runs *above* its explicit NullCheck:
-            // the deopt must point back at that check, which guards the
-            // same reference, immediately precedes the access, and is a
-            // GetField / ArrayLength the guard region covers.
-            const DecodedInst &acc = df.code[site.recordIndex];
-            bool ok = info.deoptRecord + 1 == site.recordIndex &&
-                      (acc.srcOp == Opcode::GetField ||
-                       acc.srcOp == Opcode::ArrayLength);
-            if (ok) {
-                const DecodedInst &chk = df.code[info.deoptRecord];
-                ok = chk.srcOp == Opcode::NullCheck &&
-                     chk.flavor == CheckFlavor::Explicit &&
-                     chk.a == acc.a;
-            }
-            if (!ok) {
-                fail(site.recordIndex,
-                     df.code[site.recordIndex].a,
-                     "speculated trap site " + std::to_string(s) +
-                         " does not deopt to the explicit NullCheck "
-                         "guarding its base");
-            }
-        } else if (info.deoptRecord != site.recordIndex) {
-            fail(site.recordIndex, kNoValue,
-                 "non-speculated trap site " + std::to_string(s) +
-                     " deopts to a different record than it faults in");
+        // A speculated access runs *above* its explicit NullCheck: the
+        // deopt must point back at that check, which guards the same
+        // reference, immediately precedes the access, and is a
+        // GetField / ArrayLength the guard region covers.
+        const DecodedInst &acc = df.code[site.recordIndex];
+        bool ok = info.deoptRecord + 1 == site.recordIndex &&
+                  (acc.srcOp == Opcode::GetField ||
+                   acc.srcOp == Opcode::ArrayLength);
+        if (ok) {
+            const DecodedInst &chk = df.code[info.deoptRecord];
+            ok = chk.srcOp == Opcode::NullCheck &&
+                 chk.flavor == CheckFlavor::Explicit && chk.a == acc.a;
+        }
+        if (!ok) {
+            fail(site.recordIndex, acc.a,
+                 "speculated trap site " + std::to_string(s) +
+                     " does not deopt to the explicit NullCheck "
+                     "guarding its base");
         }
     }
 
-    if (code.optimized) {
-        // Register homes: only allocatable scratch GPRs, one value per
-        // register, one register per value.  RBX/R12/R13/R14 carry the
-        // slot base, context, heap bias and budget; RAX/RCX/RDX are the
-        // lowering's scratch; RSP is the stack.
-        auto allocatable = [](uint8_t reg) {
-            switch (static_cast<X64Reg>(reg)) {
-              case X64Reg::RBP: case X64Reg::RSI: case X64Reg::RDI:
-              case X64Reg::R8: case X64Reg::R9: case X64Reg::R10:
-              case X64Reg::R11: case X64Reg::R15:
-                return true;
-              default:
-                return false;
-            }
-        };
-        std::vector<bool> valueSeen(df.numValues, false);
-        std::vector<bool> regSeen(16, false);
-        for (const NativeRegLoc &loc : code.regLocs) {
-            if (loc.value >= df.numValues) {
-                fail(0, kNoValue,
-                     "register home names a non-existent value " +
-                         std::to_string(loc.value));
-                continue;
-            }
-            if (!allocatable(loc.reg)) {
-                fail(0, static_cast<ValueId>(loc.value),
-                     "value " + std::to_string(loc.value) +
-                         " is homed in a reserved register (encoding " +
-                         std::to_string(loc.reg) + ")");
-            } else if (regSeen[loc.reg]) {
-                fail(0, static_cast<ValueId>(loc.value),
-                     "register encoding " + std::to_string(loc.reg) +
-                         " is assigned to two values");
-            }
-            if (loc.reg < regSeen.size())
-                regSeen[loc.reg] = true;
-            if (valueSeen[loc.value]) {
-                fail(0, static_cast<ValueId>(loc.value),
-                     "value " + std::to_string(loc.value) +
-                         " has two register homes");
-            }
-            valueSeen[loc.value] = true;
+    // Register homes: only allocatable scratch GPRs, one value per
+    // register, one register per value.  RBX/R12/R13/R14 carry the
+    // slot base, context, heap bias and budget; RAX/RCX/RDX are the
+    // lowering's scratch; RSP is the stack.
+    auto allocatable = [](uint8_t reg) {
+        switch (static_cast<X64Reg>(reg)) {
+          case X64Reg::RBP: case X64Reg::RSI: case X64Reg::RDI:
+          case X64Reg::R8: case X64Reg::R9: case X64Reg::R10:
+          case X64Reg::R11: case X64Reg::R15:
+            return true;
+          default:
+            return false;
         }
+    };
+    std::vector<bool> valueSeen(df.numValues, false);
+    std::vector<bool> regSeen(16, false);
+    for (const NativeRegLoc &loc : code.regLocs) {
+        if (loc.value >= df.numValues) {
+            fail(0, kNoValue,
+                 "register home names a non-existent value " +
+                     std::to_string(loc.value));
+            continue;
+        }
+        if (!allocatable(loc.reg)) {
+            fail(0, static_cast<ValueId>(loc.value),
+                 "value " + std::to_string(loc.value) +
+                     " is homed in a reserved register (encoding " +
+                     std::to_string(loc.reg) + ")");
+        } else if (regSeen[loc.reg]) {
+            fail(0, static_cast<ValueId>(loc.value),
+                 "register encoding " + std::to_string(loc.reg) +
+                     " is assigned to two values");
+        }
+        if (loc.reg < regSeen.size())
+            regSeen[loc.reg] = true;
+        if (valueSeen[loc.value]) {
+            fail(0, static_cast<ValueId>(loc.value),
+                 "value " + std::to_string(loc.value) +
+                     " has two register homes");
+        }
+        valueSeen[loc.value] = true;
+    }
 
-        // A zero-byte explicit NullCheck is only sound as the elided
-        // half of a speculation pair: some site must deopt back to it
-        // with the speculated flag set, or its NPE is simply lost.
-        for (size_t i = 0; i < df.code.size(); ++i) {
-            const DecodedInst &rec = df.code[i];
-            if (rec.srcOp != Opcode::NullCheck ||
-                rec.flavor != CheckFlavor::Explicit ||
-                code.recordOffsets[i] != code.recordOffsets[i + 1])
-                continue;
-            bool covered = false;
-            for (const NativeTrapSite &site : code.sites) {
-                if (site.deoptIndex < 0 ||
-                    static_cast<size_t>(site.deoptIndex) >=
-                        code.deopts.size())
-                    continue;
-                const NativeDeoptInfo &info =
-                    code.deopts[static_cast<size_t>(site.deoptIndex)];
-                if (info.speculated && info.deoptRecord == i) {
-                    covered = true;
-                    break;
-                }
-            }
-            if (!covered) {
-                fail(i, rec.a,
-                     "explicit NullCheck compiled to zero bytes but no "
-                     "speculated trap site deopts back to it");
-            }
+    // A zero-byte explicit NullCheck is only sound as the elided half
+    // of a speculation pair: some site must deopt back to it, or its
+    // NPE is simply lost.
+    std::vector<bool> deoptTarget(df.code.size(), false);
+    for (const NativeTrapSite &site : code.sites) {
+        if (site.deoptIndex >= 0 &&
+            static_cast<size_t>(site.deoptIndex) < code.deopts.size()) {
+            const uint32_t r =
+                code.deopts[static_cast<size_t>(site.deoptIndex)]
+                    .deoptRecord;
+            if (r < deoptTarget.size())
+                deoptTarget[r] = true;
+        }
+    }
+    for (size_t i = 0; i < df.code.size(); ++i) {
+        const DecodedInst &rec = df.code[i];
+        if (rec.srcOp == Opcode::NullCheck &&
+            rec.flavor == CheckFlavor::Explicit &&
+            code.recordOffsets[i] == code.recordOffsets[i + 1] &&
+            !deoptTarget[i]) {
+            fail(i, rec.a,
+                 "explicit NullCheck compiled to zero bytes but no "
+                 "speculated trap site deopts back to it");
         }
     }
 
@@ -935,7 +914,7 @@ auditNativeTrapSites(const Function &func, const Target &target,
         for (size_t i = 0; i < bb.insts().size(); ++i) {
             const size_t record = df.blockStart[b] + i;
             const Instruction &inst = bb.insts()[i];
-            // Calls are exempt: both backends lower them to the call
+            // Calls are exempt: the lowering sends them to the call
             // helper, which re-checks a null virtual receiver in
             // software (decideNullAccess) — no hardware trap is
             // involved, so no NativeTrapSite exists or is needed.

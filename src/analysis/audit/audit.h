@@ -44,12 +44,13 @@
  *    fault-PC tables: every implicit-check access has a complete
  *    NativeTrapSite entry whose resume point cannot re-execute the
  *    faulting instruction, and its static offset stays inside the
- *    heap's guard region.  For optimized-backend blocks it additionally
- *    validates the deopt metadata (every site names an in-range deopt
- *    record; speculated sites deopt back to the adjacent explicit
- *    NullCheck guarding the same base; a zero-byte explicit check is
- *    covered by some speculated site) and the published register homes
- *    (allocatable scratch GPRs only, injective both ways).
+ *    heap's guard region.  It also validates the exit metadata (every
+ *    implicit-check site has an NPE exit in the stubs; a speculated
+ *    site names an in-range deopt record pointing back at the adjacent
+ *    explicit NullCheck guarding the same base; a zero-byte explicit
+ *    check is covered by some speculated site) and the published
+ *    register homes (allocatable scratch GPRs only, injective both
+ *    ways).
  */
 
 #include <string>

@@ -5,11 +5,35 @@
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/code_buffer_pool.h"
+#include "codegen/native/native_mutation_hooks.h"
 #include "codegen/native/native_runtime.h"
 #include "codegen/native/tiered_frame.h"
 #include "codegen/native/x64_emitter.h"
 #include "ir/layout.h"
+#include "runtime/heap.h"
 #include "support/diagnostics.h"
+
+/**
+ * @file
+ * The native tier's one lowering (DESIGN.md section 11): one opcode
+ * scan, one set of record-stream analyses, one record loop with one
+ * opcode switch, one stub tail and one install.
+ *
+ * Operands go through a small read/write layer that knows the register
+ * homes linear scan assigned.  A homed value is read from its GPR; a
+ * def writes the home *and* the slot (write-through), so the slot file
+ * is canonical at every point a frame can leave for the interpreter.
+ * Without a home pool every value is slot-resident and the layer emits
+ * plain slot loads and stores.
+ *
+ * Speculation (section 5.4): an explicit NullCheck immediately followed
+ * by the trap-coverable load it guards compiles to zero bytes; the load
+ * itself becomes the check, and its trap site carries a deopt record
+ * pointing *back at the check*, so a trap replays the NullCheck in the
+ * interpreter and raises the exact exception the check would have.
+ * A load in the compile's explicit set read through null before, so
+ * it is not hoisted again; the function's other loads still are.
+ */
 
 namespace trapjit
 {
@@ -19,6 +43,7 @@ namespace
 
 using R = X64Reg;
 using CC = X64Cond;
+using Alu = X64Emitter::Alu;
 
 /** Cold stub raising a statically known exception kind. */
 struct RaiseStub
@@ -27,21 +52,92 @@ struct RaiseStub
     ExcKind kind;
     SiteId site;
     TryRegionId tryRegion;
+    uint32_t refund; ///< records pre-charged after the raising one
 };
 
-/** Cold stub decoding a helper's nonzero status. */
+/** Cold stub decoding a helper's or callee's nonzero status. */
 struct StatusStub
 {
     int label;
     TryRegionId tryRegion;
+    uint32_t refund; ///< records pre-charged after the calling one
 };
 
+/** Budget-exhaustion exit of the run starting at @p record. */
+struct BudgetStub
+{
+    int label;
+    uint32_t record;
+    uint32_t refund; ///< the whole run
+};
+
+/** Every srcOp the decoder can produce is lowerable today; the scan
+ *  stays so a future opcode degrades to fallback, not miscompilation. */
+bool
+isLowerable(Opcode op)
+{
+    switch (op) {
+      case Opcode::ConstInt:
+      case Opcode::ConstFloat:
+      case Opcode::ConstNull:
+      case Opcode::Move:
+      case Opcode::IAdd:
+      case Opcode::ISub:
+      case Opcode::IMul:
+      case Opcode::IDiv:
+      case Opcode::IRem:
+      case Opcode::INeg:
+      case Opcode::IAnd:
+      case Opcode::IOr:
+      case Opcode::IXor:
+      case Opcode::IShl:
+      case Opcode::IShr:
+      case Opcode::IUshr:
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FNeg:
+      case Opcode::FExp:
+      case Opcode::FSqrt:
+      case Opcode::FSin:
+      case Opcode::FCos:
+      case Opcode::FAbs:
+      case Opcode::FLog:
+      case Opcode::I2F:
+      case Opcode::F2I:
+      case Opcode::I2L:
+      case Opcode::L2I:
+      case Opcode::ICmp:
+      case Opcode::FCmp:
+      case Opcode::NullCheck:
+      case Opcode::BoundCheck:
+      case Opcode::GetField:
+      case Opcode::PutField:
+      case Opcode::ArrayLength:
+      case Opcode::ArrayLoad:
+      case Opcode::ArrayStore:
+      case Opcode::NewObject:
+      case Opcode::NewArray:
+      case Opcode::Call:
+      case Opcode::Jump:
+      case Opcode::Branch:
+      case Opcode::IfNull:
+      case Opcode::Return:
+      case Opcode::Throw:
+      case Opcode::Nop:
+        return true;
+      default:
+        return false;
+    }
+}
+
 /**
- * Ops with no side effect beyond their destination slot: when linear
- * scan proves the destination is never live (assignment -2), the whole
- * body can be elided — only the budget preamble remains, because the
- * interpreters still retire the instruction.  Anything that can raise,
- * fault, allocate, touch the heap or the trace stays.
+ * Ops with no side effect beyond their destination slot: when nothing
+ * reads the destination (or every reader folds it as an immediate),
+ * the whole body can be elided — the run's pre-charge still retires
+ * it.  Anything that can raise, fault, allocate, touch the heap or the
+ * trace stays.
  */
 bool
 isElidablePureOp(Opcode op)
@@ -122,6 +218,68 @@ isCommutativeAlu(Opcode op)
     }
 }
 
+/** Defs the SSE path writes straight to the slot, bypassing any home. */
+bool
+isSlotOnlyDefOp(Opcode op)
+{
+    switch (op) {
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FNeg:
+      case Opcode::FAbs:
+      case Opcode::FSqrt:
+      case Opcode::I2F:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Records lowered through a C helper call (clobbers caller-saved). */
+bool
+isHelperOp(Opcode op, bool recordTrace)
+{
+    switch (op) {
+      case Opcode::FExp:
+      case Opcode::FSin:
+      case Opcode::FCos:
+      case Opcode::FLog:
+      case Opcode::F2I:
+      case Opcode::NewObject:
+      case Opcode::NewArray:
+      case Opcode::Call:
+        return true;
+      case Opcode::PutField:
+      case Opcode::ArrayStore:
+        return recordTrace;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Records after which a budget run must end: control leaves, or (Call)
+ * the callee reads ctx->budgetRemaining as the live global budget, so
+ * nothing after the call may be pre-charged yet.
+ */
+bool
+endsRun(Opcode op)
+{
+    switch (op) {
+      case Opcode::Jump:
+      case Opcode::Branch:
+      case Opcode::IfNull:
+      case Opcode::Return:
+      case Opcode::Throw:
+      case Opcode::Call:
+        return true;
+      default:
+        return false;
+    }
+}
+
 X64Cond
 icmpCond(CmpPred pred)
 {
@@ -147,6 +305,200 @@ swapIcmpCond(X64Cond cond)
       case CC::GE: return CC::LE;
       default: return cond; // E / NE are symmetric
     }
+}
+
+bool
+isCallerSavedHome(R r)
+{
+    switch (r) {
+      case R::RSI:
+      case R::RDI:
+      case R::R8:
+      case R::R9:
+      case R::R10:
+      case R::R11:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Linear scan's result: per-value homes and the published table. */
+struct HomeAssignment
+{
+    bool pooled = false;      ///< a home pool was supplied at all
+    std::vector<int8_t> home; ///< X64Reg encoding per value, or -1
+    std::vector<NativeRegLoc> regLocs;
+    size_t spills = 0; ///< candidates left slot-resident
+};
+
+/**
+ * Assign register homes from @p calleePool and @p callerPool (both
+ * empty: every value stays slot-resident).  Candidates are values with
+ * at least one GPR-path use that is not folded as an immediate and
+ * whose every def goes through the accumulator (the SSE ops store
+ * slots directly and would leave a home stale).  Live intervals are
+ * the textual hull of all occurrences, widened to enclose any loop
+ * whose back edge they overlap; they only steer *preference* — a value
+ * crossing a helper call wants a callee-saved home so the C call
+ * doesn't force a reload.
+ */
+HomeAssignment
+assignHomes(const DecodedFunction &df, bool recordTrace,
+            const std::vector<uint32_t> &foldedUses,
+            std::vector<R> calleePool, std::vector<R> callerPool)
+{
+    HomeAssignment out;
+    out.home.assign(df.numValues, -1);
+    out.pooled = !calleePool.empty() || !callerPool.empty();
+    if (!out.pooled)
+        return out;
+    const size_t nrec = df.code.size();
+
+    std::vector<uint32_t> gprUses(df.numValues, 0);
+    auto addGprUse = [&](ValueId v) {
+        if (v != kNoValue)
+            ++gprUses[v];
+    };
+    std::vector<bool> slotOnlyDef(df.numValues, false);
+    for (const DecodedInst &rec : df.code) {
+        if (rec.dst != kNoValue && isSlotOnlyDefOp(rec.srcOp))
+            slotOnlyDef[rec.dst] = true;
+        switch (rec.srcOp) {
+          case Opcode::Move:
+          case Opcode::INeg:
+          case Opcode::I2L:
+          case Opcode::L2I:
+          case Opcode::NullCheck:
+          case Opcode::GetField:
+          case Opcode::ArrayLength:
+          case Opcode::Branch:
+          case Opcode::IfNull:
+          case Opcode::Return:
+            addGprUse(rec.a);
+            break;
+          case Opcode::IAdd:
+          case Opcode::ISub:
+          case Opcode::IMul:
+          case Opcode::IDiv:
+          case Opcode::IRem:
+          case Opcode::IAnd:
+          case Opcode::IOr:
+          case Opcode::IXor:
+          case Opcode::IShl:
+          case Opcode::IShr:
+          case Opcode::IUshr:
+          case Opcode::ICmp:
+          case Opcode::BoundCheck:
+          case Opcode::PutField:
+          case Opcode::ArrayLoad:
+            addGprUse(rec.a);
+            addGprUse(rec.b);
+            break;
+          case Opcode::ArrayStore:
+            addGprUse(rec.a);
+            addGprUse(rec.b);
+            addGprUse(rec.c);
+            break;
+          default:
+            break;
+        }
+    }
+
+    constexpr uint32_t kNoPos = ~0u;
+    std::vector<uint32_t> liveLo(df.numValues, kNoPos);
+    std::vector<uint32_t> liveHi(df.numValues, 0);
+    auto occur = [&](ValueId v, uint32_t at) {
+        if (v == kNoValue)
+            return;
+        liveLo[v] = std::min(liveLo[v], at);
+        liveHi[v] = std::max(liveHi[v], at);
+    };
+    std::vector<std::pair<uint32_t, uint32_t>> backEdges;
+    std::vector<uint32_t> helperPrefix(nrec + 1, 0);
+    for (size_t i = 0; i < nrec; ++i) {
+        const DecodedInst &rec = df.code[i];
+        const uint32_t at = static_cast<uint32_t>(i);
+        occur(rec.dst, at);
+        occur(rec.a, at);
+        occur(rec.b, at);
+        occur(rec.c, at);
+        for (uint32_t k = 0; k < rec.argsCount; ++k)
+            occur(df.argPool[rec.argsBegin + k], at);
+        if (rec.srcOp == Opcode::Jump || rec.srcOp == Opcode::Branch ||
+            rec.srcOp == Opcode::IfNull) {
+            if (rec.target <= at)
+                backEdges.emplace_back(rec.target, at);
+            if (rec.srcOp != Opcode::Jump && rec.target2 <= at)
+                backEdges.emplace_back(rec.target2, at);
+        }
+        helperPrefix[i + 1] =
+            helperPrefix[i] + (isHelperOp(rec.srcOp, recordTrace) ? 1 : 0);
+    }
+    // Parameters are live from entry.
+    for (uint32_t p = 0; p < df.numParams; ++p)
+        if (liveLo[p] != kNoPos)
+            liveLo[p] = 0;
+    // Back-edge widening to a fixed point: a value live anywhere in a
+    // loop body is live across the whole loop.
+    bool changed = !backEdges.empty();
+    while (changed) {
+        changed = false;
+        for (ValueId v = 0; v < df.numValues; ++v) {
+            if (liveLo[v] == kNoPos)
+                continue;
+            for (const auto &be : backEdges) {
+                if (liveLo[v] <= be.second && liveHi[v] >= be.first) {
+                    if (liveLo[v] > be.first) {
+                        liveLo[v] = be.first;
+                        changed = true;
+                    }
+                    if (liveHi[v] < be.second) {
+                        liveHi[v] = be.second;
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+
+    struct Cand
+    {
+        ValueId v;
+        uint32_t uses;
+        bool spansHelper;
+    };
+    std::vector<Cand> cands;
+    for (ValueId v = 0; v < df.numValues; ++v) {
+        if (gprUses[v] <= foldedUses[v] || slotOnlyDef[v])
+            continue;
+        const bool spans =
+            liveLo[v] != kNoPos &&
+            helperPrefix[liveHi[v] + 1] > helperPrefix[liveLo[v]];
+        cands.push_back(Cand{v, gprUses[v] - foldedUses[v], spans});
+    }
+    std::sort(cands.begin(), cands.end(),
+              [](const Cand &a, const Cand &b) {
+                  return a.uses != b.uses ? a.uses > b.uses : a.v < b.v;
+              });
+
+    // Callee-saved homes survive helper calls; caller-saved homes are
+    // cheaper to spare but reload after every helper.
+    for (const Cand &c : cands) {
+        std::vector<R> *first = c.spansHelper ? &calleePool : &callerPool;
+        std::vector<R> *second = c.spansHelper ? &callerPool : &calleePool;
+        std::vector<R> *pool =
+            !first->empty() ? first : (!second->empty() ? second : nullptr);
+        if (pool == nullptr) {
+            ++out.spills;
+            continue;
+        }
+        const R reg = pool->back();
+        pool->pop_back();
+        out.home[c.v] = static_cast<int8_t>(reg);
+        out.regLocs.push_back(NativeRegLoc{c.v, static_cast<uint8_t>(reg)});
+    }
+    return out;
 }
 
 } // namespace
@@ -176,82 +528,26 @@ compileNative(const Function &fn, const DecodedFunction &df,
               const NativeCompileOptions &options,
               const std::vector<uint32_t> &explicitSites)
 {
-    if (options.optimized)
-        return compileNativeOptimized(fn, df, options, explicitSites);
     (void)fn; // codegen is decode-only
     NativeCompileResult out;
     if (!nativeTierSupported()) {
         out.unsupportedReason = "native tier requires x86-64 Linux";
         return out;
     }
-
-    // Every srcOp the decoder can produce is lowerable today; the scan
-    // stays so a future opcode degrades to fallback, not miscompilation.
     for (const DecodedInst &rec : df.code) {
-        switch (rec.srcOp) {
-          case Opcode::ConstInt:
-          case Opcode::ConstFloat:
-          case Opcode::ConstNull:
-          case Opcode::Move:
-          case Opcode::IAdd:
-          case Opcode::ISub:
-          case Opcode::IMul:
-          case Opcode::IDiv:
-          case Opcode::IRem:
-          case Opcode::INeg:
-          case Opcode::IAnd:
-          case Opcode::IOr:
-          case Opcode::IXor:
-          case Opcode::IShl:
-          case Opcode::IShr:
-          case Opcode::IUshr:
-          case Opcode::FAdd:
-          case Opcode::FSub:
-          case Opcode::FMul:
-          case Opcode::FDiv:
-          case Opcode::FNeg:
-          case Opcode::FExp:
-          case Opcode::FSqrt:
-          case Opcode::FSin:
-          case Opcode::FCos:
-          case Opcode::FAbs:
-          case Opcode::FLog:
-          case Opcode::I2F:
-          case Opcode::F2I:
-          case Opcode::I2L:
-          case Opcode::L2I:
-          case Opcode::ICmp:
-          case Opcode::FCmp:
-          case Opcode::NullCheck:
-          case Opcode::BoundCheck:
-          case Opcode::GetField:
-          case Opcode::PutField:
-          case Opcode::ArrayLength:
-          case Opcode::ArrayLoad:
-          case Opcode::ArrayStore:
-          case Opcode::NewObject:
-          case Opcode::NewArray:
-          case Opcode::Call:
-          case Opcode::Jump:
-          case Opcode::Branch:
-          case Opcode::IfNull:
-          case Opcode::Return:
-          case Opcode::Throw:
-          case Opcode::Nop:
-            break;
-          default:
+        if (!isLowerable(rec.srcOp)) {
             out.unsupportedReason = std::string("unsupported opcode ") +
                                     opcodeName(rec.srcOp);
             return out;
         }
     }
+    const size_t nrec = df.code.size();
 
-    // A destination no record ever reads lets a pure record shrink to
-    // its preamble.  Deadness comes from the decoded stream itself (one
-    // scan over every operand and call-argument slot), not from the IR
-    // liveness analysis: the latter walks the CFG, which is only
-    // current after a pipeline ran, and the native tier also compiles
-    // freshly built, never-optimized modules.
+    // ---- record-stream analyses ----------------------------------------
+    // Every operand and call-argument read.  Deadness comes from the
+    // decoded stream itself, not from the IR liveness analysis: the
+    // latter walks the CFG, which is only current after a pipeline ran,
+    // and the native tier also compiles freshly built modules.
     std::vector<uint32_t> useCount(df.numValues, 0);
     auto markUse = [&](ValueId v) {
         if (v != kNoValue)
@@ -266,10 +562,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
     }
 
     // Records that control flow can enter other than by fall-through
-    // from the predecessor record.  A compare whose sole consumer is
-    // the branch right after it fuses into jcc only when nothing can
-    // enter at the branch (the flags would be stale there).
-    std::vector<bool> jumpTarget(df.code.size(), false);
+    // from the predecessor record.
+    std::vector<bool> jumpTarget(nrec, false);
     for (const DecodedInst &rec : df.code) {
         if (rec.srcOp == Opcode::Jump) {
             jumpTarget[rec.target] = true;
@@ -280,18 +574,80 @@ compileNative(const Function &fn, const DecodedFunction &df,
         }
     }
     for (const DecodedTryRegion &r : df.tryRegions)
-        if (r.handlerIndex < jumpTarget.size())
+        if (r.handlerIndex < nrec)
             jumpTarget[r.handlerIndex] = true;
+
+    // Budget runs: maximal straight-line spans, breaking at jump
+    // targets (an entering edge must not pay for records before it)
+    // and after endsRun records.  A run is pre-charged at its start;
+    // every fused region lies inside one run, so fusion never touches
+    // the budget.
+    std::vector<uint32_t> runEnd(nrec, 0);
+    std::vector<bool> runStart(nrec, false);
+    for (size_t s = 0; s < nrec;) {
+        size_t t = s + 1;
+        while (t < nrec && !jumpTarget[t] && !endsRun(df.code[t - 1].srcOp))
+            ++t;
+        runStart[s] = true;
+        for (size_t k = s; k < t; ++k)
+            runEnd[k] = static_cast<uint32_t>(t);
+        s = t;
+    }
+    // Records pre-charged after record k: what an exit at k refunds.
+    auto unretired = [&](size_t k) {
+        return runEnd[k] - static_cast<uint32_t>(k) - 1;
+    };
+
+    // Sites that trapped before (the explicit set, DESIGN.md section
+    // 17): an implicit-check access among them is tested with test+jz
+    // into its NPE exit, and a load among them is not speculated.
+    std::vector<bool> explicitRec(nrec, false);
+    for (uint32_t r : explicitSites)
+        if (r < nrec)
+            explicitRec[r] = true;
+
+    // Section 5.4 pairs: an explicit NullCheck whose guarded load
+    // follows immediately (and nothing jumps between them) is elided;
+    // the load runs first and *is* the check.  Coverability mirrors the
+    // decoder's trap model: ArrayLength reads a small fixed offset,
+    // GetField must stay inside the guard region for a null base.
+    // specCheck[i] names the elided check of the speculated access at i.
+    std::vector<int32_t> specCheck(nrec, -1);
+    std::vector<bool> specElided(nrec, false);
+    if (options.optimized && options.speculate) {
+        for (size_t i = 0; i + 1 < nrec; ++i) {
+            const DecodedInst &rec = df.code[i];
+            const DecodedInst &ax = df.code[i + 1];
+            if (rec.srcOp != Opcode::NullCheck ||
+                rec.flavor != CheckFlavor::Explicit || jumpTarget[i + 1] ||
+                explicitRec[i + 1] || ax.a != rec.a)
+                continue;
+            if (ax.srcOp == Opcode::ArrayLength ||
+                (ax.srcOp == Opcode::GetField && ax.imm >= 0 &&
+                 ax.imm + 8 <= static_cast<int64_t>(kHeapBase))) {
+                specCheck[i + 1] = static_cast<int32_t>(i);
+                specElided[i] = true;
+            }
+        }
+    }
 
     // Single-def integer constants (the builder's mutable locals are
     // multi-def and excluded).  A use may read the constant as an
-    // immediate only when no jump entry point lies strictly between
-    // the defining ConstInt and the use — the def then executes on
-    // every path reaching the use.
+    // immediate only when no jump entry point lies in (def, use] — the
+    // def then executes on every path reaching the use.  Interpreter
+    // entry points — run starts (budget exhaustion replays the run) and
+    // speculated checks (a trap at the load replays the check) — are
+    // counted apart: a replay entering between the def and a folded use
+    // reads the constant's slot, which must then still be stored.
     std::vector<int32_t> constRec(df.numValues, -1);
     std::vector<uint8_t> defCount(df.numValues, 0);
-    for (size_t i = 0; i < df.code.size(); ++i) {
+    std::vector<uint32_t> jumpPrefix(nrec + 1, 0);
+    std::vector<uint32_t> entryPrefix(nrec + 1, 0);
+    for (size_t i = 0; i < nrec; ++i) {
         const DecodedInst &r = df.code[i];
+        jumpPrefix[i + 1] = jumpPrefix[i] + (jumpTarget[i] ? 1 : 0);
+        entryPrefix[i + 1] =
+            entryPrefix[i] + (runStart[i] || specElided[i] ? 1 : 0);
         if (r.dst == kNoValue)
             continue;
         if (defCount[r.dst] < 2)
@@ -299,14 +655,11 @@ compileNative(const Function &fn, const DecodedFunction &df,
         if (r.srcOp == Opcode::ConstInt && defCount[r.dst] == 1)
             constRec[r.dst] = static_cast<int32_t>(i);
     }
-    std::vector<uint32_t> entryPrefix(df.code.size() + 1, 0);
-    for (size_t i = 0; i < df.code.size(); ++i)
-        entryPrefix[i + 1] = entryPrefix[i] + (jumpTarget[i] ? 1 : 0);
     auto constAt = [&](ValueId v, size_t use) -> const DecodedInst * {
         if (v == kNoValue || defCount[v] != 1 || constRec[v] < 0)
             return nullptr;
         size_t d = static_cast<size_t>(constRec[v]);
-        if (d >= use || entryPrefix[use + 1] != entryPrefix[d + 1])
+        if (d >= use || jumpPrefix[use + 1] != jumpPrefix[d + 1])
             return nullptr;
         return &df.code[d];
     };
@@ -318,62 +671,56 @@ compileNative(const Function &fn, const DecodedFunction &df,
     auto fitsI32 = [](int64_t v) {
         return v == static_cast<int64_t>(static_cast<int32_t>(v));
     };
-    // The slot operand that record `u` reads as an immediate instead,
-    // or kNoValue.  The emission paths and the ConstInt elision
-    // pre-pass must agree exactly, so both go through this predicate.
+    // The operand that record `u` reads as an immediate instead, or
+    // kNoValue.  The emission paths and the elision pre-pass must agree
+    // exactly, so both go through this predicate.
     auto foldedOperand = [&](const DecodedInst &r, size_t u) -> ValueId {
         const bool nar = (r.flags & kDecodedNarrowDst) != 0;
-        const DecodedInst *c;
+        auto folds = [&](ValueId v, bool narrowOk) {
+            const DecodedInst *c = constAt(v, u);
+            return c != nullptr && (narrowOk || fitsI32(constValOf(*c)));
+        };
         switch (r.srcOp) {
           case Opcode::IAdd:
           case Opcode::IAnd:
           case Opcode::IOr:
           case Opcode::IXor:
-            if ((c = constAt(r.b, u)) != nullptr &&
-                (nar || fitsI32(constValOf(*c))))
+            if (folds(r.b, nar))
                 return r.b;
-            if ((c = constAt(r.a, u)) != nullptr &&
-                (nar || fitsI32(constValOf(*c))))
-                return r.a; // commutative: swap the operands
-            return kNoValue;
+            return folds(r.a, nar) ? r.a : kNoValue; // commutative swap
           case Opcode::ISub:
-            if ((c = constAt(r.b, u)) != nullptr &&
-                (nar || fitsI32(constValOf(*c))))
-                return r.b;
-            return kNoValue;
+            return folds(r.b, nar) ? r.b : kNoValue;
           case Opcode::ICmp: // compares are always 64-bit
-            if ((c = constAt(r.b, u)) != nullptr &&
-                fitsI32(constValOf(*c)))
+            if (folds(r.b, false))
                 return r.b;
-            if ((c = constAt(r.a, u)) != nullptr &&
-                fitsI32(constValOf(*c)))
-                return r.a; // swap: the predicate mirrors
-            return kNoValue;
+            return folds(r.a, false) ? r.a : kNoValue; // predicate mirrors
           case Opcode::Move:
             return constAt(r.a, u) != nullptr ? r.a : kNoValue;
           default:
             return kNoValue;
         }
     };
+    auto foldedImm = [&](ValueId v) {
+        return static_cast<int32_t>(constValOf(df.code[constRec[v]]));
+    };
+    // A constant whose every use folds skips its def entirely, unless
+    // some folded use lies past an interpreter entry point.
     std::vector<uint32_t> foldedUses(df.numValues, 0);
-    for (size_t i = 0; i < df.code.size(); ++i) {
+    std::vector<bool> slotReplayed(df.numValues, false);
+    for (size_t i = 0; i < nrec; ++i) {
         ValueId v = foldedOperand(df.code[i], i);
-        if (v != kNoValue)
-            ++foldedUses[v];
+        if (v == kNoValue)
+            continue;
+        ++foldedUses[v];
+        if (entryPrefix[i + 1] != entryPrefix[constRec[v] + 1])
+            slotReplayed[v] = true;
     }
 
-    // Redundant re-check scan (the paper's Section 4 elimination at
-    // the quad level): a checked access of (ref, idx) makes that pair
-    // "available"; a later quad on the same pair that every path
-    // provably reaches straight-line from the first — no jump targets
-    // in between, only pure records or other checked quads, and
-    // nothing rewriting the ref or idx slots — cannot fail its null or
-    // bound checks and drops all three.  Conservatism rules: any jump
-    // target, any op outside the allowed set, or a jump target inside
-    // a quad's tail clears the whole available set.
-    const size_t nrecScan = df.code.size();
-    auto isAccessQuadAt = [&](size_t k) {
-        if (k + 4 >= nrecScan)
+    // The exact four-record shape the front end emits for every a[i]
+    // (NullCheck; ArrayLength; BoundCheck; ArrayLoad/Store), inside one
+    // budget run so a fused body needs no budget code.
+    auto fusableQuadAt = [&](size_t k) {
+        if (k + 4 >= nrec || runEnd[k] < k + 4)
             return false;
         const DecodedInst &nc = df.code[k];
         const DecodedInst &al = df.code[k + 1];
@@ -387,7 +734,17 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 ax.srcOp == Opcode::ArrayStore) &&
                ax.a == nc.a && ax.b == bc.a;
     };
-    std::vector<bool> redundantQuad(nrecScan, false);
+
+    // Redundant re-check scan (the paper's Section 4 elimination at
+    // the quad level): a checked access of (ref, idx) makes that pair
+    // "available"; a later quad on the same pair that every path
+    // provably reaches straight-line from the first — no jump targets
+    // in between, only pure records or other checked quads, and
+    // nothing rewriting the ref or idx slots — cannot fail its null or
+    // bound checks and drops all three.  Conservatism rules: any jump
+    // target or any op outside the allowed set clears the whole
+    // available set.
+    std::vector<bool> redundantQuad(nrec, false);
     {
         std::vector<std::pair<ValueId, ValueId>> avail;
         auto invalidateWrite = [&](ValueId dst) {
@@ -397,10 +754,10 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 if (avail[n].first == dst || avail[n].second == dst)
                     avail.erase(avail.begin() + static_cast<long>(n));
         };
-        for (size_t k = 0; k < nrecScan; ++k) {
+        for (size_t k = 0; k < nrec; ++k) {
             if (jumpTarget[k])
                 avail.clear();
-            if (isAccessQuadAt(k)) {
+            if (fusableQuadAt(k)) {
                 const ValueId ref = df.code[k].a;
                 const ValueId idx = df.code[k + 2].a;
                 for (const auto &p : avail)
@@ -410,18 +767,11 @@ compileNative(const Function &fn, const DecodedFunction &df,
                     }
                 invalidateWrite(df.code[k + 1].dst);
                 invalidateWrite(df.code[k + 3].dst);
-                if (jumpTarget[k + 1] || jumpTarget[k + 2] ||
-                    jumpTarget[k + 3]) {
-                    // A mid-quad entry skips the leading checks; the
-                    // pair is not proven on that path.
-                    avail.clear();
-                } else if (!redundantQuad[k] &&
-                           df.code[k + 1].dst != ref &&
-                           df.code[k + 1].dst != idx &&
-                           df.code[k + 3].dst != ref &&
-                           df.code[k + 3].dst != idx) {
+                if (!redundantQuad[k] && df.code[k + 1].dst != ref &&
+                    df.code[k + 1].dst != idx &&
+                    df.code[k + 3].dst != ref &&
+                    df.code[k + 3].dst != idx)
                     avail.emplace_back(ref, idx);
-                }
                 k += 3;
                 continue;
             }
@@ -432,48 +782,141 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 avail.clear();
         }
     }
-    size_t eliminatedCount = 0;
 
-    // The frame protocol (prologue, exits, helper calls, call sites)
-    // is shared with the optimized backend; the decoded function's
-    // address is baked into the code, so the code registry keeps df
-    // alive alongside the block.
+    // Register homes: options.optimized supplies the pool.  rbx, r12,
+    // r13 and r14 are pinned, rax/rcx/rdx are per-record scratch; that
+    // leaves eight.
+    std::vector<R> calleePool, callerPool;
+    if (options.optimized) {
+        calleePool = {R::R15, R::RBP};
+        callerPool = {R::R11, R::R10, R::R9, R::R8, R::RDI, R::RSI};
+    }
+    HomeAssignment homes = assignHomes(df, options.recordTrace, foldedUses,
+                                       calleePool, callerPool);
+    const std::vector<int8_t> &home = homes.home;
+    const std::vector<NativeRegLoc> &regLocs = homes.regLocs;
+
+    // ---- emission ------------------------------------------------------
+    // The frame protocol (prologue, exits, helper calls, call sites) is
+    // tiered_frame.h's; the decoded function's address is baked into
+    // the code, so the code registry keeps df alive alongside the block.
     X64Emitter e;
-    TieredFrameEmitter frame(e, df, /*saveRbp=*/false);
-    const size_t nrec = df.code.size();
+    TieredFrameEmitter frame(
+        e, df,
+        std::any_of(regLocs.begin(), regLocs.end(),
+                    [](const NativeRegLoc &rl) {
+                        return rl.reg == static_cast<uint8_t>(R::RBP);
+                    }));
     std::vector<int> recLabel(nrec);
     for (size_t i = 0; i < nrec; ++i)
         recLabel[i] = e.newLabel();
     const int lDispatch = e.newLabel();
     const int lHandlerJump = e.newLabel();
     const int lNpe = e.newLabel();
-    const int lBudget = e.newLabel();
-    const int lBudgetFused = e.newLabel();
+    const int lDeopt = e.newLabel();
     const int lReturn = frame.returnLabel();
     const int lUnwind = frame.unwindLabel();
 
     std::vector<RaiseStub> raises;
     std::vector<StatusStub> statuses;
+    std::vector<BudgetStub> budgetStubs;
     std::vector<NativeTrapSite> sites;
+    std::vector<NativeDeoptInfo> deopts;
     size_t explicitBytes = 0, implicitBytes = 0, boundBytes = 0;
     size_t explicitCount = 0, implicitCount = 0, explicitizedCount = 0;
+    size_t eliminatedCount = 0, speculatedCount = 0;
 
+    // ---- operand read/write layer --------------------------------------
+    auto homed = [&](ValueId v) { return home[v] >= 0; };
+    auto hreg = [&](ValueId v) { return static_cast<R>(home[v]); };
+    // The register holding @p v: its home, else @p scratch loaded from
+    // the slot.
+    auto use = [&](ValueId v, R scratch) -> R {
+        if (homed(v))
+            return hreg(v);
+        e.loadSlot(scratch, v);
+        return scratch;
+    };
+    // @p v copied into @p dst (a 32-bit slot load when !wide).
+    auto load = [&](R dst, ValueId v, bool wide) {
+        if (homed(v))
+            e.movRegReg(dst, hreg(v));
+        else if (wide)
+            e.loadSlot(dst, v);
+        else
+            e.loadSlot32(dst, v);
+    };
+    auto loadSx32 = [&](R dst, ValueId v) {
+        if (homed(v))
+            e.movsxdRegReg(dst, hreg(v));
+        else
+            e.loadSlotSx32(dst, v);
+    };
+    auto aluWith = [&](Alu op, R dst, ValueId v, bool wide) {
+        if (homed(v))
+            e.aluRegReg(op, dst, hreg(v), wide);
+        else
+            e.aluRegSlot(op, dst, v, wide);
+    };
+    auto cmpImm = [&](ValueId v, int32_t imm) {
+        if (homed(v))
+            e.aluRegImm32(Alu::Cmp, hreg(v), imm, true);
+        else
+            e.aluSlotImm32(Alu::Cmp, v, imm, true);
+    };
+    // Write-through def: results are computed in a scratch register
+    // (never straight into a home — the home may be a source operand of
+    // the same record), copied to the home and always stored to the
+    // slot.
+    auto def = [&](ValueId v, R res) {
+        if (homed(v) && hreg(v) != res)
+            e.movRegReg(hreg(v), res);
+        e.storeSlot(v, res);
+    };
+    auto reloadCallerSavedHomes = [&] {
+        for (const NativeRegLoc &rl : regLocs)
+            if (isCallerSavedHome(static_cast<R>(rl.reg)))
+                e.loadSlot(static_cast<R>(rl.reg), rl.value);
+    };
+    // After a helper wrote @p v's slot (callee-saved homes survive the
+    // call, so they need the explicit re-read).
+    auto reloadHome = [&](ValueId v) {
+        if (v != kNoValue && homed(v) && !isCallerSavedHome(hreg(v)))
+            e.loadSlot(hreg(v), v);
+    };
+
+    // ---- exits ---------------------------------------------------------
+    auto raiseTo = [&](ExcKind kind, size_t recIndex) {
+        const DecodedInst &rec = df.code[recIndex];
+        int l = e.newLabel();
+        raises.push_back(RaiseStub{l, kind, rec.site, rec.tryRegion,
+                                   unretired(recIndex)});
+        return l;
+    };
+    auto statusStub = [&](size_t recIndex) {
+        int l = e.newLabel();
+        statuses.push_back(StatusStub{l, df.code[recIndex].tryRegion,
+                                      unretired(recIndex)});
+        return l;
+    };
+    auto checkStatus = [&](size_t recIndex) {
+        e.testRegReg(R::RAX, R::RAX, false);
+        e.jccLabel(CC::NE, statusStub(recIndex));
+    };
+    auto callHelper = [&](NativeHelperFn helper, size_t recIndex) {
+        frame.callHelper(helper, static_cast<uint32_t>(recIndex));
+    };
     // Uncommon-trap exits: every implicit-check access gets an NPE exit
     // (trapjitTieredNullPointer), where the SIGSEGV handler sends its
-    // trap; sites in the explicit set — they trapped before — branch
-    // there from a test+jz instead (DESIGN.md section 17).
+    // trap; sites in the explicit set branch there from a test+jz.
     std::vector<int> npeLabel(nrec, -1);
-    std::vector<bool> explicitRec(nrec, false);
-    for (uint32_t r : explicitSites)
-        if (r < nrec)
-            explicitRec[r] = true;
     auto npeExit = [&](size_t recIndex) {
         if (npeLabel[recIndex] < 0)
             npeLabel[recIndex] = e.newLabel();
         return npeLabel[recIndex];
     };
-    // Right before the access of record @p recIndex, whose budget is
-    // already charged: the same state a trap there leaves.
+    // Right before the access of record @p recIndex: the same state a
+    // trap there leaves.
     auto explicitTest = [&](R ref, size_t recIndex) {
         if (!explicitRec[recIndex] ||
             !nativeImplicitNpeSite(df.code[recIndex]))
@@ -482,37 +925,50 @@ compileNative(const Function &fn, const DecodedFunction &df,
         e.jccLabel(CC::E, npeExit(recIndex));
         ++explicitizedCount;
     };
-
-    auto raiseTo = [&](ExcKind kind, const DecodedInst &rec) {
-        int l = e.newLabel();
-        raises.push_back(RaiseStub{l, kind, rec.site, rec.tryRegion});
-        return l;
-    };
-    auto callHelper = [&](NativeHelperFn helper, size_t recIndex) {
-        frame.callHelper(helper, static_cast<uint32_t>(recIndex));
-    };
-    auto statusStub = [&](const DecodedInst &rec) {
-        int l = e.newLabel();
-        statuses.push_back(StatusStub{l, rec.tryRegion});
-        return l;
-    };
-    auto checkStatus = [&](const DecodedInst &rec) {
-        e.testRegReg(R::RAX, R::RAX, false);
-        e.jccLabel(CC::NE, statusStub(rec));
-    };
     auto beginSite = [&] { return static_cast<uint32_t>(e.size()); };
     auto endSite = [&](uint32_t begin, size_t recIndex) {
-        sites.push_back(NativeTrapSite{
-            begin, static_cast<uint32_t>(e.size()),
-            static_cast<uint32_t>(recIndex), 0});
+        NativeTrapSite s{begin, static_cast<uint32_t>(e.size()),
+                         static_cast<uint32_t>(recIndex)};
+        s.refund = unretired(recIndex);
+        if (specCheck[recIndex] >= 0) {
+            const uint32_t chk = static_cast<uint32_t>(specCheck[recIndex]);
+            deopts.push_back(NativeDeoptInfo{chk, runEnd[recIndex] - chk});
+            s.deoptIndex = static_cast<int32_t>(deopts.size() - 1);
+        }
         if (nativeImplicitNpeSite(df.code[recIndex]))
             npeExit(recIndex);
+        sites.push_back(s);
+    };
+    // test+jz of an explicit NullCheck, byte-exact against check_bytes.h.
+    auto explicitNullCheck = [&](R ref, size_t recIndex) {
+        size_t before = e.size();
+        e.testRegReg(ref, ref, true);
+        e.jccLabel(CC::E, raiseTo(ExcKind::NullPointer, recIndex));
+        size_t emitted = e.size() - before;
+        TRAPJIT_ASSERT(emitted == kNativeExplicitNullCheckBytes,
+                       "explicit check drifted from check_bytes.h");
+        explicitBytes += emitted;
+        ++explicitCount;
     };
 
-    frame.prologue();
+    // cmp of an ICmp's operands, folding a constant operand as an
+    // immediate; returns the condition for the record's predicate.
+    auto emitIcmp = [&](const DecodedInst &rec, size_t i) {
+        CC cc = icmpCond(rec.pred);
+        ValueId fv = foldedOperand(rec, i);
+        if (fv != kNoValue && fv == rec.b) {
+            cmpImm(rec.a, foldedImm(fv));
+        } else if (fv != kNoValue) {
+            cmpImm(rec.b, foldedImm(fv));
+            cc = swapIcmpCond(cc);
+        } else {
+            aluWith(Alu::Cmp, use(rec.a, R::RAX), rec.b, true);
+        }
+        return cc;
+    };
 
     // One integer ALU record; the canonical result is left in rax and
-    // NOT stored (the caller owns the store).  Wrapping arithmetic: the
+    // NOT stored (the caller owns the def).  Wrapping arithmetic: the
     // low 32 bits of the 64-bit op equal the 32-bit op, so narrow
     // records use 32-bit forms and re-canonicalize with movsxd.  When
     // liveVal is not kNoValue that operand is already in rax (the chain
@@ -523,213 +979,170 @@ compileNative(const Function &fn, const DecodedFunction &df,
         const bool nar = (rec.flags & kDecodedNarrowDst) != 0;
         const bool wid = !nar;
         if (rec.srcOp == Opcode::INeg) {
-            if (liveVal == kNoValue) {
-                if (wid)
-                    e.loadSlot(R::RAX, rec.a);
-                else
-                    e.loadSlot32(R::RAX, rec.a);
-            }
+            if (liveVal == kNoValue)
+                load(R::RAX, rec.a, wid);
             e.negReg(R::RAX, wid);
             if (nar)
                 e.movsxdRegReg(R::RAX, R::RAX);
             return;
         }
         ValueId fv = foldedOperand(rec, u);
-        ValueId lhs, other;
+        ValueId lhs = rec.a, other = rec.b;
         if (liveVal != kNoValue) {
             lhs = liveVal;
             other = (rec.a == liveVal) ? rec.b : rec.a;
-        } else if (fv != kNoValue && fv == rec.b) {
-            lhs = rec.a;
-            other = rec.b;
-        } else if (fv != kNoValue) {
+        } else if (fv != kNoValue && fv == rec.a) {
             lhs = rec.b; // commutative: swap the operands
             other = rec.a;
-        } else {
-            lhs = rec.a;
-            other = rec.b;
         }
-        if (liveVal == kNoValue) {
-            if (wid)
-                e.loadSlot(R::RAX, lhs);
-            else
-                e.loadSlot32(R::RAX, lhs);
-        }
+        if (liveVal == kNoValue)
+            load(R::RAX, lhs, wid);
         if (rec.srcOp == Opcode::IMul) {
-            e.imulRegSlot(R::RAX, other, wid);
+            if (homed(other))
+                e.imulRegReg(R::RAX, hreg(other), wid);
+            else
+                e.imulRegSlot(R::RAX, other, wid);
         } else {
-            X64Emitter::Alu op = X64Emitter::Alu::Add;
+            Alu op = Alu::Add;
             switch (rec.srcOp) {
-              case Opcode::ISub: op = X64Emitter::Alu::Sub; break;
-              case Opcode::IAnd: op = X64Emitter::Alu::And; break;
-              case Opcode::IOr: op = X64Emitter::Alu::Or; break;
-              case Opcode::IXor: op = X64Emitter::Alu::Xor; break;
+              case Opcode::ISub: op = Alu::Sub; break;
+              case Opcode::IAnd: op = Alu::And; break;
+              case Opcode::IOr: op = Alu::Or; break;
+              case Opcode::IXor: op = Alu::Xor; break;
               default: break;
             }
             if (fv != kNoValue && fv == other)
-                e.aluRegImm32(op, R::RAX,
-                              static_cast<int32_t>(
-                                  constValOf(df.code[constRec[fv]])),
-                              wid);
+                e.aluRegImm32(op, R::RAX, foldedImm(fv), wid);
             else
-                e.aluRegSlot(op, R::RAX, other, wid);
+                aluWith(op, R::RAX, other, wid);
         }
         if (nar)
             e.movsxdRegReg(R::RAX, R::RAX);
     };
+
+    frame.prologue();
+    // Preload every home: the prologue zero-fills non-parameter slots,
+    // so each home starts canonical without per-value liveness
+    // reasoning.
+    for (const NativeRegLoc &rl : regLocs)
+        e.loadSlot(static_cast<R>(rl.reg), rl.value);
 
     // ---- records -------------------------------------------------------
     std::vector<bool> fusedIntoPrev(nrec, false);
     for (size_t i = 0; i < nrec; ++i) {
         const DecodedInst &rec = df.code[i];
         if (fusedIntoPrev[i])
-            continue; // emitted as the tail of the preceding compare
+            continue; // emitted as the tail of a preceding fusion
         e.bind(recLabel[i]);
+
+        // Pre-charge the run: exact parity with the interpreters'
+        // global instruction budget, one sub per run.  Exhaustion
+        // refunds the run and replays it on the interpreter, which
+        // faults on the exact record with the exact message.
+        if (runStart[i]) {
+            const uint32_t len = runEnd[i] - static_cast<uint32_t>(i);
+            if (len == 1)
+                e.decReg64(R::R14);
+            else
+                e.aluRegImm32(Alu::Sub, R::R14, static_cast<int32_t>(len),
+                              true);
+            const int l = e.newLabel();
+            budgetStubs.push_back(
+                BudgetStub{l, static_cast<uint32_t>(i), len});
+            e.jccLabel(CC::S, l);
+        }
 
         // Compare-and-branch fusion: when the compare's only consumer
         // is the branch immediately after it and nothing jumps to that
         // branch, the boolean never materializes — the jcc consumes
-        // the flags directly.  One sub r14,2 settles the budget for
-        // both records (the stub clamps to -1 on fault, so the stats
-        // sync reads the same max+1 either way).
+        // the flags directly.
         if (rec.srcOp == Opcode::ICmp && rec.dst != kNoValue &&
             i + 1 < nrec && df.code[i + 1].srcOp == Opcode::Branch &&
             df.code[i + 1].a == rec.dst && useCount[rec.dst] == 1 &&
             !jumpTarget[i + 1]) {
             const DecodedInst &br = df.code[i + 1];
             e.bind(recLabel[i + 1]);
-            e.aluRegImm32(X64Emitter::Alu::Sub, R::R14, 2, true);
-            e.jccLabel(CC::S, lBudgetFused);
-            CC cc = icmpCond(rec.pred);
-            ValueId fv = foldedOperand(rec, i);
-            if (fv == rec.b && fv != kNoValue) {
-                e.aluSlotImm32(
-                    X64Emitter::Alu::Cmp, rec.a,
-                    static_cast<int32_t>(constValOf(df.code[constRec[fv]])),
-                    true);
-            } else if (fv != kNoValue) {
-                e.aluSlotImm32(
-                    X64Emitter::Alu::Cmp, rec.b,
-                    static_cast<int32_t>(constValOf(df.code[constRec[fv]])),
-                    true);
-                cc = swapIcmpCond(cc);
-            } else {
-                e.loadSlot(R::RAX, rec.a);
-                e.aluRegSlot(X64Emitter::Alu::Cmp, R::RAX, rec.b, true);
-            }
-            e.jccLabel(cc, recLabel[br.target]);
+            e.jccLabel(emitIcmp(rec, i), recLabel[br.target]);
             e.jmpLabel(recLabel[br.target2]);
             fusedIntoPrev[i + 1] = true;
             continue;
         }
 
-        // Checked-array-access fusion: the exact four-record shape the
-        // front end emits for every a[i] (NullCheck; ArrayLength;
-        // BoundCheck; ArrayLoad/Store) gets a straight-line body that
-        // keeps ref, length and index in registers.  Budget decrements
-        // stay interleaved record-by-record, so budget-fault timing
-        // against throws is bit-identical to the interpreters.  The
+        // Checked-array-access fusion: the quad gets a straight-line
+        // body that keeps ref, length and index in registers.  The
         // three inner records are still emitted standalone right after
-        // (the fused tail jumps over them): branches into the middle of
-        // the quad and trap-resume entries land there and behave as if
-        // no fusion happened.
-        if (rec.srcOp == Opcode::NullCheck && i + 4 < nrec) {
+        // (the fused tail jumps over them): trap-resume entries land
+        // there and behave as if no fusion happened.
+        if (fusableQuadAt(i)) {
             const DecodedInst &al = df.code[i + 1];
             const DecodedInst &bc = df.code[i + 2];
             const DecodedInst &ax = df.code[i + 3];
-            if (al.srcOp == Opcode::ArrayLength && al.a == rec.a &&
-                al.dst != kNoValue && bc.srcOp == Opcode::BoundCheck &&
-                bc.b == al.dst && bc.a != kNoValue &&
-                (ax.srcOp == Opcode::ArrayLoad ||
-                 ax.srcOp == Opcode::ArrayStore) &&
-                ax.a == rec.a && ax.b == bc.a) {
-                uint32_t begin;
-                if (redundantQuad[i]) {
-                    // An earlier access of the same (ref, idx) pair
-                    // dominates this one, so neither the null nor the
-                    // bound check can fail: drop all three.  Nothing
-                    // left in the body can throw, so the four budget
-                    // decrements batch into one sub (same clamp rule
-                    // as the compare fusion).
-                    ++eliminatedCount;
-                    e.aluRegImm32(X64Emitter::Alu::Sub, R::R14, 4,
-                                  true);
-                    e.jccLabel(CC::S, lBudgetFused);
-                    e.loadSlot(R::RAX, rec.a);
-                    if (useCount[al.dst] > 1) {
-                        begin = beginSite();
-                        e.loadHeap32Sx(
-                            R::RCX, R::RAX,
-                            static_cast<int32_t>(kArrayLengthOffset));
-                        endSite(begin, i + 1);
-                        e.storeSlot(al.dst, R::RCX);
-                    }
-                    e.loadSlot(R::RDX, bc.a);
-                } else {
-                e.decReg64(R::R14); // NullCheck budget
-                e.jccLabel(CC::S, lBudget);
-                e.loadSlot(R::RAX, rec.a);
-                if (rec.flavor == CheckFlavor::Explicit) {
-                    size_t before = e.size();
-                    e.testRegReg(R::RAX, R::RAX, true);
-                    e.jccLabel(CC::E,
-                               raiseTo(ExcKind::NullPointer, rec));
-                    size_t emitted = e.size() - before;
-                    TRAPJIT_ASSERT(
-                        emitted == kNativeExplicitNullCheckBytes,
-                        "explicit check drifted from check_bytes.h");
-                    explicitBytes += emitted;
-                    ++explicitCount;
+            const R ref = use(rec.a, R::RAX);
+            uint32_t begin;
+            R idx;
+            if (redundantQuad[i]) {
+                // An earlier access of the same (ref, idx) pair
+                // dominates this one, so neither the null nor the
+                // bound check can fail: drop all three.
+                ++eliminatedCount;
+                if (useCount[al.dst] > 1) {
+                    begin = beginSite();
+                    e.loadHeap32Sx(R::RCX, ref,
+                                   static_cast<int32_t>(kArrayLengthOffset));
+                    endSite(begin, i + 1);
+                    def(al.dst, R::RCX);
+                }
+                idx = use(bc.a, R::RDX);
+            } else {
+                if (specElided[i]) {
+                    ++speculatedCount; // the length load is the check
+                } else if (rec.flavor == CheckFlavor::Explicit) {
+                    explicitNullCheck(ref, i);
                 } else {
                     implicitBytes += kNativeImplicitNullCheckBytes;
                     ++implicitCount;
                 }
-                e.decReg64(R::R14); // ArrayLength budget
-                e.jccLabel(CC::S, lBudget);
-                explicitTest(R::RAX, i + 1);
+                explicitTest(ref, i + 1);
                 begin = beginSite();
-                e.loadHeap32Sx(R::RCX, R::RAX,
+                e.loadHeap32Sx(R::RCX, ref,
                                static_cast<int32_t>(kArrayLengthOffset));
                 endSite(begin, i + 1);
                 if (useCount[al.dst] > 1)
-                    e.storeSlot(al.dst, R::RCX);
-                e.decReg64(R::R14); // BoundCheck budget
-                e.jccLabel(CC::S, lBudget);
-                e.loadSlot(R::RDX, bc.a);
-                e.aluRegReg(X64Emitter::Alu::Cmp, R::RDX, R::RCX, true);
+                    def(al.dst, R::RCX);
+                idx = use(bc.a, R::RDX);
+                e.aluRegReg(Alu::Cmp, idx, R::RCX, true);
                 e.jccLabel(CC::AE,
-                           raiseTo(ExcKind::ArrayIndexOutOfBounds, bc));
-                e.decReg64(R::R14); // access budget
-                e.jccLabel(CC::S, lBudget);
-                } // end full-check body
-                e.movsxdRegReg(R::RDX, R::RDX);
-                e.leaHostAddr(R::RAX, R::RAX);
-                if (ax.srcOp == Opcode::ArrayLoad) {
-                    begin = beginSite();
-                    if (ax.type == Type::I32)
-                        e.loadIndexed32Sx(R::RCX, R::RAX, R::RDX, 4,
-                                          kArrayDataOffset);
-                    else
-                        e.loadIndexed64(R::RCX, R::RAX, R::RDX, 8,
-                                        kArrayDataOffset);
-                    endSite(begin, i + 3);
-                    e.storeSlot(ax.dst, R::RCX);
-                } else {
-                    e.loadSlot(R::RCX, ax.c);
-                    begin = beginSite();
-                    if (ax.type == Type::I32)
-                        e.storeIndexed32(R::RAX, R::RDX, 4,
-                                         kArrayDataOffset, R::RCX);
-                    else
-                        e.storeIndexed64(R::RAX, R::RDX, 8,
-                                         kArrayDataOffset, R::RCX);
-                    endSite(begin, i + 3);
-                    if (options.recordTrace)
-                        callHelper(&trapjitTieredTraceArrayWrite, i + 3);
-                }
-                e.jmpLabel(recLabel[i + 4]);
-                continue; // records i+1..i+3 follow as entry points
+                           raiseTo(ExcKind::ArrayIndexOutOfBounds, i + 2));
             }
+            e.movsxdRegReg(R::RDX, idx);
+            e.leaHostAddr(R::RAX, ref);
+            if (ax.srcOp == Opcode::ArrayLoad) {
+                begin = beginSite();
+                if (ax.type == Type::I32)
+                    e.loadIndexed32Sx(R::RCX, R::RAX, R::RDX, 4,
+                                      kArrayDataOffset);
+                else
+                    e.loadIndexed64(R::RCX, R::RAX, R::RDX, 8,
+                                    kArrayDataOffset);
+                endSite(begin, i + 3);
+                def(ax.dst, R::RCX);
+            } else {
+                const R val = use(ax.c, R::RCX);
+                begin = beginSite();
+                if (ax.type == Type::I32)
+                    e.storeIndexed32(R::RAX, R::RDX, 4, kArrayDataOffset,
+                                     val);
+                else
+                    e.storeIndexed64(R::RAX, R::RDX, 8, kArrayDataOffset,
+                                     val);
+                endSite(begin, i + 3);
+                if (options.recordTrace) {
+                    callHelper(&trapjitTieredTraceArrayWrite, i + 3);
+                    reloadCallerSavedHomes();
+                }
+            }
+            e.jmpLabel(recLabel[i + 4]);
+            continue; // records i+1..i+3 follow as entry points
         }
 
         // Integer-chain fusion: a run of pure ALU records where each
@@ -737,10 +1150,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
         // rax instead of bouncing through the slot file; a trailing
         // Move redirects the final store to its destination (this is
         // the canonical loop latch "t = i + 1; i = t" as well as long
-        // expression chains like IDEA's mul/add/xor rounds).  Every
-        // link is pure, so one batched sub settles the budget with the
-        // same clamp rule as the compare fusion; nothing can jump into
-        // or trap inside the fused region.
+        // expression chains like IDEA's mul/add/xor rounds).  Nothing
+        // can jump into or trap inside the fused region.
         if (isIntChainOp(rec.srcOp) && rec.dst != kNoValue) {
             size_t last = i;
             while (last + 1 < nrec) {
@@ -767,9 +1178,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
                     e.bind(recLabel[k]);
                     fusedIntoPrev[k] = true;
                 }
-                e.aluRegImm32(X64Emitter::Alu::Sub, R::R14,
-                              static_cast<int32_t>(last - i + 1), true);
-                e.jccLabel(CC::S, lBudgetFused);
                 emitIntAluToRax(rec, i, kNoValue);
                 for (size_t k = i + 1; k <= last; ++k) {
                     const DecodedInst &lk = df.code[k];
@@ -777,52 +1185,45 @@ compileNative(const Function &fn, const DecodedFunction &df,
                         break; // final value already in rax
                     emitIntAluToRax(lk, k, df.code[k - 1].dst);
                 }
-                e.storeSlot(df.code[last].dst, R::RAX);
+                def(df.code[last].dst, R::RAX);
                 continue;
             }
         }
-
-        // Budget preamble: exact parity with the interpreters' global
-        // instruction budget (remaining count lives in r14 and is
-        // synced with the context around every helper call).
-        size_t preStart = e.size();
-        e.decReg64(R::R14);
-        e.jccLabel(CC::S, lBudget);
-        TRAPJIT_ASSERT(e.size() - preStart == kNativeBudgetPreambleBytes,
-                       "budget preamble size drifted");
 
         const bool narrow = (rec.flags & kDecodedNarrowDst) != 0;
         const bool wide = !narrow;
 
         if (rec.dst != kNoValue && isElidablePureOp(rec.srcOp) &&
-            foldedUses[rec.dst] == useCount[rec.dst])
-            continue; // dead or fully-folded pure record: preamble only
+            foldedUses[rec.dst] == useCount[rec.dst] &&
+            !slotReplayed[rec.dst])
+            continue; // dead or fully-folded pure record: no body
 
         switch (rec.srcOp) {
           case Opcode::ConstInt: {
             int64_t v = narrow ? static_cast<int32_t>(rec.imm) : rec.imm;
             e.movRegImm64(R::RAX, static_cast<uint64_t>(v));
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           }
           case Opcode::ConstFloat: {
             uint64_t bits;
             std::memcpy(&bits, &rec.fimm, sizeof(bits));
             e.movRegImm64(R::RAX, bits);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           }
           case Opcode::ConstNull:
             e.movRegImm32(R::RAX, 0);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           case Opcode::Move:
-            if (const DecodedInst *c = constAt(rec.a, i))
+            if (const DecodedInst *c = constAt(rec.a, i)) {
                 e.movRegImm64(R::RAX,
                               static_cast<uint64_t>(constValOf(*c)));
-            else
-                e.loadSlot(R::RAX, rec.a);
-            e.storeSlot(rec.dst, R::RAX);
+                def(rec.dst, R::RAX);
+            } else {
+                def(rec.dst, use(rec.a, R::RAX));
+            }
             break;
 
           case Opcode::IAdd:
@@ -833,17 +1234,17 @@ compileNative(const Function &fn, const DecodedFunction &df,
           case Opcode::IXor:
           case Opcode::INeg:
             emitIntAluToRax(rec, i, kNoValue);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
 
           case Opcode::IDiv:
           case Opcode::IRem: {
             // Divisor 0 raises; divisor -1 is special-cased before
             // idiv so INT64_MIN / -1 cannot #DE (javaDiv/javaRem).
-            e.loadSlot(R::RAX, rec.a);
-            e.loadSlot(R::RCX, rec.b);
+            load(R::RAX, rec.a, true);
+            load(R::RCX, rec.b, true);
             e.testRegReg(R::RCX, R::RCX, true);
-            e.jccLabel(CC::E, raiseTo(ExcKind::Arithmetic, rec));
+            e.jccLabel(CC::E, raiseTo(ExcKind::Arithmetic, i));
             e.cmpRegImm8(R::RCX, -1, true);
             int lMinusOne = e.newLabel();
             int lDone = e.newLabel();
@@ -861,7 +1262,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.bind(lDone);
             if (narrow)
                 e.movsxdRegReg(R::RAX, R::RAX);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           }
 
@@ -870,11 +1271,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
           case Opcode::IUshr: {
             // Hardware cl masking (mod 64 / mod 32) is exactly the
             // interpreter's &63 / &31.
-            e.loadSlot(R::RCX, rec.b);
-            if (wide)
-                e.loadSlot(R::RAX, rec.a);
-            else
-                e.loadSlot32(R::RAX, rec.a);
+            load(R::RCX, rec.b, true);
+            load(R::RAX, rec.a, wide);
             X64Emitter::Shift op =
                 rec.srcOp == Opcode::IShl ? X64Emitter::Shift::Shl
                 : rec.srcOp == Opcode::IShr ? X64Emitter::Shift::Sar
@@ -882,7 +1280,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.shiftRegCl(op, R::RAX, wide);
             if (narrow)
                 e.movsxdRegReg(R::RAX, R::RAX);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           }
 
@@ -926,6 +1324,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
             // libm / saturating conversion stay in C++ (bit-identical
             // to the interpreters by construction; status always 0).
             callHelper(&trapjitTieredMath, i);
+            reloadCallerSavedHomes();
+            reloadHome(rec.dst);
             break;
 
           case Opcode::I2F:
@@ -933,98 +1333,65 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.movsdStoreSlot(rec.dst, X64Xmm::XMM0);
             break;
           case Opcode::I2L:
-            e.loadSlotSx32(R::RAX, rec.a);
-            e.storeSlot(rec.dst, R::RAX);
+            loadSx32(R::RAX, rec.a);
+            def(rec.dst, R::RAX);
             break;
           case Opcode::L2I:
-            if (narrow)
-                e.loadSlotSx32(R::RAX, rec.a);
-            else
-                e.loadSlot(R::RAX, rec.a);
-            e.storeSlot(rec.dst, R::RAX);
+            if (narrow) {
+                loadSx32(R::RAX, rec.a);
+                def(rec.dst, R::RAX);
+            } else {
+                def(rec.dst, use(rec.a, R::RAX));
+            }
             break;
 
           case Opcode::ICmp: {
-            CC cc = icmpCond(rec.pred);
-            ValueId fv = foldedOperand(rec, i);
-            if (fv == rec.b && fv != kNoValue) {
-                e.aluSlotImm32(
-                    X64Emitter::Alu::Cmp, rec.a,
-                    static_cast<int32_t>(constValOf(df.code[constRec[fv]])),
-                    true);
-            } else if (fv != kNoValue) {
-                e.aluSlotImm32(
-                    X64Emitter::Alu::Cmp, rec.b,
-                    static_cast<int32_t>(constValOf(df.code[constRec[fv]])),
-                    true);
-                cc = swapIcmpCond(cc);
-            } else {
-                e.loadSlot(R::RAX, rec.a);
-                e.aluRegSlot(X64Emitter::Alu::Cmp, R::RAX, rec.b, true);
-            }
+            CC cc = emitIcmp(rec, i);
             e.setcc(cc, R::RAX);
             e.movzxRegReg8(R::RAX, R::RAX);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           }
           case Opcode::FCmp: {
             // IEEE-correct predicates through ucomisd: EQ/NE fold the
             // parity (unordered) flag; LT/LE compare operands swapped
             // so the unsigned conditions are NaN-false.
+            const bool swapped =
+                rec.pred == CmpPred::LT || rec.pred == CmpPred::LE;
+            e.movsdLoadSlot(X64Xmm::XMM0, swapped ? rec.b : rec.a);
+            e.ucomisdSlot(X64Xmm::XMM0, swapped ? rec.a : rec.b);
             switch (rec.pred) {
               case CmpPred::EQ:
-                e.movsdLoadSlot(X64Xmm::XMM0, rec.a);
-                e.ucomisdSlot(X64Xmm::XMM0, rec.b);
                 e.setcc(CC::E, R::RAX);
                 e.setcc(CC::NP, R::RCX);
                 e.andRegReg8(R::RAX, R::RCX);
                 break;
               case CmpPred::NE:
-                e.movsdLoadSlot(X64Xmm::XMM0, rec.a);
-                e.ucomisdSlot(X64Xmm::XMM0, rec.b);
                 e.setcc(CC::NE, R::RAX);
                 e.setcc(CC::P, R::RCX);
                 e.orRegReg8(R::RAX, R::RCX);
                 break;
               case CmpPred::LT:
-                e.movsdLoadSlot(X64Xmm::XMM0, rec.b);
-                e.ucomisdSlot(X64Xmm::XMM0, rec.a);
+              case CmpPred::GT:
                 e.setcc(CC::A, R::RAX);
                 break;
               case CmpPred::LE:
-                e.movsdLoadSlot(X64Xmm::XMM0, rec.b);
-                e.ucomisdSlot(X64Xmm::XMM0, rec.a);
-                e.setcc(CC::AE, R::RAX);
-                break;
-              case CmpPred::GT:
-                e.movsdLoadSlot(X64Xmm::XMM0, rec.a);
-                e.ucomisdSlot(X64Xmm::XMM0, rec.b);
-                e.setcc(CC::A, R::RAX);
-                break;
               case CmpPred::GE:
-                e.movsdLoadSlot(X64Xmm::XMM0, rec.a);
-                e.ucomisdSlot(X64Xmm::XMM0, rec.b);
                 e.setcc(CC::AE, R::RAX);
                 break;
             }
             e.movzxRegReg8(R::RAX, R::RAX);
-            e.storeSlot(rec.dst, R::RAX);
+            def(rec.dst, R::RAX);
             break;
           }
 
           case Opcode::NullCheck:
-            if (rec.flavor == CheckFlavor::Explicit) {
-                e.loadSlot(R::RAX, rec.a);
-                size_t before = e.size();
-                e.testRegReg(R::RAX, R::RAX, true);
-                e.jccLabel(CC::E,
-                           raiseTo(ExcKind::NullPointer, rec));
-                size_t emitted = e.size() - before;
-                TRAPJIT_ASSERT(
-                    emitted == kNativeExplicitNullCheckBytes,
-                    "explicit check drifted from check_bytes.h");
-                explicitBytes += emitted;
-                ++explicitCount;
+            if (specElided[i]) {
+                // Section 5.4: zero bytes.  The speculated access at
+                // i+1 runs first; its trap site replays this record.
+                ++speculatedCount;
+            } else if (rec.flavor == CheckFlavor::Explicit) {
+                explicitNullCheck(use(rec.a, R::RAX), i);
             } else {
                 // The paper's mechanism, for real: zero instructions.
                 // The guarded access that follows faults instead.
@@ -1036,63 +1403,63 @@ compileNative(const Function &fn, const DecodedFunction &df,
             // One unsigned compare covers idx < 0 || idx >= len: the
             // length is an ArrayLength result (>= 0), so a negative
             // index becomes a huge unsigned value and takes jae too.
-            e.loadSlot(R::RAX, rec.a);
+            // A homed length shrinks the compare below the slot form
+            // check_bytes.h describes, so only that form is asserted.
+            const R idx = use(rec.a, R::RAX);
             size_t before = e.size();
-            e.aluRegSlot(X64Emitter::Alu::Cmp, R::RAX, rec.b, true);
+            aluWith(Alu::Cmp, idx, rec.b, true);
             e.jccLabel(CC::AE,
-                       raiseTo(ExcKind::ArrayIndexOutOfBounds, rec));
+                       raiseTo(ExcKind::ArrayIndexOutOfBounds, i));
             size_t emitted = e.size() - before;
-            TRAPJIT_ASSERT(emitted == kNativeBoundCheckBytes,
+            TRAPJIT_ASSERT(homed(rec.b) || emitted == kNativeBoundCheckBytes,
                            "bound check drifted from check_bytes.h");
             boundBytes += emitted;
             break;
           }
 
           case Opcode::GetField: {
-            e.loadSlot(R::RAX, rec.a);
-            explicitTest(R::RAX, i);
+            const R ref = use(rec.a, R::RAX);
+            explicitTest(ref, i);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
-                e.loadHeap32Sx(R::RCX, R::RAX,
-                               static_cast<int32_t>(rec.imm));
+                e.loadHeap32Sx(R::RCX, ref, static_cast<int32_t>(rec.imm));
             else
-                e.loadHeap64(R::RCX, R::RAX,
-                             static_cast<int32_t>(rec.imm));
+                e.loadHeap64(R::RCX, ref, static_cast<int32_t>(rec.imm));
             endSite(begin, i);
-            e.storeSlot(rec.dst, R::RCX);
+            def(rec.dst, R::RCX);
             break;
           }
           case Opcode::PutField: {
-            e.loadSlot(R::RAX, rec.a);
-            e.loadSlot(R::RCX, rec.b);
-            explicitTest(R::RAX, i);
+            const R ref = use(rec.a, R::RAX);
+            const R val = use(rec.b, R::RCX);
+            explicitTest(ref, i);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
-                e.storeHeap32(R::RAX, static_cast<int32_t>(rec.imm),
-                              R::RCX);
+                e.storeHeap32(ref, static_cast<int32_t>(rec.imm), val);
             else
-                e.storeHeap64(R::RAX, static_cast<int32_t>(rec.imm),
-                              R::RCX);
+                e.storeHeap64(ref, static_cast<int32_t>(rec.imm), val);
             endSite(begin, i);
-            if (options.recordTrace)
+            if (options.recordTrace) {
                 callHelper(&trapjitTieredTraceFieldWrite, i);
+                reloadCallerSavedHomes();
+            }
             break;
           }
           case Opcode::ArrayLength: {
-            e.loadSlot(R::RAX, rec.a);
-            explicitTest(R::RAX, i);
+            const R ref = use(rec.a, R::RAX);
+            explicitTest(ref, i);
             uint32_t begin = beginSite();
-            e.loadHeap32Sx(R::RCX, R::RAX,
+            e.loadHeap32Sx(R::RCX, ref,
                            static_cast<int32_t>(kArrayLengthOffset));
             endSite(begin, i);
-            e.storeSlot(rec.dst, R::RCX);
+            def(rec.dst, R::RCX);
             break;
           }
           case Opcode::ArrayLoad: {
-            e.loadSlot(R::RAX, rec.a);
-            explicitTest(R::RAX, i);
-            e.leaHostAddr(R::RAX, R::RAX);
-            e.loadSlotSx32(R::RCX, rec.b);
+            const R ref = use(rec.a, R::RAX);
+            explicitTest(ref, i);
+            e.leaHostAddr(R::RAX, ref);
+            loadSx32(R::RCX, rec.b);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
                 e.loadIndexed32Sx(R::RDX, R::RAX, R::RCX, 4,
@@ -1101,70 +1468,75 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 e.loadIndexed64(R::RDX, R::RAX, R::RCX, 8,
                                 kArrayDataOffset);
             endSite(begin, i);
-            e.storeSlot(rec.dst, R::RDX);
+            def(rec.dst, R::RDX);
             break;
           }
           case Opcode::ArrayStore: {
-            e.loadSlot(R::RAX, rec.a);
-            explicitTest(R::RAX, i);
-            e.leaHostAddr(R::RAX, R::RAX);
-            e.loadSlotSx32(R::RCX, rec.b);
-            e.loadSlot(R::RDX, rec.c);
+            const R ref = use(rec.a, R::RAX);
+            explicitTest(ref, i);
+            e.leaHostAddr(R::RAX, ref);
+            loadSx32(R::RCX, rec.b);
+            const R val = use(rec.c, R::RDX);
             uint32_t begin = beginSite();
             if (rec.type == Type::I32)
-                e.storeIndexed32(R::RAX, R::RCX, 4, kArrayDataOffset,
-                                 R::RDX);
+                e.storeIndexed32(R::RAX, R::RCX, 4, kArrayDataOffset, val);
             else
-                e.storeIndexed64(R::RAX, R::RCX, 8, kArrayDataOffset,
-                                 R::RDX);
+                e.storeIndexed64(R::RAX, R::RCX, 8, kArrayDataOffset, val);
             endSite(begin, i);
-            if (options.recordTrace)
+            if (options.recordTrace) {
                 callHelper(&trapjitTieredTraceArrayWrite, i);
+                reloadCallerSavedHomes();
+            }
             break;
           }
 
           case Opcode::NewObject:
-            callHelper(&trapjitTieredNewObject, i);
-            checkStatus(rec);
-            break;
           case Opcode::NewArray:
-            callHelper(&trapjitTieredNewArray, i);
-            checkStatus(rec);
+            callHelper(rec.srcOp == Opcode::NewObject
+                           ? &trapjitTieredNewObject
+                           : &trapjitTieredNewArray,
+                       i);
+            checkStatus(i);
+            reloadCallerSavedHomes();
+            reloadHome(rec.dst);
             break;
           case Opcode::Call:
-            frame.callSite(rec, static_cast<uint32_t>(i), statusStub(rec));
+            // The call site stages arguments from the slots (canonical
+            // under write-through) and clobbers every caller-saved
+            // register; callee-saved homes survive.
+            frame.callSite(rec, static_cast<uint32_t>(i), statusStub(i));
             if (rec.dst != kNoValue) {
                 e.loadCtx64(R::RAX, kNativeCtxRetOffset);
-                e.storeSlot(rec.dst, R::RAX);
+                def(rec.dst, R::RAX);
             }
+            reloadCallerSavedHomes();
             break;
 
           case Opcode::Jump:
             e.jmpLabel(recLabel[rec.target]);
             break;
           case Opcode::Branch:
-            e.loadSlot(R::RAX, rec.a);
-            e.testRegReg(R::RAX, R::RAX, true);
-            e.jccLabel(CC::NE, recLabel[rec.target]);
+          case Opcode::IfNull: {
+            const R c = use(rec.a, R::RAX);
+            e.testRegReg(c, c, true);
+            e.jccLabel(rec.srcOp == Opcode::Branch ? CC::NE : CC::E,
+                       recLabel[rec.target]);
             e.jmpLabel(recLabel[rec.target2]);
             break;
-          case Opcode::IfNull:
-            e.loadSlot(R::RAX, rec.a);
-            e.testRegReg(R::RAX, R::RAX, true);
-            e.jccLabel(CC::E, recLabel[rec.target]);
-            e.jmpLabel(recLabel[rec.target2]);
-            break;
+          }
           case Opcode::Return:
             // The context persists across frames; a void return must
             // not leak the previous callee's retBits.
-            if (rec.a != kNoValue)
-                e.loadSlot(R::RAX, rec.a);
-            else
+            if (rec.a != kNoValue) {
+                e.storeCtx64(kNativeCtxRetOffset, use(rec.a, R::RAX));
+            } else {
                 e.movRegImm32(R::RAX, 0);
-            e.storeCtx64(kNativeCtxRetOffset, R::RAX);
+                e.storeCtx64(kNativeCtxRetOffset, R::RAX);
+            }
             e.jmpLabel(lReturn);
             break;
           case Opcode::Throw:
+            // The last record of its run: nothing to refund.
             e.storeCtx32Imm(kNativeCtxPendingKindOffset,
                             static_cast<uint32_t>(rec.imm));
             e.storeCtx32Imm(kNativeCtxPendingSiteOffset, rec.site);
@@ -1179,10 +1551,18 @@ compileNative(const Function &fn, const DecodedFunction &df,
     }
     const size_t hotEnd = e.size();
 
-    // ---- shared stubs --------------------------------------------------
+    // ---- stub tail -----------------------------------------------------
+    auto refund = [&](uint32_t records) {
+        if (records != 0)
+            e.aluRegImm32(Alu::Add, R::R14, static_cast<int32_t>(records),
+                          true);
+    };
     // Exception dispatch: esi = the raising record's try region,
-    // pending kind/site already stored.  The handler index indirects
-    // through the in-buffer table of absolute record addresses.
+    // pending kind/site already stored, r14 already refunded.  The
+    // handler index indirects through the in-buffer table of absolute
+    // record addresses.  Homes re-read their slots first: the helpers
+    // clobbered the caller-saved ones, and the NPE helper zeroed a
+    // load's destination slot.
     e.bind(lDispatch);
     e.movRegReg(R::RDI, R::R12);
     e.movRegImm64(R::RAX,
@@ -1192,29 +1572,27 @@ compileNative(const Function &fn, const DecodedFunction &df,
     e.cmpRegImm8(R::RAX, -1, false);
     e.jccLabel(CC::E, lUnwind);
     e.movsxdRegReg(R::RAX, R::RAX); // canonicalize the int32 return
+    for (const NativeRegLoc &rl : regLocs)
+        e.loadSlot(static_cast<R>(rl.reg), rl.value);
     size_t tablePatchAt = e.movRegImm64Patchable(R::RCX);
     e.loadIndexed64(R::RAX, R::RCX, R::RAX, 8, 0);
     e.jmpReg(R::RAX);
 
-    // A fused compare-branch subtracts 2, so r14 lands on -1 or -2;
-    // clamp to the single-dec value before the shared fault path.
-    e.bind(lBudgetFused);
-    e.aluRegImm32(X64Emitter::Alu::Or, R::R14, -1, true);
-    e.bind(lBudget);
-    // r14 is -1 here; storing it makes the engine's stats sync read
-    // max+1, matching the interpreters' fault-instruction accounting.
-    e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
-    e.movRegReg(R::RDI, R::R12);
-    e.movRegImm32(R::RSI, 0);
-    e.movRegImm64(R::RAX,
-                  reinterpret_cast<uint64_t>(&trapjitTieredBudgetFault));
-    e.callReg(R::RAX);
-    e.jmpLabel(lUnwind);
-
-    // Helpers report hard faults through the context flag (status is
-    // only 0/1); a set flag unwinds the whole linked chain of frames.
+    // Budget exhaustion: refund the whole run and replay it on the
+    // interpreter from its start (slots are canonical at every run
+    // start).
+    for (const BudgetStub &s : budgetStubs) {
+        e.bind(s.label);
+        refund(s.refund);
+        e.storeCtx32Imm(kNativeCtxDeoptRecordOffset, s.record);
+        e.jmpLabel(lDeopt);
+    }
+    // Helper or callee status 1.  The record is retired, so the refund
+    // excludes it — and is applied before the hard-fault split so the
+    // unwind path's budget sync is exact too.
     for (const StatusStub &s : statuses) {
         e.bind(s.label);
+        refund(s.refund);
         e.cmpCtx32Imm8(kNativeCtxHardFaultOffset, 0);
         e.jccLabel(CC::NE, lUnwind);
         e.movRegImm32(R::RSI, s.tryRegion);
@@ -1222,6 +1600,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
     }
     for (const RaiseStub &s : raises) {
         e.bind(s.label);
+        refund(s.refund);
         e.storeCtx32Imm(kNativeCtxPendingKindOffset,
                         static_cast<uint32_t>(s.kind));
         e.storeCtx32Imm(kNativeCtxPendingSiteOffset, s.site);
@@ -1234,6 +1613,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
         if (npeLabel[k] < 0)
             continue;
         e.bind(npeLabel[k]);
+        refund(unretired(k));
         e.movRegImm32(R::RSI, static_cast<uint32_t>(k));
         e.jmpLabel(lNpe);
     }
@@ -1243,6 +1623,20 @@ compileNative(const Function &fn, const DecodedFunction &df,
                   reinterpret_cast<uint64_t>(&trapjitTieredNullPointer));
     e.callReg(R::RAX);
     e.jmpLabel(lHandlerJump);
+    // The deopt exit.  The SIGSEGV handler enters here for a trap at a
+    // speculated load, with ctx->deoptRecord set and r14 already
+    // refunded; the budget stubs jump here the same way.
+    // trapjitTieredDeopt runs the rest of the frame and returns the
+    // frame's own status, so the block just leaves.
+    e.bind(lDeopt);
+    e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
+    e.movRegReg(R::RDI, R::R12);
+    e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(&trapjitTieredDeopt));
+    e.callReg(R::RAX);
+    e.loadCtx64(R::R14, kNativeCtxBudgetOffset);
+    e.testRegReg(R::RAX, R::RAX, false);
+    e.jccLabel(CC::NE, lUnwind);
+    e.jmpLabel(lReturn);
     frame.finish();
 
     e.patchLabels();
@@ -1250,13 +1644,14 @@ compileNative(const Function &fn, const DecodedFunction &df,
     // ---- install -------------------------------------------------------
     const size_t codeSize = e.size();
     const size_t tableOffset = (codeSize + 7) & ~size_t(7);
-    CodeBuffer buf =
-        globalCodeBufferPool().acquire(tableOffset + 8 * nrec);
+    CodeBuffer buf = globalCodeBufferPool().acquire(tableOffset + 8 * nrec);
     uint8_t *base = buf.base();
     std::memcpy(base, e.code().data(), codeSize);
 
     auto nc = std::make_shared<NativeCode>(std::move(buf));
     nc->codeSize = codeSize;
+    nc->optimized = homes.pooled;
+    nc->deoptOffset = e.labelOffset(lDeopt);
     nc->recordOffsets.resize(nrec + 1);
     for (size_t i = 0; i < nrec; ++i)
         nc->recordOffsets[i] = e.labelOffset(recLabel[i]);
@@ -1267,6 +1662,11 @@ compileNative(const Function &fn, const DecodedFunction &df,
             s.npeExit = e.labelOffset(npeLabel[s.recordIndex]);
     }
     nc->sites = std::move(sites);
+    nc->deopts = std::move(deopts);
+    nc->regLocs = std::move(homes.regLocs);
+    nc->loadsSpeculated = speculatedCount;
+    nc->spillsEmitted = homes.spills;
+    nc->regsAllocated = nc->regLocs.size();
     nc->explicitNullCheckBytes = explicitBytes;
     nc->implicitNullCheckBytes = implicitBytes;
     nc->boundCheckBytes = boundBytes;
@@ -1282,6 +1682,25 @@ compileNative(const Function &fn, const DecodedFunction &df,
                          nc->recordOffsets[i];
         std::memcpy(base + tableOffset + 8 * i, &entry, sizeof(entry));
     }
+
+    // Test-only fault injection: corrupt the published metadata the
+    // way a buggy lowering would, so test_audit_mutations can prove the
+    // audit obligations actually fire (native_mutation_hooks.h).
+    if (nativeMutationActive(NativeMutation::SpecWrongDeoptRecord) &&
+        !nc->deopts.empty())
+        ++nc->deopts.front().deoptRecord;
+    if (nativeMutationActive(NativeMutation::HomedNpeExitDropped) &&
+        !nc->regLocs.empty()) {
+        for (NativeTrapSite &s : nc->sites) {
+            if (s.npeExit != 0) {
+                s.npeExit = 0;
+                break;
+            }
+        }
+    }
+    if (nativeMutationActive(NativeMutation::RegLocReservedReg) &&
+        !nc->regLocs.empty())
+        nc->regLocs.front().reg = static_cast<uint8_t>(R::R14);
 
     frame.install(*nc);
     out.code = std::move(nc);

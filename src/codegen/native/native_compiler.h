@@ -3,13 +3,15 @@
 
 /**
  * @file
- * The native x86-64 tier's two lowerings of a DecodedFunction into
+ * The native x86-64 tier's one lowering of a DecodedFunction into
  * real, executable machine code with the paper's hardware-trap
- * implicit null checks: the slot-resident baseline and the optimized
- * backend (linear-scan register homes + section-5.4 speculation).
+ * implicit null checks (DESIGN.md section 11).  Two options shape the
+ * code and nothing else does: NativeCompileOptions::optimized supplies
+ * a pool of eight GPRs that linear scan hands out as register homes,
+ * and speculate (with it) turns on the section-5.4 check/load pairs.
  *
- * Both emit blocks for one entry ABI — the tiered ABI of DESIGN.md
- * section 14, shared through codegen/native/tiered_frame.h:
+ * Every block follows the tiered ABI of DESIGN.md section 14, shared
+ * through codegen/native/tiered_frame.h:
  *
  *  - Entry (ctx, frameBase, heapHostBase) returns 0 when the frame
  *    returned (value in ctx->retBits) and 1 when it unwound (pending
@@ -19,7 +21,16 @@
  *  - Register convention: rbx = Slot*, r12 = NativeContext*, r13 =
  *    heap host bias (host address of simulated address 0), r14 = the
  *    register-resident instruction budget; rax, rcx, rdx and
- *    xmm0/xmm1 are per-record scratch.
+ *    xmm0/xmm1 are per-record scratch.  Register homes are
+ *    write-through: a def stores its slot too, so the slot file is
+ *    canonical wherever the frame can leave for the interpreter.
+ *  - Budget: each straight-line run is pre-charged once (sub r14, len)
+ *    and every exit refunds the records it did not retire, so budget
+ *    and instruction counts are bit-identical to the interpreters.
+ *  - Exits: exceptions dispatch in code — raise stubs, per-record NPE
+ *    exits and the in-buffer handler table.  The deopt exit into the
+ *    fast interpreter serves only budget exhaustion (replaying the
+ *    run) and traps at speculated loads (replaying their check).
  *  - An *implicit null check compiles to zero instructions*: the
  *    guarded memory access faults on the heap guard page instead.
  *    Explicit checks compile to test+jz (kNativeExplicitNullCheckBytes
@@ -29,14 +40,13 @@
  *    faulting instruction; the SIGSEGV handler maps the fault PC back
  *    to the record and rewrites RIP in place
  *    (codegen/native/native_runtime.h).  A trap at an implicit null
- *    check leaves through the site's uncommon-trap exit: the record's
- *    NPE exit in the baseline, the deopt exit into the fast
- *    interpreter in the optimized backend.
+ *    check leaves through the record's NPE exit; a trap at a
+ *    speculated load leaves through the deopt exit.
  *  - Trap-adaptive checks: the records in a compile's explicit set
  *    (sites that trapped before, kept by the TierController) keep
  *    their implicit check's semantics but are tested with test+jz into
- *    that same exit, so their NPEs never reach the kernel again; the
- *    optimized backend also stops speculating their loads (DESIGN.md
+ *    that same NPE exit, so their NPEs never reach the kernel again; a
+ *    speculated load in the set is not hoisted again (DESIGN.md
  *    section 17).
  *
  * Functions containing anything the tier cannot lower (none on
@@ -58,9 +68,6 @@ namespace trapjit
 
 struct NativeContext;
 
-/** dec r14; js <stub> — every record's budget preamble. */
-constexpr size_t kNativeBudgetPreambleBytes = 9;
-
 /** Fault-PC map entry: one guarded memory-access instruction. */
 struct NativeTrapSite
 {
@@ -69,19 +76,21 @@ struct NativeTrapSite
     uint32_t recordIndex = 0; ///< DecodedFunction::code index
     uint32_t resumeNext = 0;  ///< code offset of the next record
     /**
-     * Index into NativeCode::deopts, or -1 in the baseline backend.
-     * Optimized-backend traps never resume in native code; the
-     * SIGSEGV handler sends them to the block's deopt exit, which
-     * finishes the frame on the fast interpreter from the record named
-     * by the deopt info.
+     * Index into NativeCode::deopts for a section-5.4 speculated load,
+     * else -1.  Such a trap never resumes in native code: the SIGSEGV
+     * handler sends it to the block's deopt exit, which finishes the
+     * frame on the fast interpreter from the load's guarding check.
      */
     int32_t deoptIndex = -1;
     /**
-     * Baseline backend: code offset of the record's NPE exit, where
-     * the SIGSEGV handler sends a trap at an implicit null check (see
+     * Code offset of the record's NPE exit, where the SIGSEGV handler
+     * sends a trap at an implicit null check (see
      * nativeImplicitNpeSite); 0 when the record is no such site.
      */
     uint32_t npeExit = 0;
+    /** Records the run pre-charged after this one: what the SIGSEGV
+     *  handler refunds when the trap unwinds as a HardFault. */
+    uint32_t refund = 0;
 };
 
 /**
@@ -100,28 +109,23 @@ nativeImplicitNpeSite(const DecodedInst &rec)
 }
 
 /**
- * Deopt metadata of one optimized-backend trap site: where the fast
+ * Deopt metadata of one speculated load's trap site: where the fast
  * interpreter picks the frame up, and how to reconstruct the
  * interpreter's budget from the register-resident r14 value the trap
- * captured (the optimized backend pre-charges whole straight-line runs,
- * so at a trap r14 has already paid for records the interpreter has
- * yet to re-charge; see DESIGN.md section 15).
+ * captured (runs are pre-charged, so at a trap r14 has already paid
+ * for records the interpreter has yet to re-charge).
  */
 struct NativeDeoptInfo
 {
-    /** Record the interpreter re-executes (the speculated access's
-     *  guarding NullCheck for speculated sites, the faulting record
-     *  itself otherwise). */
+    /** Record the interpreter re-executes: the explicit NullCheck the
+     *  load ran above (the paper's section 5.4 speculation). */
     uint32_t deoptRecord = 0;
     /** Records pre-charged at/after @p deoptRecord in its budget run:
      *  budget at deopt = trapped r14 + budgetAdjust. */
     uint32_t budgetAdjust = 0;
-    /** True when the access ran *above* its guarding explicit
-     *  NullCheck (the paper's section 5.4 speculation). */
-    bool speculated = false;
 };
 
-/** Register home of one IR value in an optimized-backend function. */
+/** Register home of one IR value. */
 struct NativeRegLoc
 {
     uint32_t value = 0; ///< DecodedFunction value id
@@ -160,11 +164,11 @@ struct NativeCode
     std::vector<uint32_t> recordOffsets; ///< per record, + end sentinel
     std::vector<NativeTrapSite> sites;   ///< sorted by accessBegin
 
-    // ---- optimized-backend extras (empty/zero in baseline) ----------
-    /** Compiled by the optimized (regalloc + speculation) backend. */
+    // ---- register homes and speculation (empty/zero without the pool)
+    /** Compiled with the register-home pool (options.optimized). */
     bool optimized = false;
-    /** Deopt records, indexed by NativeTrapSite::deoptIndex and by the
-     *  in-code deopt stubs (via NativeContext::deoptRecord). */
+    /** Speculated loads' deopt records, indexed by
+     *  NativeTrapSite::deoptIndex. */
     std::vector<NativeDeoptInfo> deopts;
     /** Register homes assigned by linear scan (audited; the write-
      *  through discipline keeps slots canonical regardless). */
@@ -176,7 +180,8 @@ struct NativeCode
     // ---- exits and call linking ------------------------------------
     /** Code offset of the shared hard-unwind exit (RIP rewrite). */
     uint32_t unwindOffset = 0;
-    /** Code offset of the trap deopt exit (optimized backend only). */
+    /** Code offset of the deopt exit the SIGSEGV handler sends a
+     *  speculated load's trap to. */
     uint32_t deoptOffset = 0;
     /** Call sites; the registry links/unlinks the static ones. */
     std::vector<NativeCallSlot> callSlots;
@@ -229,10 +234,8 @@ struct NativeCompileOptions
     /** Emit event-trace recording after heap stores. */
     bool recordTrace = true;
     /**
-     * Optimized backend: linear-scan register allocation over the
-     * callee-saved + caller-saved GPR file, batched budget runs, and
-     * deopt side-exits instead of in-code exception dispatch (see
-     * DESIGN.md section 15).
+     * Supply the pool of eight home registers (two callee-saved, six
+     * caller-saved) that linear scan assigns to hot values.
      */
     bool optimized = false;
     /** Hoist loads above their guarding explicit null checks (section
@@ -254,26 +257,14 @@ struct NativeCompileResult
  *
  * @param explicitSites  the function's explicit set: sorted record
  *                       indices of accesses whose hardware trap raised
- *                       an NPE — implicit-check sites, and loads the
- *                       optimized backend had speculated.  Other
- *                       entries are ignored.
+ *                       an NPE — implicit-check sites, and loads a
+ *                       previous block had speculated.  Other entries
+ *                       are ignored.
  */
 NativeCompileResult
 compileNative(const Function &fn, const DecodedFunction &df,
               const NativeCompileOptions &options,
               const std::vector<uint32_t> &explicitSites = {});
-
-/**
- * The optimized backend: lower @p df with linear-scan register
- * allocation, batched budget runs and section-5.4 load speculation.
- * Called by compileNative when options.optimized is set; exposed for
- * tests.  Same fallback contract as compileNative; a speculated load
- * in @p explicitSites is not hoisted again.
- */
-NativeCompileResult
-compileNativeOptimized(const Function &fn, const DecodedFunction &df,
-                       const NativeCompileOptions &options,
-                       const std::vector<uint32_t> &explicitSites = {});
 
 /** True when this build can execute natively compiled code at all. */
 constexpr bool

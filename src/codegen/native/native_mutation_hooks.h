@@ -3,15 +3,15 @@
 
 /**
  * @file
- * Test-only fault injection for the optimized native backend.
+ * Test-only fault injection for the native lowering.
  *
- * auditNativeTrapSites grew regalloc and speculation obligations
- * alongside the optimized backend; as with the optimizer mutations in
+ * auditNativeTrapSites checks the exit, speculation and register-home
+ * metadata every block publishes; as with the optimizer mutations in
  * opt/nullcheck/mutation_hooks.h, the auditor's test suite must prove
- * the new rules actually fire.  Each enumerator switches on one
- * deliberate, realistic backend bug — wrong deopt target, dropped
- * speculation marker, corrupt register home — and
- * tests/test_audit_mutations.cpp asserts the auditor flags each one.
+ * those rules actually fire.  Each enumerator switches on one
+ * deliberate, realistic lowering bug — wrong deopt target, lost NPE
+ * exit, corrupt register home — and tests/test_audit_mutations.cpp
+ * asserts the auditor flags each one.
  *
  * Thread-local so an armed mutation cannot leak into concurrently
  * compiling service threads; production code never sets it, and the
@@ -30,9 +30,9 @@ enum class NativeMutation
      *  NullCheck instead of at it, so a trap would resume *after* the
      *  check it was supposed to replay. */
     SpecWrongDeoptRecord,
-    /** A speculated site forgets it is speculated: the deopt record
-     *  stays on the hoisted access, silently skipping the check. */
-    SpecDropFlag,
+    /** In a block with register homes, an implicit-check site loses
+     *  its NPE exit, so its trap would find no uncommon-trap path. */
+    HomedNpeExitDropped,
     /** Linear scan publishes a register home on a reserved register
      *  (r14, the budget), aliasing an IR value with the VM state. */
     RegLocReservedReg,

@@ -10,6 +10,7 @@
 #endif
 
 #include "codegen/native/native_compiler.h"
+#include "codegen/native/x64_emitter.h"
 #include "runtime/signal_stack.h"
 #include "support/diagnostics.h"
 
@@ -44,13 +45,29 @@ chainToPrevious(int signo, siginfo_t *info, void *context)
 }
 
 #if defined(__x86_64__) && defined(__linux__)
+/** The ucontext slot of allocatable home register @p reg (X64Reg). */
+int
+homeGreg(uint8_t reg)
+{
+    switch (static_cast<X64Reg>(reg)) {
+      case X64Reg::RBP: return REG_RBP;
+      case X64Reg::RSI: return REG_RSI;
+      case X64Reg::RDI: return REG_RDI;
+      case X64Reg::R8: return REG_R8;
+      case X64Reg::R9: return REG_R9;
+      case X64Reg::R10: return REG_R10;
+      case X64Reg::R11: return REG_R11;
+      default: return REG_R15;
+    }
+}
+
 /**
  * Resolve a fault whose PC lies inside a published block by rewriting
  * REG_RIP — no per-frame setup anywhere.  A trap at an implicit null
- * check goes to the site's uncommon-trap exit (the baseline's NPE exit,
- * the optimized backend's deopt exit), whose helper raises the NPE;
- * the block and record are left in the context so that helper can
- * make the site explicit.  The remaining outcomes mirror
+ * check goes to the record's NPE exit, and a trap at a speculated load
+ * to the deopt exit; the helper behind either raises the NPE, and the
+ * block and record are left in the context so that helper can make
+ * the site explicit.  The remaining outcomes mirror
  * FastInterpreter::handleNullAccess: speculative and illegal-implicit
  * reads of null resume with a zero, everything else unwinds as a
  * HardFault.  Everything here is async-signal-safe: binary search,
@@ -75,11 +92,16 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
     const DecodedInst *rec =
         site != nullptr ? &df.code[site->recordIndex] : nullptr;
 
+    // The faulting record is retired, as in the interpreter: refund
+    // only the records after it, like the status stubs.  A PC outside
+    // every site has no record to refund from.
     auto park = [&](TieredPark code) {
         ctx->parkCode = static_cast<int32_t>(code);
         ctx->parkRec = site != nullptr ? site->recordIndex : 0;
         ctx->parkDf = &df;
         ctx->hardFault = 1;
+        if (site != nullptr)
+            gregs[REG_R14] += static_cast<greg_t>(site->refund);
         gregs[REG_RIP] =
             static_cast<greg_t>(blk.lo + nc.unwindOffset);
     };
@@ -95,18 +117,15 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
     }
     ++*run.hardwareTraps;
     if (site->deoptIndex >= 0) {
-        // Optimized site: never resumed in native code.  Refund the
-        // records the batched budget run pre-charged at and after the
-        // replay target and leave through the deopt exit; the
-        // interpreter re-executes the record (or, for a speculated
-        // load, its guarding NullCheck) and makes the decision below
-        // itself.
-        const NativeDeoptInfo &info =
+        // A speculated load read through null: never resumed in native
+        // code.  Refund the records the run pre-charged at and after
+        // its guarding NullCheck and leave through the deopt exit; the
+        // interpreter replays the check and raises its NPE.
+        const NativeDeoptInfo &deopt =
             nc.deopts[static_cast<size_t>(site->deoptIndex)];
-        if (info.speculated || nativeImplicitNpeSite(*rec))
-            noteTrap();
-        ctx->deoptRecord = info.deoptRecord;
-        gregs[REG_R14] += static_cast<greg_t>(info.budgetAdjust);
+        noteTrap();
+        ctx->deoptRecord = deopt.deoptRecord;
+        gregs[REG_R14] += static_cast<greg_t>(deopt.budgetAdjust);
         gregs[REG_RIP] = static_cast<greg_t>(blk.lo + nc.deoptOffset);
         return;
     }
@@ -119,9 +138,16 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
         gregs[REG_RIP] = static_cast<greg_t>(blk.lo + site->npeExit);
         return;
     }
+    // The access's def was skipped: write the zero into the slot and
+    // into the destination's register home, which the resumed code
+    // reads instead.
     auto zeroDst = [&]() {
-        if (nativeNullAccessZeroesDst(*rec))
-            slots[rec->dst] = 0;
+        if (!nativeNullAccessZeroesDst(*rec))
+            return;
+        slots[rec->dst] = 0;
+        for (const NativeRegLoc &rl : nc.regLocs)
+            if (rl.value == rec->dst)
+                gregs[homeGreg(rl.reg)] = 0;
     };
     if (rec->flags & kDecodedSpeculative) {
         if (rec->flags & kDecodedSpecSafe) {

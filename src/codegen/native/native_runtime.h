@@ -26,13 +26,13 @@
  * handler looks the faulting PC up in the registry's pc-map, validates
  * the fault against the site's record and rewrites RIP.  It does not
  * decide NullPointerExceptions: a trap at an implicit null check goes
- * to the block's uncommon-trap exit for that site — the record's NPE
- * exit in the baseline backend, the deopt exit in the optimized one —
- * and the helper behind the exit raises the exception and makes the
- * site explicit for the function's next promotion (DESIGN.md section
- * 17).  What the handler still resolves itself are the non-NPE
- * outcomes: a speculative or illegal-implicit read of null resumes at
- * the next record with a zero, and a fault that doesn't match a trap
+ * to the record's NPE exit and a trap at a section-5.4 speculated load
+ * to the block's deopt exit; the helper behind the exit raises the
+ * exception and makes the site explicit for the function's next
+ * promotion (DESIGN.md section 17).  What the handler still resolves
+ * itself are the non-NPE outcomes: a speculative or illegal-implicit
+ * read of null resumes at the next record with a zero (in the
+ * destination's slot and register home alike), and a fault that doesn't match a trap
  * site, or whose reference slot is not actually null, becomes a
  * HardFault through the unwind exit instead of corrupting state.  The
  * handler runs on a per-thread alternate stack (runtime/signal_stack.h)
@@ -82,10 +82,10 @@ struct NativeContext
     /** Calls retired by compiled call sites since the last sync. */
     uint64_t linkedCalls = 0;
     /**
-     * Record index an optimized block's deopt exit hands to
-     * trapjitTieredDeopt: where the fast interpreter picks the frame
-     * up.  Written by the in-code deopt stubs and by the SIGSEGV
-     * handler for traps at optimized sites.
+     * Record index a block's deopt exit hands to trapjitTieredDeopt:
+     * where the fast interpreter picks the frame up.  Written by the
+     * budget-exhaustion stubs and by the SIGSEGV handler for traps at
+     * speculated loads.
      */
     uint32_t deoptRecord = 0;
 
@@ -242,8 +242,6 @@ uint32_t trapjitTieredNewArray(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredMath(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredTraceFieldWrite(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredTraceArrayWrite(NativeContext *ctx, uint32_t rec);
-/** Budget exhausted: parks the HardFault message; always returns 1. */
-uint32_t trapjitTieredBudgetFault(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredDepthFault(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
 /**
@@ -253,21 +251,19 @@ uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
  */
 uint32_t trapjitTieredSlowCall(NativeContext *ctx, uint32_t rec);
 /**
- * An optimized block's deopt exit: finishes the executing frame on
- * the fast interpreter from ctx->deoptRecord, working in place on the
- * frame's pool slot file (canonical at every record boundary).
- * @p pending = 0 re-executes that record; 1 dispatches the exception
- * pending in the context from its try region instead (the helper or
- * callee that raised it already retired the record).  Returns the
+ * A block's deopt exit (budget exhaustion, or a trap at a speculated
+ * load): finishes the executing frame on the fast interpreter by
+ * re-executing from ctx->deoptRecord, working in place on the frame's
+ * pool slot file (canonical wherever the exit is taken).  Returns the
  * frame's own status: 0 = returned (value in ctx->retBits), 1 =
  * unwound.
  */
-uint32_t trapjitTieredDeopt(NativeContext *ctx, uint32_t pending);
+uint32_t trapjitTieredDeopt(NativeContext *ctx);
 /** Handler index for the pending exception in ctx->activeDf, or -1
  *  (clears the pending exception when a handler catches it). */
 int32_t trapjitTieredFindHandler(NativeContext *ctx, uint32_t tryRegion);
 /**
- * A baseline block's NPE exit for implicit-check record @p rec,
+ * A block's NPE exit for implicit-check record @p rec,
  * reached from the SIGSEGV handler or from the test+jz of a site made
  * explicit: raises the NullPointerException exactly as the
  * interpreters' trap path does (a load's destination reads zero,

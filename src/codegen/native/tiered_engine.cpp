@@ -572,24 +572,17 @@ TieredEngine::helperSlowCall(NativeContext &ctx, uint32_t recIdx)
 }
 
 uint32_t
-TieredEngine::helperDeopt(NativeContext &ctx, uint32_t pending)
+TieredEngine::helperDeopt(NativeContext &ctx)
 {
     // The frame's identity and slot file, captured before the
     // interpreter can run nested blocks that republish both.
     const DecodedFunction &df = *ctx.activeDf;
     Slot *slots = static_cast<Slot *>(ctx.activeSlots);
-    ThrownExc pendingIn;
-    if (pending != 0) {
-        pendingIn = ThrownExc{static_cast<ExcKind>(ctx.pendingKind),
-                              static_cast<SiteId>(ctx.pendingSite)};
-        ctx.pendingKind = 0;
-        ctx.pendingSite = 0;
-    }
     ++deoptsTaken_;
-    // A trap at an implicit check or a speculated load: like a JVM's
-    // uncommon trap, the site is recompiled with an explicit test (a
-    // speculated load is no longer hoisted), so a null-heavy site
-    // costs one kernel trap, not one per call.
+    // After a trap at a speculated load (budget exhaustion trapped
+    // nowhere): like a JVM's uncommon trap, the load is recompiled
+    // below its explicit check, so a null-heavy site costs one kernel
+    // trap, not one per call.
     explicitizeTrappedSite(ctx);
     syncStatsFromCtx(ctx);
     // The prologue already took this frame's depth slot.
@@ -603,8 +596,7 @@ TieredEngine::helperDeopt(NativeContext &ctx, uint32_t pending)
     // so callees stage above it.
     FrameResult sub;
     try {
-        sub = fi_.resumeFrame(df, slots, depth, ctx.deoptRecord,
-                              pendingIn);
+        sub = fi_.resumeFrame(df, slots, depth, ctx.deoptRecord);
     } catch (const HardFault &fault) {
         parkHardFault(fault.what());
     }
@@ -766,15 +758,6 @@ TieredEngine::helperTraceArrayWrite(NativeContext &ctx, uint32_t recIdx)
 }
 
 uint32_t
-TieredEngine::helperBudgetFault(NativeContext &ctx, uint32_t)
-{
-    parkHardFault("instruction budget exceeded in " +
-                  ctx.activeDf->name);
-    ctx.hardFault = 1;
-    return 1;
-}
-
-uint32_t
 TieredEngine::helperDepthFault(NativeContext &ctx, uint32_t)
 {
     // The prologue publishes activeDf before the depth check, so the
@@ -825,12 +808,6 @@ trapjitTieredTraceArrayWrite(NativeContext *ctx, uint32_t rec)
 }
 
 extern "C" uint32_t
-trapjitTieredBudgetFault(NativeContext *ctx, uint32_t rec)
-{
-    return ctx->tieredEngine->helperBudgetFault(*ctx, rec);
-}
-
-extern "C" uint32_t
 trapjitTieredDepthFault(NativeContext *ctx, uint32_t rec)
 {
     return ctx->tieredEngine->helperDepthFault(*ctx, rec);
@@ -849,9 +826,9 @@ trapjitTieredSlowCall(NativeContext *ctx, uint32_t rec)
 }
 
 extern "C" uint32_t
-trapjitTieredDeopt(NativeContext *ctx, uint32_t pending)
+trapjitTieredDeopt(NativeContext *ctx)
 {
-    return ctx->tieredEngine->helperDeopt(*ctx, pending);
+    return ctx->tieredEngine->helperDeopt(*ctx);
 }
 
 extern "C" int32_t

@@ -10,8 +10,8 @@
  * Every function starts in the fast interpreter, which counts calls
  * and taken back-edges into a per-engine hotness array.  Crossing the
  * threshold hands the function to the TierController, which compiles
- * a native block with the selected backend (baseline or optimized) on
- * a background worker, or inline under synchronous promotion, audits
+ * a native block (with or without register homes) on a background
+ * worker, or inline under synchronous promotion, audits
  * its trap-site tables and publishes it in the shared CodeRegistry.
  * A call whose synchronous promotion publishes the block enters it
  * right away; otherwise later calls do.  At threshold 1 with
@@ -33,11 +33,14 @@
  *  - There is no per-frame setup for traps: the SIGSEGV handler
  *    resolves a fault in place against the registry's pc-map and
  *    rewrites RIP.  A trap at an implicit null check goes to the
- *    site's uncommon-trap exit — the baseline block's NPE exit
- *    (trapjitTieredNullPointer) or the optimized block's deopt exit,
- *    which finishes the frame on the fast interpreter
- *    (trapjitTieredDeopt); other faults resume with a zero or unwind
- *    as hard faults (reason parked in the context).
+ *    record's NPE exit (trapjitTieredNullPointer), which raises the
+ *    exception and dispatches it in code; a trap at a speculated load
+ *    goes to the deopt exit, which finishes the frame on the fast
+ *    interpreter (trapjitTieredDeopt).  Other faults resume with a
+ *    zero or unwind as hard faults (reason parked in the context).
+ *    Every other exception, with or without register homes, is
+ *    dispatched in code; the deopt exit otherwise serves only budget
+ *    exhaustion.
  *  - NPEs are rare per site, not by assumption: the first hardware
  *    trap at an implicit-check site puts that site in its function's
  *    explicit set (kept by the TierController, so engines sharing it
@@ -70,15 +73,15 @@
 namespace trapjit
 {
 
-/** Which native lowering promoted functions compile with. */
+/** Which configuration of the one lowering promoted functions use. */
 enum class NativeBackend : uint8_t
 {
     /** Resolve from TRAPJIT_NATIVE_BACKEND ("optimized" selects the
-     *  optimized backend, anything else — including unset — the
+     *  optimized configuration, anything else — including unset — the
      *  baseline). */
     FromEnv,
-    Baseline,  ///< slot-resident lowering (native_compiler.cpp)
-    Optimized, ///< regalloc + speculation (optimized_compiler.cpp)
+    Baseline,  ///< every value slot-resident
+    Optimized, ///< register homes + section-5.4 speculation
 };
 
 /** Tiering-policy knobs (see tieredOptionsFromEnv). */
@@ -97,9 +100,9 @@ struct TieredOptions
     /** Backend selection; resolved once in the constructor. */
     NativeBackend backend = NativeBackend::FromEnv;
     /**
-     * Section-5.4 load speculation in the optimized backend: -1
+     * Section-5.4 load speculation in the optimized configuration: -1
      * follows TRAPJIT_SPECULATE (default on, "0" disables), 0 forces
-     * it off, 1 forces it on.  Ignored under the baseline backend.
+     * it off, 1 forces it on.  Ignored under the baseline.
      */
     int speculate = -1;
 };
@@ -187,7 +190,7 @@ class TieredEngine final : public FastInterpreter::TierHooks
     /**
      * Fold this engine's tiering counters into @p counters: the
      * controller's promotion and compile totals (including the
-     * optimized backend's functionsRegalloc / spillsEmitted /
+     * optimized configuration's functionsRegalloc / spillsEmitted /
      * loadsSpeculated / regallocSeconds, and sitesExplicitized), the
      * registry's link and eviction counts, and deoptsTaken and
      * hardwareTraps since the last reset().
@@ -203,11 +206,10 @@ class TieredEngine final : public FastInterpreter::TierHooks
     uint32_t helperMath(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperTraceFieldWrite(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperTraceArrayWrite(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperBudgetFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperDepthFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperPoolFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperSlowCall(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperDeopt(NativeContext &ctx, uint32_t pending);
+    uint32_t helperDeopt(NativeContext &ctx);
     int32_t helperNullPointer(NativeContext &ctx, uint32_t recIdx);
 
   private:

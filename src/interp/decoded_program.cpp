@@ -308,12 +308,13 @@ decodeFunction(const Function &fn, const Target &target,
 }
 
 Hash128
-decodedProgramKey(const Hash128 &textDigest, const Target &target,
-                  const DecodeOptions &options)
+decodedProgramKey(const Hash128 &textDigest, FunctionId id,
+                  const Target &target, const DecodeOptions &options)
 {
     Hasher hasher;
     hasher.update(textDigest.hi);
     hasher.update(textDigest.lo);
+    hasher.update(static_cast<uint64_t>(id));
     std::string fingerprint = targetFingerprint(target);
     hasher.update(static_cast<uint64_t>(fingerprint.size()));
     hasher.update(fingerprint);
@@ -326,7 +327,7 @@ decodedProgramKey(const Function &fn, const Target &target,
                   const DecodeOptions &options)
 {
     return decodedProgramKey(hashBytes(serializeFunctionToString(fn)),
-                             target, options);
+                             fn.id(), target, options);
 }
 
 } // namespace trapjit

@@ -224,26 +224,29 @@ decodeFunction(const Function &fn, const Target &target,
                const DecodeOptions &options = {});
 
 /**
- * Content address of the decoded form of a function under @p target,
- * given @p textDigest, the FNV-1a/128 digest (hashBytes) of the
- * function's serialized text: covers that digest, the target
- * fingerprint (the cost model and trap model are baked into the
+ * Content address of the decoded form of function @p id under
+ * @p target, given @p textDigest, the FNV-1a/128 digest (hashBytes) of
+ * the function's serialized text: covers that digest, the id, the
+ * target fingerprint (the cost model and trap model are baked into the
  * records) and the fusion flag.  Equal keys imply bit-identical decoded
- * programs.  The serializer writes no function id, so the key of a text
- * does not depend on which id installs it.
+ * programs, DecodedFunction::id included: the serializer writes no
+ * function id, so identical texts installed at different ids decode
+ * separately, and the engines that key tiering state by
+ * DecodedFunction::id find their own function there.
  *
  * This is the digest the compile service already holds for every
  * result text (the persistent tier's verified payload checksum is
  * exactly hashBytes of the payload), so pre-decoding never serializes
  * or hashes a function a second time.
  */
-Hash128 decodedProgramKey(const Hash128 &textDigest, const Target &target,
+Hash128 decodedProgramKey(const Hash128 &textDigest, FunctionId id,
+                          const Target &target,
                           const DecodeOptions &options = {});
 
 /**
- * decodedProgramKey(hashBytes(serializeFunctionToString(fn)), target,
- * options): the key for a function that is already in memory, as the
- * engines compute it on a decode-cache lookup.  Matches what the
+ * decodedProgramKey(hashBytes(serializeFunctionToString(fn)), fn.id(),
+ * target, options): the key for a function that is already in memory,
+ * as the engines compute it on a decode-cache lookup.  Matches what the
  * compile service inserted for the text @p fn was installed from.
  */
 Hash128 decodedProgramKey(const Function &fn, const Target &target,

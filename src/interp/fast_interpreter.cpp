@@ -301,28 +301,26 @@ FastInterpreter::execFrame(const DecodedFunction &df, std::vector<Slot> args,
     std::vector<Slot> regs(df.numValues);
     for (size_t i = 0; i < args.size(); ++i)
         regs[i] = args[i];
-    return execFrameAt(df, regs.data(), depth, 0, ThrownExc{});
+    return execFrameAt(df, regs.data(), depth, 0);
 }
 
 FastInterpreter::FrameResult
 FastInterpreter::resumeFrame(const DecodedFunction &df, Slot *regs,
-                             size_t depth, uint32_t startRecord,
-                             ThrownExc pendingIn)
+                             size_t depth, uint32_t startRecord)
 {
     TRAPJIT_ASSERT(startRecord < df.code.size(),
                    "resume record out of range in ", df.name);
-    return execFrameAt(df, regs, depth, startRecord, pendingIn);
+    return execFrameAt(df, regs, depth, startRecord);
 }
 
 FastInterpreter::FrameResult
 FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
-                             size_t depth, uint32_t startRecord,
-                             ThrownExc pendingIn)
+                             size_t depth, uint32_t startRecord)
 {
 
     const DecodedInst *const code = df.code.data();
     const DecodedInst *ip = code + startRecord;
-    ThrownExc pending = pendingIn;
+    ThrownExc pending;
     TryRegionId excRegion = 0;
     Slot retVal;
     uint64_t nInstr = stats_.instructions;
@@ -368,15 +366,6 @@ FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
         &&lbl_FusedLoopLatch,
     };
 #endif
-
-    // Exception-resume entry (resumeFrame with a pending exception):
-    // the native helper or callee that raised it already retired the
-    // record, so dispatch straight from its try region without
-    // re-executing it.
-    if (pending.pending()) {
-        excRegion = code[startRecord].tryRegion;
-        goto L_exception;
-    }
 
     NEXT();
 

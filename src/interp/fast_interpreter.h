@@ -134,25 +134,20 @@ class FastInterpreter
 
     /**
      * Re-enter a frame at an arbitrary record with an already-built
-     * register file: the deopt path of the optimized native backend,
-     * running in place on the native frame's pool slot file.  The slot
-     * file is canonical at every record boundary there (write-through
-     * register allocation), so @p regs (df.numValues slots, owned by
-     * the caller) is the complete frame state.  A pending exception in
-     * @p pendingIn is dispatched from @p startRecord's try region
-     * without re-executing the record (the native helper or callee
-     * already retired it); otherwise execution resumes by re-executing
-     * @p startRecord.  No depth or argument checks — the frame already
-     * passed them when it first entered.
+     * register file: the native tier's deopt path, running in place on
+     * the native frame's pool slot file.  The slot file is canonical
+     * wherever a block deopts (write-through register homes), so
+     * @p regs (df.numValues slots, owned by the caller) is the complete
+     * frame state; execution resumes by re-executing @p startRecord.
+     * No depth or argument checks — the frame already passed them when
+     * it first entered.
      */
     FrameResult resumeFrame(const DecodedFunction &df, Slot *regs,
-                            size_t depth, uint32_t startRecord,
-                            ThrownExc pendingIn);
+                            size_t depth, uint32_t startRecord);
 
     /** Shared engine of execFrame and resumeFrame. */
     FrameResult execFrameAt(const DecodedFunction &df, Slot *r,
-                            size_t depth, uint32_t startRecord,
-                            ThrownExc pendingIn);
+                            size_t depth, uint32_t startRecord);
 
     /**
      * Decoded-form twin of Interpreter::handleNullAccess.  @p cycles8

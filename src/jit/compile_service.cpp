@@ -370,7 +370,7 @@ CompileService::compileModules(const std::vector<Module *> &mods,
                 deserializeFunctionFromString(*compiled, f);
             if (options_.predecode) {
                 Hash128 dkey = decodedProgramKey(
-                    digest ? *digest : hashBytes(*compiled), target_,
+                    digest ? *digest : hashBytes(*compiled), f, target_,
                     decodeOpts);
                 if (!decodedCache_->lookup(dkey)) {
                     Stopwatch decodeWatch;

@@ -5,7 +5,7 @@
  * @file
  * The promotion side of profile-guided tiering: accepts "this function
  * is hot" requests from interpreting engines, compiles the function to
- * a native block (baseline or optimized backend) on a background
+ * a native block (with or without register homes) on a background
  * worker pool (or inline, for deterministic tests and the all-native
  * policy), lints the block's trap-site tables with
  * auditNativeTrapSites, and publishes it into the CodeRegistry.
@@ -89,8 +89,8 @@ class TierController
 
     /**
      * The access at record @p rec of @p fn took a hardware trap: lower
-     * it with an explicit test (and, if the optimized backend had
-     * speculated the load, without speculation) from @p fn's next
+     * it with an explicit test (and, if the block had speculated the
+     * load, without speculation) from @p fn's next
      * promotion on.  The caller invalidates the trapping block.  Safe
      * from any thread.
      */
@@ -109,9 +109,9 @@ class TierController
     /**
      * Promotion totals since construction: functionsPromoted,
      * tierUpLatencySeconds (request-to-publish, summed),
-     * sitesExplicitized, and for the optimized backend
+     * sitesExplicitized, and for blocks compiled with register homes
      * functionsRegalloc, spillsEmitted, loadsSpeculated and
-     * regallocSeconds (its compile time).
+     * regallocSeconds (their compile time).
      */
     ServiceCounters counters() const;
 

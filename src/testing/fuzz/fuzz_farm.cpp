@@ -313,10 +313,10 @@ runOneCase(uint64_t seed, const std::string &profile, const FuzzArm &arm,
     }
 
     if (opts.useOptimizedOracle && fuzzNativeTierUsable()) {
-        // The optimized backend: linear-scan register allocation plus
-        // speculated loads whose guard-page traps deopt into the fast
-        // interpreter — the oracle covers regalloc homes, batched
-        // budget refunds and mid-run replay all at once.
+        // The optimized configuration: register homes plus speculated
+        // loads whose guard-page traps deopt into the fast interpreter
+        // — the oracle covers homes, budget refunds and mid-run replay
+        // all at once.
         TieredOptions optimizedOpts = eagerTieredOptions();
         optimizedOpts.backend = NativeBackend::Optimized;
         EquivalenceReport optimized =

@@ -12,8 +12,8 @@
  * soundness auditor collecting, and then runs the differential oracles:
  * reference vs fast interpreter (bit-exact, cycles included) and — on
  * hosts with the native tier — fast vs the all-native engine with the
- * baseline backend, fast vs the all-native engine with the optimized
- * backend (linear-scan regalloc + speculated loads, so real deopt
+ * baseline configuration, fast vs the all-native engine with the
+ * optimized one (register homes + speculated loads, so real deopt
  * exits replay mid-case) and fast vs the profile-guided tiered engine
  * (threshold 2, so functions promote in the middle of the case and
  * publish/patch runs under live traps).
@@ -147,7 +147,7 @@ struct FuzzOptions
 
     /**
      * Also run the fast-vs-native oracle: the all-native engine
-     * (eagerTieredOptions()) with the baseline backend.  Automatically
+     * (eagerTieredOptions()) in the baseline configuration.  Automatically
      * skipped (per run, not per case) on hosts without the native tier
      * or under AddressSanitizer, whose shadow memory is incompatible
      * with guard-page SIGSEGV recovery.
@@ -156,7 +156,7 @@ struct FuzzOptions
 
     /**
      * Also run the fast-vs-optimized oracle: the all-native engine with
-     * the regalloc+speculation backend (NativeBackend::Optimized), so
+     * register homes + speculation (NativeBackend::Optimized), so
      * speculated loads that actually trap deopt and replay mid-case.
      * Skipped on the same hosts as the native oracle.
      */

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/audit/audit.h"
 #include "codegen/native/native_compiler.h"
 #include "codegen/native/native_mutation_hooks.h"
@@ -130,11 +132,13 @@ INSTANTIATE_TEST_SUITE_P(AllTen, AuditMutationDetection,
                          mutationName);
 
 // -----------------------------------------------------------------------
-// Optimized native backend: the regalloc/speculation obligations of
-// auditNativeTrapSites must catch deliberately corrupted install-time
-// metadata (codegen/native/native_mutation_hooks.h).  The no-opt trap
-// pipeline keeps checks explicit, which is what section-5.4 speculation
-// pairs on, so these seeds produce plenty of speculated sites.
+// Native lowering: the exit, speculation and register-home obligations
+// of auditNativeTrapSites must catch deliberately corrupted install-
+// time metadata (codegen/native/native_mutation_hooks.h).  The no-opt
+// trap pipeline keeps many checks explicit, which is what section-5.4
+// speculation pairs on, and makes the rest implicit, so these seeds
+// produce plenty of speculated sites and NPE exits in blocks with
+// register homes.
 // -----------------------------------------------------------------------
 
 struct NativeSweepResult
@@ -144,7 +148,8 @@ struct NativeSweepResult
     size_t mutationTargets = 0; ///< compiles the armed mutation could bite
 };
 
-/** Optimized-compile seeds [kSeedBegin, kSeedEnd), auditing each block. */
+/** Compile seeds [kSeedBegin, kSeedEnd) with register homes and
+ *  speculation, auditing each block. */
 NativeSweepResult
 nativeAuditSweep(NativeMutation mutation)
 {
@@ -172,10 +177,26 @@ nativeAuditSweep(NativeMutation mutation)
             if (!res.code)
                 continue;
             ++result.compiles;
-            const bool bites =
-                mutation == NativeMutation::RegLocReservedReg
-                    ? !res.code->regLocs.empty()
-                    : res.code->loadsSpeculated > 0;
+            bool bites = false;
+            switch (mutation) {
+              case NativeMutation::None:
+                break;
+              case NativeMutation::SpecWrongDeoptRecord:
+                bites = res.code->loadsSpeculated > 0;
+                break;
+              case NativeMutation::HomedNpeExitDropped:
+                bites = !res.code->regLocs.empty() &&
+                        std::any_of(res.code->sites.begin(),
+                                    res.code->sites.end(),
+                                    [&](const NativeTrapSite &s) {
+                                        return nativeImplicitNpeSite(
+                                            df->code[s.recordIndex]);
+                                    });
+                break;
+              case NativeMutation::RegLocReservedReg:
+                bites = !res.code->regLocs.empty();
+                break;
+            }
             if (mutation != NativeMutation::None && bites)
                 ++result.mutationTargets;
             result.report +=
@@ -185,7 +206,7 @@ nativeAuditSweep(NativeMutation mutation)
     return result;
 }
 
-/** Unmutated optimized blocks must pass the grown audit clean. */
+/** Unmutated blocks must pass the audit clean. */
 TEST(NativeAuditMutations, BaselineIsClean)
 {
     if (!nativeTierSupported())
@@ -209,14 +230,14 @@ TEST_P(NativeAuditMutationDetection, AuditorFlagsTheSeededBug)
         << "no compile in the seed window produced metadata this "
            "mutation corrupts; widen the window";
     EXPECT_FALSE(result.report.findings.empty())
-        << "the auditor missed this native-backend mutation on every "
+        << "the auditor missed this native-lowering mutation on every "
            "seed in ["
         << kSeedBegin << ", " << kSeedEnd << ")";
 }
 
 const NativeMutation kAllNativeMutations[] = {
     NativeMutation::SpecWrongDeoptRecord,
-    NativeMutation::SpecDropFlag,
+    NativeMutation::HomedNpeExitDropped,
     NativeMutation::RegLocReservedReg,
 };
 
@@ -227,7 +248,8 @@ nativeMutationName(const ::testing::TestParamInfo<NativeMutation> &info)
       case NativeMutation::None: return "None";
       case NativeMutation::SpecWrongDeoptRecord:
         return "SpecWrongDeoptRecord";
-      case NativeMutation::SpecDropFlag: return "SpecDropFlag";
+      case NativeMutation::HomedNpeExitDropped:
+        return "HomedNpeExitDropped";
       case NativeMutation::RegLocReservedReg:
         return "RegLocReservedReg";
     }

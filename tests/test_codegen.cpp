@@ -281,10 +281,10 @@ TEST(Emitter, BranchFixupsPointAtBlockStarts)
 }
 
 // ---------------------------------------------------------------------------
-// Optimized native backend: section-5.4 speculation shape
+// Native lowering with speculation: section-5.4 speculation shape
 // ---------------------------------------------------------------------------
 
-// The acceptance shape of the optimized x86-64 backend, asserted via
+// The acceptance shape of section-5.4 speculation, asserted via
 // the published trap-site table: an explicit NullCheck whose guarded
 // load is speculated compiles to ZERO bytes, and the load's machine
 // code occupies the check's former position — it executes *above* its
@@ -346,12 +346,12 @@ TEST(OptimizedNativeShape, SpeculatedLoadRunsAboveItsEliminatedCheck)
     EXPECT_GE(site->accessBegin, nc.recordOffsets[check]);
     EXPECT_LT(site->accessBegin, nc.recordOffsets[access + 1]);
 
-    // 3. The deopt metadata replays the *check*, not the load.
+    // 3. The load's site carries deopt metadata (only speculated loads
+    //    do), and it replays the *check*, not the load.
     ASSERT_GE(site->deoptIndex, 0);
     ASSERT_LT(static_cast<size_t>(site->deoptIndex), nc.deopts.size());
     const NativeDeoptInfo &info =
         nc.deopts[static_cast<size_t>(site->deoptIndex)];
-    EXPECT_TRUE(info.speculated);
     EXPECT_EQ(static_cast<uint32_t>(check), info.deoptRecord);
 }
 
@@ -378,8 +378,10 @@ TEST(OptimizedNativeShape, SpeculationOffKeepsTheExplicitCheck)
     ASSERT_NE(nullptr, res.code) << res.unsupportedReason;
     EXPECT_EQ(0u, res.code->loadsSpeculated);
     EXPECT_GT(res.code->explicitNullCheckBytes, 0u);
-    for (const NativeDeoptInfo &d : res.code->deopts)
-        EXPECT_FALSE(d.speculated);
+    // Deopt records exist only for speculated loads.
+    EXPECT_TRUE(res.code->deopts.empty());
+    for (const NativeTrapSite &s : res.code->sites)
+        EXPECT_EQ(-1, s.deoptIndex);
 }
 
 TEST(OptimizedNativeShape, BigOffsetFieldIsNeverSpeculated)

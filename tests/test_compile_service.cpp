@@ -489,7 +489,8 @@ expectEngineDecodeKeys(const CompileService &service,
             const Function &fn = mod->function(f);
             Hash128 engineKey = decodedProgramKey(fn, target);
             EXPECT_EQ(decodedProgramKey(
-                          hashBytes(serializeFunctionToString(fn)), target),
+                          hashBytes(serializeFunctionToString(fn)), f,
+                          target),
                       engineKey)
                 << what << ": " << fn.name();
             EXPECT_NE(nullptr, service.decodedCache()->lookup(engineKey))

@@ -8,27 +8,31 @@
  * everything but the simulated cycle model: same heap bytes, same
  * exceptions (Java-level and HardFault, message included), same
  * EventTrace, same semantic counters (instructions, calls,
- * allocations, trapsTaken, speculativeReadsOfNull) — under both
- * backends.  Unlike the interpreters it takes the paper's mechanism
+ * allocations, trapsTaken, speculativeReadsOfNull) — in both
+ * configurations of the one lowering (slot-resident, and register
+ * homes + speculation).  Unlike the interpreters it takes the paper's mechanism
  * literally — an implicit null check is *zero emitted instructions*
  * and recovery rides a real SIGSEGV from the heap guard page — so this
  * suite also asserts the machine-code shape:
  *
  *  1. parametrized sweeps: 200 random programs × the full 11-arm
- *     config matrix under the baseline backend, 60 × 11 under the
- *     optimized backend (regalloc + section-5.4 speculation, whose
+ *     config matrix in the baseline configuration, 60 × 11 in the
+ *     optimized one (register homes + section-5.4 speculation, whose
  *     trapped loads deopt into the interpreter), each compiled program
  *     executed under both engines and compared with
  *     compareTieredEngine();
  *  2. disassembly-level check-size assertions via NativeCode record
- *     offsets: an implicit NullCheck record is exactly the
- *     instruction-budget preamble (no compare, no branch), an explicit
- *     one carries the kNativeExplicitNullCheckBytes compare-and-branch;
+ *     offsets: past a budget run's first record an implicit NullCheck
+ *     record is exactly zero bytes (no compare, no branch), an explicit
+ *     one exactly a slot load plus the kNativeExplicitNullCheckBytes
+ *     compare-and-branch;
  *  3. directed tests for the trap path (a real fault must be taken and
  *     must surface as the interpreter-identical NullPointerException),
- *     mixed native/interpreted call stacks, budget-fault message
- *     parity, the all-native promise (no interpreter dispatch at all),
- *     and the TRAPJIT_INTERP / backend selectors.
+ *     mixed native/interpreted call stacks, budget-fault parity at
+ *     every budget and after a trap the handler parks as a HardFault,
+ *     in-code exception dispatch with register homes,
+ *     the all-native promise (no interpreter dispatch at all), and the
+ *     TRAPJIT_INTERP / backend selectors.
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -301,10 +305,10 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
     compiler.compile(*mod);
 
     FunctionId entry = mod->findFunction("main");
-    // Pin the baseline backend: these byte-layout assertions describe
-    // the per-record lowering, and must not flip when the suite runs
-    // under TRAPJIT_NATIVE_BACKEND=optimized.  The all-native engine
-    // compiles main on its first call, and the code still runs
+    // Pin the baseline configuration: these byte-layout assertions
+    // describe slot-resident operands, and must not flip when the suite
+    // runs under TRAPJIT_NATIVE_BACKEND=optimized.  The all-native
+    // engine compiles main on its first call, and the code still runs
     // correctly.
     TieredEngine engine(*mod, target, {}, nullptr, {},
                         eagerWith(NativeBackend::Baseline));
@@ -317,26 +321,27 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
         << "trap config did not produce implicit checks";
     EXPECT_EQ(0u, nc->implicitNullCheckBytes);
 
-    // Record-level disassembly check: every implicit NullCheck record
-    // is *exactly* the budget preamble — zero check instructions — and
-    // every explicit one is preamble + slot load + compare-and-branch.
+    // Record-level disassembly check.  main is one straight-line block
+    // without calls, so it is a single budget run whose pre-charge
+    // sits in record 0 (never a NullCheck: main starts by allocating);
+    // every implicit NullCheck record is then *exactly* zero bytes —
+    // zero check instructions — and every explicit one exactly a slot
+    // load plus the compare-and-branch.
     auto df = decodeFunction(mod->function(entry), target);
     ASSERT_EQ(df->code.size() + 1, nc->recordOffsets.size());
     size_t implicitSeen = 0;
     for (size_t i = 0; i < df->code.size(); ++i) {
         if (df->code[i].srcOp != Opcode::NullCheck)
             continue;
+        ASSERT_GT(i, 0u) << "a NullCheck carries the run's pre-charge";
         uint32_t bytes = nc->recordOffsets[i + 1] - nc->recordOffsets[i];
         if (df->code[i].flavor == CheckFlavor::Implicit) {
-            EXPECT_EQ(kNativeBudgetPreambleBytes +
-                          kNativeImplicitNullCheckBytes,
-                      bytes)
+            EXPECT_EQ(kNativeImplicitNullCheckBytes, bytes)
                 << "implicit check at record " << i
                 << " emitted real instructions";
             ++implicitSeen;
         } else {
-            EXPECT_EQ(kNativeBudgetPreambleBytes + 7 /* slot load */ +
-                          kNativeExplicitNullCheckBytes,
+            EXPECT_EQ(7 /* slot load */ + kNativeExplicitNullCheckBytes,
                       bytes)
                 << "explicit check at record " << i;
         }
@@ -487,6 +492,374 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
     }
 }
 
+/**
+ * main: a loop over a checked array whose body calls a leaf, runs an
+ * integer ALU chain and stores the call's result back; a compare-and-
+ * branch closes the loop, then a null field read in a try region
+ * raises the NullPointerException its handler catches.
+ */
+std::unique_ptr<Module>
+buildBudgetSweepModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &leaf = mod->addFunction("leaf", Type::I32);
+    {
+        ValueId x = leaf.addParam(Type::I32, "x");
+        IRBuilder b(leaf);
+        b.startBlock();
+        b.ret(b.binop(Opcode::IAdd, b.binop(Opcode::IMul, x, b.constInt(3)),
+                      b.constInt(1)));
+    }
+    const FunctionId leafId = mod->findFunction("leaf");
+
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    BasicBlock &entry = b.startBlock();
+    BasicBlock &head = fn.newBlock();
+    BasicBlock &body = fn.newBlock();
+    BasicBlock &handler = fn.newBlock();
+    TryRegionId region =
+        fn.addTryRegion(handler.id(), ExcKind::NullPointer);
+    BasicBlock &tryBody = fn.newBlock(region);
+
+    b.atEnd(entry);
+    ValueId arr = b.newArray(b.constInt(8), Type::I32);
+    ValueId i = fn.addLocal(Type::I32);
+    ValueId acc = fn.addLocal(Type::I32);
+    b.move(i, b.constInt(0));
+    b.move(acc, b.constInt(5));
+    b.jump(head);
+
+    b.atEnd(head);
+    b.branch(b.cmp(Opcode::ICmp, CmpPred::LT, i, b.constInt(8)), body,
+             tryBody);
+
+    b.atEnd(body);
+    ValueId v = b.arrayLoad(arr, i, Type::I32);
+    ValueId chain = b.binop(
+        Opcode::IXor,
+        b.binop(Opcode::IMul, b.binop(Opcode::IAdd, v, i), b.constInt(5)),
+        acc);
+    b.move(acc, chain);
+    b.arrayStore(arr, i, b.callStatic(leafId, {acc}, Type::I32),
+                 Type::I32);
+    b.move(i, b.binop(Opcode::IAdd, i, b.constInt(1)));
+    b.jump(head);
+
+    b.atEnd(tryBody);
+    b.ret(b.getField(b.constNull(), 8, Type::I32));
+
+    b.atEnd(handler);
+    b.ret(b.binop(Opcode::IAdd, acc,
+                  b.arrayLoad(arr, b.constInt(3), Type::I32)));
+    return mod;
+}
+
+/** Outcome of one budget-limited run: a HardFault or the result. */
+struct BudgetRun
+{
+    std::string fault;
+    uint64_t instructions = 0;
+    ExecResult::Outcome outcome = ExecResult::Outcome::Returned;
+    int64_t value = 0;
+    uint64_t trapsTaken = 0;
+};
+
+template <typename Engine>
+BudgetRun
+runUnderBudget(Engine &engine, FunctionId entry)
+{
+    BudgetRun out;
+    try {
+        ExecResult r = engine.run(entry, {});
+        out.outcome = r.outcome;
+        out.value = r.value.i;
+        out.trapsTaken = r.stats.trapsTaken;
+    } catch (const HardFault &fault) {
+        out.fault = fault.what();
+    }
+    out.instructions = engine.stats().instructions;
+    return out;
+}
+
+/**
+ * Run @p mod's main under every budget from 1 to its full count, in
+ * both configurations; each run must reproduce the fast interpreter's
+ * HardFault message (or result), instruction count and trapsTaken.
+ * Returns the full count.
+ */
+uint64_t
+expectEveryBudgetMatches(const Module &mod, const Target &target,
+                         const std::string &what)
+{
+    const FunctionId entry = mod.findFunction("main");
+    FastInterpreter full(mod, target);
+    const ExecResult complete = full.run(entry, {});
+    EXPECT_EQ(ExecResult::Outcome::Returned, complete.outcome) << what;
+    const uint64_t total = complete.stats.instructions;
+
+    size_t faults = 0;
+    for (NativeBackend backend :
+         {NativeBackend::Baseline, NativeBackend::Optimized}) {
+        for (uint64_t budget = 1; budget <= total; ++budget) {
+            InterpOptions options;
+            options.maxInstructions = budget;
+            FastInterpreter fast(mod, target, options);
+            const BudgetRun want = runUnderBudget(fast, entry);
+            TieredEngine engine(mod, target, options, nullptr, {},
+                                eagerWith(backend));
+            const BudgetRun got = runUnderBudget(engine, entry);
+            const std::string where =
+                what + " budget " + std::to_string(budget) +
+                (backend == NativeBackend::Optimized ? " (optimized)" : "");
+            EXPECT_EQ(want.fault, got.fault) << where;
+            EXPECT_EQ(want.instructions, got.instructions) << where;
+            EXPECT_EQ(want.outcome, got.outcome) << where;
+            EXPECT_EQ(want.value, got.value) << where;
+            EXPECT_EQ(want.trapsTaken, got.trapsTaken) << where;
+            faults += want.fault.empty() ? 0 : 1;
+        }
+    }
+    // Only the full budget completes.
+    EXPECT_EQ(2 * (total - 1), faults) << what;
+    return total;
+}
+
+// Every budget of a program with a call, a try/catch handler, a
+// checked-array loop, an ALU chain and a compare-and-branch, under an
+// explicit-check arm (raise stubs, and speculated loads whose trap
+// deopts) and the Phase1+Phase2 arm (implicit checks trapping into NPE
+// exits): the fault must land on the fast interpreter's record with
+// its message and instruction count, which pins the refund of every
+// exit — raise, NPE, helper status, budget run and speculated trap.
+TEST(NativeBudget, EveryBudgetReproducesTheInterpreterFault)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    for (PipelineConfig (*makeConfig)() :
+         {makeNoOptNoTrapConfig, makeNewFullConfig}) {
+        auto mod = buildBudgetSweepModule();
+        Compiler compiler(target, makeConfig());
+        compiler.compile(*mod);
+        EXPECT_GT(expectEveryBudgetMatches(*mod, target, makeConfig().name),
+                  100u)
+            << "the loop did not run";
+    }
+}
+
+/**
+ * main: a constant defined before a call reaches a divisor through a
+ * Move after it, in a try region whose handler returns at once; the
+ * run after the call goes on past the division.
+ */
+std::unique_ptr<Module>
+buildConstantAcrossCallModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &leaf = mod->addFunction("leaf", Type::I32);
+    {
+        IRBuilder b(leaf);
+        b.startBlock();
+        b.ret(b.constInt(7));
+    }
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    BasicBlock &entry = b.startBlock();
+    BasicBlock &handler = fn.newBlock();
+    TryRegionId region = fn.addTryRegion(handler.id(), ExcKind::Arithmetic);
+    BasicBlock &body = fn.newBlock(region);
+    b.atEnd(entry);
+    b.jump(body);
+    b.atEnd(body);
+    ValueId one = b.constInt(1);
+    ValueId h = b.callStatic(leaf.id(), {}, Type::I32);
+    ValueId q = fn.addLocal(Type::I32);
+    b.move(q, one);
+    ValueId r = b.binop(Opcode::IDiv, h, q);
+    ValueId s = b.binop(Opcode::IAdd, r, h);
+    b.ret(b.binop(Opcode::IMul, s, h));
+    b.atEnd(handler);
+    b.ret(h);
+    return mod;
+}
+
+// The Move folds the constant as an immediate, but budget exhaustion at
+// the run after the call replays that run on the interpreter, which
+// reads the constant's slot: the def must still store it, or the
+// replayed division throws and the handler returns early.
+TEST(NativeBudget, ReplayedRunReadsFoldedConstantsFromTheirSlots)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    auto mod = buildConstantAcrossCallModule();
+    expectEveryBudgetMatches(*mod, makeIA32WindowsTarget(), "unoptimized");
+}
+
+/**
+ * main: x = 7, then x = null.field(@p offset) marked as an implicit
+ * check (@p exceptionSite) or a speculative read (@p speculative) or
+ * neither, then return x + 1.  On AIX a marked or speculative read of
+ * page zero yields zero instead of trapping, so main returns 1;
+ * natively the guard page traps and the handler resumes at the next
+ * record.  On IA32 a speculative read, an unmarked one and a marked
+ * one past the trap area are HardFaults.
+ */
+std::unique_ptr<Module>
+buildNullReadModule(bool exceptionSite, bool speculative, int64_t offset)
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    b.startBlock();
+    ValueId x = fn.addLocal(Type::I32);
+    b.move(x, b.constInt(7));
+    Instruction gf;
+    gf.op = Opcode::GetField;
+    gf.dst = x;
+    gf.a = b.constNull();
+    gf.imm = offset;
+    gf.exceptionSite = exceptionSite;
+    gf.speculative = speculative;
+    b.emit(gf);
+    b.ret(b.binop(Opcode::IAdd, x, b.constInt(1)));
+    return mod;
+}
+
+// A guard-page trap the SIGSEGV handler cannot resolve unwinds as a
+// HardFault from the handler itself.  Like every other exit it refunds
+// the records its run pre-charged after the faulting one, so the
+// instruction count is the fast interpreter's.
+TEST(NativeBudget, UnresolvedTrapFaultsWithTheInterpretersCount)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    struct Case
+    {
+        const char *name;
+        bool exceptionSite;
+        bool speculative;
+        int64_t offset;
+    };
+    const Case cases[] = {
+        {"not trap-covered", true, false, 2 * target.trapAreaBytes},
+        {"speculation unsafe", false, true, 8},
+        {"unchecked", false, false, 8},
+    };
+    for (const Case &c : cases) {
+        auto mod =
+            buildNullReadModule(c.exceptionSite, c.speculative, c.offset);
+        const FunctionId entry = mod->findFunction("main");
+        FastInterpreter fast(*mod, target);
+        const BudgetRun want = runUnderBudget(fast, entry);
+        ASSERT_FALSE(want.fault.empty()) << c.name;
+        for (NativeBackend backend :
+             {NativeBackend::Baseline, NativeBackend::Optimized}) {
+            const std::string where =
+                std::string(c.name) +
+                (backend == NativeBackend::Optimized ? " (optimized)" : "");
+            TieredEngine engine(*mod, target, {}, nullptr, {},
+                                eagerWith(backend));
+            const BudgetRun got = runUnderBudget(engine, entry);
+            EXPECT_EQ(want.fault, got.fault) << where;
+            EXPECT_EQ(want.instructions, got.instructions) << where;
+            EXPECT_NE(nullptr, engine.registry()->published(entry)) << where;
+            ServiceCounters counters;
+            engine.addTieringCounters(counters);
+            EXPECT_EQ(1u, counters.hardwareTraps) << where;
+        }
+    }
+}
+
+/**
+ * Exceptions the fast interpreter raises from failed checks in one run
+ * of @p entry: it charges target.throwCycles per raise, so runs under
+ * two throw costs differ by that many times the difference.
+ */
+uint64_t
+countCheckRaises(const Module &mod, const Target &target, FunctionId entry)
+{
+    Target costly = target;
+    costly.throwCycles += 1000.0;
+    FastInterpreter cheap(mod, target);
+    FastInterpreter dear(mod, costly);
+    const double extra = dear.run(entry, {}).stats.cycles -
+                         cheap.run(entry, {}).stats.cycles;
+    return static_cast<uint64_t>(extra / 1000.0 + 0.5);
+}
+
+// With register homes and speculation off, exceptions dispatch in code
+// like the slot-resident configuration's: warmed trap-serving runs
+// raise exceptions, match the fast interpreter and never deopt.
+TEST(NativeHomes, WarmExceptionRunsDispatchInCodeWithoutDeopts)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    for (const char *preset : {"pointer_chase", "try_storm"}) {
+        auto mod = generateWorkloadModule(*findWorkloadProfile(preset));
+        Compiler compiler(target, makeNewFullConfig());
+        compiler.compile(*mod);
+        const FunctionId entry = mod->findFunction("main");
+
+        TieredOptions opts = eagerWith(NativeBackend::Optimized);
+        opts.speculate = 0;
+        TieredEngine engine(*mod, target, {}, nullptr, {}, opts);
+        for (int warm = 0; warm < 2; ++warm) {
+            engine.run(entry, {});
+            engine.drainPromotions();
+            engine.reset();
+        }
+        const ExecResult got = engine.run(entry, {});
+        FastInterpreter fast(*mod, target);
+        const ExecResult want = fast.run(entry, {});
+
+        EXPECT_GT(countCheckRaises(*mod, target, entry) +
+                      want.stats.trapsTaken,
+                  0u)
+            << preset << " raised no exception";
+        EXPECT_EQ(want.outcome, got.outcome) << preset;
+        EXPECT_EQ(want.value.i, got.value.i) << preset;
+        EXPECT_EQ(want.stats.instructions, got.stats.instructions)
+            << preset;
+        EXPECT_EQ(want.stats.trapsTaken, got.stats.trapsTaken) << preset;
+        EXPECT_EQ(fast.heap().digest(), engine.heap().digest()) << preset;
+        ServiceCounters c;
+        engine.addTieringCounters(c);
+        EXPECT_EQ(0u, c.deoptsTaken) << preset;
+        EXPECT_GT(c.functionsRegalloc, 0u) << preset;
+
+        EquivalenceReport report =
+            compareTieredEngine(*mod, target, {}, opts);
+        EXPECT_TRUE(report.equivalent) << preset << ": " << report.message;
+    }
+}
+
+// A trap that resumes in the block with a zero must leave the zero in
+// the destination's register home as well as in its slot: the code
+// after it reads the home.
+TEST(NativeHomes, ResumedZeroReachesTheDestinationsHome)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target aix = makePPCAIXTarget();
+    for (bool speculative : {false, true}) {
+        auto mod = buildNullReadModule(!speculative, speculative, 8);
+        TieredEngine engine(*mod, aix, {}, nullptr, {},
+                            eagerWith(NativeBackend::Optimized));
+        ExecResult r = engine.run(mod->findFunction("main"), {});
+        ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
+        EXPECT_EQ(1, r.value.i) << "speculative " << speculative;
+        const NativeCode *nc =
+            engine.registry()->published(mod->findFunction("main"));
+        ASSERT_NE(nullptr, nc);
+        EXPECT_GT(nc->regsAllocated, 0u);
+        ServiceCounters c;
+        engine.addTieringCounters(c);
+        EXPECT_EQ(1u, c.hardwareTraps) << "speculative " << speculative;
+
+        EquivalenceReport report = compareTieredEngine(
+            *mod, aix, {}, eagerWith(NativeBackend::Optimized));
+        EXPECT_TRUE(report.equivalent) << report.message;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The all-native promise: nothing is interpreted
 // ---------------------------------------------------------------------------
@@ -494,7 +867,7 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
 // With threshold 1 and synchronous promotion, a call whose promotion
 // publishes the block enters it at once — so on a trap-free program
 // whose functions all compile, the interpreter never dispatches a
-// single record, under either backend.
+// single record, in either configuration.
 TEST(NativeEager, TrapFreeProgramsNeverDispatchInTheInterpreter)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -615,10 +988,10 @@ TEST(NativeBigOffset, BigOffsetProgramsMatchAcrossEngines)
 }
 
 // ---------------------------------------------------------------------------
-// Optimized backend: regalloc + section-5.4 speculation sweep
+// Optimized configuration: register homes + section-5.4 speculation
 // ---------------------------------------------------------------------------
 
-/** compareNative with the optimized backend pinned. */
+/** compareNative with the optimized configuration pinned. */
 EquivalenceReport
 compareOptimized(Module &mod, const Target &target)
 {
@@ -630,9 +1003,9 @@ class OptimizedDifferential : public ::testing::TestWithParam<SeedAndArm>
 };
 
 // The same 11-arm matrix as the baseline sweep, with linear-scan
-// register allocation, batched budget runs and speculated loads in the
-// code under test.  Every deopt exit finishes its frame on the fast
-// interpreter, so bit-identity here covers the whole deopt protocol.
+// register homes and speculated loads in the code under test.  Every
+// deopt exit finishes its frame on the fast interpreter, so
+// bit-identity here covers the whole deopt protocol.
 TEST_P(OptimizedDifferential, OptimizedMatchesFastInterpreter)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -661,11 +1034,12 @@ INSTANTIATE_TEST_SUITE_P(
     armName);
 
 // Mid-loop deopt, for real: the null_storm profile pushes nulls through
-// checked accesses, so under the no-opt trap arms (checks stay explicit
-// — exactly what section-5.4 speculation pairs on) speculated loads
-// actually trap and the frame must finish on the interpreter with the
-// canonical slot file.  At least one seed must take a real deopt and
-// speculate a real load, or the sweep is vacuous.
+// checked accesses, so under the no-opt arms (checks stay explicit —
+// every one under the no-trap arm — exactly what section-5.4
+// speculation pairs on) speculated loads actually trap and the frame
+// must finish on the interpreter with the canonical slot file.  At
+// least one seed must take a real deopt and speculate a real load, or
+// the sweep is vacuous.
 TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -676,25 +1050,29 @@ TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
     size_t deopts = 0;
     size_t speculated = 0;
     size_t hardwareTraps = 0;
-    for (uint64_t seed = 900; seed < 916; ++seed) {
-        WorkloadProfile p = *preset;
-        p.seed = seed;
-        auto mod = generateWorkloadModule(p);
-        Compiler compiler(target, makeNoOptTrapConfig());
-        compiler.compile(*mod);
+    for (PipelineConfig (*makeConfig)() :
+         {makeNoOptTrapConfig, makeNoOptNoTrapConfig}) {
+        for (uint64_t seed = 900; seed < 916; ++seed) {
+            WorkloadProfile p = *preset;
+            p.seed = seed;
+            auto mod = generateWorkloadModule(p);
+            Compiler compiler(target, makeConfig());
+            compiler.compile(*mod);
 
-        EquivalenceReport report = compareOptimized(*mod, target);
-        EXPECT_TRUE(report.equivalent)
-            << "null_storm seed " << seed << ": " << report.message;
+            EquivalenceReport report = compareOptimized(*mod, target);
+            EXPECT_TRUE(report.equivalent)
+                << "null_storm seed " << seed << " / "
+                << makeConfig().name << ": " << report.message;
 
-        TieredEngine engine(*mod, target, {}, nullptr, {},
-                            eagerWith(NativeBackend::Optimized));
-        ServiceCounters c;
-        engine.run(mod->findFunction("main"), {});
-        engine.addTieringCounters(c);
-        deopts += c.deoptsTaken;
-        speculated += c.loadsSpeculated;
-        hardwareTraps += c.hardwareTraps;
+            TieredEngine engine(*mod, target, {}, nullptr, {},
+                                eagerWith(NativeBackend::Optimized));
+            ServiceCounters c;
+            engine.run(mod->findFunction("main"), {});
+            engine.addTieringCounters(c);
+            deopts += c.deoptsTaken;
+            speculated += c.loadsSpeculated;
+            hardwareTraps += c.hardwareTraps;
+        }
     }
     EXPECT_GT(speculated, 0u)
         << "no null_storm seed produced a speculated load";
@@ -792,7 +1170,7 @@ TEST(OptimizedDeopt, FailedSpeculationDespeculatesOnlyThatLoad)
     EXPECT_TRUE(report.equivalent) << report.message;
 }
 
-// The big-offset regime under the optimized backend: accesses past the
+// The big-offset regime in the optimized configuration: accesses past the
 // protected area keep their explicit checks (they are never speculated
 // — a trap there would not be a guard-page fault), and the programs
 // stay bit-identical.
@@ -814,7 +1192,7 @@ TEST(OptimizedDeopt, BigOffsetProgramsMatchUnderOptimizedBackend)
     }
 }
 
-// Mixed dispatch under the optimized backend: deopt exits and
+// Mixed dispatch in the optimized configuration: deopt exits and
 // interpreted callees share one frame protocol.
 TEST(OptimizedDeopt, MixedDispatchMatchesUnderOptimizedBackend)
 {
@@ -880,7 +1258,8 @@ TEST(NativeBackendSelection, EnvVariablePicksOptimizedAndSpeculation)
     ASSERT_TRUE(run.compiled);
     EXPECT_FALSE(run.optimized);
 
-    // TRAPJIT_NATIVE_BACKEND=optimized selects the optimized backend.
+    // TRAPJIT_NATIVE_BACKEND=optimized selects the optimized
+    // configuration.
     ASSERT_EQ(0, setenv("TRAPJIT_NATIVE_BACKEND", "optimized", 1));
     run = runWithEnvBackend(makeNoOptTrapConfig);
     ASSERT_TRUE(run.compiled);

@@ -17,7 +17,7 @@
  *     interpreter and the tiered engine with a threshold of 2 and
  *     synchronous promotion, so functions tier up in the middle of the
  *     case and frames cross interp -> native -> interp both ways; and
- *     60 × 11 more with the optimized backend, whose deopt exits then
+ *     60 × 11 more in the optimized configuration, whose deopt exits then
  *     also hand frames back to the interpreter mid-case;
  *  2. a policy sweep over the other promotion regimes: background
  *     workers (nondeterministic publish instants must be invisible),
@@ -36,10 +36,13 @@
  *     published (the controller already gates publishing on it; this
  *     checks the published artifacts directly);
  *  6. trap-adaptive lowering: on every workload-gen preset and both
- *     backends, the run that takes the guard-page traps and the rerun
- *     on the recompiled blocks both match the fast interpreter, and
- *     the rerun takes no hardware trap; eight engines trapping at one
- *     shared site stop trapping once they all run its new block.
+ *     configurations (the one with homes with and without speculation),
+ *     the run that takes the guard-page traps and the rerun on the
+ *     recompiled blocks both match the fast interpreter, and the rerun
+ *     takes no hardware trap unless the run before it deopted, and then
+ *     only at sites it is the first to reach natively; eight engines
+ *     trapping at one shared site stop trapping once they all run its
+ *     new block.
  *
  * Execution tests skip where the native tier cannot run (non-x86-64,
  * ASan); the engine-selection and option-parsing tests run anywhere.
@@ -47,9 +50,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -63,6 +68,7 @@
 #include "interp/fast_interpreter.h"
 #include "ir/builder.h"
 #include "ir/module.h"
+#include "ir/serializer.h"
 #include "jit/compile_service.h"
 #include "jit/compiler.h"
 #include "jit/stats.h"
@@ -177,10 +183,9 @@ class TieredOptimizedDifferential
 {
 };
 
-// The same mid-case promotion with the optimized backend: regalloc
-// homes, batched budget runs and speculated loads in published blocks
-// that are entered and left mid-run, with deopt exits finishing frames
-// on the interpreter.
+// The same mid-case promotion in the optimized configuration: register
+// homes and speculated loads in published blocks that are entered and
+// left mid-run, with deopt exits finishing frames on the interpreter.
 TEST_P(TieredOptimizedDifferential, OptimizedBlocksMatchMidPromotion)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -658,12 +663,43 @@ class TrapAdaptive : public ::testing::TestWithParam<PresetAndBackend>
 {
 };
 
+/** The all-native options of @p backend with speculation forced on or
+ *  off (the baseline ignores it). */
+TieredOptions
+eagerNative(NativeBackend backend, bool speculate)
+{
+    TieredOptions opts = eagerTieredOptions();
+    opts.backend = backend;
+    opts.speculate = speculate ? 1 : 0;
+    return opts;
+}
+
+/** Every function's explicit set, as (function, record) pairs. */
+std::vector<std::pair<FunctionId, uint32_t>>
+explicitSitesOf(const TieredEngine &engine, const Module &mod)
+{
+    std::vector<std::pair<FunctionId, uint32_t>> sites;
+    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
+        for (uint32_t rec : engine.controller()->explicitSites(f))
+            sites.emplace_back(f, rec);
+    return sites;
+}
+
 // The first run takes the guard-page traps: each trapping site joins
 // its function's explicit set and its block is invalidated.  The
 // second run, after reset(), re-promotes those functions with the
-// sites tested by test+jz.  Both runs must match the fast interpreter
+// sites tested by test+jz.  Every run must match the fast interpreter
 // on everything (trapsTaken included: an explicitized site still
-// raises a trap-covered NPE), and the second takes no hardware trap.
+// raises a trap-covered NPE).  Without speculation the first run takes
+// no deopt and the second takes no hardware trap and explicitizes
+// nothing.  With it, a run that deopted finished a frame on the
+// interpreter after a speculated load's trap, so the next run may
+// reach that frame's later sites natively for the first time; each of
+// its traps must then explicitize a new site (hardware traps equal
+// the growth of the explicit set, and every new site took a trap to
+// join it, so no trap hit an explicitized site or one site twice).  A
+// rerun after a deopt-free run takes no hardware trap in every
+// configuration.
 TEST_P(TrapAdaptive, RerunOnRecompiledBlocksMatchesWithoutHardwareTraps)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -671,35 +707,106 @@ TEST_P(TrapAdaptive, RerunOnRecompiledBlocksMatchesWithoutHardwareTraps)
     const WorkloadProfile &preset = workloadProfiles()[presetIdx];
     Target target = makeIA32WindowsTarget();
 
-    uint64_t npes = 0, hardwareTraps = 0, explicitized = 0;
-    for (uint64_t seed = 3000; seed < 3004; ++seed) {
-        auto mod = buildPresetModule(preset, seed);
-        Observed ref = referenceRun(*mod, target);
-        TieredOptions opts = eagerTieredOptions();
-        opts.backend = backend;
-        TieredEngine engine(*mod, target, {}, nullptr, {}, opts);
+    std::vector<bool> speculation{false};
+    if (backend == NativeBackend::Optimized)
+        speculation.push_back(true);
+    for (bool speculate : speculation) {
+        uint64_t npes = 0, hardwareTraps = 0, explicitized = 0;
+        for (uint64_t seed = 3000; seed < 3004; ++seed) {
+            const std::string where = "seed " + std::to_string(seed) +
+                                      (speculate ? " speculating" : "");
+            auto mod = buildPresetModule(preset, seed);
+            Observed ref = referenceRun(*mod, target);
+            TieredEngine engine(*mod, target, {}, nullptr, {},
+                                eagerNative(backend, speculate));
 
-        EXPECT_EQ(ref, tieredRun(engine, *mod)) << "seed " << seed;
-        ServiceCounters first;
-        engine.addTieringCounters(first);
-        EXPECT_EQ(ref, tieredRun(engine, *mod))
-            << "seed " << seed << " rerun after reset()";
-        ServiceCounters second;
-        engine.addTieringCounters(second);
-        EXPECT_EQ(0u, second.hardwareTraps) << "seed " << seed;
-        EXPECT_EQ(first.sitesExplicitized, second.sitesExplicitized)
-            << "seed " << seed;
+            EXPECT_EQ(ref, tieredRun(engine, *mod)) << where;
+            ServiceCounters first;
+            engine.addTieringCounters(first);
+            if (!speculate)
+                EXPECT_EQ(0u, first.deoptsTaken) << where;
+            ServiceCounters prev = first;
+            for (int rerun = 1;; ++rerun) {
+                EXPECT_EQ(ref, tieredRun(engine, *mod))
+                    << where << " rerun " << rerun << " after reset()";
+                ServiceCounters now;
+                engine.addTieringCounters(now);
+                const size_t newSites =
+                    now.sitesExplicitized - prev.sitesExplicitized;
+                if (prev.deoptsTaken == 0) {
+                    EXPECT_EQ(0u, now.hardwareTraps)
+                        << where << " rerun " << rerun;
+                    EXPECT_EQ(0u, newSites) << where << " rerun " << rerun;
+                    break;
+                }
+                EXPECT_EQ(newSites, now.hardwareTraps)
+                    << where << " rerun " << rerun
+                    << ": a trap hit an explicitized site";
+                if (now.hardwareTraps == 0)
+                    break;
+                ASSERT_LT(rerun, 8) << where << " never stopped trapping";
+                prev = now;
+            }
 
-        npes += ref.trapsTaken;
-        hardwareTraps += first.hardwareTraps;
-        explicitized += first.sitesExplicitized;
+            npes += ref.trapsTaken;
+            hardwareTraps += first.hardwareTraps;
+            explicitized += first.sitesExplicitized;
+        }
+        // Wherever the interpreters raise trap-covered NPEs, the first
+        // runs must have taken real traps and explicitized their sites.
+        if (npes > 0) {
+            EXPECT_GT(hardwareTraps, 0u) << "speculate " << speculate;
+            EXPECT_GT(explicitized, 0u) << "speculate " << speculate;
+        }
     }
-    // Wherever the interpreters raise trap-covered NPEs, the first runs
-    // must have taken real traps and explicitized their sites.
-    if (npes > 0) {
-        EXPECT_GT(hardwareTraps, 0u);
-        EXPECT_GT(explicitized, 0u);
-    }
+}
+
+// The one case of the sweep above where a rerun traps: on try_storm
+// seed 3002 with speculation, the first run's trap at a speculated
+// load (record 173) deopts, and the interpreter finishes the frame.
+// The rerun tests that load explicitly and dispatches its NPE in code,
+// so it reaches record 241 natively for the first time: exactly one
+// hardware trap, explicitizing exactly that site.  The run after it
+// takes none.
+TEST(TrapAdaptiveSpeculation, RerunAfterADeoptTrapsOnceAtTheSiteItFirstReaches)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildPresetModule(*findWorkloadProfile("try_storm"), 3002);
+    Observed ref = referenceRun(*mod, target);
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerNative(NativeBackend::Optimized, true));
+
+    EXPECT_EQ(ref, tieredRun(engine, *mod));
+    ServiceCounters first;
+    engine.addTieringCounters(first);
+    EXPECT_EQ(1u, first.deoptsTaken);
+    const auto firstSites = explicitSitesOf(engine, *mod);
+    bool deoptedAt173 = false;
+    for (const auto &[fn, rec] : firstSites)
+        deoptedAt173 = deoptedAt173 || rec == 173;
+    EXPECT_TRUE(deoptedAt173);
+
+    EXPECT_EQ(ref, tieredRun(engine, *mod)) << "rerun 1";
+    ServiceCounters second;
+    engine.addTieringCounters(second);
+    EXPECT_EQ(0u, second.deoptsTaken);
+    EXPECT_EQ(1u, second.hardwareTraps);
+    auto secondSites = explicitSitesOf(engine, *mod);
+    ASSERT_EQ(firstSites.size() + 1, secondSites.size());
+    std::vector<std::pair<FunctionId, uint32_t>> added;
+    std::set_difference(secondSites.begin(), secondSites.end(),
+                        firstSites.begin(), firstSites.end(),
+                        std::back_inserter(added));
+    ASSERT_EQ(1u, added.size());
+    EXPECT_EQ(241u, added.front().second);
+
+    EXPECT_EQ(ref, tieredRun(engine, *mod)) << "rerun 2";
+    ServiceCounters third;
+    engine.addTieringCounters(third);
+    EXPECT_EQ(0u, third.deoptsTaken);
+    EXPECT_EQ(0u, third.hardwareTraps);
+    EXPECT_EQ(secondSites, explicitSitesOf(engine, *mod));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -846,8 +953,8 @@ TEST(TieredDecodeSharing, NoRedundantDecodeAcrossServiceAndEngines)
     EXPECT_EQ(0u, second.stats().functionsDecoded);
 }
 
-// The optimized backend's deopt exits finish frames on the interpreter
-// mid-function.  That replay must execute from the same shared
+// Deopt exits (here: traps at speculated loads) finish frames on the
+// interpreter mid-function.  That replay must execute from the same shared
 // DecodedProgramCache entry the compile used — a re-decode on the deopt
 // path would double the decode cost of exactly the runs that are
 // already paying for a trap.
@@ -861,35 +968,114 @@ TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
     TieredOptions opts = eagerTieredOptions();
     opts.backend = NativeBackend::Optimized;
     size_t deopts = 0;
-    for (uint64_t seed = 900; seed < 916; ++seed) {
-        WorkloadProfile p = *preset;
-        p.seed = seed;
-        auto mod = generateWorkloadModule(p);
-        Compiler compiler(target, makeNoOptTrapConfig());
-        compiler.compile(*mod);
-        FunctionId entry = mod->findFunction("main");
+    // The no-trap arm keeps every check explicit, so speculation pairs
+    // on all of them.
+    for (PipelineConfig (*makeConfig)() :
+         {makeNoOptTrapConfig, makeNoOptNoTrapConfig}) {
+        for (uint64_t seed = 900; seed < 916; ++seed) {
+            WorkloadProfile p = *preset;
+            p.seed = seed;
+            auto mod = generateWorkloadModule(p);
+            Compiler compiler(target, makeConfig());
+            compiler.compile(*mod);
+            FunctionId entry = mod->findFunction("main");
 
-        // First engine populates the shared cache (pays the decodes).
-        auto cache = std::make_shared<DecodedProgramCache>();
-        {
-            TieredEngine warm(*mod, target, {}, cache, {}, opts);
-            warm.run(entry, {});
+            // First engine populates the shared cache (pays the
+            // decodes).
+            auto cache = std::make_shared<DecodedProgramCache>();
+            {
+                TieredEngine warm(*mod, target, {}, cache, {}, opts);
+                warm.run(entry, {});
+            }
+
+            // Second engine shares it; its run deopts (null_storm
+            // pushes nulls through speculated loads) and the replay
+            // must not decode anything.
+            TieredEngine engine(*mod, target, {}, cache, {}, opts);
+            engine.run(entry, {});
+            ServiceCounters c;
+            engine.addTieringCounters(c);
+            deopts += c.deoptsTaken;
+            EXPECT_EQ(0u, engine.stats().functionsDecoded)
+                << "seed " << seed << " / " << makeConfig().name
+                << ": the deopt replay re-decoded a cached function";
         }
-
-        // Second engine shares it; its run deopts (null_storm pushes
-        // nulls through speculated loads) and the replay must not
-        // decode anything.
-        TieredEngine engine(*mod, target, {}, cache, {}, opts);
-        engine.run(entry, {});
-        ServiceCounters c;
-        engine.addTieringCounters(c);
-        deopts += c.deoptsTaken;
-        EXPECT_EQ(0u, engine.stats().functionsDecoded)
-            << "seed " << seed
-            << ": the deopt replay re-decoded a cached function";
     }
     // The sweep is only meaningful if deopt exits actually ran.
     EXPECT_GT(deopts, 0u) << "no null_storm seed took a deopt";
+}
+
+/** A module whose function @p leafId is a looping leaf main calls once,
+ *  after @p leafId - 1 never-called fillers with their own text. */
+std::unique_ptr<Module>
+buildLoopingLeafModule(FunctionId leafId)
+{
+    auto mod = std::make_unique<Module>();
+    Function &main = mod->addFunction("main", Type::I32);
+    for (FunctionId f = 1; f < leafId; ++f) {
+        Function &filler =
+            mod->addFunction("filler" + std::to_string(f), Type::I32);
+        IRBuilder b(filler);
+        b.startBlock();
+        b.ret(b.constInt(static_cast<int64_t>(f)));
+    }
+    Function &leaf = mod->addFunction("leaf", Type::I32);
+    {
+        IRBuilder b(leaf);
+        BasicBlock &entry = b.startBlock();
+        BasicBlock &head = leaf.newBlock();
+        BasicBlock &body = leaf.newBlock();
+        BasicBlock &exit = leaf.newBlock();
+        ValueId i = leaf.addLocal(Type::I32);
+        b.atEnd(entry);
+        b.move(i, b.constInt(0));
+        b.jump(head);
+        b.atEnd(head);
+        b.branch(b.cmp(Opcode::ICmp, CmpPred::LT, i, b.constInt(100)),
+                 body, exit);
+        b.atEnd(body);
+        b.move(i, b.binop(Opcode::IAdd, i, b.constInt(1)));
+        b.jump(head);
+        b.atEnd(exit);
+        b.ret(i);
+    }
+    {
+        IRBuilder b(main);
+        b.startBlock();
+        b.ret(b.callStatic(leaf.id(), {}, Type::I32));
+    }
+    return mod;
+}
+
+// Identical function text at two ids must decode to two programs: the
+// interpreter counts back-edges by DecodedFunction::id, so a program
+// shared across ids would promote the other module's function at the
+// first id instead of the one that is hot.
+TEST(TieredDecodeSharing, IdenticalTextAtAnotherIdPromotesItsOwnFunction)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto modA = buildLoopingLeafModule(1);
+    auto modB = buildLoopingLeafModule(2);
+    ASSERT_EQ(serializeFunctionToString(modA->function(1)),
+              serializeFunctionToString(modB->function(2)));
+
+    TieredOptions opts;
+    opts.threshold = 16; // one call stays cold; the loop's back-edges
+    opts.synchronous = true; // cross the threshold
+    auto cache = std::make_shared<DecodedProgramCache>();
+    {
+        TieredEngine a(*modA, target, {}, cache, {}, opts);
+        EXPECT_EQ(100, a.run(modA->findFunction("main"), {}).value.i);
+        EXPECT_NE(nullptr, a.registry()->published(1));
+    }
+    TieredEngine b(*modB, target, {}, cache, {}, opts);
+    EXPECT_EQ(100, b.run(modB->findFunction("main"), {}).value.i);
+    EXPECT_NE(nullptr, b.registry()->published(2))
+        << "the hot leaf was not promoted";
+    EXPECT_EQ(TierState::Cold, b.registry()->state(1))
+        << "the never-called filler at the leaf's id in the other "
+           "module was promoted instead";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests of the real hardware-trap runtime: a PROT_NONE page plus a
- * SIGSEGV handler implementing null checks with zero hot-path cost —
- * the actual mechanism the paper's JIT uses on Windows and AIX.
+ * Tests of the real hardware-trap runtime: the heap's PROT_NONE guard
+ * region plus the native tier's SIGSEGV handler implementing null
+ * checks with zero hot-path cost — the actual mechanism the paper's JIT
+ * uses on Windows and AIX — under concurrent engines, and the decoded
+ * trap verdicts of the fast path pinned to the reference interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +19,6 @@
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "jit/compiler.h"
-#include "runtime/trap_runtime.h"
 #include "testing/equivalence.h"
 #include "testing/workload_gen/workload_gen.h"
 
@@ -32,100 +33,15 @@ namespace trapjit
 namespace
 {
 
-TEST(TrapRuntime, ReadOfProtectedPageTrapsToNull)
-{
-    TrapRuntime runtime;
-    uintptr_t simNull = runtime.simNull();
-
-    // A "field read at offset 8" through the null reference.
-    auto result = runtime.guardedReadI32(simNull + 8);
-    EXPECT_FALSE(result.has_value()) << "the access must trap";
-    EXPECT_EQ(1u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, ReadOfRealMemorySucceeds)
-{
-    TrapRuntime runtime;
-    int32_t cell = 12345;
-    auto result =
-        runtime.guardedReadI32(reinterpret_cast<uintptr_t>(&cell));
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(12345, *result);
-    EXPECT_EQ(0u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, WriteTrapsAndRecovers)
-{
-    TrapRuntime runtime;
-    EXPECT_FALSE(runtime.guardedWriteI32(runtime.simNull() + 16, 7));
-    int32_t cell = 0;
-    EXPECT_TRUE(runtime.guardedWriteI32(
-        reinterpret_cast<uintptr_t>(&cell), 7));
-    EXPECT_EQ(7, cell);
-    EXPECT_EQ(1u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, RepeatedTrapsAllRecover)
-{
-    TrapRuntime runtime;
-    for (int i = 0; i < 50; ++i) {
-        auto result = runtime.guardedReadI32(runtime.simNull() + 4 * i);
-        EXPECT_FALSE(result.has_value());
-    }
-    EXPECT_EQ(50u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, ConcurrentTrapsRecoverIndependently)
-{
-    // The thread-safety contract: traps taken simultaneously on many
-    // threads recover on *their own* thread (thread-local jump buffer,
-    // per-thread SA_ONSTACK alternate stack) without cross-talk.  Each
-    // thread interleaves faulting and non-faulting accesses so a
-    // recovery delivered to the wrong thread would misclassify one of
-    // them immediately.
-    TrapRuntime runtime;
-    constexpr int kThreads = 8;
-    constexpr int kIters = 200;
-    std::atomic<int> mistakes{0};
-    std::atomic<bool> go{false};
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&runtime, &mistakes, &go, t] {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            int32_t cell = t;
-            for (int i = 0; i < kIters; ++i) {
-                auto trapped =
-                    runtime.guardedReadI32(runtime.simNull() + 8 * t + 4);
-                if (trapped.has_value())
-                    mistakes.fetch_add(1, std::memory_order_relaxed);
-                auto fine = runtime.guardedReadI32(
-                    reinterpret_cast<uintptr_t>(&cell));
-                if (!fine.has_value() || *fine != t)
-                    mistakes.fetch_add(1, std::memory_order_relaxed);
-                if (!runtime.guardedWriteI32(
-                        reinterpret_cast<uintptr_t>(&cell), t))
-                    mistakes.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    go.store(true, std::memory_order_release);
-    for (std::thread &th : threads)
-        th.join();
-
-    EXPECT_EQ(0, mistakes.load());
-    EXPECT_EQ(static_cast<uint64_t>(kThreads) * kIters,
-              runtime.trapsTaken());
-}
-
 TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
 {
-    // The full-stack version of ConcurrentTrapsRecoverIndependently:
-    // eight mutator threads simultaneously execute *different*
-    // fuzz-generated trap-heavy programs on all-native engines
-    // (eagerTieredOptions(), alternating the baseline and optimized
-    // backends), each taking real guard-page SIGSEGVs, and every
+    // Traps taken simultaneously on many threads must recover on
+    // *their own* thread (per-thread run scope and SA_ONSTACK
+    // alternate stack) without cross-talk: eight mutator threads
+    // simultaneously execute *different* fuzz-generated trap-heavy
+    // programs on all-native engines (eagerTieredOptions(),
+    // alternating the baseline and optimized configurations), each
+    // taking real guard-page SIGSEGVs, and every
     // thread must reproduce the exact single-threaded reference result
     // — outcome, exception, return value, trap count and final heap
     // bytes.  Cross-thread trap delivery would corrupt one of them
@@ -216,18 +132,6 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     if (nativeUsable)
         EXPECT_GT(hardwareTraps.load(), 0u)
             << "no engine took a real guard-page trap";
-}
-
-TEST(TrapRuntime, TrapCoverageMatchesPageBounds)
-{
-    TrapRuntime runtime;
-    // In-page offsets are trap-covered; beyond the page they are not —
-    // the Figure 5 "BigOffset requires an explicit check" rule.
-    EXPECT_TRUE(runtime.trapCoversAddress(runtime.simNull()));
-    EXPECT_TRUE(runtime.trapCoversAddress(runtime.simNull() +
-                                          runtime.trapAreaBytes() - 1));
-    EXPECT_FALSE(runtime.trapCoversAddress(runtime.simNull() +
-                                           runtime.trapAreaBytes()));
 }
 
 // ---------------------------------------------------------------------------

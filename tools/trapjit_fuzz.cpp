@@ -57,7 +57,7 @@ usage()
         << "                       the replay is a divergence\n"
         << "  --no-native          skip the fast-vs-native oracle\n"
         << "  --no-optimized       skip the fast-vs-optimized oracle\n"
-        << "                       (regalloc + speculated-load deopts)\n"
+        << "                       (register homes + speculated loads)\n"
         << "  --no-tiered          skip the fast-vs-tiered oracle\n"
         << "                       (mid-case promotion at threshold 2)\n"
         << "  --no-service         sequential Compiler per case\n"
