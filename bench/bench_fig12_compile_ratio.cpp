@@ -1,7 +1,8 @@
 /**
  * @file
  * Regenerates Figure 12: the ratio of our JIT's compilation time over
- * the whole first run (compile + run) per SPECjvm98-like program.
+ * the whole first run (compile + run) per SPECjvm98-like program, the
+ * compile being the passes plus the x64 back end.
  * Uses the same fixed host->PIII calibration factor as Table 3; the
  * meaningful reproduction target is the *ordering* (javac by far the
  * largest compile share, compress/db negligible).
@@ -32,12 +33,7 @@ main()
 
     TextTable table({"benchmark", "compile share of first run"});
     for (const Workload &w : specjvmWorkloads()) {
-        double compileSeconds = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            auto mod = w.build();
-            compileSeconds += ours.compile(*mod).timings.total();
-        }
-        compileSeconds /= reps;
+        double compileSeconds = averageCompileTimings(w, ours, reps).total();
         WorkloadRun run = runWorkload(w, ours, ia32);
         double compileMs = compileSeconds * 1e3 * kHostToP3Factor;
         double runMs = simulatedMillis(run.cycles);

@@ -5,8 +5,8 @@
  * tier (the all-native engine, TRAPJIT_INTERP=native: every function
  * compiled on its first call), on jBYTEmark kernels (BM_Native_* — CI
  * uploads the results as BENCH_native.json next to BENCH_interp.json).
- * The configuration (slot-resident, or register homes + speculation)
- * follows TRAPJIT_NATIVE_BACKEND; exceptions dispatch in code in both.
+ * Native code keeps hot values in register homes and dispatches
+ * exceptions in code.
  *
  * Three families:
  *
@@ -29,7 +29,9 @@
  *    uploads these as BENCH_tiering.json).  Cold start vs warmed
  *    steady state, direct block linking vs trampoline-only, against
  *    the fused interpreter baseline: Warm must not lose to Fast on any
- *    preset, trap-heavy ones included.
+ *    preset, trap-heavy ones included.  Each reports how many blocks
+ *    went through linear scan and how many ranked values it left in
+ *    their slots (functions_regalloc, spills_emitted).
  *
  * Native benches skip (with a notice in the JSON) on hosts without the
  * native tier; the interpreter baselines run everywhere.
@@ -331,6 +333,10 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
     state.counters["tier_up_ms"] = tiering.tierUpLatencySeconds * 1e3;
     state.counters["sites_explicitized"] =
         static_cast<double>(tiering.sitesExplicitized);
+    state.counters["functions_regalloc"] =
+        static_cast<double>(tiering.functionsRegalloc);
+    state.counters["spills_emitted"] =
+        static_cast<double>(tiering.spillsEmitted);
 }
 
 #define TRAPJIT_TIERED_BENCH(kernel, preset)                              \

@@ -4,7 +4,8 @@
  * for our JIT and the AltVM stand-in, plus first-run / best-run style
  * accounting.
  *
- * Units: pass wall-clock time is measured on the host; the simulated
+ * Units: compile wall-clock time (passes plus the x64 back end) is
+ * measured on the host; the simulated
  * run time is model cycles at 600 MHz.  To express the paper's "ratio
  * of compilation time over the first run" (Figure 12-style column) the
  * host time is converted to PIII-equivalent time with a fixed,
@@ -17,7 +18,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "jit/timing.h"
 
 using namespace trapjit;
 using namespace trapjit::bench;
@@ -27,27 +27,6 @@ namespace
 
 /** Host-to-PIII-600 equivalent throughput factor (documented estimate). */
 constexpr double kHostToP3Factor = 40.0;
-
-/** Average the pass timings over @p reps fresh compilations. */
-PassTimings
-averageCompileTimings(const Workload &w, const Compiler &compiler,
-                      int reps)
-{
-    PassTimings sum;
-    for (int r = 0; r < reps; ++r) {
-        auto mod = w.build();
-        CompileReport report = compiler.compile(*mod);
-        sum.nullCheckSeconds += report.timings.nullCheckSeconds;
-        sum.otherSeconds += report.timings.otherSeconds;
-        sum.solver += report.timings.solver;
-        sum.functionsAudited += report.timings.functionsAudited;
-        sum.auditFindings += report.timings.auditFindings;
-        sum.auditSeconds += report.timings.auditSeconds;
-    }
-    sum.nullCheckSeconds /= reps;
-    sum.otherSeconds /= reps;
-    return sum;
-}
 
 } // namespace
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Regenerates Table 4 and Figure 13: the breakdown of JIT compilation
- * time into "null check optimization" versus "others", for the NEW
- * pipeline (phase 1 iterated + phase 2) and the OLD one (Whaley).
+ * time into "null check optimization" versus "others" (every other
+ * pass plus the x64 back end), for the NEW pipeline (phase 1 iterated
+ * + phase 2) and the OLD one (Whaley).
  * The paper reports the new null check optimization taking about 3x the
  * old one's time while remaining a small share (~2%) of the total.
  */
@@ -13,27 +14,6 @@
 
 using namespace trapjit;
 using namespace trapjit::bench;
-
-namespace
-{
-
-PassTimings
-averageCompileTimings(const Workload &w, const Compiler &compiler,
-                      int reps)
-{
-    PassTimings sum;
-    for (int r = 0; r < reps; ++r) {
-        auto mod = w.build();
-        CompileReport report = compiler.compile(*mod);
-        sum.nullCheckSeconds += report.timings.nullCheckSeconds;
-        sum.otherSeconds += report.timings.otherSeconds;
-    }
-    sum.nullCheckSeconds /= reps;
-    sum.otherSeconds /= reps;
-    return sum;
-}
-
-} // namespace
 
 int
 main()

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/native/native_compiler.h"
 #include "support/diagnostics.h"
 #include "support/table.h"
 #include "workloads/workload.h"
@@ -118,6 +119,26 @@ runSuite(const std::vector<Workload> &suite, const std::vector<Arm> &arms)
         result.cycles.push_back(std::move(row));
     }
     return result;
+}
+
+/**
+ * Pass timings of compiling @p w with @p compiler, averaged over
+ * @p reps fresh builds (the counters are summed), with the back end —
+ * decoding and lowering every function to x64 — counted among the
+ * "others", as the paper's compile times include code generation.
+ */
+inline PassTimings
+averageCompileTimings(const Workload &w, const Compiler &compiler, int reps)
+{
+    PassTimings sum;
+    for (int r = 0; r < reps; ++r) {
+        auto mod = w.build();
+        sum += compiler.compile(*mod).timings;
+        sum.otherSeconds += lowerModule(*mod, compiler.target()).seconds;
+    }
+    sum.nullCheckSeconds /= reps;
+    sum.otherSeconds /= reps;
+    return sum;
 }
 
 /** jBYTEmark index for a run: indexScale / cycles (larger = faster). */

@@ -1,32 +1,20 @@
 /**
  * @file
  * Architecture explorer: run one workload across every target model and
- * configuration, printing dynamic check counts, cycles, and emitted
- * code size — a compact view of the whole design space the paper's
- * Section 5 explores (pass a workload name to choose; default mtrt).
+ * configuration, printing dynamic check counts, cycles, and the size of
+ * its x64 code (the native lowering, with the target's trap model
+ * deciding which checks are implicit) — a compact view of the whole
+ * design space the paper's Section 5 explores (pass a workload name to
+ * choose; default mtrt).
  */
 
 #include <iostream>
 
-#include "codegen/emitter.h"
+#include "codegen/native/native_compiler.h"
 #include "support/table.h"
 #include "workloads/workload.h"
 
 using namespace trapjit;
-
-namespace
-{
-
-size_t
-codeBytes(const Module &mod, const Target &target)
-{
-    size_t total = 0;
-    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
-        total += emitFunction(mod.function(f), target).bytes.size();
-    return total;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -73,12 +61,12 @@ main(int argc, char **argv)
 
     std::cout << "Workload: " << w->name << " (" << w->suite << ")\n\n";
     TextTable table({"configuration", "cycles", "explicit checks",
-                     "implicit", "spec reads", "code bytes"});
+                     "implicit", "spec reads", "x64 bytes"});
     for (Row &row : rows) {
         Compiler compiler(row.compileTarget, row.config);
         auto mod = w->build();
         compiler.compile(*mod);
-        size_t bytes = codeBytes(*mod, row.compileTarget);
+        size_t bytes = lowerModule(*mod, row.compileTarget).codeBytes;
         // Re-run on a fresh module so compile+run use identical code.
         WorkloadRun run = runWorkload(*w, compiler, row.runtimeTarget);
         table.addRow({row.label, TextTable::num(run.cycles, 0),

@@ -765,10 +765,9 @@ auditNativeTrapSites(const Function &func, const Target &target,
         }
     }
 
-    // ---- Exit, speculation and register-home obligations --------------
-    // A lost NPE exit resumes an implicit check's trap nowhere, a wrong
-    // deoptRecord replays the wrong instruction, a wrong budgetAdjust
-    // desynchronizes the instruction budget, and a home on a reserved
+    // ---- Exit, check and register-home obligations --------------------
+    // A lost NPE exit resumes an implicit check's trap nowhere, a lost
+    // explicit check lets a null run on, and a home on a reserved
     // register silently corrupts the pinned engine state.
     for (size_t s = 0; s < code.sites.size(); ++s) {
         const NativeTrapSite &site = code.sites[s];
@@ -783,43 +782,6 @@ auditNativeTrapSites(const Function &func, const Target &target,
             fail(site.recordIndex, kNoValue,
                  "implicit-check trap site " + std::to_string(s) +
                      " has no NPE exit in the block's stubs");
-        }
-        if (site.deoptIndex < 0)
-            continue;
-        if (static_cast<size_t>(site.deoptIndex) >= code.deopts.size()) {
-            fail(site.recordIndex, kNoValue,
-                 "trap site " + std::to_string(s) +
-                     " has no in-range deopt record");
-            continue;
-        }
-        const NativeDeoptInfo &info =
-            code.deopts[static_cast<size_t>(site.deoptIndex)];
-        if (info.budgetAdjust > df.code.size() ||
-            info.deoptRecord > site.recordIndex) {
-            fail(site.recordIndex, kNoValue,
-                 "trap site " + std::to_string(s) +
-                     " has an implausible deopt target or budget "
-                     "refund");
-            continue;
-        }
-        // A speculated access runs *above* its explicit NullCheck: the
-        // deopt must point back at that check, which guards the same
-        // reference, immediately precedes the access, and is a
-        // GetField / ArrayLength the guard region covers.
-        const DecodedInst &acc = df.code[site.recordIndex];
-        bool ok = info.deoptRecord + 1 == site.recordIndex &&
-                  (acc.srcOp == Opcode::GetField ||
-                   acc.srcOp == Opcode::ArrayLength);
-        if (ok) {
-            const DecodedInst &chk = df.code[info.deoptRecord];
-            ok = chk.srcOp == Opcode::NullCheck &&
-                 chk.flavor == CheckFlavor::Explicit && chk.a == acc.a;
-        }
-        if (!ok) {
-            fail(site.recordIndex, acc.a,
-                 "speculated trap site " + std::to_string(s) +
-                     " does not deopt to the explicit NullCheck "
-                     "guarding its base");
         }
     }
 
@@ -866,29 +828,14 @@ auditNativeTrapSites(const Function &func, const Target &target,
         valueSeen[loc.value] = true;
     }
 
-    // A zero-byte explicit NullCheck is only sound as the elided half
-    // of a speculation pair: some site must deopt back to it, or its
-    // NPE is simply lost.
-    std::vector<bool> deoptTarget(df.code.size(), false);
-    for (const NativeTrapSite &site : code.sites) {
-        if (site.deoptIndex >= 0 &&
-            static_cast<size_t>(site.deoptIndex) < code.deopts.size()) {
-            const uint32_t r =
-                code.deopts[static_cast<size_t>(site.deoptIndex)]
-                    .deoptRecord;
-            if (r < deoptTarget.size())
-                deoptTarget[r] = true;
-        }
-    }
+    // An explicit NullCheck is never zero bytes: the lowering keeps
+    // the optimizer's check flavors, so an empty one lost its NPE.
     for (size_t i = 0; i < df.code.size(); ++i) {
         const DecodedInst &rec = df.code[i];
         if (rec.srcOp == Opcode::NullCheck &&
             rec.flavor == CheckFlavor::Explicit &&
-            code.recordOffsets[i] == code.recordOffsets[i + 1] &&
-            !deoptTarget[i]) {
-            fail(i, rec.a,
-                 "explicit NullCheck compiled to zero bytes but no "
-                 "speculated trap site deopts back to it");
+            code.recordOffsets[i] == code.recordOffsets[i + 1]) {
+            fail(i, rec.a, "explicit NullCheck compiled to zero bytes");
         }
     }
 

@@ -5,40 +5,24 @@
  * @file
  * The single source of truth for check byte costs.
  *
- * Two emitters measure the code-size effect of the paper's mechanism:
- * the pseudo emitter (codegen/emitter.h, feeding bench_ablation_codesize)
- * and the native x86-64 tier (codegen/native/).  Both must agree that an
- * explicit check costs real bytes and an implicit one costs exactly
- * zero, and neither may silently drift from the other's accounting.
- * The byte sequences and their sizes therefore live here, once:
+ * The native x86-64 lowering (codegen/native/native_compiler.cpp) is
+ * the one back end that measures the code-size effect of the paper's
+ * mechanism: an explicit check costs real bytes and an implicit one
+ * costs exactly zero.  The sizes live here, once, and the lowering
+ * asserts its measured emission against them on every check it
+ * compiles:
  *
- *  - the *model* sequences are the pseudo encoding the emitter has
- *    always produced (test+jz / cmp+jae with one-byte registers and
- *    one-byte stub displacements);
- *  - the *native* sizes are what the x86-64 baseline tier emits for the
- *    same checks (64-bit test + jz rel32 / cmp r64,m64 + jae rel32);
- *    codegen/native/native_compiler.cpp asserts its measured emission
- *    against these constants on every check it compiles.
- *
- * An implicit check emits no bytes in either tier — that is the paper's
- * entire point — so it needs no sequence, only the zero constant that
- * tests pin.
+ *  - an explicit null check is a 64-bit test + jz rel32;
+ *  - a bound check on a slot-resident length is cmp r64, m64 +
+ *    jae rel32 (a length in a register home compiles shorter);
+ *  - an implicit null check emits nothing — the following access
+ *    traps on the heap guard page instead.
  */
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "ir/value.h"
 
 namespace trapjit
 {
-
-/** Model explicit null check: test r, r ; jz <npe stub>. */
-constexpr size_t kModelExplicitNullCheckBytes = 4;
-
-/** Model bound check: cmp idx, len ; jae <aioobe stub>. */
-constexpr size_t kModelBoundCheckBytes = 5;
 
 /** Native x86-64 explicit null check: test r64, r64 ; jz rel32. */
 constexpr size_t kNativeExplicitNullCheckBytes = 9;
@@ -48,55 +32,6 @@ constexpr size_t kNativeBoundCheckBytes = 13;
 
 /** An implicit check emits nothing — the following access traps. */
 constexpr size_t kNativeImplicitNullCheckBytes = 0;
-
-namespace model
-{
-
-/** Operand register byte of the pseudo encoding (id, truncated). */
-inline void
-putReg(std::vector<uint8_t> &bytes, ValueId v)
-{
-    bytes.push_back(static_cast<uint8_t>(v == kNoValue ? 0xff : v & 0xff));
-}
-
-/**
- * Append the model explicit-null-check sequence for register @p ref;
- * returns the bytes appended (always kModelExplicitNullCheckBytes).
- */
-inline size_t
-emitExplicitNullCheck(std::vector<uint8_t> &bytes, ValueId ref)
-{
-    size_t before = bytes.size();
-    bytes.push_back(0x85); // test r, r
-    putReg(bytes, ref);
-    bytes.push_back(0x74); // jz <npe stub>
-    bytes.push_back(0x00); // stub displacement
-    size_t emitted = bytes.size() - before;
-    static_assert(kModelExplicitNullCheckBytes == 4,
-                  "keep the constant in sync with the sequence");
-    return emitted;
-}
-
-/**
- * Append the model bound-check sequence for (index, length); returns
- * the bytes appended (always kModelBoundCheckBytes).
- */
-inline size_t
-emitBoundCheck(std::vector<uint8_t> &bytes, ValueId idx, ValueId len)
-{
-    size_t before = bytes.size();
-    bytes.push_back(0x39); // cmp idx, len
-    putReg(bytes, idx);
-    putReg(bytes, len);
-    bytes.push_back(0x73); // jae <aioobe stub>
-    bytes.push_back(0x00);
-    size_t emitted = bytes.size() - before;
-    static_assert(kModelBoundCheckBytes == 5,
-                  "keep the constant in sync with the sequence");
-    return emitted;
-}
-
-} // namespace model
 
 } // namespace trapjit
 

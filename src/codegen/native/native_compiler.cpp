@@ -1,6 +1,7 @@
 #include "codegen/native/native_compiler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #include "codegen/check_bytes.h"
@@ -10,7 +11,6 @@
 #include "codegen/native/tiered_frame.h"
 #include "codegen/native/x64_emitter.h"
 #include "ir/layout.h"
-#include "runtime/heap.h"
 #include "support/diagnostics.h"
 
 /**
@@ -23,16 +23,11 @@
  * homes linear scan assigned.  A homed value is read from its GPR; a
  * def writes the home *and* the slot (write-through), so the slot file
  * is canonical at every point a frame can leave for the interpreter.
- * Without a home pool every value is slot-resident and the layer emits
- * plain slot loads and stores.
+ * A value linear scan left without a home is read from its slot.
  *
- * Speculation (section 5.4): an explicit NullCheck immediately followed
- * by the trap-coverable load it guards compiles to zero bytes; the load
- * itself becomes the check, and its trap site carries a deopt record
- * pointing *back at the check*, so a trap replays the NullCheck in the
- * interpreter and raises the exact exception the check would have.
- * A load in the compile's explicit set read through null before, so
- * it is not hoisted again; the function's other loads still are.
+ * Check flavors are the optimizer's: an explicit NullCheck is test+jz,
+ * an implicit one is zero bytes before a guarded access, and nothing
+ * here turns one into the other (DESIGN.md section 11).
  */
 
 namespace trapjit
@@ -326,33 +321,31 @@ isCallerSavedHome(R r)
 /** Linear scan's result: per-value homes and the published table. */
 struct HomeAssignment
 {
-    bool pooled = false;      ///< a home pool was supplied at all
     std::vector<int8_t> home; ///< X64Reg encoding per value, or -1
     std::vector<NativeRegLoc> regLocs;
     size_t spills = 0; ///< candidates left slot-resident
 };
 
 /**
- * Assign register homes from @p calleePool and @p callerPool (both
- * empty: every value stays slot-resident).  Candidates are values with
- * at least one GPR-path use that is not folded as an immediate and
- * whose every def goes through the accumulator (the SSE ops store
- * slots directly and would leave a home stale).  Live intervals are
- * the textual hull of all occurrences, widened to enclose any loop
- * whose back edge they overlap; they only steer *preference* — a value
- * crossing a helper call wants a callee-saved home so the C call
- * doesn't force a reload.
+ * Assign the eight home registers.  rbx, r12, r13 and r14 are pinned
+ * and rax/rcx/rdx are per-record scratch; that leaves two callee-saved
+ * and six caller-saved GPRs.  Candidates are values with at least one
+ * GPR-path use that is not folded as an immediate and whose every def
+ * goes through the accumulator (the SSE ops store slots directly and
+ * would leave a home stale).  Live intervals are the textual hull of
+ * all occurrences, widened to enclose every loop whose back edge they
+ * overlap; they only steer *preference* — a value crossing a helper
+ * call wants a callee-saved home so the C call doesn't force a reload.
  */
 HomeAssignment
 assignHomes(const DecodedFunction &df, bool recordTrace,
-            const std::vector<uint32_t> &foldedUses,
-            std::vector<R> calleePool, std::vector<R> callerPool)
+            const std::vector<uint32_t> &foldedUses)
 {
+    std::vector<R> calleePool = {R::R15, R::RBP};
+    std::vector<R> callerPool = {R::R11, R::R10, R::R9,
+                                 R::R8,  R::RDI, R::RSI};
     HomeAssignment out;
     out.home.assign(df.numValues, -1);
-    out.pooled = !calleePool.empty() || !callerPool.empty();
-    if (!out.pooled)
-        return out;
     const size_t nrec = df.code.size();
 
     std::vector<uint32_t> gprUses(df.numValues, 0);
@@ -414,7 +407,7 @@ assignHomes(const DecodedFunction &df, bool recordTrace,
         liveLo[v] = std::min(liveLo[v], at);
         liveHi[v] = std::max(liveHi[v], at);
     };
-    std::vector<std::pair<uint32_t, uint32_t>> backEdges;
+    std::vector<std::pair<uint32_t, uint32_t>> loops; // back-edge spans
     std::vector<uint32_t> helperPrefix(nrec + 1, 0);
     for (size_t i = 0; i < nrec; ++i) {
         const DecodedInst &rec = df.code[i];
@@ -428,9 +421,9 @@ assignHomes(const DecodedFunction &df, bool recordTrace,
         if (rec.srcOp == Opcode::Jump || rec.srcOp == Opcode::Branch ||
             rec.srcOp == Opcode::IfNull) {
             if (rec.target <= at)
-                backEdges.emplace_back(rec.target, at);
+                loops.emplace_back(rec.target, at);
             if (rec.srcOp != Opcode::Jump && rec.target2 <= at)
-                backEdges.emplace_back(rec.target2, at);
+                loops.emplace_back(rec.target2, at);
         }
         helperPrefix[i + 1] =
             helperPrefix[i] + (isHelperOp(rec.srcOp, recordTrace) ? 1 : 0);
@@ -439,27 +432,32 @@ assignHomes(const DecodedFunction &df, bool recordTrace,
     for (uint32_t p = 0; p < df.numParams; ++p)
         if (liveLo[p] != kNoPos)
             liveLo[p] = 0;
-    // Back-edge widening to a fixed point: a value live anywhere in a
-    // loop body is live across the whole loop.
-    bool changed = !backEdges.empty();
-    while (changed) {
-        changed = false;
-        for (ValueId v = 0; v < df.numValues; ++v) {
-            if (liveLo[v] == kNoPos)
-                continue;
-            for (const auto &be : backEdges) {
-                if (liveLo[v] <= be.second && liveHi[v] >= be.first) {
-                    if (liveLo[v] > be.first) {
-                        liveLo[v] = be.first;
-                        changed = true;
-                    }
-                    if (liveHi[v] < be.second) {
-                        liveHi[v] = be.second;
-                        changed = true;
-                    }
-                }
-            }
-        }
+    // Back-edge widening: a value live anywhere in a loop is live
+    // across the whole loop, and a widened interval can reach further
+    // loops.  Overlapping back-edge spans merge into disjoint hulls;
+    // the widening's fixed point is then the value's own interval
+    // joined with the first and last hull it overlaps.
+    std::sort(loops.begin(), loops.end());
+    std::vector<std::pair<uint32_t, uint32_t>> hulls;
+    for (const auto &span : loops) {
+        if (!hulls.empty() && span.first <= hulls.back().second)
+            hulls.back().second = std::max(hulls.back().second, span.second);
+        else
+            hulls.push_back(span);
+    }
+    for (ValueId v = 0; v < df.numValues && !hulls.empty(); ++v) {
+        if (liveLo[v] == kNoPos)
+            continue;
+        auto first = std::lower_bound(
+            hulls.begin(), hulls.end(), liveLo[v],
+            [](const auto &h, uint32_t lo) { return h.second < lo; });
+        auto last = std::upper_bound(
+            hulls.begin(), hulls.end(), liveHi[v],
+            [](uint32_t hi, const auto &h) { return hi < h.first; });
+        if (first >= last)
+            continue;
+        liveLo[v] = std::min(liveLo[v], first->first);
+        liveHi[v] = std::max(liveHi[v], (last - 1)->second);
     }
 
     struct Cand
@@ -600,45 +598,19 @@ compileNative(const Function &fn, const DecodedFunction &df,
 
     // Sites that trapped before (the explicit set, DESIGN.md section
     // 17): an implicit-check access among them is tested with test+jz
-    // into its NPE exit, and a load among them is not speculated.
+    // into its NPE exit.
     std::vector<bool> explicitRec(nrec, false);
     for (uint32_t r : explicitSites)
         if (r < nrec)
             explicitRec[r] = true;
 
-    // Section 5.4 pairs: an explicit NullCheck whose guarded load
-    // follows immediately (and nothing jumps between them) is elided;
-    // the load runs first and *is* the check.  Coverability mirrors the
-    // decoder's trap model: ArrayLength reads a small fixed offset,
-    // GetField must stay inside the guard region for a null base.
-    // specCheck[i] names the elided check of the speculated access at i.
-    std::vector<int32_t> specCheck(nrec, -1);
-    std::vector<bool> specElided(nrec, false);
-    if (options.optimized && options.speculate) {
-        for (size_t i = 0; i + 1 < nrec; ++i) {
-            const DecodedInst &rec = df.code[i];
-            const DecodedInst &ax = df.code[i + 1];
-            if (rec.srcOp != Opcode::NullCheck ||
-                rec.flavor != CheckFlavor::Explicit || jumpTarget[i + 1] ||
-                explicitRec[i + 1] || ax.a != rec.a)
-                continue;
-            if (ax.srcOp == Opcode::ArrayLength ||
-                (ax.srcOp == Opcode::GetField && ax.imm >= 0 &&
-                 ax.imm + 8 <= static_cast<int64_t>(kHeapBase))) {
-                specCheck[i + 1] = static_cast<int32_t>(i);
-                specElided[i] = true;
-            }
-        }
-    }
-
     // Single-def integer constants (the builder's mutable locals are
     // multi-def and excluded).  A use may read the constant as an
     // immediate only when no jump entry point lies in (def, use] — the
-    // def then executes on every path reaching the use.  Interpreter
-    // entry points — run starts (budget exhaustion replays the run) and
-    // speculated checks (a trap at the load replays the check) — are
-    // counted apart: a replay entering between the def and a folded use
-    // reads the constant's slot, which must then still be stored.
+    // def then executes on every path reaching the use.  Run starts are
+    // counted apart as interpreter entry points (budget exhaustion
+    // replays the run): a replay entering between the def and a folded
+    // use reads the constant's slot, which must then still be stored.
     std::vector<int32_t> constRec(df.numValues, -1);
     std::vector<uint8_t> defCount(df.numValues, 0);
     std::vector<uint32_t> jumpPrefix(nrec + 1, 0);
@@ -646,8 +618,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
     for (size_t i = 0; i < nrec; ++i) {
         const DecodedInst &r = df.code[i];
         jumpPrefix[i + 1] = jumpPrefix[i] + (jumpTarget[i] ? 1 : 0);
-        entryPrefix[i + 1] =
-            entryPrefix[i] + (runStart[i] || specElided[i] ? 1 : 0);
+        entryPrefix[i + 1] = entryPrefix[i] + (runStart[i] ? 1 : 0);
         if (r.dst == kNoValue)
             continue;
         if (defCount[r.dst] < 2)
@@ -783,16 +754,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
         }
     }
 
-    // Register homes: options.optimized supplies the pool.  rbx, r12,
-    // r13 and r14 are pinned, rax/rcx/rdx are per-record scratch; that
-    // leaves eight.
-    std::vector<R> calleePool, callerPool;
-    if (options.optimized) {
-        calleePool = {R::R15, R::RBP};
-        callerPool = {R::R11, R::R10, R::R9, R::R8, R::RDI, R::RSI};
-    }
-    HomeAssignment homes = assignHomes(df, options.recordTrace, foldedUses,
-                                       calleePool, callerPool);
+    HomeAssignment homes = assignHomes(df, options.recordTrace, foldedUses);
     const std::vector<int8_t> &home = homes.home;
     const std::vector<NativeRegLoc> &regLocs = homes.regLocs;
 
@@ -821,10 +783,12 @@ compileNative(const Function &fn, const DecodedFunction &df,
     std::vector<StatusStub> statuses;
     std::vector<BudgetStub> budgetStubs;
     std::vector<NativeTrapSite> sites;
-    std::vector<NativeDeoptInfo> deopts;
     size_t explicitBytes = 0, implicitBytes = 0, boundBytes = 0;
     size_t explicitCount = 0, implicitCount = 0, explicitizedCount = 0;
-    size_t eliminatedCount = 0, speculatedCount = 0;
+    size_t eliminatedCount = 0;
+    // Test-only fault injection (native_mutation_hooks.h), read once.
+    const bool dropExplicitChecks =
+        nativeMutationActive(NativeMutation::ExplicitCheckEmitsNoBytes);
 
     // ---- operand read/write layer --------------------------------------
     auto homed = [&](ValueId v) { return home[v] >= 0; };
@@ -930,11 +894,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
         NativeTrapSite s{begin, static_cast<uint32_t>(e.size()),
                          static_cast<uint32_t>(recIndex)};
         s.refund = unretired(recIndex);
-        if (specCheck[recIndex] >= 0) {
-            const uint32_t chk = static_cast<uint32_t>(specCheck[recIndex]);
-            deopts.push_back(NativeDeoptInfo{chk, runEnd[recIndex] - chk});
-            s.deoptIndex = static_cast<int32_t>(deopts.size() - 1);
-        }
         if (nativeImplicitNpeSite(df.code[recIndex]))
             npeExit(recIndex);
         sites.push_back(s);
@@ -1094,9 +1053,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 }
                 idx = use(bc.a, R::RDX);
             } else {
-                if (specElided[i]) {
-                    ++speculatedCount; // the length load is the check
-                } else if (rec.flavor == CheckFlavor::Explicit) {
+                if (rec.flavor == CheckFlavor::Explicit) {
                     explicitNullCheck(ref, i);
                 } else {
                     implicitBytes += kNativeImplicitNullCheckBytes;
@@ -1386,12 +1343,9 @@ compileNative(const Function &fn, const DecodedFunction &df,
           }
 
           case Opcode::NullCheck:
-            if (specElided[i]) {
-                // Section 5.4: zero bytes.  The speculated access at
-                // i+1 runs first; its trap site replays this record.
-                ++speculatedCount;
-            } else if (rec.flavor == CheckFlavor::Explicit) {
-                explicitNullCheck(use(rec.a, R::RAX), i);
+            if (rec.flavor == CheckFlavor::Explicit) {
+                if (!dropExplicitChecks)
+                    explicitNullCheck(use(rec.a, R::RAX), i);
             } else {
                 // The paper's mechanism, for real: zero instructions.
                 // The guarded access that follows faults instead.
@@ -1623,9 +1577,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
                   reinterpret_cast<uint64_t>(&trapjitTieredNullPointer));
     e.callReg(R::RAX);
     e.jmpLabel(lHandlerJump);
-    // The deopt exit.  The SIGSEGV handler enters here for a trap at a
-    // speculated load, with ctx->deoptRecord set and r14 already
-    // refunded; the budget stubs jump here the same way.
+    // The deopt exit, entered from the budget stubs with
+    // ctx->deoptRecord set and r14 already refunded.
     // trapjitTieredDeopt runs the rest of the frame and returns the
     // frame's own status, so the block just leaves.
     e.bind(lDeopt);
@@ -1650,8 +1603,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
 
     auto nc = std::make_shared<NativeCode>(std::move(buf));
     nc->codeSize = codeSize;
-    nc->optimized = homes.pooled;
-    nc->deoptOffset = e.labelOffset(lDeopt);
     nc->recordOffsets.resize(nrec + 1);
     for (size_t i = 0; i < nrec; ++i)
         nc->recordOffsets[i] = e.labelOffset(recLabel[i]);
@@ -1662,9 +1613,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             s.npeExit = e.labelOffset(npeLabel[s.recordIndex]);
     }
     nc->sites = std::move(sites);
-    nc->deopts = std::move(deopts);
     nc->regLocs = std::move(homes.regLocs);
-    nc->loadsSpeculated = speculatedCount;
     nc->spillsEmitted = homes.spills;
     nc->regsAllocated = nc->regLocs.size();
     nc->explicitNullCheckBytes = explicitBytes;
@@ -1686,9 +1635,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
     // Test-only fault injection: corrupt the published metadata the
     // way a buggy lowering would, so test_audit_mutations can prove the
     // audit obligations actually fire (native_mutation_hooks.h).
-    if (nativeMutationActive(NativeMutation::SpecWrongDeoptRecord) &&
-        !nc->deopts.empty())
-        ++nc->deopts.front().deoptRecord;
     if (nativeMutationActive(NativeMutation::HomedNpeExitDropped) &&
         !nc->regLocs.empty()) {
         for (NativeTrapSite &s : nc->sites) {
@@ -1704,6 +1650,26 @@ compileNative(const Function &fn, const DecodedFunction &df,
 
     frame.install(*nc);
     out.code = std::move(nc);
+    return out;
+}
+
+NativeModuleLowering
+lowerModule(const Module &mod, const Target &target)
+{
+    NativeModuleLowering out;
+    const auto start = std::chrono::steady_clock::now();
+    for (FunctionId f = 0; f < mod.numFunctions(); ++f) {
+        const Function &fn = mod.function(f);
+        auto df = decodeFunction(fn, target);
+        NativeCompileResult res = compileNative(fn, *df, {});
+        if (res.code == nullptr)
+            continue;
+        out.codeBytes += res.code->codeSize;
+        out.explicitNullCheckBytes += res.code->explicitNullCheckBytes;
+    }
+    out.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
     return out;
 }
 

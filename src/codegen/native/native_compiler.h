@@ -5,10 +5,9 @@
  * @file
  * The native x86-64 tier's one lowering of a DecodedFunction into
  * real, executable machine code with the paper's hardware-trap
- * implicit null checks (DESIGN.md section 11).  Two options shape the
- * code and nothing else does: NativeCompileOptions::optimized supplies
- * a pool of eight GPRs that linear scan hands out as register homes,
- * and speculate (with it) turns on the section-5.4 check/load pairs.
+ * implicit null checks (DESIGN.md section 11).  It has one
+ * configuration: linear scan hands eight GPRs out as register homes,
+ * and every null check keeps the flavor the optimizer gave it.
  *
  * Every block follows the tiered ABI of DESIGN.md section 14, shared
  * through codegen/native/tiered_frame.h:
@@ -30,7 +29,7 @@
  *  - Exits: exceptions dispatch in code — raise stubs, per-record NPE
  *    exits and the in-buffer handler table.  The deopt exit into the
  *    fast interpreter serves only budget exhaustion (replaying the
- *    run) and traps at speculated loads (replaying their check).
+ *    run).
  *  - An *implicit null check compiles to zero instructions*: the
  *    guarded memory access faults on the heap guard page instead.
  *    Explicit checks compile to test+jz (kNativeExplicitNullCheckBytes
@@ -40,14 +39,12 @@
  *    faulting instruction; the SIGSEGV handler maps the fault PC back
  *    to the record and rewrites RIP in place
  *    (codegen/native/native_runtime.h).  A trap at an implicit null
- *    check leaves through the record's NPE exit; a trap at a
- *    speculated load leaves through the deopt exit.
+ *    check leaves through the record's NPE exit.
  *  - Trap-adaptive checks: the records in a compile's explicit set
  *    (sites that trapped before, kept by the TierController) keep
  *    their implicit check's semantics but are tested with test+jz into
- *    that same NPE exit, so their NPEs never reach the kernel again; a
- *    speculated load in the set is not hoisted again (DESIGN.md
- *    section 17).
+ *    that same NPE exit, so their NPEs never reach the kernel again
+ *    (DESIGN.md section 17).
  *
  * Functions containing anything the tier cannot lower (none on
  * x86-64/Linux today, every srcOp is covered — but the set is checked,
@@ -62,6 +59,7 @@
 #include "codegen/native/code_buffer.h"
 #include "interp/decoded_program.h"
 #include "ir/function.h"
+#include "ir/module.h"
 
 namespace trapjit
 {
@@ -75,13 +73,6 @@ struct NativeTrapSite
     uint32_t accessEnd = 0;
     uint32_t recordIndex = 0; ///< DecodedFunction::code index
     uint32_t resumeNext = 0;  ///< code offset of the next record
-    /**
-     * Index into NativeCode::deopts for a section-5.4 speculated load,
-     * else -1.  Such a trap never resumes in native code: the SIGSEGV
-     * handler sends it to the block's deopt exit, which finishes the
-     * frame on the fast interpreter from the load's guarding check.
-     */
-    int32_t deoptIndex = -1;
     /**
      * Code offset of the record's NPE exit, where the SIGSEGV handler
      * sends a trap at an implicit null check (see
@@ -107,23 +98,6 @@ nativeImplicitNpeSite(const DecodedInst &rec)
                          kDecodedSpeculative)) ==
            (kDecodedExceptionSite | kDecodedTrapCovered);
 }
-
-/**
- * Deopt metadata of one speculated load's trap site: where the fast
- * interpreter picks the frame up, and how to reconstruct the
- * interpreter's budget from the register-resident r14 value the trap
- * captured (runs are pre-charged, so at a trap r14 has already paid
- * for records the interpreter has yet to re-charge).
- */
-struct NativeDeoptInfo
-{
-    /** Record the interpreter re-executes: the explicit NullCheck the
-     *  load ran above (the paper's section 5.4 speculation). */
-    uint32_t deoptRecord = 0;
-    /** Records pre-charged at/after @p deoptRecord in its budget run:
-     *  budget at deopt = trapped r14 + budgetAdjust. */
-    uint32_t budgetAdjust = 0;
-};
 
 /** Register home of one IR value. */
 struct NativeRegLoc
@@ -164,25 +138,16 @@ struct NativeCode
     std::vector<uint32_t> recordOffsets; ///< per record, + end sentinel
     std::vector<NativeTrapSite> sites;   ///< sorted by accessBegin
 
-    // ---- register homes and speculation (empty/zero without the pool)
-    /** Compiled with the register-home pool (options.optimized). */
-    bool optimized = false;
-    /** Speculated loads' deopt records, indexed by
-     *  NativeTrapSite::deoptIndex. */
-    std::vector<NativeDeoptInfo> deopts;
+    // ---- register homes ---------------------------------------------
     /** Register homes assigned by linear scan (audited; the write-
      *  through discipline keeps slots canonical regardless). */
     std::vector<NativeRegLoc> regLocs;
-    size_t loadsSpeculated = 0; ///< section 5.4 hoisted loads
     size_t spillsEmitted = 0;   ///< ranked values left slot-resident
     size_t regsAllocated = 0;   ///< values given register homes
 
     // ---- exits and call linking ------------------------------------
     /** Code offset of the shared hard-unwind exit (RIP rewrite). */
     uint32_t unwindOffset = 0;
-    /** Code offset of the deopt exit the SIGSEGV handler sends a
-     *  speculated load's trap to. */
-    uint32_t deoptOffset = 0;
     /** Call sites; the registry links/unlinks the static ones. */
     std::vector<NativeCallSlot> callSlots;
 
@@ -233,14 +198,6 @@ struct NativeCompileOptions
 {
     /** Emit event-trace recording after heap stores. */
     bool recordTrace = true;
-    /**
-     * Supply the pool of eight home registers (two callee-saved, six
-     * caller-saved) that linear scan assigns to hot values.
-     */
-    bool optimized = false;
-    /** Hoist loads above their guarding explicit null checks (section
-     *  5.4).  Only read when @p optimized is set. */
-    bool speculate = true;
 };
 
 /** What compiling one function produced. */
@@ -256,15 +213,29 @@ struct NativeCompileResult
  * can fall back per function.
  *
  * @param explicitSites  the function's explicit set: sorted record
- *                       indices of accesses whose hardware trap raised
- *                       an NPE — implicit-check sites, and loads a
- *                       previous block had speculated.  Other entries
+ *                       indices of implicit-check accesses whose
+ *                       hardware trap raised an NPE.  Other entries
  *                       are ignored.
  */
 NativeCompileResult
 compileNative(const Function &fn, const DecodedFunction &df,
               const NativeCompileOptions &options,
               const std::vector<uint32_t> &explicitSites = {});
+
+/**
+ * Totals of lowering every function of a module once: the back end's
+ * share of a compile in the compile-time tables, and the code size the
+ * code-size ablation reports.
+ */
+struct NativeModuleLowering
+{
+    double seconds = 0.0;  ///< decode plus compileNative, wall clock
+    size_t codeBytes = 0;  ///< NativeCode::codeSize, summed
+    size_t explicitNullCheckBytes = 0;
+};
+
+/** Decode and lower every function of @p mod for @p target. */
+NativeModuleLowering lowerModule(const Module &mod, const Target &target);
 
 /** True when this build can execute natively compiled code at all. */
 constexpr bool

@@ -5,18 +5,18 @@
  * @file
  * Test-only fault injection for the native lowering.
  *
- * auditNativeTrapSites checks the exit, speculation and register-home
+ * auditNativeTrapSites checks the check, exit and register-home
  * metadata every block publishes; as with the optimizer mutations in
  * opt/nullcheck/mutation_hooks.h, the auditor's test suite must prove
  * those rules actually fire.  Each enumerator switches on one
- * deliberate, realistic lowering bug — wrong deopt target, lost NPE
- * exit, corrupt register home — and tests/test_audit_mutations.cpp
- * asserts the auditor flags each one.
+ * deliberate, realistic lowering bug — a lost explicit check, a lost
+ * NPE exit, a corrupt register home — and
+ * tests/test_audit_mutations.cpp asserts the auditor flags each one.
  *
  * Thread-local so an armed mutation cannot leak into concurrently
  * compiling service threads; production code never sets it, and the
- * checks sit on the install path (not in emission inner loops), so the
- * disarmed cost is a thread-local load per compile.
+ * checks are read once per compile (not in emission inner loops), so
+ * the disarmed cost is a few thread-local loads per compile.
  */
 
 namespace trapjit
@@ -26,10 +26,9 @@ enum class NativeMutation
 {
     None,
 
-    /** A speculated site's deopt record points past its guarding
-     *  NullCheck instead of at it, so a trap would resume *after* the
-     *  check it was supposed to replay. */
-    SpecWrongDeoptRecord,
+    /** A standalone explicit NullCheck compiles to zero bytes, so a
+     *  null reference would run on past the check unnoticed. */
+    ExplicitCheckEmitsNoBytes,
     /** In a block with register homes, an implicit-check site loses
      *  its NPE exit, so its trap would find no uncommon-trap path. */
     HomedNpeExitDropped,

@@ -64,10 +64,9 @@ homeGreg(uint8_t reg)
 /**
  * Resolve a fault whose PC lies inside a published block by rewriting
  * REG_RIP — no per-frame setup anywhere.  A trap at an implicit null
- * check goes to the record's NPE exit, and a trap at a speculated load
- * to the deopt exit; the helper behind either raises the NPE, and the
- * block and record are left in the context so that helper can make
- * the site explicit.  The remaining outcomes mirror
+ * check goes to the record's NPE exit; the helper behind it raises the
+ * NPE, and the block and record are left in the context so that helper
+ * can make the site explicit.  The remaining outcomes mirror
  * FastInterpreter::handleNullAccess: speculative and illegal-implicit
  * reads of null resume with a zero, everything else unwinds as a
  * HardFault.  Everything here is async-signal-safe: binary search,
@@ -105,10 +104,6 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
         gregs[REG_RIP] =
             static_cast<greg_t>(blk.lo + nc.unwindOffset);
     };
-    auto noteTrap = [&] {
-        ctx->trapBlock = &nc;
-        ctx->trapRecord = site->recordIndex;
-    };
 
     bool inGuard = fault >= run.guardLo && fault < run.guardHi;
     if (!inGuard || rec == nullptr || slots[rec->a] != 0) {
@@ -116,25 +111,13 @@ resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
         return;
     }
     ++*run.hardwareTraps;
-    if (site->deoptIndex >= 0) {
-        // A speculated load read through null: never resumed in native
-        // code.  Refund the records the run pre-charged at and after
-        // its guarding NullCheck and leave through the deopt exit; the
-        // interpreter replays the check and raises its NPE.
-        const NativeDeoptInfo &deopt =
-            nc.deopts[static_cast<size_t>(site->deoptIndex)];
-        noteTrap();
-        ctx->deoptRecord = deopt.deoptRecord;
-        gregs[REG_R14] += static_cast<greg_t>(deopt.budgetAdjust);
-        gregs[REG_RIP] = static_cast<greg_t>(blk.lo + nc.deoptOffset);
-        return;
-    }
     if (nativeImplicitNpeSite(*rec)) {
         if (site->npeExit == 0) {
             park(TieredPark::Wild);
             return;
         }
-        noteTrap();
+        ctx->trapBlock = &nc;
+        ctx->trapRecord = site->recordIndex;
         gregs[REG_RIP] = static_cast<greg_t>(blk.lo + site->npeExit);
         return;
     }

@@ -26,10 +26,9 @@
  * handler looks the faulting PC up in the registry's pc-map, validates
  * the fault against the site's record and rewrites RIP.  It does not
  * decide NullPointerExceptions: a trap at an implicit null check goes
- * to the record's NPE exit and a trap at a section-5.4 speculated load
- * to the block's deopt exit; the helper behind the exit raises the
- * exception and makes the site explicit for the function's next
- * promotion (DESIGN.md section 17).  What the handler still resolves
+ * to the record's NPE exit, whose helper raises the exception and
+ * makes the site explicit for the function's next promotion (DESIGN.md
+ * section 17).  What the handler still resolves
  * itself are the non-NPE outcomes: a speculative or illegal-implicit
  * read of null resumes at the next record with a zero (in the
  * destination's slot and register home alike), and a fault that doesn't match a trap
@@ -84,8 +83,7 @@ struct NativeContext
     /**
      * Record index a block's deopt exit hands to trapjitTieredDeopt:
      * where the fast interpreter picks the frame up.  Written by the
-     * budget-exhaustion stubs and by the SIGSEGV handler for traps at
-     * speculated loads.
+     * budget-exhaustion stubs.
      */
     uint32_t deoptRecord = 0;
 
@@ -93,9 +91,8 @@ struct NativeContext
     TieredEngine *tieredEngine = nullptr;
     /**
      * Left by the SIGSEGV handler when a hardware trap at an implicit
-     * null check (or at a section-5.4 speculated load) sends the frame
-     * to its uncommon-trap exit: the faulting block and the record
-     * whose access faulted.  The exit's helper consumes both to make
+     * null check sends the frame to its NPE exit: the faulting block
+     * and the record whose access faulted.  The exit's helper consumes both to make
      * that site explicit; null when the exit was reached in code.
      */
     const NativeCode *trapBlock = nullptr;
@@ -251,12 +248,11 @@ uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
  */
 uint32_t trapjitTieredSlowCall(NativeContext *ctx, uint32_t rec);
 /**
- * A block's deopt exit (budget exhaustion, or a trap at a speculated
- * load): finishes the executing frame on the fast interpreter by
- * re-executing from ctx->deoptRecord, working in place on the frame's
- * pool slot file (canonical wherever the exit is taken).  Returns the
- * frame's own status: 0 = returned (value in ctx->retBits), 1 =
- * unwound.
+ * A block's deopt exit (budget exhaustion): finishes the executing
+ * frame on the fast interpreter by re-executing from ctx->deoptRecord,
+ * working in place on the frame's pool slot file (canonical wherever
+ * the exit is taken).  Returns the frame's own status: 0 = returned
+ * (value in ctx->retBits), 1 = unwound.
  */
 uint32_t trapjitTieredDeopt(NativeContext *ctx);
 /** Handler index for the pending exception in ctx->activeDf, or -1

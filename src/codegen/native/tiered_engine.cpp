@@ -39,34 +39,6 @@ eagerTieredOptions()
     return opts;
 }
 
-namespace
-{
-
-/** The block compile options @p t selects (environment resolved). */
-NativeCompileOptions
-compileOptionsFor(const TieredOptions &t, bool recordTrace)
-{
-    NativeCompileOptions c;
-    c.recordTrace = recordTrace;
-    NativeBackend backend = t.backend;
-    if (backend == NativeBackend::FromEnv) {
-        const char *env = std::getenv("TRAPJIT_NATIVE_BACKEND");
-        backend = (env != nullptr && std::strcmp(env, "optimized") == 0)
-                      ? NativeBackend::Optimized
-                      : NativeBackend::Baseline;
-    }
-    c.optimized = backend == NativeBackend::Optimized;
-    if (t.speculate >= 0) {
-        c.speculate = t.speculate != 0;
-    } else {
-        const char *spec = std::getenv("TRAPJIT_SPECULATE");
-        c.speculate = !(spec != nullptr && std::strcmp(spec, "0") == 0);
-    }
-    return c;
-}
-
-} // namespace
-
 TieredEngine::TieredEngine(const Module &mod, const Target &target,
                            InterpOptions options,
                            std::shared_ptr<DecodedProgramCache> decoded_cache,
@@ -93,7 +65,7 @@ TieredEngine::TieredEngine(const Module &mod, const Target &target,
         copts.workers = tieredOptions_.workers;
         copts.linkBlocks = tieredOptions_.linkBlocks;
         copts.audit = tieredOptions_.audit;
-        copts.compile = compileOptionsFor(tieredOptions_, options.recordTrace);
+        copts.compile.recordTrace = options.recordTrace;
         controller_ = std::make_shared<TierController>(
             mod, target, registry_, fi_.cache_, decode_options, copts);
     }
@@ -579,11 +551,6 @@ TieredEngine::helperDeopt(NativeContext &ctx)
     const DecodedFunction &df = *ctx.activeDf;
     Slot *slots = static_cast<Slot *>(ctx.activeSlots);
     ++deoptsTaken_;
-    // After a trap at a speculated load (budget exhaustion trapped
-    // nowhere): like a JVM's uncommon trap, the load is recompiled
-    // below its explicit check, so a null-heavy site costs one kernel
-    // trap, not one per call.
-    explicitizeTrappedSite(ctx);
     syncStatsFromCtx(ctx);
     // The prologue already took this frame's depth slot.
     const size_t depth = static_cast<size_t>(

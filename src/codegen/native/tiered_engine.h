@@ -10,8 +10,8 @@
  * Every function starts in the fast interpreter, which counts calls
  * and taken back-edges into a per-engine hotness array.  Crossing the
  * threshold hands the function to the TierController, which compiles
- * a native block (with or without register homes) on a background
- * worker, or inline under synchronous promotion, audits
+ * a native block on a background worker, or inline under synchronous
+ * promotion, audits
  * its trap-site tables and publishes it in the shared CodeRegistry.
  * A call whose synchronous promotion publishes the block enters it
  * right away; otherwise later calls do.  At threshold 1 with
@@ -34,20 +34,18 @@
  *    resolves a fault in place against the registry's pc-map and
  *    rewrites RIP.  A trap at an implicit null check goes to the
  *    record's NPE exit (trapjitTieredNullPointer), which raises the
- *    exception and dispatches it in code; a trap at a speculated load
- *    goes to the deopt exit, which finishes the frame on the fast
- *    interpreter (trapjitTieredDeopt).  Other faults resume with a
+ *    exception and dispatches it in code.  Other faults resume with a
  *    zero or unwind as hard faults (reason parked in the context).
- *    Every other exception, with or without register homes, is
- *    dispatched in code; the deopt exit otherwise serves only budget
+ *    Every other exception is dispatched in code too; the deopt exit
+ *    into the fast interpreter (trapjitTieredDeopt) serves only budget
  *    exhaustion.
  *  - NPEs are rare per site, not by assumption: the first hardware
  *    trap at an implicit-check site puts that site in its function's
  *    explicit set (kept by the TierController, so engines sharing it
  *    share the set, and reset() keeps it) and invalidates the block.
  *    The next promotion tests that access with test+jz into the same
- *    exit, and a speculated load there is not hoisted again; later
- *    NPEs at the site never reach the kernel (DESIGN.md section 17).
+ *    exit; later NPEs at the site never reach the kernel (DESIGN.md
+ *    section 17).
  *
  * Observable semantics (heap, trace, exceptions, instructions, calls,
  * allocations, trapsTaken) are bit-identical to the fast and reference
@@ -73,17 +71,6 @@
 namespace trapjit
 {
 
-/** Which configuration of the one lowering promoted functions use. */
-enum class NativeBackend : uint8_t
-{
-    /** Resolve from TRAPJIT_NATIVE_BACKEND ("optimized" selects the
-     *  optimized configuration, anything else — including unset — the
-     *  baseline). */
-    FromEnv,
-    Baseline,  ///< every value slot-resident
-    Optimized, ///< register homes + section-5.4 speculation
-};
-
 /** Tiering-policy knobs (see tieredOptionsFromEnv). */
 struct TieredOptions
 {
@@ -97,14 +84,6 @@ struct TieredOptions
     bool linkBlocks = true;
     /** auditNativeTrapSites every block before publishing. */
     bool audit = true;
-    /** Backend selection; resolved once in the constructor. */
-    NativeBackend backend = NativeBackend::FromEnv;
-    /**
-     * Section-5.4 load speculation in the optimized configuration: -1
-     * follows TRAPJIT_SPECULATE (default on, "0" disables), 0 forces
-     * it off, 1 forces it on.  Ignored under the baseline.
-     */
-    int speculate = -1;
 };
 
 /**
@@ -142,7 +121,7 @@ class TieredEngine final : public FastInterpreter::TierHooks
      * @param controller  shared promotion controller; created privately
      *                    (against @p registry) when null.  When given,
      *                    it must use the same registry, and its own
-     *                    compile options decide the backend.
+     *                    compile options decide trace recording.
      */
     TieredEngine(const Module &mod, const Target &target,
                  InterpOptions options = {},
@@ -189,11 +168,10 @@ class TieredEngine final : public FastInterpreter::TierHooks
 
     /**
      * Fold this engine's tiering counters into @p counters: the
-     * controller's promotion and compile totals (including the
-     * optimized configuration's functionsRegalloc / spillsEmitted /
-     * loadsSpeculated / regallocSeconds, and sitesExplicitized), the
-     * registry's link and eviction counts, and deoptsTaken and
-     * hardwareTraps since the last reset().
+     * controller's promotion and compile totals (functionsRegalloc,
+     * spillsEmitted and sitesExplicitized among them), the registry's
+     * link and eviction counts, and deoptsTaken and hardwareTraps
+     * since the last reset().
      */
     void addTieringCounters(ServiceCounters &counters) const;
 

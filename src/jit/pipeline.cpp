@@ -4,7 +4,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "codegen/codegen_pass.h"
 #include "codegen/scheduler.h"
 
 #include "opt/bounds/bounds_check_elimination.h"
@@ -93,11 +92,9 @@ buildPipeline(const PipelineConfig &config)
     else if (config.useLocalLowering)
         pm->add(std::make_unique<LocalTrapLowering>());
 
-    // Back end: schedule, allocate registers, emit.
-    if (config.enableBackend) {
-        pm->add(std::make_unique<LocalScheduler>());
-        pm->add(std::make_unique<CodegenPass>());
-    }
+    // Keeps every exception site behind its guard (section 3.3.2); the
+    // code itself is lowered per function by codegen/native/.
+    pm->add(std::make_unique<LocalScheduler>());
 
     return pm;
 }
@@ -117,8 +114,7 @@ configFingerprint(const PipelineConfig &config)
        << ";bounds=" << config.enableBounds
        << ";speculation=" << config.enableSpeculation
        << ";rounds=" << config.rounds
-       << ";cleanup=" << config.cleanupRepeat
-       << ";backend=" << config.enableBackend;
+       << ";cleanup=" << config.cleanupRepeat;
     return os.str();
 }
 

@@ -61,9 +61,6 @@ struct PipelineConfig
     /** Extra cleanup repetitions (the AltVM burns compile time here). */
     int cleanupRepeat = 1;
 
-    /** Run the back end (scheduler + register allocation + emission). */
-    bool enableBackend = true;
-
     /**
      * Run the IR verifier before the first pass and after every pass,
      * panicking as soon as a pass breaks the IR.  Also forced on for

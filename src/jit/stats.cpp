@@ -88,11 +88,9 @@ ServiceCounters::operator+=(const ServiceCounters &other)
     tierUpLatencySeconds += other.tierUpLatencySeconds;
     functionsRegalloc += other.functionsRegalloc;
     spillsEmitted += other.spillsEmitted;
-    loadsSpeculated += other.loadsSpeculated;
     deoptsTaken += other.deoptsTaken;
     hardwareTraps += other.hardwareTraps;
     sitesExplicitized += other.sitesExplicitized;
-    regallocSeconds += other.regallocSeconds;
     persistentHits += other.persistentHits;
     persistentMisses += other.persistentMisses;
     blocksEvicted += other.blocksEvicted;

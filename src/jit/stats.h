@@ -90,16 +90,14 @@ struct ServiceCounters
     size_t blocksInvalidated = 0;  ///< published blocks unlinked
     double tierUpLatencySeconds = 0.0; ///< request-to-publish, summed
 
-    // The native lowering's register homes and section-5.4 load
-    // speculation (codegen/native/native_compiler.cpp).  Compile-side
-    // totals come from the promoted NativeCode blocks; deoptsTaken (a
-    // speculated load's trap, or budget exhaustion) is a runtime count.
-    // Both are filled by TieredEngine::addTieringCounters.
+    // The native lowering's register homes
+    // (codegen/native/native_compiler.cpp).  Compile-side totals come
+    // from the promoted NativeCode blocks; deoptsTaken (budget
+    // exhaustion) is a runtime count.  Both are filled by
+    // TieredEngine::addTieringCounters.
     size_t functionsRegalloc = 0; ///< functions through linear scan
     size_t spillsEmitted = 0;     ///< ranked values left slot-resident
-    size_t loadsSpeculated = 0;   ///< loads hoisted above their checks
     size_t deoptsTaken = 0;       ///< side-exits into the interpreter
-    double regallocSeconds = 0.0; ///< compile time of blocks with homes
 
     // Trap-adaptive lowering (DESIGN.md section 17), filled by
     // TieredEngine::addTieringCounters: guard-page faults the SIGSEGV

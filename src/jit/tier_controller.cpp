@@ -70,10 +70,8 @@ TierController::compileAndPublish(FunctionId fn)
     // missed by this block, which traps there once and is invalidated
     // in turn (DESIGN.md section 17).
     const std::vector<uint32_t> explicitSet = explicitSites(fn);
-    Stopwatch compileWatch;
     NativeCompileResult res =
         compileNative(func, *df, options_.compile, explicitSet);
-    const double compileSeconds = compileWatch.elapsed();
     if (res.code == nullptr) {
         registry_->markUnsupported(fn);
         finishJob();
@@ -92,12 +90,8 @@ TierController::compileAndPublish(FunctionId fn)
     }
     ServiceCounters compiled;
     ++compiled.functionsPromoted;
-    if (res.code->optimized) {
-        ++compiled.functionsRegalloc;
-        compiled.spillsEmitted = res.code->spillsEmitted;
-        compiled.loadsSpeculated = res.code->loadsSpeculated;
-        compiled.regallocSeconds = compileSeconds;
-    }
+    ++compiled.functionsRegalloc;
+    compiled.spillsEmitted = res.code->spillsEmitted;
     registry_->publish(fn, std::move(res.code), df,
                        options_.linkBlocks);
     compiled.tierUpLatencySeconds = watch.elapsed();

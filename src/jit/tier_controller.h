@@ -5,9 +5,9 @@
  * @file
  * The promotion side of profile-guided tiering: accepts "this function
  * is hot" requests from interpreting engines, compiles the function to
- * a native block (with or without register homes) on a background
- * worker pool (or inline, for deterministic tests and the all-native
- * policy), lints the block's trap-site tables with
+ * a native block on a background worker pool (or inline, for
+ * deterministic tests and the all-native policy), lints the block's
+ * trap-site tables with
  * auditNativeTrapSites, and publishes it into the CodeRegistry.
  *
  * Request deduplication is the registry's Cold -> Requested CAS, so a
@@ -55,9 +55,8 @@ struct TierControllerOptions
     /** Run auditNativeTrapSites on every block before publishing. */
     bool audit = true;
     /**
-     * How blocks are lowered: backend, speculation, and trace
-     * recording (which must match the executing engine's
-     * InterpOptions::recordTrace).
+     * How blocks are lowered: trace recording, which must match the
+     * executing engine's InterpOptions::recordTrace.
      */
     NativeCompileOptions compile;
 };
@@ -89,10 +88,8 @@ class TierController
 
     /**
      * The access at record @p rec of @p fn took a hardware trap: lower
-     * it with an explicit test (and, if the block had speculated the
-     * load, without speculation) from @p fn's next
-     * promotion on.  The caller invalidates the trapping block.  Safe
-     * from any thread.
+     * it with an explicit test from @p fn's next promotion on.  The
+     * caller invalidates the trapping block.  Safe from any thread.
      */
     void explicitize(FunctionId fn, uint32_t rec);
 
@@ -109,9 +106,8 @@ class TierController
     /**
      * Promotion totals since construction: functionsPromoted,
      * tierUpLatencySeconds (request-to-publish, summed),
-     * sitesExplicitized, and for blocks compiled with register homes
-     * functionsRegalloc, spillsEmitted, loadsSpeculated and
-     * regallocSeconds (their compile time).
+     * sitesExplicitized, and the published blocks' functionsRegalloc
+     * and spillsEmitted.
      */
     ServiceCounters counters() const;
 

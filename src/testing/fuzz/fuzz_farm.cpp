@@ -156,7 +156,6 @@ struct CaseDelta
     uint64_t instructions = 0;
     uint64_t auditErrors = 0;
     bool nativeRan = false;
-    bool optimizedRan = false;
     bool tieredRan = false;
     bool persistentRan = false;
     std::vector<FuzzDivergence> divergences;
@@ -299,10 +298,8 @@ runOneCase(uint64_t seed, const std::string &profile, const FuzzArm &arm,
     delta.instructions += engines.instructionsExecuted;
 
     if (opts.useNativeOracle && fuzzNativeTierUsable()) {
-        TieredOptions baseline = eagerTieredOptions();
-        baseline.backend = NativeBackend::Baseline;
         EquivalenceReport native =
-            compareTieredEngine(*mod, target, {}, baseline);
+            compareTieredEngine(*mod, target, {}, eagerTieredOptions());
         if (!native.equivalent) {
             record(delta, seed, profile, arm, "fast-vs-native",
                    native.message);
@@ -310,24 +307,6 @@ runOneCase(uint64_t seed, const std::string &profile, const FuzzArm &arm,
         delta.nativeRan = true;
         delta.traps += native.trapsTaken;
         delta.instructions += native.instructionsExecuted;
-    }
-
-    if (opts.useOptimizedOracle && fuzzNativeTierUsable()) {
-        // The optimized configuration: register homes plus speculated
-        // loads whose guard-page traps deopt into the fast interpreter
-        // — the oracle covers homes, budget refunds and mid-run replay
-        // all at once.
-        TieredOptions optimizedOpts = eagerTieredOptions();
-        optimizedOpts.backend = NativeBackend::Optimized;
-        EquivalenceReport optimized =
-            compareTieredEngine(*mod, target, {}, optimizedOpts);
-        if (!optimized.equivalent) {
-            record(delta, seed, profile, arm, "fast-vs-optimized",
-                   optimized.message);
-        }
-        delta.optimizedRan = true;
-        delta.traps += optimized.trapsTaken;
-        delta.instructions += optimized.instructionsExecuted;
     }
 
     if (opts.useTieredOracle && fuzzNativeTierUsable()) {
@@ -457,8 +436,6 @@ runFuzzFarm(const FuzzOptions &options)
             result.stats.auditFindings += delta.auditErrors;
             if (delta.nativeRan)
                 result.stats.nativeComparisons += 1;
-            if (delta.optimizedRan)
-                result.stats.optimizedComparisons += 1;
             if (delta.tieredRan)
                 result.stats.tieredComparisons += 1;
             if (delta.persistentRan)

@@ -11,12 +11,10 @@
  * module (testing/workload_gen/), compiles it under the arm with the
  * soundness auditor collecting, and then runs the differential oracles:
  * reference vs fast interpreter (bit-exact, cycles included) and — on
- * hosts with the native tier — fast vs the all-native engine with the
- * baseline configuration, fast vs the all-native engine with the
- * optimized one (register homes + speculated loads, so real deopt
- * exits replay mid-case) and fast vs the profile-guided tiered engine
- * (threshold 2, so functions promote in the middle of the case and
- * publish/patch runs under live traps).
+ * hosts with the native tier — fast vs the all-native engine and fast
+ * vs the profile-guided tiered engine (threshold 2, so functions
+ * promote in the middle of the case and publish/patch runs under live
+ * traps).
  * Any audit finding, any engine disagreement, and any agreed-upon
  * HardFault is a divergence, reported with the exact (seed, profile,
  * arm) tuple that regenerates it on any machine (the generator is
@@ -80,10 +78,9 @@ struct FuzzDivergence
     std::string profile;
     std::string arm;
     /** Which oracle disagreed: "audit", "ref-vs-fast", "fast-vs-native",
-     *  "fast-vs-optimized", "fast-vs-tiered", "persistent-cache" (a
-     *  warm replay from the on-disk cache compiled something or
-     *  produced different IR), or "hardfault" (both engines died
-     *  identically — still a bug). */
+     *  "fast-vs-tiered", "persistent-cache" (a warm replay from the
+     *  on-disk cache compiled something or produced different IR), or
+     *  "hardfault" (both engines died identically — still a bug). */
     std::string oracle;
     std::string message;
 
@@ -102,7 +99,6 @@ struct FuzzStats
     uint64_t trapsTaken = 0;
     uint64_t instructionsExecuted = 0;
     uint64_t nativeComparisons = 0;
-    uint64_t optimizedComparisons = 0;
     uint64_t tieredComparisons = 0;
     uint64_t persistentComparisons = 0;
     uint64_t auditFindings = 0;
@@ -147,20 +143,12 @@ struct FuzzOptions
 
     /**
      * Also run the fast-vs-native oracle: the all-native engine
-     * (eagerTieredOptions()) in the baseline configuration.  Automatically
-     * skipped (per run, not per case) on hosts without the native tier
-     * or under AddressSanitizer, whose shadow memory is incompatible
-     * with guard-page SIGSEGV recovery.
+     * (eagerTieredOptions()).  Automatically skipped (per run, not per
+     * case) on hosts without the native tier or under
+     * AddressSanitizer, whose shadow memory is incompatible with
+     * guard-page SIGSEGV recovery.
      */
     bool useNativeOracle = true;
-
-    /**
-     * Also run the fast-vs-optimized oracle: the all-native engine with
-     * register homes + speculation (NativeBackend::Optimized), so
-     * speculated loads that actually trap deopt and replay mid-case.
-     * Skipped on the same hosts as the native oracle.
-     */
-    bool useOptimizedOracle = true;
 
     /**
      * Also run the fast-vs-tiered oracle with a promotion threshold of

@@ -52,10 +52,9 @@ runWorkload(const Workload &workload, const Compiler &compiler,
       case InterpEngineKind::Tiered: {
         // Native: every function compiles on its first call.  Tiered:
         // hotness-driven promotion with the env-configured policy
-        // (TRAPJIT_TIER_THRESHOLD / TRAPJIT_TIER_SYNC).  The backend
-        // follows TRAPJIT_NATIVE_BACKEND / TRAPJIT_SPECULATE.  Both are
-        // valid on hosts without the native tier (promotions park
-        // Unsupported and everything stays interpreted).
+        // (TRAPJIT_TIER_THRESHOLD / TRAPJIT_TIER_SYNC).  Both are valid
+        // on hosts without the native tier (promotions park Unsupported
+        // and everything stays interpreted).
         TieredEngine engine(*mod, runtime_target, options,
                             std::move(decoded_cache), DecodeOptions{},
                             interpEngineFromEnv() == InterpEngineKind::Native

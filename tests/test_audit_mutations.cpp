@@ -132,13 +132,12 @@ INSTANTIATE_TEST_SUITE_P(AllTen, AuditMutationDetection,
                          mutationName);
 
 // -----------------------------------------------------------------------
-// Native lowering: the exit, speculation and register-home obligations
-// of auditNativeTrapSites must catch deliberately corrupted install-
-// time metadata (codegen/native/native_mutation_hooks.h).  The no-opt
-// trap pipeline keeps many checks explicit, which is what section-5.4
-// speculation pairs on, and makes the rest implicit, so these seeds
-// produce plenty of speculated sites and NPE exits in blocks with
-// register homes.
+// Native lowering: the check, exit and register-home obligations of
+// auditNativeTrapSites must catch deliberately corrupted lowering
+// output (codegen/native/native_mutation_hooks.h).  The no-opt trap
+// pipeline keeps many checks explicit and makes the rest implicit, so
+// these seeds produce plenty of explicit checks and of NPE exits in
+// blocks with register homes.
 // -----------------------------------------------------------------------
 
 struct NativeSweepResult
@@ -148,18 +147,14 @@ struct NativeSweepResult
     size_t mutationTargets = 0; ///< compiles the armed mutation could bite
 };
 
-/** Compile seeds [kSeedBegin, kSeedEnd) with register homes and
- *  speculation, auditing each block. */
+/** Compile seeds [kSeedBegin, kSeedEnd) natively, auditing each
+ *  block. */
 NativeSweepResult
 nativeAuditSweep(NativeMutation mutation)
 {
     ScopedNativeMutation armed(mutation);
     Target target = makeIA32WindowsTarget();
     Compiler compiler(target, makeNoOptTrapConfig());
-
-    NativeCompileOptions nopts;
-    nopts.optimized = true;
-    nopts.speculate = true;
 
     NativeSweepResult result;
     for (uint64_t seed = kSeedBegin; seed < kSeedEnd; ++seed) {
@@ -173,7 +168,7 @@ nativeAuditSweep(NativeMutation mutation)
         for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
             const Function &fn = mod->function(f);
             auto df = decodeFunction(fn, target, {});
-            NativeCompileResult res = compileNative(fn, *df, nopts);
+            NativeCompileResult res = compileNative(fn, *df, {});
             if (!res.code)
                 continue;
             ++result.compiles;
@@ -181,8 +176,14 @@ nativeAuditSweep(NativeMutation mutation)
             switch (mutation) {
               case NativeMutation::None:
                 break;
-              case NativeMutation::SpecWrongDeoptRecord:
-                bites = res.code->loadsSpeculated > 0;
+              case NativeMutation::ExplicitCheckEmitsNoBytes:
+                bites = res.code->explicitChecksCompiled <
+                        static_cast<size_t>(std::count_if(
+                            df->code.begin(), df->code.end(),
+                            [](const DecodedInst &rec) {
+                                return rec.srcOp == Opcode::NullCheck &&
+                                       rec.flavor == CheckFlavor::Explicit;
+                            }));
                 break;
               case NativeMutation::HomedNpeExitDropped:
                 bites = !res.code->regLocs.empty() &&
@@ -236,7 +237,7 @@ TEST_P(NativeAuditMutationDetection, AuditorFlagsTheSeededBug)
 }
 
 const NativeMutation kAllNativeMutations[] = {
-    NativeMutation::SpecWrongDeoptRecord,
+    NativeMutation::ExplicitCheckEmitsNoBytes,
     NativeMutation::HomedNpeExitDropped,
     NativeMutation::RegLocReservedReg,
 };
@@ -246,8 +247,8 @@ nativeMutationName(const ::testing::TestParamInfo<NativeMutation> &info)
 {
     switch (info.param) {
       case NativeMutation::None: return "None";
-      case NativeMutation::SpecWrongDeoptRecord:
-        return "SpecWrongDeoptRecord";
+      case NativeMutation::ExplicitCheckEmitsNoBytes:
+        return "ExplicitCheckEmitsNoBytes";
       case NativeMutation::HomedNpeExitDropped:
         return "HomedNpeExitDropped";
       case NativeMutation::RegLocReservedReg:

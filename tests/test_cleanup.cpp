@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "ir/module.h"
+#include "jit/timing.h"
 #include "opt/copy_propagation.h"
 #include "opt/dead_code.h"
 #include "opt/local_cse.h"
@@ -196,6 +199,50 @@ TEST(CopyProp, SourceRedefinitionInvalidatesMapping)
     ExecResult r = interp.run(fn.id(), {RuntimeValue::ofInt(10),
                                         RuntimeValue::ofInt(32)});
     EXPECT_EQ(42, r.value.i);
+}
+
+// Copy propagation is linear in the function's size: eight times the
+// blocks, copies and definitions must cost well under the 64x that a
+// rescan of the whole copy table per block or per definition costs.
+TEST(CopyProp, CostGrowsLinearlyWithFunctionSize)
+{
+    // A chain of @p blocks blocks, each copying the previous block's
+    // sum into a fresh local and adding the copy to itself.
+    auto build = [](Module &mod, size_t blocks) -> Function & {
+        Function &fn = mod.addFunction("chain", Type::I32);
+        ValueId prev = fn.addParam(Type::I32, "x");
+        IRBuilder b(fn);
+        b.startBlock();
+        for (size_t i = 0; i < blocks; ++i) {
+            ValueId copy = fn.addLocal(Type::I32);
+            b.move(copy, prev);
+            prev = b.binop(Opcode::IAdd, copy, copy);
+            BasicBlock &next = fn.newBlock();
+            b.jump(next);
+            b.atEnd(next);
+        }
+        b.ret(prev);
+        fn.recomputeCFG();
+        return fn;
+    };
+    auto bestSeconds = [&](size_t blocks) {
+        double best = 1e30;
+        for (int rep = 0; rep < 5; ++rep) {
+            Module mod;
+            Function &fn = build(mod, blocks);
+            PassContext ctx{mod, ia32, false};
+            CopyPropagation pass;
+            Stopwatch watch;
+            EXPECT_TRUE(pass.runOnFunction(fn, ctx));
+            best = std::min(best, watch.elapsed());
+        }
+        return best;
+    };
+    const double small = bestSeconds(2000);
+    const double large = bestSeconds(16000);
+    EXPECT_LT(large, 24.0 * small)
+        << "2000 blocks took " << small * 1e6 << " us, 16000 took "
+        << large * 1e6 << " us";
 }
 
 TEST(DeadCode, RemovesUnusedPureInstructions)

@@ -131,26 +131,20 @@ TEST(BlockFinalize, OnlyBlocksWithStaticCallsAreMappedPatchable)
     }
     Target ia32 = makeIA32WindowsTarget();
 
-    for (bool optimized : {false, true}) {
-        NativeCompileOptions opts;
-        opts.optimized = optimized;
-        auto leafDf = decodeFunction(leaf, ia32);
-        NativeCompileResult leafCode = compileNative(leaf, *leafDf, opts);
-        ASSERT_NE(nullptr, leafCode.code) << leafCode.unsupportedReason;
-        EXPECT_TRUE(leafCode.code->buffer.executable());
-        EXPECT_FALSE(leafCode.code->buffer.patchable())
-            << "call-free block mapped RWX (optimized=" << optimized
-            << ")";
+    auto leafDf = decodeFunction(leaf, ia32);
+    NativeCompileResult leafCode = compileNative(leaf, *leafDf, {});
+    ASSERT_NE(nullptr, leafCode.code) << leafCode.unsupportedReason;
+    EXPECT_TRUE(leafCode.code->buffer.executable());
+    EXPECT_FALSE(leafCode.code->buffer.patchable())
+        << "call-free block mapped RWX";
 
-        auto mainDf = decodeFunction(main, ia32);
-        NativeCompileResult mainCode = compileNative(main, *mainDf, opts);
-        ASSERT_NE(nullptr, mainCode.code) << mainCode.unsupportedReason;
-        ASSERT_EQ(1u, mainCode.code->callSlots.size());
-        EXPECT_EQ(leafId, mainCode.code->callSlots[0].callee);
-        EXPECT_TRUE(mainCode.code->buffer.patchable())
-            << "block with a static call is not linkable (optimized="
-            << optimized << ")";
-    }
+    auto mainDf = decodeFunction(main, ia32);
+    NativeCompileResult mainCode = compileNative(main, *mainDf, {});
+    ASSERT_NE(nullptr, mainCode.code) << mainCode.unsupportedReason;
+    ASSERT_EQ(1u, mainCode.code->callSlots.size());
+    EXPECT_EQ(leafId, mainCode.code->callSlots[0].callee);
+    EXPECT_TRUE(mainCode.code->buffer.patchable())
+        << "block with a static call is not linkable";
 }
 
 } // namespace

@@ -8,31 +8,29 @@
  * everything but the simulated cycle model: same heap bytes, same
  * exceptions (Java-level and HardFault, message included), same
  * EventTrace, same semantic counters (instructions, calls,
- * allocations, trapsTaken, speculativeReadsOfNull) — in both
- * configurations of the one lowering (slot-resident, and register
- * homes + speculation).  Unlike the interpreters it takes the paper's mechanism
- * literally — an implicit null check is *zero emitted instructions*
- * and recovery rides a real SIGSEGV from the heap guard page — so this
- * suite also asserts the machine-code shape:
+ * allocations, trapsTaken, speculativeReadsOfNull) — from the one
+ * lowering in its one configuration, with register homes.  Unlike the
+ * interpreters it takes the paper's mechanism literally — an implicit
+ * null check is *zero emitted instructions* and recovery rides a real
+ * SIGSEGV from the heap guard page — so this suite also asserts the
+ * machine-code shape:
  *
- *  1. parametrized sweeps: 200 random programs × the full 11-arm
- *     config matrix in the baseline configuration, 60 × 11 in the
- *     optimized one (register homes + section-5.4 speculation, whose
- *     trapped loads deopt into the interpreter), each compiled program
- *     executed under both engines and compared with
- *     compareTieredEngine();
+ *  1. parametrized sweeps: 260 random programs × the full 11-arm
+ *     config matrix, each compiled program executed under both engines
+ *     and compared with compareTieredEngine();
  *  2. disassembly-level check-size assertions via NativeCode record
  *     offsets: past a budget run's first record an implicit NullCheck
  *     record is exactly zero bytes (no compare, no branch), an explicit
- *     one exactly a slot load plus the kNativeExplicitNullCheckBytes
- *     compare-and-branch;
+ *     one exactly the kNativeExplicitNullCheckBytes compare-and-branch
+ *     (after a slot load when its reference has no register home);
  *  3. directed tests for the trap path (a real fault must be taken and
- *     must surface as the interpreter-identical NullPointerException),
- *     mixed native/interpreted call stacks, budget-fault parity at
- *     every budget and after a trap the handler parks as a HardFault,
- *     in-code exception dispatch with register homes,
- *     the all-native promise (no interpreter dispatch at all), and the
- *     TRAPJIT_INTERP / backend selectors.
+ *     must surface as the interpreter-identical NullPointerException;
+ *     code for the "No Hardware Trap" arm takes none at all), mixed
+ *     native/interpreted call stacks, budget-fault parity at every
+ *     budget and after a trap the handler parks as a HardFault,
+ *     in-code exception dispatch with register homes, the all-native
+ *     promise (no interpreter dispatch at all), and the TRAPJIT_INTERP
+ *     selector.
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -41,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <tuple>
 
@@ -109,23 +108,13 @@ const Arm kArms[] = {
 
 using SeedAndArm = std::tuple<uint64_t, size_t>;
 
-/** The all-native policy with @p backend pinned. */
-TieredOptions
-eagerWith(NativeBackend backend)
-{
-    TieredOptions opts = eagerTieredOptions();
-    opts.backend = backend;
-    return opts;
-}
-
-/** compareTieredEngine on the all-native engine with @p backend. */
+/** compareTieredEngine on the all-native engine. */
 EquivalenceReport
 compareNative(Module &mod, const Target &target,
-              NativeBackend backend = NativeBackend::Baseline,
               DecodeOptions decode_options = {})
 {
     return compareTieredEngine(mod, target, decode_options,
-                               eagerWith(backend));
+                               eagerTieredOptions());
 }
 
 /**
@@ -135,13 +124,11 @@ compareNative(Module &mod, const Target &target,
  * native/interpreted boundary in both directions.
  */
 EquivalenceReport
-compareEvenIdsNative(Module &mod, const Target &target,
-                     NativeBackend backend)
+compareEvenIdsNative(Module &mod, const Target &target)
 {
     TieredOptions opts;
     opts.threshold = UINT32_MAX;
     opts.synchronous = true;
-    opts.backend = backend;
     return compareTieredEngine(
         mod, target, {}, opts, [&mod](TieredEngine &engine) {
             for (FunctionId f = 0; f < mod.numFunctions(); f += 2)
@@ -185,12 +172,23 @@ armName(const ::testing::TestParamInfo<SeedAndArm> &info)
            kArms[armIdx].targetName + "_" + cfg;
 }
 
-// Seeds 500..700 (200 random programs) × 11 arms = 2200 compiled
-// programs executed under both engines — disjoint from the other
-// suites' seed ranges.
+/** Seeds 500..700 and 800..860: 260 random programs. */
+std::vector<uint64_t>
+sweepSeeds()
+{
+    std::vector<uint64_t> seeds;
+    for (uint64_t seed = 500; seed < 700; ++seed)
+        seeds.push_back(seed);
+    for (uint64_t seed = 800; seed < 860; ++seed)
+        seeds.push_back(seed);
+    return seeds;
+}
+
+// 260 random programs × 11 arms = 2860 compiled programs executed
+// under both engines — disjoint from the other suites' seed ranges.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, NativeDifferential,
-    ::testing::Combine(::testing::Range<uint64_t>(500, 700),
+    ::testing::Combine(::testing::ValuesIn(sweepSeeds()),
                        ::testing::Range<size_t>(0, std::size(kArms))),
     armName);
 
@@ -224,8 +222,7 @@ TEST_P(NativeDifferentialShapes, FusionOffAndUnoptimizedShapes)
 
     DecodeOptions noFuse;
     noFuse.fuse = false;
-    EquivalenceReport plain =
-        compareNative(*mod, target, NativeBackend::Baseline, noFuse);
+    EquivalenceReport plain = compareNative(*mod, target, noFuse);
     EXPECT_TRUE(plain.equivalent)
         << "seed " << seed << " on " << arm.targetName << " / "
         << arm.makeConfig().name << " (fusion off): " << plain.message;
@@ -247,7 +244,8 @@ TEST(NativeMixedDispatch, EvenPromotedFunctionsMixWithInterpreted)
     Target target = makeIA32WindowsTarget();
     PipelineConfig config = makeNewFullConfig();
 
-    for (uint64_t seed = 500; seed < 510; ++seed) {
+    for (uint64_t seed : {500, 501, 502, 503, 504, 505, 506, 507, 508, 509,
+                          800, 801, 802, 803, 804, 805, 806, 807}) {
         GeneratorOptions opts;
         opts.seed = seed;
         auto mod = generateRandomModule(opts);
@@ -256,8 +254,7 @@ TEST(NativeMixedDispatch, EvenPromotedFunctionsMixWithInterpreted)
 
         // Alternate functions native / interpreted: calls cross the
         // boundary in both directions.
-        EquivalenceReport mixed =
-            compareEvenIdsNative(*mod, target, NativeBackend::Baseline);
+        EquivalenceReport mixed = compareEvenIdsNative(*mod, target);
         EXPECT_TRUE(mixed.equivalent)
             << "seed " << seed << " mixed-dispatch: " << mixed.message;
 
@@ -305,13 +302,10 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
     compiler.compile(*mod);
 
     FunctionId entry = mod->findFunction("main");
-    // Pin the baseline configuration: these byte-layout assertions
-    // describe slot-resident operands, and must not flip when the suite
-    // runs under TRAPJIT_NATIVE_BACKEND=optimized.  The all-native
-    // engine compiles main on its first call, and the code still runs
-    // correctly.
+    // The all-native engine compiles main on its first call, and the
+    // code still runs correctly.
     TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerWith(NativeBackend::Baseline));
+                        eagerTieredOptions());
     ExecResult r = engine.run(entry, {});
     ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
     EXPECT_EQ(42, r.value.i);
@@ -325,10 +319,17 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
     // without calls, so it is a single budget run whose pre-charge
     // sits in record 0 (never a NullCheck: main starts by allocating);
     // every implicit NullCheck record is then *exactly* zero bytes —
-    // zero check instructions — and every explicit one exactly a slot
-    // load plus the compare-and-branch.
+    // zero check instructions — and every explicit one exactly the
+    // compare-and-branch, after a slot load unless its reference has a
+    // register home.
     auto df = decodeFunction(mod->function(entry), target);
     ASSERT_EQ(df->code.size() + 1, nc->recordOffsets.size());
+    auto homed = [&](ValueId v) {
+        return std::any_of(nc->regLocs.begin(), nc->regLocs.end(),
+                           [&](const NativeRegLoc &rl) {
+                               return rl.value == v;
+                           });
+    };
     size_t implicitSeen = 0;
     for (size_t i = 0; i < df->code.size(); ++i) {
         if (df->code[i].srcOp != Opcode::NullCheck)
@@ -341,8 +342,8 @@ TEST(NativeCheckBytes, ImplicitChecksCompileToZeroInstructions)
                 << " emitted real instructions";
             ++implicitSeen;
         } else {
-            EXPECT_EQ(7 /* slot load */ + kNativeExplicitNullCheckBytes,
-                      bytes)
+            const uint32_t slotLoad = homed(df->code[i].a) ? 0 : 7;
+            EXPECT_EQ(slotLoad + kNativeExplicitNullCheckBytes, bytes)
                 << "explicit check at record " << i;
         }
     }
@@ -359,7 +360,7 @@ TEST(NativeCheckBytes, ExplicitChecksCarryTheCompareAndBranch)
 
     FunctionId entry = mod->findFunction("main");
     TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerWith(NativeBackend::Baseline));
+                        eagerTieredOptions());
     engine.run(entry, {});
     const NativeCode *nc = engine.registry()->published(entry);
     ASSERT_NE(nullptr, nc) << "main did not compile natively";
@@ -389,7 +390,7 @@ TEST(NativeTrap, GuardPageFaultBecomesTheInterpreterIdenticalNpe)
 
     // ...and the native run must have taken a *real* hardware trap.
     TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerWith(NativeBackend::Baseline));
+                        eagerTieredOptions());
     ExecResult r = engine.run(entry, {});
     EXPECT_EQ(ExecResult::Outcome::Threw, r.outcome);
     EXPECT_EQ(ExcKind::NullPointer, r.exception);
@@ -476,20 +477,17 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
             fastCount = fast.stats().instructions;
         }
     }
-    for (NativeBackend backend :
-         {NativeBackend::Baseline, NativeBackend::Optimized}) {
-        TieredEngine engine(*mod, target, options, nullptr, {},
-                            eagerWith(backend));
-        try {
-            engine.run(mod->findFunction("main"), {});
-            FAIL() << "native engine did not hit the budget";
-        } catch (const HardFault &fault) {
-            nativeMessage = fault.what();
-            nativeCount = engine.stats().instructions;
-        }
-        EXPECT_EQ(fastMessage, nativeMessage);
-        EXPECT_EQ(fastCount, nativeCount);
+    TieredEngine engine(*mod, target, options, nullptr, {},
+                        eagerTieredOptions());
+    try {
+        engine.run(mod->findFunction("main"), {});
+        FAIL() << "native engine did not hit the budget";
+    } catch (const HardFault &fault) {
+        nativeMessage = fault.what();
+        nativeCount = engine.stats().instructions;
     }
+    EXPECT_EQ(fastMessage, nativeMessage);
+    EXPECT_EQ(fastCount, nativeCount);
 }
 
 /**
@@ -583,10 +581,9 @@ runUnderBudget(Engine &engine, FunctionId entry)
 }
 
 /**
- * Run @p mod's main under every budget from 1 to its full count, in
- * both configurations; each run must reproduce the fast interpreter's
- * HardFault message (or result), instruction count and trapsTaken.
- * Returns the full count.
+ * Run @p mod's main under every budget from 1 to its full count; each
+ * run must reproduce the fast interpreter's HardFault message (or
+ * result), instruction count and trapsTaken.  Returns the full count.
  */
 uint64_t
 expectEveryBudgetMatches(const Module &mod, const Target &target,
@@ -599,39 +596,34 @@ expectEveryBudgetMatches(const Module &mod, const Target &target,
     const uint64_t total = complete.stats.instructions;
 
     size_t faults = 0;
-    for (NativeBackend backend :
-         {NativeBackend::Baseline, NativeBackend::Optimized}) {
-        for (uint64_t budget = 1; budget <= total; ++budget) {
-            InterpOptions options;
-            options.maxInstructions = budget;
-            FastInterpreter fast(mod, target, options);
-            const BudgetRun want = runUnderBudget(fast, entry);
-            TieredEngine engine(mod, target, options, nullptr, {},
-                                eagerWith(backend));
-            const BudgetRun got = runUnderBudget(engine, entry);
-            const std::string where =
-                what + " budget " + std::to_string(budget) +
-                (backend == NativeBackend::Optimized ? " (optimized)" : "");
-            EXPECT_EQ(want.fault, got.fault) << where;
-            EXPECT_EQ(want.instructions, got.instructions) << where;
-            EXPECT_EQ(want.outcome, got.outcome) << where;
-            EXPECT_EQ(want.value, got.value) << where;
-            EXPECT_EQ(want.trapsTaken, got.trapsTaken) << where;
-            faults += want.fault.empty() ? 0 : 1;
-        }
+    for (uint64_t budget = 1; budget <= total; ++budget) {
+        InterpOptions options;
+        options.maxInstructions = budget;
+        FastInterpreter fast(mod, target, options);
+        const BudgetRun want = runUnderBudget(fast, entry);
+        TieredEngine engine(mod, target, options, nullptr, {},
+                            eagerTieredOptions());
+        const BudgetRun got = runUnderBudget(engine, entry);
+        const std::string where = what + " budget " + std::to_string(budget);
+        EXPECT_EQ(want.fault, got.fault) << where;
+        EXPECT_EQ(want.instructions, got.instructions) << where;
+        EXPECT_EQ(want.outcome, got.outcome) << where;
+        EXPECT_EQ(want.value, got.value) << where;
+        EXPECT_EQ(want.trapsTaken, got.trapsTaken) << where;
+        faults += want.fault.empty() ? 0 : 1;
     }
     // Only the full budget completes.
-    EXPECT_EQ(2 * (total - 1), faults) << what;
+    EXPECT_EQ(total - 1, faults) << what;
     return total;
 }
 
 // Every budget of a program with a call, a try/catch handler, a
 // checked-array loop, an ALU chain and a compare-and-branch, under an
-// explicit-check arm (raise stubs, and speculated loads whose trap
-// deopts) and the Phase1+Phase2 arm (implicit checks trapping into NPE
-// exits): the fault must land on the fast interpreter's record with
-// its message and instruction count, which pins the refund of every
-// exit — raise, NPE, helper status, budget run and speculated trap.
+// explicit-check arm (raise stubs) and the Phase1+Phase2 arm (implicit
+// checks trapping into NPE exits): the fault must land on the fast
+// interpreter's record with its message and instruction count, which
+// pins the refund of every exit — raise, NPE, helper status and budget
+// run.
 TEST(NativeBudget, EveryBudgetReproducesTheInterpreterFault)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -751,21 +743,15 @@ TEST(NativeBudget, UnresolvedTrapFaultsWithTheInterpretersCount)
         FastInterpreter fast(*mod, target);
         const BudgetRun want = runUnderBudget(fast, entry);
         ASSERT_FALSE(want.fault.empty()) << c.name;
-        for (NativeBackend backend :
-             {NativeBackend::Baseline, NativeBackend::Optimized}) {
-            const std::string where =
-                std::string(c.name) +
-                (backend == NativeBackend::Optimized ? " (optimized)" : "");
-            TieredEngine engine(*mod, target, {}, nullptr, {},
-                                eagerWith(backend));
-            const BudgetRun got = runUnderBudget(engine, entry);
-            EXPECT_EQ(want.fault, got.fault) << where;
-            EXPECT_EQ(want.instructions, got.instructions) << where;
-            EXPECT_NE(nullptr, engine.registry()->published(entry)) << where;
-            ServiceCounters counters;
-            engine.addTieringCounters(counters);
-            EXPECT_EQ(1u, counters.hardwareTraps) << where;
-        }
+        TieredEngine engine(*mod, target, {}, nullptr, {},
+                            eagerTieredOptions());
+        const BudgetRun got = runUnderBudget(engine, entry);
+        EXPECT_EQ(want.fault, got.fault) << c.name;
+        EXPECT_EQ(want.instructions, got.instructions) << c.name;
+        EXPECT_NE(nullptr, engine.registry()->published(entry)) << c.name;
+        ServiceCounters counters;
+        engine.addTieringCounters(counters);
+        EXPECT_EQ(1u, counters.hardwareTraps) << c.name;
     }
 }
 
@@ -786,9 +772,9 @@ countCheckRaises(const Module &mod, const Target &target, FunctionId entry)
     return static_cast<uint64_t>(extra / 1000.0 + 0.5);
 }
 
-// With register homes and speculation off, exceptions dispatch in code
-// like the slot-resident configuration's: warmed trap-serving runs
-// raise exceptions, match the fast interpreter and never deopt.
+// With register homes, exceptions dispatch in code: warmed
+// trap-serving runs raise exceptions, match the fast interpreter and
+// never deopt.
 TEST(NativeHomes, WarmExceptionRunsDispatchInCodeWithoutDeopts)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -799,8 +785,7 @@ TEST(NativeHomes, WarmExceptionRunsDispatchInCodeWithoutDeopts)
         compiler.compile(*mod);
         const FunctionId entry = mod->findFunction("main");
 
-        TieredOptions opts = eagerWith(NativeBackend::Optimized);
-        opts.speculate = 0;
+        const TieredOptions opts = eagerTieredOptions();
         TieredEngine engine(*mod, target, {}, nullptr, {}, opts);
         for (int warm = 0; warm < 2; ++warm) {
             engine.run(entry, {});
@@ -842,7 +827,7 @@ TEST(NativeHomes, ResumedZeroReachesTheDestinationsHome)
     for (bool speculative : {false, true}) {
         auto mod = buildNullReadModule(!speculative, speculative, 8);
         TieredEngine engine(*mod, aix, {}, nullptr, {},
-                            eagerWith(NativeBackend::Optimized));
+                            eagerTieredOptions());
         ExecResult r = engine.run(mod->findFunction("main"), {});
         ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
         EXPECT_EQ(1, r.value.i) << "speculative " << speculative;
@@ -854,8 +839,8 @@ TEST(NativeHomes, ResumedZeroReachesTheDestinationsHome)
         engine.addTieringCounters(c);
         EXPECT_EQ(1u, c.hardwareTraps) << "speculative " << speculative;
 
-        EquivalenceReport report = compareTieredEngine(
-            *mod, aix, {}, eagerWith(NativeBackend::Optimized));
+        EquivalenceReport report =
+            compareTieredEngine(*mod, aix, {}, eagerTieredOptions());
         EXPECT_TRUE(report.equivalent) << report.message;
     }
 }
@@ -867,32 +852,28 @@ TEST(NativeHomes, ResumedZeroReachesTheDestinationsHome)
 // With threshold 1 and synchronous promotion, a call whose promotion
 // publishes the block enters it at once — so on a trap-free program
 // whose functions all compile, the interpreter never dispatches a
-// single record, in either configuration.
+// single record.
 TEST(NativeEager, TrapFreeProgramsNeverDispatchInTheInterpreter)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
     Target target = makeIA32WindowsTarget();
     InterpOptions options;
     options.recordTrace = false;
-    for (NativeBackend backend :
-         {NativeBackend::Baseline, NativeBackend::Optimized}) {
-        for (const Workload &w : jbytemarkWorkloads()) {
-            auto mod = w.build();
-            Compiler compiler(target, makeNewFullConfig());
-            compiler.compile(*mod);
-            TieredEngine engine(*mod, target, options, nullptr, {},
-                                eagerWith(backend));
-            ExecResult r = engine.run(mod->findFunction("main"), {});
-            ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome) << w.name;
-            ASSERT_EQ(0u, r.stats.trapsTaken) << w.name;
-            for (FunctionId f = 0; f < mod->numFunctions(); ++f)
-                EXPECT_NE(TierState::Unsupported,
-                          engine.registry()->state(f))
-                    << w.name << ": " << mod->function(f).name();
-            EXPECT_EQ(0u, r.stats.dispatches)
-                << w.name << " interpreted records under the all-native "
-                << "engine";
-        }
+    for (const Workload &w : jbytemarkWorkloads()) {
+        auto mod = w.build();
+        Compiler compiler(target, makeNewFullConfig());
+        compiler.compile(*mod);
+        TieredEngine engine(*mod, target, options, nullptr, {},
+                            eagerTieredOptions());
+        ExecResult r = engine.run(mod->findFunction("main"), {});
+        ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome) << w.name;
+        ASSERT_EQ(0u, r.stats.trapsTaken) << w.name;
+        for (FunctionId f = 0; f < mod->numFunctions(); ++f)
+            EXPECT_NE(TierState::Unsupported, engine.registry()->state(f))
+                << w.name << ": " << mod->function(f).name();
+        EXPECT_EQ(0u, r.stats.dispatches)
+            << w.name << " interpreted records under the all-native "
+            << "engine";
     }
 }
 
@@ -988,294 +969,84 @@ TEST(NativeBigOffset, BigOffsetProgramsMatchAcrossEngines)
 }
 
 // ---------------------------------------------------------------------------
-// Optimized configuration: register homes + section-5.4 speculation
+// The arms without hardware traps, and null-heavy traffic
 // ---------------------------------------------------------------------------
 
-/** compareNative with the optimized configuration pinned. */
-EquivalenceReport
-compareOptimized(Module &mod, const Target &target)
-{
-    return compareNative(mod, target, NativeBackend::Optimized);
-}
-
-class OptimizedDifferential : public ::testing::TestWithParam<SeedAndArm>
-{
-};
-
-// The same 11-arm matrix as the baseline sweep, with linear-scan
-// register homes and speculated loads in the code under test.  Every
-// deopt exit finishes its frame on the fast interpreter, so
-// bit-identity here covers the whole deopt protocol.
-TEST_P(OptimizedDifferential, OptimizedMatchesFastInterpreter)
+// "No Null Opt. (No Hardware Trap)" is the arm defined by not using the
+// guard page: every check stays explicit, so its code must never take a
+// hardware trap, on any workload-gen preset — however many nulls the
+// program pushes through its checks — and must still match the fast
+// interpreter bit for bit.
+TEST(NativeNoTrapArm, NoHardwareTrapCodeNeverTakesAHardwareTrap)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
-    const auto [seed, armIdx] = GetParam();
-    const Arm &arm = kArms[armIdx];
+    Target target = makeIA32WindowsTarget();
+    uint64_t npes = 0;
+    for (const WorkloadProfile &preset : workloadProfiles()) {
+        for (uint64_t seed = 3000; seed < 3008; ++seed) {
+            const std::string where =
+                preset.name + " seed " + std::to_string(seed);
+            WorkloadProfile p = preset;
+            p.seed = seed;
+            auto mod = generateWorkloadModule(p);
+            Compiler compiler(target, makeNoOptNoTrapConfig());
+            compiler.compile(*mod);
 
-    GeneratorOptions opts;
-    opts.seed = seed;
-    std::unique_ptr<Module> mod = generateRandomModule(opts);
+            EquivalenceReport report = compareNative(*mod, target);
+            EXPECT_TRUE(report.equivalent) << where << ": "
+                                           << report.message;
 
-    Target target = arm.makeTarget();
-    Compiler compiler(target, arm.makeConfig());
-    compiler.compile(*mod);
-
-    EquivalenceReport report = compareOptimized(*mod, target);
-    EXPECT_TRUE(report.equivalent)
-        << "seed " << seed << " on " << arm.targetName << " / "
-        << arm.makeConfig().name << " (optimized): " << report.message;
+            const FunctionId entry = mod->findFunction("main");
+            TieredEngine engine(*mod, target, {}, nullptr, {},
+                                eagerTieredOptions());
+            engine.run(entry, {});
+            ServiceCounters c;
+            engine.addTieringCounters(c);
+            EXPECT_EQ(0u, c.hardwareTraps) << where;
+            EXPECT_EQ(0u, c.sitesExplicitized) << where;
+            npes += countCheckRaises(*mod, target, entry);
+        }
+    }
+    EXPECT_GT(npes, 0u) << "no preset raised an exception from a check";
 }
 
-// Seeds 800..860 (disjoint from the baseline sweep) × 11 arms.
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, OptimizedDifferential,
-    ::testing::Combine(::testing::Range<uint64_t>(800, 860),
-                       ::testing::Range<size_t>(0, std::size(kArms))),
-    armName);
-
-// Mid-loop deopt, for real: the null_storm profile pushes nulls through
-// checked accesses, so under the no-opt arms (checks stay explicit —
-// every one under the no-trap arm — exactly what section-5.4
-// speculation pairs on) speculated loads actually trap and the frame
-// must finish on the interpreter with the canonical slot file.  At
-// least one seed must take a real deopt and speculate a real load, or
-// the sweep is vacuous.
-TEST(OptimizedDeopt, NullStormSpeculatedLoadsTrapAndReplay)
+// Null-heavy traffic under the trap arm: the null_storm profile pushes
+// nulls through checked accesses that ride the guard page, so the
+// all-native engine takes real traps mid-loop and must still match the
+// fast interpreter, before and after its trapping sites turn explicit.
+TEST(NativeTrap, NullStormProgramsTrapAndMatch)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
     Target target = makeIA32WindowsTarget();
     const WorkloadProfile *preset = findWorkloadProfile("null_storm");
     ASSERT_NE(preset, nullptr);
 
-    size_t deopts = 0;
-    size_t speculated = 0;
     size_t hardwareTraps = 0;
-    for (PipelineConfig (*makeConfig)() :
-         {makeNoOptTrapConfig, makeNoOptNoTrapConfig}) {
-        for (uint64_t seed = 900; seed < 916; ++seed) {
-            WorkloadProfile p = *preset;
-            p.seed = seed;
-            auto mod = generateWorkloadModule(p);
-            Compiler compiler(target, makeConfig());
-            compiler.compile(*mod);
-
-            EquivalenceReport report = compareOptimized(*mod, target);
-            EXPECT_TRUE(report.equivalent)
-                << "null_storm seed " << seed << " / "
-                << makeConfig().name << ": " << report.message;
-
-            TieredEngine engine(*mod, target, {}, nullptr, {},
-                                eagerWith(NativeBackend::Optimized));
-            ServiceCounters c;
-            engine.run(mod->findFunction("main"), {});
-            engine.addTieringCounters(c);
-            deopts += c.deoptsTaken;
-            speculated += c.loadsSpeculated;
-            hardwareTraps += c.hardwareTraps;
-        }
-    }
-    EXPECT_GT(speculated, 0u)
-        << "no null_storm seed produced a speculated load";
-    EXPECT_GT(deopts, 0u)
-        << "no null_storm seed took a deopt side-exit";
-    EXPECT_GT(hardwareTraps, 0u)
-        << "no null_storm seed took a guard-page trap";
-}
-
-// A failed speculation is a one-time cost: the speculated load's trap
-// invalidates the function's block, and its next promotion compiles
-// the NullCheck explicitly again (the JVM's uncommon-trap response).
-TEST(OptimizedDeopt, FailedSpeculationRetiersWithoutSpeculating)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-    Target target = makeIA32WindowsTarget();
-    auto mod = buildFieldReadModule(/*throughNull=*/true);
-    Compiler compiler(target, makeNoOptNoTrapConfig());
-    compiler.compile(*mod);
-    FunctionId entry = mod->findFunction("main");
-
-    TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerWith(NativeBackend::Optimized));
-    ExecResult first = engine.run(entry, {});
-    EXPECT_EQ(ExcKind::NullPointer, first.exception);
-    ServiceCounters c;
-    engine.addTieringCounters(c);
-    EXPECT_GT(c.loadsSpeculated, 0u) << "main's load was not speculated";
-    EXPECT_EQ(1u, c.deoptsTaken);
-    EXPECT_EQ(1u, c.blocksInvalidated);
-    EXPECT_EQ(TierState::Cold, engine.registry()->state(entry));
-
-    ExecResult second = engine.run(entry, {});
-    EXPECT_EQ(ExcKind::NullPointer, second.exception);
-    const NativeCode *nc = engine.registry()->published(entry);
-    ASSERT_NE(nullptr, nc);
-    EXPECT_TRUE(nc->optimized);
-    EXPECT_EQ(0u, nc->loadsSpeculated);
-    EXPECT_GT(nc->explicitChecksCompiled, 0u);
-    // Stats accumulate across runs: both runs retired the same count.
-    EXPECT_EQ(first.stats.instructions * 2, second.stats.instructions);
-}
-
-/** main: two checked field reads, the second through null. */
-std::unique_ptr<Module>
-buildTwoFieldReadModule()
-{
-    auto mod = std::make_unique<Module>();
-    Function &fn = mod->addFunction("main", Type::I32);
-    IRBuilder b(fn);
-    b.startBlock();
-    ValueId obj = b.newObject(0, 24);
-    b.putField(obj, 8, b.constInt(41));
-    ValueId v = b.getField(obj, 8, Type::I32);
-    ValueId w = b.getField(b.constNull(), 16, Type::I32);
-    b.ret(b.binop(Opcode::IAdd, v, w));
-    return mod;
-}
-
-// Despeculation is per site: only the load that read through null
-// loses its speculation on re-promotion; the function's other load
-// stays hoisted above its check.
-TEST(OptimizedDeopt, FailedSpeculationDespeculatesOnlyThatLoad)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-    Target target = makeIA32WindowsTarget();
-    auto mod = buildTwoFieldReadModule();
-    Compiler compiler(target, makeNoOptNoTrapConfig());
-    compiler.compile(*mod);
-    FunctionId entry = mod->findFunction("main");
-
-    TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerWith(NativeBackend::Optimized));
-    ExecResult first = engine.run(entry, {});
-    EXPECT_EQ(ExcKind::NullPointer, first.exception);
-    ServiceCounters c;
-    engine.addTieringCounters(c);
-    EXPECT_EQ(2u, c.loadsSpeculated);
-    EXPECT_EQ(1u, c.hardwareTraps);
-    EXPECT_EQ(1u, c.sitesExplicitized);
-    EXPECT_EQ(TierState::Cold, engine.registry()->state(entry));
-
-    engine.reset();
-    ExecResult second = engine.run(entry, {});
-    EXPECT_EQ(ExcKind::NullPointer, second.exception);
-    EXPECT_EQ(first.stats.instructions, second.stats.instructions);
-    const NativeCode *nc = engine.registry()->published(entry);
-    ASSERT_NE(nullptr, nc);
-    EXPECT_EQ(1u, nc->loadsSpeculated);
-    ServiceCounters again;
-    engine.addTieringCounters(again);
-    EXPECT_EQ(0u, again.hardwareTraps);
-
-    EquivalenceReport report = compareOptimized(*mod, target);
-    EXPECT_TRUE(report.equivalent) << report.message;
-}
-
-// The big-offset regime in the optimized configuration: accesses past the
-// protected area keep their explicit checks (they are never speculated
-// — a trap there would not be a guard-page fault), and the programs
-// stay bit-identical.
-TEST(OptimizedDeopt, BigOffsetProgramsMatchUnderOptimizedBackend)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-    for (const Arm &arm : kTrapArms) {
-        Target target = arm.makeTarget();
-        for (uint64_t seed = 700; seed < 708; ++seed) {
-            auto mod = buildBigOffsetModule(seed);
-            Compiler compiler(target, arm.makeConfig());
-            compiler.compile(*mod);
-            EquivalenceReport report = compareOptimized(*mod, target);
-            EXPECT_TRUE(report.equivalent)
-                << "big_offset seed " << seed << " on " << arm.targetName
-                << " / " << arm.makeConfig().name
-                << " (optimized): " << report.message;
-        }
-    }
-}
-
-// Mixed dispatch in the optimized configuration: deopt exits and
-// interpreted callees share one frame protocol.
-TEST(OptimizedDeopt, MixedDispatchMatchesUnderOptimizedBackend)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-    Target target = makeIA32WindowsTarget();
-    PipelineConfig config = makeNewFullConfig();
-    for (uint64_t seed = 800; seed < 808; ++seed) {
-        GeneratorOptions opts;
-        opts.seed = seed;
-        auto mod = generateRandomModule(opts);
-        Compiler compiler(target, config);
+    for (uint64_t seed = 900; seed < 916; ++seed) {
+        WorkloadProfile p = *preset;
+        p.seed = seed;
+        auto mod = generateWorkloadModule(p);
+        Compiler compiler(target, makeNoOptTrapConfig());
         compiler.compile(*mod);
 
-        EquivalenceReport mixed =
-            compareEvenIdsNative(*mod, target, NativeBackend::Optimized);
-        EXPECT_TRUE(mixed.equivalent)
-            << "seed " << seed
-            << " optimized mixed-dispatch: " << mixed.message;
+        EquivalenceReport report = compareNative(*mod, target);
+        EXPECT_TRUE(report.equivalent)
+            << "null_storm seed " << seed << ": " << report.message;
+
+        TieredEngine engine(*mod, target, {}, nullptr, {},
+                            eagerTieredOptions());
+        ServiceCounters c;
+        engine.run(mod->findFunction("main"), {});
+        engine.addTieringCounters(c);
+        hardwareTraps += c.hardwareTraps;
     }
+    EXPECT_GT(hardwareTraps, 0u)
+        << "no null_storm seed took a guard-page trap";
 }
 
 // ---------------------------------------------------------------------------
 // Engine selection
 // ---------------------------------------------------------------------------
-
-/** What one all-native run with the env-selected backend compiled. */
-struct EnvBackendRun
-{
-    bool compiled = false;
-    bool optimized = false;
-    size_t loadsSpeculated = 0;
-    int64_t result = 0;
-};
-
-EnvBackendRun
-runWithEnvBackend(PipelineConfig (*makeConfig)())
-{
-    Target target = makeIA32WindowsTarget();
-    auto mod = buildFieldReadModule(false);
-    Compiler compiler(target, makeConfig());
-    compiler.compile(*mod);
-    FunctionId entry = mod->findFunction("main");
-    TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerTieredOptions());
-    EnvBackendRun out;
-    out.result = engine.run(entry, {}).value.i;
-    if (const NativeCode *nc = engine.registry()->published(entry)) {
-        out.compiled = true;
-        out.optimized = nc->optimized;
-        out.loadsSpeculated = nc->loadsSpeculated;
-    }
-    return out;
-}
-
-TEST(NativeBackendSelection, EnvVariablePicksOptimizedAndSpeculation)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-
-    // Unset env: FromEnv resolves to the baseline.
-    ASSERT_EQ(0, unsetenv("TRAPJIT_NATIVE_BACKEND"));
-    ASSERT_EQ(0, unsetenv("TRAPJIT_SPECULATE"));
-    EnvBackendRun run = runWithEnvBackend(makeNoOptTrapConfig);
-    ASSERT_TRUE(run.compiled);
-    EXPECT_FALSE(run.optimized);
-
-    // TRAPJIT_NATIVE_BACKEND=optimized selects the optimized
-    // configuration.
-    ASSERT_EQ(0, setenv("TRAPJIT_NATIVE_BACKEND", "optimized", 1));
-    run = runWithEnvBackend(makeNoOptTrapConfig);
-    ASSERT_TRUE(run.compiled);
-    EXPECT_TRUE(run.optimized);
-    EXPECT_EQ(42, run.result);
-
-    // TRAPJIT_SPECULATE=0 keeps the backend but disables section 5.4.
-    ASSERT_EQ(0, setenv("TRAPJIT_SPECULATE", "0", 1));
-    run = runWithEnvBackend(makeNoOptNoTrapConfig);
-    ASSERT_TRUE(run.compiled);
-    EXPECT_TRUE(run.optimized);
-    EXPECT_EQ(0u, run.loadsSpeculated);
-
-    ASSERT_EQ(0, unsetenv("TRAPJIT_NATIVE_BACKEND"));
-    ASSERT_EQ(0, unsetenv("TRAPJIT_SPECULATE"));
-}
 
 TEST(NativeEngineSelection, EnvVariablePicksNative)
 {

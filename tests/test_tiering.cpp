@@ -16,9 +16,7 @@
  *     config matrix, each compiled program executed under the fast
  *     interpreter and the tiered engine with a threshold of 2 and
  *     synchronous promotion, so functions tier up in the middle of the
- *     case and frames cross interp -> native -> interp both ways; and
- *     60 × 11 more in the optimized configuration, whose deopt exits then
- *     also hand frames back to the interpreter mid-case;
+ *     case and frames cross interp -> native -> interp both ways;
  *  2. a policy sweep over the other promotion regimes: background
  *     workers (nondeterministic publish instants must be invisible),
  *     linking off (every cross-block call through the slow stub), and
@@ -28,21 +26,18 @@
  *     the interpreter's own hotness counters after invalidation, and
  *     the tiering counters (functionsPromoted, slotsPatched,
  *     blocksLinked, blocksInvalidated, tierUpLatencySeconds), and
- *     direct links between optimized blocks;
+ *     direct links between blocks with register homes;
  *  4. an 8-thread promotion stress: engines sharing one CodeRegistry
  *     and TierController race promotions while the main thread
  *     invalidates published blocks under them;
  *  5. auditNativeTrapSites re-run on every block the registry
  *     published (the controller already gates publishing on it; this
  *     checks the published artifacts directly);
- *  6. trap-adaptive lowering: on every workload-gen preset and both
- *     configurations (the one with homes with and without speculation),
- *     the run that takes the guard-page traps and the rerun on the
- *     recompiled blocks both match the fast interpreter, and the rerun
- *     takes no hardware trap unless the run before it deopted, and then
- *     only at sites it is the first to reach natively; eight engines
- *     trapping at one shared site stop trapping once they all run its
- *     new block.
+ *  6. trap-adaptive lowering: on every workload-gen preset, the run
+ *     that takes the guard-page traps and the rerun on the recompiled
+ *     blocks both match the fast interpreter, and the rerun takes no
+ *     hardware trap; eight engines trapping at one shared site stop
+ *     trapping once they all run its new block.
  *
  * Execution tests skip where the native tier cannot run (non-x86-64,
  * ASan); the engine-selection and option-parsing tests run anywhere.
@@ -175,45 +170,6 @@ TEST_P(TieredDifferential, TieredMatchesFastInterpreterMidPromotion)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TieredDifferential,
     ::testing::Combine(::testing::Range<uint64_t>(500, 700),
-                       ::testing::Range<size_t>(0, std::size(kArms))),
-    armName);
-
-class TieredOptimizedDifferential
-    : public ::testing::TestWithParam<SeedAndArm>
-{
-};
-
-// The same mid-case promotion in the optimized configuration: register
-// homes and speculated loads in published blocks that are entered and
-// left mid-run, with deopt exits finishing frames on the interpreter.
-TEST_P(TieredOptimizedDifferential, OptimizedBlocksMatchMidPromotion)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-    const auto [seed, armIdx] = GetParam();
-    const Arm &arm = kArms[armIdx];
-
-    GeneratorOptions opts;
-    opts.seed = seed;
-    std::unique_ptr<Module> mod = generateRandomModule(opts);
-
-    Target target = arm.makeTarget();
-    Compiler compiler(target, arm.makeConfig());
-    compiler.compile(*mod);
-
-    TieredOptions optimized;
-    optimized.threshold = 2;
-    optimized.synchronous = true;
-    optimized.backend = NativeBackend::Optimized;
-    EquivalenceReport report =
-        compareTieredEngine(*mod, target, {}, optimized);
-    EXPECT_TRUE(report.equivalent)
-        << "seed " << seed << " on " << arm.targetName << " / "
-        << arm.makeConfig().name << " (optimized): " << report.message;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, TieredOptimizedDifferential,
-    ::testing::Combine(::testing::Range<uint64_t>(500, 560),
                        ::testing::Range<size_t>(0, std::size(kArms))),
     armName);
 
@@ -489,25 +445,25 @@ TEST(TieredLifecycle, TieringCountersFlowIntoServiceCounters)
     EXPECT_GE(after.slotsPatched, counters.slotsPatched);
 }
 
-TEST(TieredLifecycle, OptimizedBlocksLinkDirectly)
+TEST(TieredLifecycle, BlocksWithHomesLinkDirectly)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
     Target target = makeIA32WindowsTarget();
     auto mod = buildCallWebModule(31);
 
-    TieredOptions opts = eagerTieredOptions();
-    opts.backend = NativeBackend::Optimized;
-    TieredEngine engine(*mod, target, {}, nullptr, {}, opts);
+    TieredEngine engine(*mod, target, {}, nullptr, {},
+                        eagerTieredOptions());
     Observed ref = referenceRun(*mod, target);
     EXPECT_EQ(ref, tieredRun(engine, *mod));
 
-    // Optimized blocks use the same patchable call sites as the
-    // baseline, so publishing call_web's callees links them directly.
-    size_t optimized = 0;
+    // Blocks with register homes still stage call arguments through
+    // patchable call sites, so publishing call_web's callees links
+    // them directly.
+    size_t homed = 0;
     for (FunctionId f = 0; f < mod->numFunctions(); ++f)
         if (const NativeCode *nc = engine.registry()->published(f))
-            optimized += nc->optimized ? 1 : 0;
-    EXPECT_GT(optimized, 1u);
+            homed += nc->regLocs.empty() ? 0 : 1;
+    EXPECT_GT(homed, 1u);
     ServiceCounters counters;
     engine.addTieringCounters(counters);
     EXPECT_GT(counters.blocksLinked, 0u);
@@ -648,173 +604,64 @@ buildPresetModule(const WorkloadProfile &preset, uint64_t seed)
     return mod;
 }
 
-using PresetAndBackend = std::tuple<size_t, NativeBackend>;
-
 std::string
-presetName(const ::testing::TestParamInfo<PresetAndBackend> &info)
+presetName(const ::testing::TestParamInfo<size_t> &info)
 {
-    const auto [preset, backend] = info.param;
-    return workloadProfiles()[preset].name +
-           (backend == NativeBackend::Optimized ? "_optimized"
-                                                : "_baseline");
+    return workloadProfiles()[info.param].name;
 }
 
-class TrapAdaptive : public ::testing::TestWithParam<PresetAndBackend>
+class TrapAdaptive : public ::testing::TestWithParam<size_t>
 {
 };
-
-/** The all-native options of @p backend with speculation forced on or
- *  off (the baseline ignores it). */
-TieredOptions
-eagerNative(NativeBackend backend, bool speculate)
-{
-    TieredOptions opts = eagerTieredOptions();
-    opts.backend = backend;
-    opts.speculate = speculate ? 1 : 0;
-    return opts;
-}
-
-/** Every function's explicit set, as (function, record) pairs. */
-std::vector<std::pair<FunctionId, uint32_t>>
-explicitSitesOf(const TieredEngine &engine, const Module &mod)
-{
-    std::vector<std::pair<FunctionId, uint32_t>> sites;
-    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
-        for (uint32_t rec : engine.controller()->explicitSites(f))
-            sites.emplace_back(f, rec);
-    return sites;
-}
 
 // The first run takes the guard-page traps: each trapping site joins
 // its function's explicit set and its block is invalidated.  The
 // second run, after reset(), re-promotes those functions with the
 // sites tested by test+jz.  Every run must match the fast interpreter
 // on everything (trapsTaken included: an explicitized site still
-// raises a trap-covered NPE).  Without speculation the first run takes
-// no deopt and the second takes no hardware trap and explicitizes
-// nothing.  With it, a run that deopted finished a frame on the
-// interpreter after a speculated load's trap, so the next run may
-// reach that frame's later sites natively for the first time; each of
-// its traps must then explicitize a new site (hardware traps equal
-// the growth of the explicit set, and every new site took a trap to
-// join it, so no trap hit an explicitized site or one site twice).  A
-// rerun after a deopt-free run takes no hardware trap in every
-// configuration.
+// raises a trap-covered NPE); the first run takes no deopt, and the
+// second takes no hardware trap and explicitizes nothing.
 TEST_P(TrapAdaptive, RerunOnRecompiledBlocksMatchesWithoutHardwareTraps)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
-    const auto [presetIdx, backend] = GetParam();
-    const WorkloadProfile &preset = workloadProfiles()[presetIdx];
+    const WorkloadProfile &preset = workloadProfiles()[GetParam()];
     Target target = makeIA32WindowsTarget();
 
-    std::vector<bool> speculation{false};
-    if (backend == NativeBackend::Optimized)
-        speculation.push_back(true);
-    for (bool speculate : speculation) {
-        uint64_t npes = 0, hardwareTraps = 0, explicitized = 0;
-        for (uint64_t seed = 3000; seed < 3004; ++seed) {
-            const std::string where = "seed " + std::to_string(seed) +
-                                      (speculate ? " speculating" : "");
-            auto mod = buildPresetModule(preset, seed);
-            Observed ref = referenceRun(*mod, target);
-            TieredEngine engine(*mod, target, {}, nullptr, {},
-                                eagerNative(backend, speculate));
+    uint64_t npes = 0, hardwareTraps = 0, explicitized = 0;
+    for (uint64_t seed = 3000; seed < 3004; ++seed) {
+        const std::string where = "seed " + std::to_string(seed);
+        auto mod = buildPresetModule(preset, seed);
+        Observed ref = referenceRun(*mod, target);
+        TieredEngine engine(*mod, target, {}, nullptr, {},
+                            eagerTieredOptions());
 
-            EXPECT_EQ(ref, tieredRun(engine, *mod)) << where;
-            ServiceCounters first;
-            engine.addTieringCounters(first);
-            if (!speculate)
-                EXPECT_EQ(0u, first.deoptsTaken) << where;
-            ServiceCounters prev = first;
-            for (int rerun = 1;; ++rerun) {
-                EXPECT_EQ(ref, tieredRun(engine, *mod))
-                    << where << " rerun " << rerun << " after reset()";
-                ServiceCounters now;
-                engine.addTieringCounters(now);
-                const size_t newSites =
-                    now.sitesExplicitized - prev.sitesExplicitized;
-                if (prev.deoptsTaken == 0) {
-                    EXPECT_EQ(0u, now.hardwareTraps)
-                        << where << " rerun " << rerun;
-                    EXPECT_EQ(0u, newSites) << where << " rerun " << rerun;
-                    break;
-                }
-                EXPECT_EQ(newSites, now.hardwareTraps)
-                    << where << " rerun " << rerun
-                    << ": a trap hit an explicitized site";
-                if (now.hardwareTraps == 0)
-                    break;
-                ASSERT_LT(rerun, 8) << where << " never stopped trapping";
-                prev = now;
-            }
+        EXPECT_EQ(ref, tieredRun(engine, *mod)) << where;
+        ServiceCounters first;
+        engine.addTieringCounters(first);
+        EXPECT_EQ(0u, first.deoptsTaken) << where;
 
-            npes += ref.trapsTaken;
-            hardwareTraps += first.hardwareTraps;
-            explicitized += first.sitesExplicitized;
-        }
-        // Wherever the interpreters raise trap-covered NPEs, the first
-        // runs must have taken real traps and explicitized their sites.
-        if (npes > 0) {
-            EXPECT_GT(hardwareTraps, 0u) << "speculate " << speculate;
-            EXPECT_GT(explicitized, 0u) << "speculate " << speculate;
-        }
+        EXPECT_EQ(ref, tieredRun(engine, *mod)) << where << " after reset()";
+        ServiceCounters second;
+        engine.addTieringCounters(second);
+        EXPECT_EQ(0u, second.hardwareTraps) << where;
+        EXPECT_EQ(first.sitesExplicitized, second.sitesExplicitized)
+            << where;
+
+        npes += ref.trapsTaken;
+        hardwareTraps += first.hardwareTraps;
+        explicitized += first.sitesExplicitized;
     }
-}
-
-// The one case of the sweep above where a rerun traps: on try_storm
-// seed 3002 with speculation, the first run's trap at a speculated
-// load (record 173) deopts, and the interpreter finishes the frame.
-// The rerun tests that load explicitly and dispatches its NPE in code,
-// so it reaches record 241 natively for the first time: exactly one
-// hardware trap, explicitizing exactly that site.  The run after it
-// takes none.
-TEST(TrapAdaptiveSpeculation, RerunAfterADeoptTrapsOnceAtTheSiteItFirstReaches)
-{
-    TRAPJIT_REQUIRE_NATIVE_TIER();
-    Target target = makeIA32WindowsTarget();
-    auto mod = buildPresetModule(*findWorkloadProfile("try_storm"), 3002);
-    Observed ref = referenceRun(*mod, target);
-    TieredEngine engine(*mod, target, {}, nullptr, {},
-                        eagerNative(NativeBackend::Optimized, true));
-
-    EXPECT_EQ(ref, tieredRun(engine, *mod));
-    ServiceCounters first;
-    engine.addTieringCounters(first);
-    EXPECT_EQ(1u, first.deoptsTaken);
-    const auto firstSites = explicitSitesOf(engine, *mod);
-    bool deoptedAt173 = false;
-    for (const auto &[fn, rec] : firstSites)
-        deoptedAt173 = deoptedAt173 || rec == 173;
-    EXPECT_TRUE(deoptedAt173);
-
-    EXPECT_EQ(ref, tieredRun(engine, *mod)) << "rerun 1";
-    ServiceCounters second;
-    engine.addTieringCounters(second);
-    EXPECT_EQ(0u, second.deoptsTaken);
-    EXPECT_EQ(1u, second.hardwareTraps);
-    auto secondSites = explicitSitesOf(engine, *mod);
-    ASSERT_EQ(firstSites.size() + 1, secondSites.size());
-    std::vector<std::pair<FunctionId, uint32_t>> added;
-    std::set_difference(secondSites.begin(), secondSites.end(),
-                        firstSites.begin(), firstSites.end(),
-                        std::back_inserter(added));
-    ASSERT_EQ(1u, added.size());
-    EXPECT_EQ(241u, added.front().second);
-
-    EXPECT_EQ(ref, tieredRun(engine, *mod)) << "rerun 2";
-    ServiceCounters third;
-    engine.addTieringCounters(third);
-    EXPECT_EQ(0u, third.deoptsTaken);
-    EXPECT_EQ(0u, third.hardwareTraps);
-    EXPECT_EQ(secondSites, explicitSitesOf(engine, *mod));
+    // Wherever the interpreters raise trap-covered NPEs, the first runs
+    // must have taken real traps and explicitized their sites.
+    if (npes > 0) {
+        EXPECT_GT(hardwareTraps, 0u);
+        EXPECT_GT(explicitized, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, TrapAdaptive,
-    ::testing::Combine(::testing::Range<size_t>(0, workloadProfiles().size()),
-                       ::testing::Values(NativeBackend::Baseline,
-                                         NativeBackend::Optimized)),
-    presetName);
+    ::testing::Range<size_t>(0, workloadProfiles().size()), presetName);
 
 /** main: one checked field read through null (an implicit check). */
 std::unique_ptr<Module>
@@ -953,11 +800,11 @@ TEST(TieredDecodeSharing, NoRedundantDecodeAcrossServiceAndEngines)
     EXPECT_EQ(0u, second.stats().functionsDecoded);
 }
 
-// Deopt exits (here: traps at speculated loads) finish frames on the
-// interpreter mid-function.  That replay must execute from the same shared
-// DecodedProgramCache entry the compile used — a re-decode on the deopt
-// path would double the decode cost of exactly the runs that are
-// already paying for a trap.
+// The deopt exit (budget exhaustion) finishes a frame on the
+// interpreter mid-function.  That replay must execute from the same
+// shared DecodedProgramCache entry the compile used — a re-decode on
+// the deopt path would add a decode to exactly the runs that are
+// already leaving native code.
 TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
 {
     TRAPJIT_REQUIRE_NATIVE_TIER();
@@ -965,14 +812,10 @@ TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
     const WorkloadProfile *preset = findWorkloadProfile("null_storm");
     ASSERT_NE(preset, nullptr);
 
-    TieredOptions opts = eagerTieredOptions();
-    opts.backend = NativeBackend::Optimized;
     size_t deopts = 0;
-    // The no-trap arm keeps every check explicit, so speculation pairs
-    // on all of them.
     for (PipelineConfig (*makeConfig)() :
          {makeNoOptTrapConfig, makeNoOptNoTrapConfig}) {
-        for (uint64_t seed = 900; seed < 916; ++seed) {
+        for (uint64_t seed = 900; seed < 908; ++seed) {
             WorkloadProfile p = *preset;
             p.seed = seed;
             auto mod = generateWorkloadModule(p);
@@ -983,16 +826,20 @@ TEST(TieredDecodeSharing, DeoptReplayDoesNotRedecode)
             // First engine populates the shared cache (pays the
             // decodes).
             auto cache = std::make_shared<DecodedProgramCache>();
+            InterpOptions options;
             {
-                TieredEngine warm(*mod, target, {}, cache, {}, opts);
+                TieredEngine warm(*mod, target, options, cache, {},
+                                  eagerTieredOptions());
                 warm.run(entry, {});
+                options.maxInstructions = warm.stats().instructions / 2;
             }
 
-            // Second engine shares it; its run deopts (null_storm
-            // pushes nulls through speculated loads) and the replay
-            // must not decode anything.
-            TieredEngine engine(*mod, target, {}, cache, {}, opts);
-            engine.run(entry, {});
+            // Second engine shares it; half the budget runs out inside
+            // a block, whose deopt exit replays the run on the
+            // interpreter, which must not decode anything.
+            TieredEngine engine(*mod, target, options, cache, {},
+                                eagerTieredOptions());
+            EXPECT_THROW(engine.run(entry, {}), HardFault);
             ServiceCounters c;
             engine.addTieringCounters(c);
             deopts += c.deoptsTaken;

@@ -39,8 +39,7 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     // *their own* thread (per-thread run scope and SA_ONSTACK
     // alternate stack) without cross-talk: eight mutator threads
     // simultaneously execute *different* fuzz-generated trap-heavy
-    // programs on all-native engines (eagerTieredOptions(),
-    // alternating the baseline and optimized configurations), each
+    // programs on all-native engines (eagerTieredOptions()), each
     // taking real guard-page SIGSEGVs, and every
     // thread must reproduce the exact single-threaded reference result
     // — outcome, exception, return value, trap count and final heap
@@ -101,11 +100,8 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
                     got = fast.run(want.entry, {});
                     digest = fast.heap().digest();
                 } else {
-                    TieredOptions opts = eagerTieredOptions();
-                    opts.backend = t % 2 == 0 ? NativeBackend::Baseline
-                                              : NativeBackend::Optimized;
                     TieredEngine native(*want.mod, target, {}, nullptr,
-                                        {}, opts);
+                                        {}, eagerTieredOptions());
                     got = native.run(want.entry, {});
                     digest = native.heap().digest();
                     ServiceCounters c;

@@ -11,7 +11,7 @@
  *                [--profile NAME[,NAME...]] [--arm LABEL[,LABEL...]]
  *                [--time-budget SECONDS] [--json FILE]
  *                [--cache-dir DIR]
- *                [--no-native] [--no-optimized] [--no-tiered]
+ *                [--no-native] [--no-tiered]
  *                [--no-service] [-v]
  *   trapjit-fuzz --repro seed=S,profile=P,arm=A
  *   trapjit-fuzz --mutate MUTATION   (exit 0 iff the bug is CAUGHT)
@@ -56,8 +56,6 @@ usage()
         << "                       pipeline compile or IR byte diff on\n"
         << "                       the replay is a divergence\n"
         << "  --no-native          skip the fast-vs-native oracle\n"
-        << "  --no-optimized       skip the fast-vs-optimized oracle\n"
-        << "                       (register homes + speculated loads)\n"
         << "  --no-tiered          skip the fast-vs-tiered oracle\n"
         << "                       (mid-case promotion at threshold 2)\n"
         << "  --no-service         sequential Compiler per case\n"
@@ -127,8 +125,6 @@ writeJson(const std::string &path, const FuzzResult &result,
         << "  \"modules_built\": " << s.modulesBuilt << ",\n"
         << "  \"functions_compiled\": " << s.functionsCompiled << ",\n"
         << "  \"native_comparisons\": " << s.nativeComparisons << ",\n"
-        << "  \"optimized_comparisons\": " << s.optimizedComparisons
-        << ",\n"
         << "  \"tiered_comparisons\": " << s.tieredComparisons << ",\n"
         << "  \"persistent_comparisons\": " << s.persistentComparisons
         << ",\n"
@@ -153,12 +149,11 @@ printSummary(const FuzzResult &result)
                 s.elapsedSeconds, s.casesPerSecond(), s.trapsPerSecond(),
                 s.compilesPerSecond());
     std::printf("  modules=%llu compiled=%llu native-cmp=%llu "
-                "optimized-cmp=%llu tiered-cmp=%llu "
-                "persistent-cmp=%llu traps=%llu instructions=%llu\n",
+                "tiered-cmp=%llu persistent-cmp=%llu traps=%llu "
+                "instructions=%llu\n",
                 static_cast<unsigned long long>(s.modulesBuilt),
                 static_cast<unsigned long long>(s.functionsCompiled),
                 static_cast<unsigned long long>(s.nativeComparisons),
-                static_cast<unsigned long long>(s.optimizedComparisons),
                 static_cast<unsigned long long>(s.tieredComparisons),
                 static_cast<unsigned long long>(
                     s.persistentComparisons),
@@ -232,8 +227,6 @@ run(int argc, char **argv)
             opts.cacheDir = value();
         } else if (flag == "--no-native") {
             opts.useNativeOracle = false;
-        } else if (flag == "--no-optimized") {
-            opts.useOptimizedOracle = false;
         } else if (flag == "--no-tiered") {
             opts.useTieredOracle = false;
         } else if (flag == "--no-service") {
