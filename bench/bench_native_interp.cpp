@@ -30,8 +30,9 @@
  *    steady state, direct block linking vs trampoline-only, against
  *    the fused interpreter baseline: Warm must not lose to Fast on any
  *    preset, trap-heavy ones included.  Each reports how many blocks
- *    went through linear scan and how many ranked values it left in
- *    their slots (functions_regalloc, spills_emitted).
+ *    it promoted, every one through the register-home scan, and how
+ *    many ranked values it left in their slots (functions_promoted,
+ *    spills_emitted).
  *
  * Native benches skip (with a notice in the JSON) on hosts without the
  * native tier; the interpreter baselines run everywhere.
@@ -333,8 +334,6 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
     state.counters["tier_up_ms"] = tiering.tierUpLatencySeconds * 1e3;
     state.counters["sites_explicitized"] =
         static_cast<double>(tiering.sitesExplicitized);
-    state.counters["functions_regalloc"] =
-        static_cast<double>(tiering.functionsRegalloc);
     state.counters["spills_emitted"] =
         static_cast<double>(tiering.spillsEmitted);
 }

@@ -12,21 +12,13 @@
  *  - busy/wall utilization (aggregate worker-seconds over wall time);
  *  - warm-cache wall time and hit rate for an identical second batch.
  *
- * A second section measures raw cache contention: the sharded
- * lock-free CompileCache against a single-mutex unordered_map baseline
- * (the pre-sharding design) under a reader-mostly mix at 1/2/4/8
- * threads.
- *
  * Units are host seconds; every arm compiles an identical batch, so
  * the relative columns are meaningful on any machine.
  */
 
-#include <chrono>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -60,91 +52,6 @@ pointers(const std::vector<std::unique_ptr<Module>> &mods)
     for (const auto &mod : mods)
         out.push_back(mod.get());
     return out;
-}
-
-// ---- Cache-contention micro-benchmark ---------------------------------
-
-/** The pre-sharding cache design: one mutex around an unordered_map. */
-class SingleMutexCache
-{
-  public:
-    using Value = CompileCache::Value;
-
-    Value
-    lookup(const Hash128 &key) const
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        auto it = map_.find(key);
-        return it == map_.end() ? nullptr : it->second;
-    }
-
-    Value
-    insert(const Hash128 &key, std::string compiled_ir)
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        auto [it, fresh] = map_.try_emplace(key, nullptr);
-        if (fresh)
-            it->second = std::make_shared<const std::string>(
-                std::move(compiled_ir));
-        return it->second;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_map<Hash128, Value, Hash128Hasher> map_;
-};
-
-constexpr size_t kContentionKeys = 4096; ///< prepopulated entries
-constexpr size_t kOpsPerThread = 400000; ///< ops per worker per arm
-
-Hash128
-contentionKey(uint64_t n)
-{
-    // Mix so keys spread over the shard-selecting top bits.
-    Hasher h;
-    h.update(n);
-    return h.digest();
-}
-
-/**
- * Reader-mostly mix over @p cache: ~90% lookups of prepopulated keys,
- * ~10% inserts of fresh per-thread keys — the serving-tier steady
- * state.  Returns aggregate operations per second.
- */
-template <typename Cache>
-double
-contentionOpsPerSecond(Cache &cache, size_t threads)
-{
-    for (size_t k = 0; k < kContentionKeys; ++k)
-        cache.insert(contentionKey(k), "ir");
-
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    for (size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&cache, t] {
-            uint64_t rng = 0x9e3779b97f4a7c15ull * (t + 1);
-            uint64_t fresh = (t + 1) << 32;
-            for (size_t op = 0; op < kOpsPerThread; ++op) {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                if (rng % 10 != 0) {
-                    cache.lookup(contentionKey(rng % kContentionKeys));
-                } else {
-                    cache.insert(contentionKey(fresh++), "ir");
-                }
-            }
-        });
-    }
-    for (auto &worker : pool)
-        worker.join();
-    double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return seconds > 0.0
-               ? static_cast<double>(threads * kOpsPerThread) / seconds
-               : 0.0;
 }
 
 } // namespace
@@ -207,33 +114,5 @@ main()
              TextTable::pct(100.0 * warmReport.counters.hitRate())});
     }
     table.print(std::cout);
-
-    // ---- Cache contention: sharded lock-free vs single mutex ----------
-    std::cout << "\nCache contention, ~90% lookup / 10% insert over "
-              << kContentionKeys << " hot keys, " << kOpsPerThread
-              << " ops/thread (single-mutex unordered_map baseline vs "
-                 "the sharded lock-free CompileCache):\n\n";
-
-    TextTable contention({"threads", "mutex Mops/s", "sharded Mops/s",
-                          "sharded/mutex"});
-    CompileCacheStats lastStats;
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-        SingleMutexCache baseline;
-        double mutexOps = contentionOpsPerSecond(baseline, threads);
-        CompileCache sharded;
-        double shardedOps = contentionOpsPerSecond(sharded, threads);
-        lastStats = sharded.stats();
-        contention.addRow(
-            {std::to_string(threads), TextTable::num(mutexOps / 1e6, 2),
-             TextTable::num(shardedOps / 1e6, 2),
-             TextTable::num(
-                 mutexOps > 0.0 ? shardedOps / mutexOps : 0.0, 2) +
-                 "x"});
-    }
-    contention.print(std::cout);
-    std::cout << "\nSharded cache counters at 8 threads: "
-              << lastStats.hits << " hits, " << lastStats.misses
-              << " misses, " << lastStats.inserts << " inserts, "
-              << lastStats.insertRaces << " insert races\n";
     return 0;
 }

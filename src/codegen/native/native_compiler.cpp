@@ -1615,7 +1615,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
     nc->sites = std::move(sites);
     nc->regLocs = std::move(homes.regLocs);
     nc->spillsEmitted = homes.spills;
-    nc->regsAllocated = nc->regLocs.size();
     nc->explicitNullCheckBytes = explicitBytes;
     nc->implicitNullCheckBytes = implicitBytes;
     nc->boundCheckBytes = boundBytes;

@@ -143,7 +143,6 @@ struct NativeCode
      *  through discipline keeps slots canonical regardless). */
     std::vector<NativeRegLoc> regLocs;
     size_t spillsEmitted = 0;   ///< ranked values left slot-resident
-    size_t regsAllocated = 0;   ///< values given register homes
 
     // ---- exits and call linking ------------------------------------
     /** Code offset of the shared hard-unwind exit (RIP rewrite). */

@@ -168,8 +168,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
 
     /**
      * Fold this engine's tiering counters into @p counters: the
-     * controller's promotion and compile totals (functionsRegalloc,
-     * spillsEmitted and sitesExplicitized among them), the registry's
+     * controller's promotion and compile totals (spillsEmitted and
+     * sitesExplicitized among them), the registry's
      * link and eviction counts, and deoptsTaken and hardwareTraps
      * since the last reset().
      */

@@ -49,14 +49,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/target.h"
 #include "ir/function.h"
 #include "ir/module.h"
+#include "support/content_cache.h"
 #include "support/hash.h"
 
 namespace trapjit
@@ -253,50 +252,12 @@ Hash128 decodedProgramKey(const Function &fn, const Target &target,
                           const DecodeOptions &options = {});
 
 /**
- * Thread-safe content-addressed store of decoded programs, shared
- * between the compile service (which pre-decodes what it compiles) and
- * any number of fast interpreters.  First writer wins, so concurrent
- * decodes of the same key all end up sharing one immutable program.
+ * Content-addressed store of decoded programs, shared between the
+ * compile service (which pre-decodes what it compiles) and any number
+ * of fast interpreters.  First writer wins, so concurrent decodes of
+ * the same key all end up sharing one immutable program.
  */
-class DecodedProgramCache
-{
-  public:
-    using Value = std::shared_ptr<const DecodedFunction>;
-
-    Value
-    lookup(const Hash128 &key) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        return it == entries_.end() ? nullptr : it->second;
-    }
-
-    Value
-    insert(const Hash128 &key, Value decoded)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto [it, inserted] = entries_.emplace(key, std::move(decoded));
-        return it->second;
-    }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.size();
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.clear();
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_map<Hash128, Value, Hash128Hasher> entries_;
-};
+using DecodedProgramCache = ContentCache<DecodedFunction>;
 
 } // namespace trapjit
 

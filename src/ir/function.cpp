@@ -143,4 +143,14 @@ Function::instructionCount() const
     return n;
 }
 
+void
+Function::resetSiteIds()
+{
+    nextSite_ = 1;
+    for (const auto &bb : blocks_)
+        for (const Instruction &inst : bb->insts())
+            if (inst.site >= nextSite_)
+                nextSite_ = inst.site + 1;
+}
+
 } // namespace trapjit

@@ -157,6 +157,10 @@ class Function
     /** Next fresh source-site id (used by the builder and the inliner). */
     SiteId takeSiteId() { return nextSite_++; }
 
+    /** Restart takeSiteId past every site in the body; a parsed
+     *  function carries no counter of its own. */
+    void resetSiteIds();
+
     /** Intrinsic identity (None for ordinary functions). */
     Intrinsic intrinsic() const { return intrinsic_; }
     void setIntrinsic(Intrinsic intrinsic) { intrinsic_ = intrinsic; }

@@ -458,8 +458,8 @@ parseInstLine(std::string_view line, int line_no, FunctionParse &parse)
 /**
  * Apply one record *inside* a function (value/region/block/inst/end) to
  * @p parse.  Returns false if the record kind is not a function-body
- * record.  An `end` record finalizes the function (recomputeCFG) and
- * clears parse.fn.
+ * record.  An `end` record finalizes the function (recomputeCFG, site
+ * counter) and clears parse.fn.
  */
 bool
 applyFunctionRecord(FunctionParse &parse, const Fields &fields)
@@ -529,6 +529,7 @@ applyFunctionRecord(FunctionParse &parse, const Fields &fields)
     } else if (kind == "end") {
         TRAPJIT_ASSERT(fn, "end outside func");
         fn->recomputeCFG();
+        fn->resetSiteIds();
         parse.fn = nullptr;
         parse.bb = nullptr;
     } else {

@@ -320,14 +320,14 @@ CompileService::compileModules(const std::vector<Module *> &mods,
                 compiled = cache_->lookup(key);
             if (!compiled && persistent_) {
                 // Second-chance tier: compiles that another process (or
-                // an earlier run) already did.  Promote hits into the
-                // in-memory cache so the next lookup of this key stays
-                // lock-free.
+                // an earlier run) already did.  The tier hands out a
+                // fresh verified copy per lookup, so the in-memory cache
+                // keeps every hit for the key's next job.
                 Hash128 checksum;
                 compiled = persistent_->lookup(key, &checksum);
                 if (compiled) {
                     digest = checksum;
-                    cache_->insertValue(key, compiled);
+                    cache_->insert(key, compiled);
                     local.persistentHits = 1;
                 } else {
                     local.persistentMisses = 1;
@@ -351,13 +351,14 @@ CompileService::compileModules(const std::vector<Module *> &mods,
                 local.functionsAudited = jobTimings.functionsAudited;
                 local.auditFindings = jobTimings.auditFindings;
                 local.auditSeconds = jobTimings.auditSeconds;
-                std::string text = serializeFunctionToString(*fn);
-                compiled = options_.enableCache
-                               ? cache_->insert(key, std::move(text))
-                               : std::make_shared<const std::string>(
-                                     std::move(text));
+                compiled = std::make_shared<const std::string>(
+                    serializeFunctionToString(*fn));
+                // Persist before publishing in memory, so a key any job
+                // can hit in memory is already on disk.
                 if (persistent_)
                     persistent_->insert(key, compiled);
+                if (options_.enableCache)
+                    compiled = cache_->insert(key, std::move(compiled));
                 local.functionsCompiled = 1;
             }
 

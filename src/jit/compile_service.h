@@ -55,21 +55,36 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/target.h"
 #include "interp/decoded_program.h"
-#include "jit/compile_cache.h"
 #include "jit/persistent_cache.h"
 #include "jit/pipeline.h"
 #include "jit/stats.h"
 #include "opt/pass_manager.h"
+#include "support/content_cache.h"
 #include "support/job_queue.h"
 
 namespace trapjit
 {
 
 class Module;
+
+/**
+ * Function-level compile cache: the content address of a compile job
+ * to the serialized IR of its compiled function.  The key (jobKey in
+ * jit/compile_service.cpp) covers *everything* the pipeline reads
+ * while compiling a function: the target and config fingerprints, the
+ * class table (devirtualization reads vtables and layouts), the
+ * function's id and the serialized bodies of its call closure (every
+ * function the inliner could read, widened by all vtable
+ * implementations when the closure contains a virtual call).  Key
+ * equality therefore implies bit-identical compile output, which is
+ * what makes hits safe regardless of worker count or scheduling order.
+ */
+using CompileCache = ContentCache<std::string>;
 
 /**
  * The service's native-code store, which is always empty: machine

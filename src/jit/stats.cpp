@@ -86,7 +86,6 @@ ServiceCounters::operator+=(const ServiceCounters &other)
     slotsPatched += other.slotsPatched;
     blocksInvalidated += other.blocksInvalidated;
     tierUpLatencySeconds += other.tierUpLatencySeconds;
-    functionsRegalloc += other.functionsRegalloc;
     spillsEmitted += other.spillsEmitted;
     deoptsTaken += other.deoptsTaken;
     hardwareTraps += other.hardwareTraps;

@@ -95,7 +95,6 @@ struct ServiceCounters
     // from the promoted NativeCode blocks; deoptsTaken (budget
     // exhaustion) is a runtime count.  Both are filled by
     // TieredEngine::addTieringCounters.
-    size_t functionsRegalloc = 0; ///< functions through linear scan
     size_t spillsEmitted = 0;     ///< ranked values left slot-resident
     size_t deoptsTaken = 0;       ///< side-exits into the interpreter
 

@@ -90,7 +90,6 @@ TierController::compileAndPublish(FunctionId fn)
     }
     ServiceCounters compiled;
     ++compiled.functionsPromoted;
-    ++compiled.functionsRegalloc;
     compiled.spillsEmitted = res.code->spillsEmitted;
     registry_->publish(fn, std::move(res.code), df,
                        options_.linkBlocks);

@@ -106,8 +106,7 @@ class TierController
     /**
      * Promotion totals since construction: functionsPromoted,
      * tierUpLatencySeconds (request-to-publish, summed),
-     * sitesExplicitized, and the published blocks' functionsRegalloc
-     * and spillsEmitted.
+     * sitesExplicitized, and the published blocks' spillsEmitted.
      */
     ServiceCounters counters() const;
 

@@ -5,7 +5,7 @@
  * @file
  * Stable 128-bit content hashing (FNV-1a) for the compile cache.
  *
- * The compile cache (jit/compile_cache.h) keys entries by a digest of
+ * The compile cache (jit/compile_service.h) keys entries by a digest of
  * serialized IR plus configuration and target fingerprints.  The digest
  * must be stable across processes and runs — it is a content address,
  * not a bucket index — so std::hash (implementation-defined, often

@@ -13,13 +13,16 @@
  *  - job keys: two functions with one call closure keep their own
  *    compiled bodies, in memory and across a persistent restart;
  *  - pre-decoding: every installed function's decoded program sits
- *    under the key an engine computes, so engines decode nothing.
+ *    under the key an engine computes, so engines decode nothing;
+ *  - site ids: a job parses its function from text, and every site a
+ *    pass mints afterwards is still fresh in that function.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,7 @@
 #include "jit/compile_service.h"
 #include "support/hash.h"
 #include "testing/random_program.h"
+#include "workloads/workload.h"
 
 namespace trapjit
 {
@@ -496,6 +500,47 @@ expectEngineDecodeKeys(const CompileService &service,
             EXPECT_NE(nullptr, service.decodedCache()->lookup(engineKey))
                 << what << ": " << fn.name() << " was not pre-decoded "
                 << "under the engines' key";
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Site ids survive the text round trip
+// ---------------------------------------------------------------------
+
+// Every job compiles a function parsed from its snapshot text, and the
+// inliner, bounds-check elimination, scalar replacement and the
+// null-check facts mint sites in it.  The parser restarts the site
+// counter past the parsed body, so no minted site repeats one the
+// function already has, on any arm.
+TEST(CompileService, CompiledFunctionsKeepSiteIdsUnique)
+{
+    for (const Arm &arm : kArms) {
+        std::vector<std::unique_ptr<Module>> mods;
+        for (const Workload &w : jbytemarkWorkloads())
+            mods.push_back(w.build());
+        for (const Workload &w : specjvmWorkloads())
+            mods.push_back(w.build());
+        PipelineConfig config = arm.makeConfig();
+        CompileServiceOptions options;
+        options.numWorkers = 4;
+        options.predecode = false;
+        CompileService service(arm.makeTarget(), options);
+        service.compileModules(pointers(mods), config);
+
+        for (const auto &mod : mods) {
+            for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
+                const Function &fn = mod->function(f);
+                std::set<SiteId> seen;
+                for (size_t b = 0; b < fn.numBlocks(); ++b)
+                    for (const Instruction &inst :
+                         fn.block(static_cast<BlockId>(b)).insts())
+                        EXPECT_TRUE(inst.site == 0 ||
+                                    seen.insert(inst.site).second)
+                            << arm.targetName << "/" << config.name
+                            << ": " << fn.name() << " repeats site "
+                            << inst.site;
+            }
         }
     }
 }

@@ -809,7 +809,7 @@ TEST(NativeHomes, WarmExceptionRunsDispatchInCodeWithoutDeopts)
         ServiceCounters c;
         engine.addTieringCounters(c);
         EXPECT_EQ(0u, c.deoptsTaken) << preset;
-        EXPECT_GT(c.functionsRegalloc, 0u) << preset;
+        EXPECT_GT(c.functionsPromoted, 0u) << preset;
 
         EquivalenceReport report =
             compareTieredEngine(*mod, target, {}, opts);
@@ -834,7 +834,7 @@ TEST(NativeHomes, ResumedZeroReachesTheDestinationsHome)
         const NativeCode *nc =
             engine.registry()->published(mod->findFunction("main"));
         ASSERT_NE(nullptr, nc);
-        EXPECT_GT(nc->regsAllocated, 0u);
+        EXPECT_GT(nc->regLocs.size(), 0u);
         ServiceCounters c;
         engine.addTieringCounters(c);
         EXPECT_EQ(1u, c.hardwareTraps) << "speculative " << speculative;

@@ -10,8 +10,12 @@
  *    cache directory compiles NOTHING — every job is a persistent hit;
  *  - crash-safety: a torn segment tail only loses the torn entry,
  *    a flipped payload byte demotes exactly that entry to a miss
- *    (counted corrupt), and a wrong version header self-invalidates
- *    the whole directory instead of serving stale bytes;
+ *    (counted corrupt) until one recompile appends a good record, a
+ *    wrong version header self-invalidates the whole directory
+ *    instead of serving stale bytes, and writers SIGKILLed mid-append
+ *    leave a segment whose records are a byte-exact prefix of what
+ *    they wrote;
+ *  - layout: a used cache directory holds the segment file alone;
  *  - concurrency: 8 writer threads with private handles populate one
  *    shared directory; a fresh handle then sees every entry intact;
  *    8 threads racing the first lookup of one key on a fresh handle
@@ -25,15 +29,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "codegen/native/code_registry.h"
@@ -262,10 +270,8 @@ TEST(PersistentCache, TruncatedTailLosesOnlyTheTornEntry)
     }
 
     // A crash mid-append tears the single write(): the segment gains a
-    // record header plus part of the payload, and — crucially — the
-    // index never learns about it (the slot and the coveredBytes
-    // watermark publish only after the append completes).  Craft
-    // exactly that tail by hand for the last key.
+    // record header plus part of the payload.  Craft exactly that tail
+    // by hand for the last key.
     std::filesystem::path seg = dir.path / "segment.tjs";
     uint64_t cleanSize = std::filesystem::file_size(seg);
     {
@@ -399,6 +405,78 @@ TEST(PersistentCache, WrongVersionHeaderSelfInvalidates)
     EXPECT_EQ(*value(100), *hit);
 }
 
+TEST(PersistentCache, FlippedPayloadByteHealsAfterOneRecompile)
+{
+    TempDir dir("heal");
+    Target target = makeIA32WindowsTarget();
+    PipelineConfig config = makeNewFullConfig();
+    constexpr uint64_t kSeed = 91;
+    constexpr size_t kModules = 2;
+
+    CompileServiceOptions options;
+    options.numWorkers = 2;
+    options.cacheDir = dir.str();
+    auto restart = [&] {
+        CompileService service(target, options);
+        auto mods = buildRandomModules(kSeed, kModules);
+        return service.compileModules(pointers(mods), config).counters;
+    };
+    ServiceCounters cold = restart();
+    ASSERT_GT(cold.functionsCompiled, 1u);
+    ASSERT_NO_FATAL_FAILURE(flipFirstPayloadByte(dir));
+
+    // The first restart misses the damaged record and recompiles it,
+    // which appends a good record for the same key.
+    std::filesystem::path seg = dir.path / "segment.tjs";
+    const uint64_t damagedSize = std::filesystem::file_size(seg);
+    ServiceCounters first = restart();
+    EXPECT_EQ(1u, first.persistentMisses);
+    EXPECT_EQ(1u, first.functionsCompiled);
+    const uint64_t healedSize = std::filesystem::file_size(seg);
+    EXPECT_GT(healedSize, damagedSize);
+
+    // Later handles serve the key from its last record: three more
+    // restarts neither miss nor grow the segment.
+    for (int n = 0; n < 3; ++n) {
+        ServiceCounters warm = restart();
+        EXPECT_EQ(0u, warm.persistentMisses) << "restart " << n;
+        EXPECT_EQ(0u, warm.functionsCompiled) << "restart " << n;
+        EXPECT_EQ(healedSize, std::filesystem::file_size(seg))
+            << "restart " << n;
+    }
+}
+
+TEST(PersistentCache, SegmentRewrittenUnderALiveHandleMisses)
+{
+    TempDir dir("rewritten");
+    {
+        auto writer = PersistentCache::open(dir.str());
+        ASSERT_NE(nullptr, writer);
+        auto big =
+            std::make_shared<const std::string>(std::string(20000, 'x'));
+        for (uint64_t n = 0; n < 4; ++n)
+            writer->insert(key(n), big);
+    }
+    auto live = PersistentCache::open(dir.str());
+    ASSERT_NE(nullptr, live);
+
+    // Another opener self-invalidates the file (as a binary with a
+    // different schema would) while `live` still knows its records:
+    // a lookup past the new end misses instead of faulting ...
+    std::filesystem::resize_file(dir.path / "segment.tjs", 24);
+    EXPECT_EQ(nullptr, live->lookup(key(3)));
+
+    // ... and the live handle's next append rescans the rewritten
+    // file, so the record lands where the next handle finds it.
+    live->insert(key(10), value(10));
+    auto reopened = PersistentCache::open(dir.str());
+    ASSERT_NE(nullptr, reopened);
+    EXPECT_EQ(1u, reopened->size());
+    auto hit = reopened->lookup(key(10));
+    ASSERT_NE(nullptr, hit);
+    EXPECT_EQ(*value(10), *hit);
+}
+
 // ---------------------------------------------------------------------
 // Concurrent population of one shared directory
 // ---------------------------------------------------------------------
@@ -462,7 +540,7 @@ TEST(PersistentCache, RacingFirstLookupsShareOneVerifiedValue)
         Hash128 checksum;
     };
     // kThreads first lookups of key(1) on a fresh handle, where the
-    // entry is known from the index but not yet checksum-verified.
+    // entry is known from the scan but not yet checksum-verified.
     auto race = [&](PersistentCache &cache) {
         std::vector<Got> got(kThreads);
         std::atomic<bool> go{false};
@@ -546,6 +624,143 @@ TEST(PersistentCache, TwoServicesPopulateOneDirConcurrently)
     ServiceReport rep = warm.compileModules(ptrs, config);
     EXPECT_EQ(0u, rep.counters.functionsCompiled);
     EXPECT_EQ(oneIR, perFunctionIR(mods));
+}
+
+TEST(PersistentCache, UsedDirectoryHoldsOnlyTheSegment)
+{
+    TempDir dir("layout");
+    CompileServiceOptions options;
+    options.numWorkers = 2;
+    options.cacheDir = dir.str();
+    for (int run = 0; run < 2; ++run) {
+        CompileService service(makeIA32WindowsTarget(), options);
+        auto mods = buildRandomModules(17, 2);
+        service.compileModules(pointers(mods), makeNewFullConfig());
+    }
+    {
+        auto cache = PersistentCache::open(dir.str());
+        ASSERT_NE(nullptr, cache);
+        cache->insert(key(1), value(1));
+    }
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(std::vector<std::string>{"segment.tjs"}, names);
+}
+
+// ---------------------------------------------------------------------
+// Crash consistency: writers killed mid-append
+// ---------------------------------------------------------------------
+
+/** Payload of kill-test record @p n: 1 byte to 24 KiB, distinct per
+ *  record, so appends span up to seven pages and a kill can tear one
+ *  partway. */
+std::string
+killPayload(uint64_t n)
+{
+    uint64_t mix = (n + 1) * 0x9e3779b97f4a7c15ull;
+    std::string payload(1 + (mix >> 40) % (24u << 10),
+                        static_cast<char>('a' + n % 26));
+    std::memcpy(payload.data(), &n,
+                std::min(payload.size(), sizeof n));
+    return payload;
+}
+
+/** The forked writer: append records @p first, @p first + 1, ... (at
+ *  most kKillBatch of them) until SIGKILL arrives. */
+constexpr uint64_t kKillBatch = 64;
+
+[[noreturn]] void
+killedWriter(const std::string &dir, uint64_t first)
+{
+    auto cache = PersistentCache::open(dir);
+    if (cache == nullptr)
+        ::_exit(2);
+    for (uint64_t n = first; n < first + kKillBatch; ++n)
+        cache->insert(key(n),
+                      std::make_shared<const std::string>(killPayload(n)));
+    ::_exit(0);
+}
+
+TEST(PersistentCacheCrash, KilledWritersLeaveAPrefixOfCompleteRecords)
+{
+    if (kAsanActive)
+        GTEST_SKIP() << "fork-and-kill rounds are slow under ASan";
+    TempDir dir("kill");
+    const std::filesystem::path seg = dir.path / "segment.tjs";
+    constexpr int kKills = 200;
+    constexpr int kRoundsPerDirectory = 8;
+    uint64_t rng = 0x2545f4914f6cdd1dull; // fixed seed: kill points
+    uint64_t next = 0;   ///< first key the next writer appends
+    int killedMidRun = 0; ///< children that died by the signal
+    int tornTails = 0;    ///< kills that left part of a record behind
+
+    for (int round = 0; round < kKills; ++round) {
+        if (round % kRoundsPerDirectory == 0) {
+            std::filesystem::remove(seg);
+            next = 0;
+        }
+        // One child at a time: fork, kill at a pseudo-random point,
+        // reap before anything else runs.
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const auto killAt = std::chrono::microseconds(rng % 3000);
+        pid_t child = ::fork();
+        ASSERT_GE(child, 0);
+        if (child == 0)
+            killedWriter(dir.str(), next);
+        std::this_thread::sleep_for(killAt);
+        ::kill(child, SIGKILL);
+        int status = 0;
+        ASSERT_EQ(child, ::waitpid(child, &status, 0));
+        ASSERT_TRUE(WIFSIGNALED(status) || WEXITSTATUS(status) == 0)
+            << "round " << round << ": writer exit " << WEXITSTATUS(status);
+        killedMidRun += WIFSIGNALED(status) ? 1 : 0;
+        const uint64_t killedSize = std::filesystem::exists(seg)
+                                        ? std::filesystem::file_size(seg)
+                                        : 0;
+
+        auto cache = PersistentCache::open(dir.str());
+        ASSERT_NE(nullptr, cache);
+        // The served keys are a prefix of the written sequence, every
+        // served payload is byte-exact, and nothing the previous
+        // rounds served is lost.
+        uint64_t served = 0;
+        uint64_t recordsEnd = 24; // the segment header
+        while (auto hit = cache->lookup(key(served))) {
+            ASSERT_EQ(killPayload(served), *hit)
+                << "round " << round << " key " << served;
+            recordsEnd += 40 + hit->size();
+            ++served;
+        }
+        ASSERT_GE(served, next) << "round " << round;
+        for (uint64_t n = served; n < next + kKillBatch; ++n)
+            ASSERT_EQ(nullptr, cache->lookup(key(n)))
+                << "round " << round << ": key " << n
+                << " served past the first miss";
+        EXPECT_EQ(served, cache->size()) << "round " << round;
+        // The segment ends at the last complete record.
+        ASSERT_EQ(recordsEnd, std::filesystem::file_size(seg))
+            << "round " << round;
+        tornTails += killedSize > recordsEnd ? 1 : 0;
+
+        // A following insert lands on the repaired tail and is served
+        // by the next handle.
+        cache->insert(key(served), std::make_shared<const std::string>(
+                                       killPayload(served)));
+        cache.reset();
+        auto reopened = PersistentCache::open(dir.str());
+        ASSERT_NE(nullptr, reopened);
+        auto hit = reopened->lookup(key(served));
+        ASSERT_NE(nullptr, hit) << "round " << round;
+        ASSERT_EQ(killPayload(served), *hit) << "round " << round;
+        next = served + 1;
+    }
+    std::cout << "[          ] " << killedMidRun << " of " << kKills
+              << " writers killed mid-run, " << tornTails
+              << " torn tails repaired\n";
+    EXPECT_GT(killedMidRun, kKills / 4);
 }
 
 // ---------------------------------------------------------------------

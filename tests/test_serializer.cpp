@@ -2,10 +2,13 @@
  * @file
  * Round-trip tests of the module serializer: every workload and a
  * sweep of random programs must serialize, parse back, verify, and
- * behave identically (event-for-event) to the original.
+ * behave identically (event-for-event) to the original, and a parsed
+ * function mints site ids past the ones its body already has.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "interp/interpreter.h"
 #include "ir/serializer.h"
@@ -157,6 +160,28 @@ TEST(Serializer, FunctionRoundTripsStandalone)
         EXPECT_EQ(parsed->id(), f);
         EXPECT_EQ(serializeFunctionToString(*parsed), once)
             << "function " << f << " round-trip not exact";
+    }
+}
+
+// The text holds no site counter, so both parsers restart it past
+// every site in the parsed body: a pass that runs after a round trip
+// mints sites the function does not have yet.
+TEST(Serializer, ParsedFunctionsMintSitesPastTheirBody)
+{
+    auto mod = findWorkload("mtrt")->build();
+    auto parsedMod =
+        deserializeModuleFromString(serializeModuleToString(*mod));
+    for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
+        auto parsed = deserializeFunctionFromString(
+            serializeFunctionToString(mod->function(f)), f);
+        for (Function *fn : {parsed.get(), &parsedMod->function(f)}) {
+            SiteId maxSite = 0;
+            for (size_t b = 0; b < fn->numBlocks(); ++b)
+                for (const Instruction &inst :
+                     fn->block(static_cast<BlockId>(b)).insts())
+                    maxSite = std::max(maxSite, inst.site);
+            EXPECT_GT(fn->takeSiteId(), maxSite) << fn->name();
+        }
     }
 }
 

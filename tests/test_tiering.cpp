@@ -467,7 +467,7 @@ TEST(TieredLifecycle, BlocksWithHomesLinkDirectly)
     ServiceCounters counters;
     engine.addTieringCounters(counters);
     EXPECT_GT(counters.blocksLinked, 0u);
-    EXPECT_GT(counters.functionsRegalloc, 0u);
+    EXPECT_GT(counters.functionsPromoted, 0u);
     EXPECT_EQ(ref, tieredRun(engine, *mod)) << "warm linked rerun";
 }
 
