@@ -330,4 +330,13 @@ decodedProgramKey(const Function &fn, const Target &target,
                              fn.id(), target, options);
 }
 
+Hash128
+decodedProgramKey(const Module &mod, FunctionId id, const Target &target,
+                  const DecodeOptions &options)
+{
+    if (const std::optional<Hash128> &digest = mod.textDigest(id))
+        return decodedProgramKey(*digest, id, target, options);
+    return decodedProgramKey(mod.function(id), target, options);
+}
+
 } // namespace trapjit

@@ -244,11 +244,22 @@ Hash128 decodedProgramKey(const Hash128 &textDigest, FunctionId id,
 
 /**
  * decodedProgramKey(hashBytes(serializeFunctionToString(fn)), fn.id(),
- * target, options): the key for a function that is already in memory,
- * as the engines compute it on a decode-cache lookup.  Matches what the
- * compile service inserted for the text @p fn was installed from.
+ * target, options): the key for a function that is already in memory.
+ * Serializes and hashes the whole function.
  */
 Hash128 decodedProgramKey(const Function &fn, const Target &target,
+                          const DecodeOptions &options = {});
+
+/**
+ * The key of @p mod's function @p id, as the engines compute it on a
+ * decode-cache lookup: composed from the text digest the module kept
+ * when the compile service installed the function
+ * (Module::textDigest), so it matches what the service pre-decoded
+ * without serializing anything; the Function overload when no digest
+ * is kept (never installed, or handed out mutable since).
+ */
+Hash128 decodedProgramKey(const Module &mod, FunctionId id,
+                          const Target &target,
                           const DecodeOptions &options = {});
 
 /**

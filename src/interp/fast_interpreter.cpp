@@ -66,7 +66,8 @@ FastInterpreter::decoded(FunctionId id)
     if (!decoded_[id]) {
         const Function &fn = mod_.function(id);
         if (cache_) {
-            Hash128 key = decodedProgramKey(fn, target_, decodeOptions_);
+            Hash128 key =
+                decodedProgramKey(mod_, id, target_, decodeOptions_);
             if (auto hit = cache_->lookup(key)) {
                 decoded_[id] = std::move(hit);
                 return *decoded_[id];

@@ -32,6 +32,23 @@ Function::Function(FunctionId id, std::string name, Type return_type,
     tryRegions_.push_back(TryRegion{});
 }
 
+std::unique_ptr<Function>
+Function::clone() const
+{
+    auto copy = std::make_unique<Function>(id_, name_, returnType_,
+                                           isInstance_);
+    copy->numParams_ = numParams_;
+    copy->values_ = values_;
+    copy->blocks_.reserve(blocks_.size());
+    for (const auto &bb : blocks_)
+        copy->blocks_.push_back(std::make_unique<BasicBlock>(*bb));
+    copy->tryRegions_ = tryRegions_;
+    copy->nextSite_ = nextSite_;
+    copy->intrinsic_ = intrinsic_;
+    copy->neverInline_ = neverInline_;
+    return copy;
+}
+
 ValueId
 Function::addParam(Type type, std::string name, ClassId class_id)
 {

@@ -77,6 +77,12 @@ class Function
     Function(FunctionId id, std::string name, Type return_type,
              bool is_instance);
 
+    /**
+     * A deep copy carrying the same id, site counter and CFG included,
+     * so passes run on it exactly as on the original.
+     */
+    std::unique_ptr<Function> clone() const;
+
     FunctionId id() const { return id_; }
     const std::string &name() const { return name_; }
     Type returnType() const { return returnType_; }

@@ -92,17 +92,20 @@ Module::addFunction(std::string name, Type return_type, bool is_instance)
     FunctionId id = static_cast<FunctionId>(functions_.size());
     functions_.push_back(std::make_unique<Function>(
         id, std::move(name), return_type, is_instance));
+    digests_.emplace_back();
     return *functions_.back();
 }
 
 void
-Module::replaceFunction(FunctionId id, std::unique_ptr<Function> fn)
+Module::replaceFunction(FunctionId id, std::unique_ptr<Function> fn,
+                        const Hash128 &digest)
 {
     TRAPJIT_ASSERT(id < functions_.size(), "replaceFunction: bad id ", id);
     TRAPJIT_ASSERT(fn && fn->id() == id,
                    "replaceFunction: replacement carries id ",
                    fn ? fn->id() : kNoFunction, ", slot is ", id);
     functions_[id] = std::move(fn);
+    digests_[id] = digest;
 }
 
 FunctionId

@@ -11,11 +11,13 @@
  */
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ir/function.h"
 #include "ir/layout.h"
+#include "support/hash.h"
 
 namespace trapjit
 {
@@ -100,7 +102,20 @@ class Module
                           bool is_instance = false);
 
     size_t numFunctions() const { return functions_.size(); }
-    Function &function(FunctionId id) { return *functions_[id]; }
+
+    /**
+     * Mutable access.  The caller may change the body, so this forgets
+     * the function's text digest (textDigest).  Code that only reads
+     * should hold a const Module: compile-service workers must, since
+     * they share modules with each other.
+     */
+    Function &
+    function(FunctionId id)
+    {
+        if (digests_[id]) // no write when there is nothing to forget
+            digests_[id].reset();
+        return *functions_[id];
+    }
     const Function &function(FunctionId id) const { return *functions_[id]; }
 
     /** Find a function by name; kNoFunction if absent. */
@@ -108,16 +123,31 @@ class Module
 
     /**
      * Swap in a replacement body for function @p id (which must equal
-     * @p fn's own id).  Used by the compile service to install a
-     * compiled function produced outside the module (a cache hit or a
-     * worker's private copy).  Replacing distinct ids is safe from
-     * distinct threads: the function table itself is not resized.
+     * @p fn's own id), installed from a text whose hashBytes digest is
+     * @p digest: the compile service installs each compiled function
+     * with the digest it already holds, so engines key its decoded
+     * program (decodedProgramKey) without serializing it again.
+     * Replacing distinct ids is safe from distinct threads: the
+     * function table itself is not resized.
      */
-    void replaceFunction(FunctionId id, std::unique_ptr<Function> fn);
+    void replaceFunction(FunctionId id, std::unique_ptr<Function> fn,
+                         const Hash128 &digest);
+
+    /**
+     * hashBytes(serializeFunctionToString(function(id))) as recorded
+     * by replaceFunction, or nullopt when the function was not
+     * installed that way or has been handed out mutable since.
+     */
+    const std::optional<Hash128> &
+    textDigest(FunctionId id) const
+    {
+        return digests_[id];
+    }
 
   private:
     std::vector<ClassInfo> classes_;
     std::vector<std::unique_ptr<Function>> functions_;
+    std::vector<std::optional<Hash128>> digests_; ///< per function
 };
 
 } // namespace trapjit

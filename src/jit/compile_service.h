@@ -7,46 +7,49 @@
  *
  * A CompileService owns a fixed pool of worker threads draining a queue
  * of (function, PipelineConfig) jobs.  A batch — compileModule() /
- * compileModules() — enqueues one job per function across every module
+ * compileModules() — runs one job per function across every module
  * handed in, blocks until the pool has drained them, and only then
  * installs the results; until that point each input module is treated
- * as an immutable snapshot.  Each byte's work happens once, almost all
- * of it on the workers:
+ * as an immutable snapshot, reached only through const references.
+ * Compilation is bottom-up over each module's call graph
+ * (jit/call_graph.h), exactly as the sequential Compiler does it:
  *
  *   1. Snapshot: one pool job per function serializes its pristine
- *      text (ir/serializer.h) and hashes it; the client thread digests
- *      the class tables and computes call closures meanwhile.  A latch
+ *      text and hashes it; the client thread digests the class tables
+ *      and computes call closures and call graphs meanwhile.  A latch
  *      ends the phase, since every job key needs its closure's digests.
- *   2. The client keys every job with a content hash covering
- *      everything a compile can read.  The first job of each key leads;
- *      leaders are submitted largest closure text first, so the batch's
- *      longest job starts first, and a key's repeats (identical jobs in
- *      other modules) when their leader finishes.  Each job consults
- *      the function-level CompileCache, then the persistent tier.  Only
- *      a miss compiles a *private* deserialized copy of its function
- *      with a *private* PassManager (buildPipeline per job — no shared
- *      pass state whatsoever), reading callee bodies and the class
- *      table from the untouched input module.  Since every pass may
- *      mutate only the function it compiles (the contract documented
- *      in opt/pass_manager.h), concurrent jobs never race.
- *   3. Each job then finishes its function: it parses the result text
- *      and pre-decodes it into the decoded-program cache under a key
- *      composed from the text's digest — on a persistent hit, the
- *      payload checksum the tier just verified.
+ *   2. The client keys every job with a content hash covering every
+ *      pristine body a compile can depend on.  The first job of each
+ *      key leads; a key's repeats (identical jobs in other modules) are
+ *      submitted when their leader finishes.  Each job consults the
+ *      function-level CompileCache, then the persistent tier; a hit
+ *      parses the cached text.
+ *   3. A miss waits until every call-graph SCC its own SCC calls is
+ *      done (its members published their functions, and the SCCs it
+ *      calls are done), then compiles a *clone* of its pristine
+ *      function with a *private* PassManager (buildPipeline per job, no
+ *      shared pass state).  Its inliner reads SCC peers' pristine
+ *      bodies from the input module and every other callee's compiled
+ *      body (PassContext::callee), which may call further callees.  A
+ *      job publishes its function as soon as it has one, then
+ *      serializes, caches and pre-decodes it under a key composed from
+ *      the text's digest.
  *   4. After the batch barrier, install is one Module::replaceFunction
- *      move per function.  A batch in which any job threw rethrows and
- *      installs nothing.
+ *      move per function, with the digest, so engines find the
+ *      pre-decoded program without serializing it.  A batch in which
+ *      any job threw rethrows and installs nothing.
  *
  * Consequences worth spelling out:
  *
- *  - Output is bit-deterministic: per-function serialized IR is
- *    identical at 1 worker and at 8, with the cache hot or cold,
- *    whatever the queue order.  (Sequential Compiler::compile differs
- *    slightly: it optimizes in place in function order, so its inliner
- *    can observe already-optimized callees.  The service's inliner
- *    always sees pristine callees — equally legal, and deterministic.)
- *  - Identical jobs compile once.  A warm batch over an identical
- *    module is pure cache hits.
+ *  - One semantics: the service emits byte for byte what
+ *    Compiler::compile emits.  A function's compiled body is fixed by
+ *    the pristine bodies it reaches, so output is identical at 1 worker
+ *    and at 8, with the cache hot, cold or mixed, whatever the schedule.
+ *  - The job key covers the pristine closure, which fixes every
+ *    compiled callee body too, so it needs nothing from them, and
+ *    identical jobs compile once.  A warm batch over an identical
+ *    module is pure cache hits, and hits wait for nothing; only a
+ *    miss waits, for what it reaches.
  *  - Stats/timings aggregate by merge-on-completion: each job fills
  *    private counters and a private PassManager timing table, folded
  *    into the batch report under one mutex when the job finishes

@@ -18,11 +18,12 @@ namespace
 {
 
 // On-disk format v1.  The schema fingerprint folds in the cache scheme
-// ("pcache v3": keys cover the compiled function's id and its call
-// closure, the directory is the segment alone, and payloads continue
-// their parsed function's site ids) and the serializer format tag, so
-// changing the cache layout, how keys are derived, what a payload
-// holds or the IR text format self-invalidates old directories.
+// ("pcache v4": keys cover the compiled function's id and its call
+// closure, the directory is the segment alone, and payloads are
+// compiled bottom-up, inlining their callees' compiled bodies) and the
+// serializer format tag, so changing the cache layout, how keys are
+// derived, what a payload holds or the IR text format self-invalidates
+// old directories.
 constexpr uint32_t kSegMagic = 0x47534A54;   // "TJSG"
 constexpr uint32_t kEntryMagic = 0x4E454A54; // "TJEN"
 constexpr uint32_t kVersion = 1;
@@ -37,7 +38,7 @@ constexpr uint32_t kMaxPayloadSize = 256u << 20;
 Hash128
 schemaFingerprint()
 {
-    return hashBytes("trapjit-pcache v3; trapjit-module v1");
+    return hashBytes("trapjit-pcache v4; trapjit-module v1");
 }
 
 uint32_t

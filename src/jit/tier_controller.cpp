@@ -59,7 +59,7 @@ TierController::compileAndPublish(FunctionId fn)
     Stopwatch watch;
     const Function &func = mod_.function(fn);
 
-    Hash128 dkey = decodedProgramKey(func, target_, decodeOptions_);
+    Hash128 dkey = decodedProgramKey(mod_, fn, target_, decodeOptions_);
     std::shared_ptr<const DecodedFunction> df =
         decodedCache_->lookup(dkey);
     if (df == nullptr)

@@ -45,9 +45,10 @@ void
 inlineCallSite(Function &caller, BlockId site_block, size_t idx,
                const Function &callee)
 {
-    // The callee may not have been verified yet (a service worker can
-    // inline it before its own job runs): an operand outside its value
-    // table is reported before the caller is touched.
+    // The callee may not have been verified yet (the members of one
+    // call-graph SCC inline each other's pristine bodies): an operand
+    // outside its value table is reported before the caller is
+    // touched.
     auto defined = [&](ValueId v) {
         return v == kNoValue || v < callee.numValues();
     };
@@ -203,7 +204,7 @@ Inliner::runOnFunction(Function &func, PassContext &ctx)
                 }
             }
             if (inst.callKind == CallKind::Static) {
-                const Function &callee = ctx.mod.function(
+                const Function &callee = ctx.callee(
                     static_cast<FunctionId>(inst.imm));
                 Opcode nativeOp;
                 if (enableIntrinsics_ &&
@@ -239,7 +240,7 @@ Inliner::runOnFunction(Function &func, PassContext &ctx)
                     inst.callKind == CallKind::Virtual) {
                     continue;
                 }
-                const Function &callee = ctx.mod.function(
+                const Function &callee = ctx.callee(
                     static_cast<FunctionId>(inst.imm));
                 if (callee.id() == func.id() ||
                     callee.intrinsic() != Intrinsic::None ||

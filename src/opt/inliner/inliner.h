@@ -20,6 +20,13 @@
  *     callee with try regions is only inlined at call sites outside any
  *     region, and an inlined body inherits the call site's region
  *     otherwise.
+ *
+ * Callee bodies come from PassContext::callee.  Both compile drivers
+ * compile bottom-up over the call graph (jit/call_graph.h), so a callee
+ * outside the caller's SCC is inlined as *compiled*, its own calls
+ * already devirtualized and inlined where they fit, and the budget
+ * applies to that compiled size: a callee that outgrew it stays a
+ * call.  Members of one SCC inline each other's *pristine* bodies.
  */
 
 #include "opt/pass.h"

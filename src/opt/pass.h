@@ -5,14 +5,15 @@
  * @file
  * Optimization pass interface.
  *
- * Passes transform one function at a time (the inliner additionally reads
- * other functions of the module).  Each pass reports whether it changed
- * anything, and declares whether it is part of the *null check
- * optimization* — the pass manager uses that flag to attribute compile
- * time the way Table 4 of the paper does (null check optimization vs
- * everything else).
+ * Passes transform one function at a time (the inliner additionally
+ * reads callee bodies, through PassContext::callee).  Each pass reports
+ * whether it changed anything, and declares whether it is part of the
+ * *null check optimization* — the pass manager uses that flag to
+ * attribute compile time the way Table 4 of the paper does (null check
+ * optimization vs everything else).
  */
 
+#include <functional>
 #include <string>
 
 #include "analysis/dataflow.h"
@@ -25,7 +26,8 @@ namespace trapjit
 /** Shared state passed to every pass invocation. */
 struct PassContext
 {
-    Module &mod;
+    /** Class table and function table; passes only read it. */
+    const Module &mod;
 
     /**
      * The target the *compiler* believes in.  For the Illegal Implicit
@@ -43,6 +45,21 @@ struct PassContext
      * harvests the accumulator into PassTimings.
      */
     SolverStats solverStats = {};
+
+    /**
+     * The body the inliner reads for callee @p id; unset means
+     * mod.function(id).  Both compile drivers set it per call-graph
+     * SCC (calleeView in jit/call_graph.h): a member of the compiled
+     * function's SCC answers with its pristine body, any other callee
+     * with its compiled one.
+     */
+    std::function<const Function &(FunctionId)> calleeBody = {};
+
+    const Function &
+    callee(FunctionId id) const
+    {
+        return calleeBody ? calleeBody(id) : mod.function(id);
+    }
 };
 
 /** Base class of all passes. */

@@ -22,10 +22,13 @@
  *    function-local statics (lookup tables); new passes must keep it
  *    that way.
  *  - A pass may mutate only the Function it was handed.  PassContext's
- *    Module may be *read* (the inliner reads callee bodies and the
- *    class table) but never written; the service compiles private
- *    function copies against a module treated as an immutable snapshot
- *    while any job is in flight.
+ *    Module is a const reference: passes read the class table, never
+ *    write it.  The only pass that reads other functions, the inliner,
+ *    reads them through PassContext::callee: an SCC peer's pristine
+ *    body from the module, which the service treats as an immutable
+ *    snapshot while any job is in flight, or a callee's compiled body,
+ *    which another job published before this job was allowed to start
+ *    and which nobody writes until the batch installs it.
  */
 
 #include <cstdint>

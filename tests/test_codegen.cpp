@@ -58,9 +58,11 @@ TEST(Scheduler, PreservesDataDependences)
     for (size_t i = 0; i < insts.size(); ++i) {
         std::vector<ValueId> uses;
         insts[i].forEachUse(uses);
-        for (ValueId u : uses)
-            if (position[u] >= 0)
+        for (ValueId u : uses) {
+            if (position[u] >= 0) {
                 EXPECT_LT(position[u], static_cast<int>(i));
+            }
+        }
     }
 
     // Behavior unchanged.

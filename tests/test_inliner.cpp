@@ -181,8 +181,9 @@ TEST(Inliner, PolymorphicCallStaysVirtual)
     for (size_t b = 0; b < caller.numBlocks(); ++b)
         for (const Instruction &inst :
              caller.block(static_cast<BlockId>(b)).insts())
-            if (inst.op == Opcode::Call)
+            if (inst.op == Opcode::Call) {
                 EXPECT_EQ(CallKind::Virtual, inst.callKind);
+            }
 }
 
 TEST(Inliner, BudgetRefusesLargeCallee)
@@ -196,9 +197,10 @@ TEST(Inliner, BudgetRefusesLargeCallee)
     for (size_t b = 0; b < caller.numBlocks(); ++b)
         for (const Instruction &inst :
              caller.block(static_cast<BlockId>(b)).insts())
-            if (inst.op == Opcode::Call)
+            if (inst.op == Opcode::Call) {
                 EXPECT_EQ(CallKind::Special, inst.callKind)
                     << "devirtualized but too big to inline";
+            }
 }
 
 TEST(Inliner, NeverInlineFlagRespected)

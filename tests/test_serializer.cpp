@@ -131,8 +131,9 @@ TEST_P(SerializerRandom, RoundTripsRandomPrograms)
     RunResult reparsed = runMain(*parsed);
     ASSERT_EQ(original.result.outcome, reparsed.result.outcome);
     EXPECT_EQ(original.result.exception, reparsed.result.exception);
-    if (original.result.outcome == ExecResult::Outcome::Returned)
+    if (original.result.outcome == ExecResult::Outcome::Returned) {
         EXPECT_EQ(original.result.value.i, reparsed.result.value.i);
+    }
     EXPECT_EQ(original.digest, reparsed.digest);
 }
 

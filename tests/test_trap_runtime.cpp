@@ -125,9 +125,10 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     for (std::thread &th : threads)
         th.join();
     EXPECT_EQ(0, mistakes.load());
-    if (nativeUsable)
+    if (nativeUsable) {
         EXPECT_GT(hardwareTraps.load(), 0u)
             << "no engine took a real guard-page trap";
+    }
 }
 
 // ---------------------------------------------------------------------------
