@@ -4,10 +4,13 @@
  * of the dataflow solver and of each null check pass on a realistic
  * function (the javac-like module, the biggest of the suite).  These
  * complement the wall-clock compile-time tables with per-pass
- * throughput numbers.
+ * throughput numbers.  BM_HashBytes measures the content hash that
+ * keys, checksums and fingerprints go through (bytes_per_second).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "analysis/dataflow.h"
 #include "analysis/liveness.h"
@@ -16,6 +19,7 @@
 #include "opt/nullcheck/phase1.h"
 #include "opt/nullcheck/phase2.h"
 #include "opt/nullcheck/whaley.h"
+#include "support/hash.h"
 #include "workloads/workload.h"
 
 namespace
@@ -237,6 +241,18 @@ runInterpBenchmark(benchmark::State &state, const char *workload,
     }
 }
 
+void
+BM_HashBytes(benchmark::State &state)
+{
+    std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 131 + (i >> 8));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hashBytes(bytes));
+    state.SetBytesProcessed(static_cast<int64_t>(bytes.size()) *
+                            state.iterations());
+}
+
 #define TRAPJIT_INTERP_BENCH(kernel, workload)                           \
     void BM_Interp_Reference_##kernel(benchmark::State &state)           \
     {                                                                    \
@@ -270,6 +286,7 @@ BENCHMARK(BM_SolveDataflow_Reference_javac);
 BENCHMARK(BM_SolveDataflow_WorklistFwd_javac);
 BENCHMARK(BM_SolveDataflow_ReferenceFwd_javac);
 BENCHMARK(BM_FullCompile_javac);
+BENCHMARK(BM_HashBytes)->Arg(1 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 } // namespace
 

@@ -8,8 +8,11 @@
  *
  *  - cold wall-clock per worker count, plus speedup vs 1 worker —
  *    actual scaling depends on the host's core count (a 1-core
- *    container will show ~1.0x at every width);
- *  - busy/wall utilization (aggregate worker-seconds over wall time);
+ *    container will show ~1.0x at every width).  A batch's caller
+ *    works the queue while it waits, so N workers means N pool
+ *    threads plus the calling thread: 1 worker is two threads;
+ *  - busy/wall utilization (job-seconds on the pool threads and the
+ *    caller over wall time, so up to workers + 1);
  *  - warm-cache wall time and hit rate for an identical second batch.
  *
  * Units are host seconds; every arm compiles an identical batch, so

@@ -5,8 +5,8 @@
 namespace trapjit
 {
 
-std::string
-targetFingerprint(const Target &target)
+Hash128
+targetDigest(const Target &target)
 {
     std::ostringstream os;
     os << "name=" << target.name
@@ -37,7 +37,7 @@ targetFingerprint(const Target &target)
        << ";c.allocb=" << target.allocPerByteCycles
        << ";c.throw=" << target.throwCycles
        << ";c.trap=" << target.trapDispatchCycles;
-    return os.str();
+    return hashBytes(os.str());
 }
 
 bool

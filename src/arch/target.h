@@ -26,6 +26,7 @@
 #include <string>
 
 #include "ir/instruction.h"
+#include "support/hash.h"
 
 namespace trapjit
 {
@@ -107,12 +108,15 @@ struct Target
 };
 
 /**
- * Stable fingerprint of every field of @p target (trap model and cycle
- * costs; the name is included too since it identifies the model).
- * Part of the compile-cache key: pipelines over targets with equal
- * fingerprints generate identical code.
+ * Stable digest of every field of @p target (trap model and cycle
+ * costs; the name is included too since it identifies the model): the
+ * hashBytes of a text fingerprint.  Part of the compile-cache and
+ * decoded-program keys: pipelines over targets with equal digests
+ * generate identical code.  Building the fingerprint text costs a few
+ * microseconds, so an owner that keys many entries under one target
+ * (a compile batch, a tier controller, an interpreter) digests it once.
  */
-std::string targetFingerprint(const Target &target);
+Hash128 targetDigest(const Target &target);
 
 /** Pentium III / Windows NT: reads and writes trap; no trap instruction. */
 Target makeIA32WindowsTarget();

@@ -309,34 +309,33 @@ decodeFunction(const Function &fn, const Target &target,
 
 Hash128
 decodedProgramKey(const Hash128 &textDigest, FunctionId id,
-                  const Target &target, const DecodeOptions &options)
+                  const Hash128 &targetDigest, const DecodeOptions &options)
 {
     Hasher hasher;
     hasher.update(textDigest.hi);
     hasher.update(textDigest.lo);
     hasher.update(static_cast<uint64_t>(id));
-    std::string fingerprint = targetFingerprint(target);
-    hasher.update(static_cast<uint64_t>(fingerprint.size()));
-    hasher.update(fingerprint);
+    hasher.update(targetDigest.hi);
+    hasher.update(targetDigest.lo);
     hasher.update(static_cast<uint64_t>(options.fuse ? 1 : 0));
     return hasher.digest();
 }
 
 Hash128
-decodedProgramKey(const Function &fn, const Target &target,
+decodedProgramKey(const Function &fn, const Hash128 &targetDigest,
                   const DecodeOptions &options)
 {
     return decodedProgramKey(hashBytes(serializeFunctionToString(fn)),
-                             fn.id(), target, options);
+                             fn.id(), targetDigest, options);
 }
 
 Hash128
-decodedProgramKey(const Module &mod, FunctionId id, const Target &target,
-                  const DecodeOptions &options)
+decodedProgramKey(const Module &mod, FunctionId id,
+                  const Hash128 &targetDigest, const DecodeOptions &options)
 {
     if (const std::optional<Hash128> &digest = mod.textDigest(id))
-        return decodedProgramKey(*digest, id, target, options);
-    return decodedProgramKey(mod.function(id), target, options);
+        return decodedProgramKey(*digest, id, targetDigest, options);
+    return decodedProgramKey(mod.function(id), targetDigest, options);
 }
 
 } // namespace trapjit

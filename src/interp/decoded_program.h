@@ -223,15 +223,16 @@ decodeFunction(const Function &fn, const Target &target,
                const DecodeOptions &options = {});
 
 /**
- * Content address of the decoded form of function @p id under
- * @p target, given @p textDigest, the FNV-1a/128 digest (hashBytes) of
- * the function's serialized text: covers that digest, the id, the
- * target fingerprint (the cost model and trap model are baked into the
- * records) and the fusion flag.  Equal keys imply bit-identical decoded
- * programs, DecodedFunction::id included: the serializer writes no
- * function id, so identical texts installed at different ids decode
- * separately, and the engines that key tiering state by
- * DecodedFunction::id find their own function there.
+ * Content address of the decoded form of function @p id under the
+ * target whose targetDigest() is @p targetDigest, given @p textDigest,
+ * the digest (hashBytes) of the function's serialized text: covers that
+ * digest, the id, the target fingerprint through its digest (the cost
+ * model and trap model are baked into the records) and the fusion
+ * flag.  Equal keys imply bit-identical decoded programs,
+ * DecodedFunction::id included: the serializer writes no function id,
+ * so identical texts installed at different ids decode separately, and
+ * the engines that key tiering state by DecodedFunction::id find their
+ * own function there.
  *
  * This is the digest the compile service already holds for every
  * result text (the persistent tier's verified payload checksum is
@@ -239,15 +240,15 @@ decodeFunction(const Function &fn, const Target &target,
  * or hashes a function a second time.
  */
 Hash128 decodedProgramKey(const Hash128 &textDigest, FunctionId id,
-                          const Target &target,
+                          const Hash128 &targetDigest,
                           const DecodeOptions &options = {});
 
 /**
  * decodedProgramKey(hashBytes(serializeFunctionToString(fn)), fn.id(),
- * target, options): the key for a function that is already in memory.
- * Serializes and hashes the whole function.
+ * targetDigest, options): the key for a function that is already in
+ * memory.  Serializes and hashes the whole function.
  */
-Hash128 decodedProgramKey(const Function &fn, const Target &target,
+Hash128 decodedProgramKey(const Function &fn, const Hash128 &targetDigest,
                           const DecodeOptions &options = {});
 
 /**
@@ -259,7 +260,7 @@ Hash128 decodedProgramKey(const Function &fn, const Target &target,
  * is kept (never installed, or handed out mutable since).
  */
 Hash128 decodedProgramKey(const Module &mod, FunctionId id,
-                          const Target &target,
+                          const Hash128 &targetDigest,
                           const DecodeOptions &options = {});
 
 /**

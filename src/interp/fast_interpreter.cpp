@@ -66,8 +66,10 @@ FastInterpreter::decoded(FunctionId id)
     if (!decoded_[id]) {
         const Function &fn = mod_.function(id);
         if (cache_) {
+            if (!targetDigest_)
+                targetDigest_ = targetDigest(target_);
             Hash128 key =
-                decodedProgramKey(mod_, id, target_, decodeOptions_);
+                decodedProgramKey(mod_, id, *targetDigest_, decodeOptions_);
             if (auto hit = cache_->lookup(key)) {
                 decoded_[id] = std::move(hit);
                 return *decoded_[id];

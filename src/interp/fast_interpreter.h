@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "arch/target.h"
@@ -162,6 +163,8 @@ class FastInterpreter
     InterpOptions options_;
     DecodeOptions decodeOptions_;
     std::shared_ptr<DecodedProgramCache> cache_;
+    /** targetDigest(target_), taken on the first cache lookup. */
+    std::optional<Hash128> targetDigest_;
     std::vector<std::shared_ptr<const DecodedFunction>> decoded_;
     Heap heap_;
     EventTrace trace_;

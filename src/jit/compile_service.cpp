@@ -42,13 +42,13 @@ struct ModuleSnapshot
 {
     const Module *mod = nullptr;
 
-    /** FNV-1a/128 digest of each function's pristine serialized text,
+    /** Digest (hashBytes) of each function's pristine serialized text,
      *  hashed once per snapshot so per-job keys compose fixed-width
      *  digests instead of rehashing every closure body (jobKey is
      *  O(|closure|), not O(|closure| * |text|)). */
     std::vector<Hash128> funcDigests;
 
-    Hash128 classDigest; ///< FNV-1a/128 of the class-table text
+    Hash128 classDigest; ///< hashBytes of the class-table text
 
     /**
      * closures[f]: sorted ids of every function whose pristine body can
@@ -108,17 +108,17 @@ snapshotModule(ModuleSnapshot &snap)
 
 /**
  * Hasher state after the key fields every job of a batch shares: the
- * target and config fingerprints, length-prefixed.  jobKey continues
- * from a copy of it.
+ * target digest and the length-prefixed config fingerprint.  jobKey
+ * continues from a copy of it.
  */
 Hasher
-batchKeyPrefix(const std::string &target_fp, const std::string &config_fp)
+batchKeyPrefix(const Hash128 &target, const std::string &config_fp)
 {
     Hasher hasher;
-    for (const std::string *text : {&target_fp, &config_fp}) {
-        hasher.update(static_cast<uint64_t>(text->size()));
-        hasher.update(*text);
-    }
+    hasher.update(target.hi);
+    hasher.update(target.lo);
+    hasher.update(static_cast<uint64_t>(config_fp.size()));
+    hasher.update(config_fp);
     return hasher;
 }
 
@@ -127,11 +127,12 @@ batchKeyPrefix(const std::string &target_fp, const std::string &config_fp)
  * @p hasher is a copy of the batch's batchKeyPrefix.
  *
  * Composed from per-text digests the snapshot computed once: every
- * variable-length text enters through its own FNV-1a/128 digest (a
+ * variable-length text enters through its own hashBytes digest (a
  * fixed-width field, so no delimiters are needed), which keeps the
- * per-job cost at 16 bytes per closure member instead of rehashing
- * each closure body for every job that can read it.  Still a pure
- * function of the texts, so keys stay stable across processes.
+ * per-job cost at 24 bytes per closure member (its id and digest)
+ * instead of rehashing each closure body for every job that can read
+ * it.  Still a pure function of the texts, so keys stay stable across
+ * processes.
  */
 Hash128
 jobKey(Hasher hasher, const ModuleSnapshot &snap, FunctionId f)
@@ -223,7 +224,7 @@ CompileService::compileModules(const std::vector<Module *> &mods,
         return report;
     }
 
-    CompletionLatch snapshotted(totalJobs);
+    CompletionLatch snapshotted(pool_, totalJobs);
     for (size_t m = 0; m < snaps.size(); ++m) {
         for (FunctionId f = 0; f < snaps[m].funcDigests.size(); ++f) {
             pool_.submit([&, m, f] {
@@ -246,12 +247,14 @@ CompileService::compileModules(const std::vector<Module *> &mods,
     } catch (...) {
         recordError(); // the text jobs still reference snaps: wait
     }
+    // Waiting works the queue: the client hashes what the pool has not
+    // reached yet, here and for the batch's jobs below.
     snapshotted.wait();
     if (firstError)
         std::rethrow_exception(firstError);
 
     // ---- Key every job --------------------------------------------------
-    // 16 bytes per closure member.  Each key's first job leads; its
+    // 24 bytes per closure member.  Each key's first job leads; its
     // repeats (identical jobs in later modules) are submitted when the
     // leader finishes, so they hit its result in the in-memory cache
     // instead of compiling or verifying it beside the leader.
@@ -268,8 +271,9 @@ CompileService::compileModules(const std::vector<Module *> &mods,
     };
     std::vector<std::vector<Job>> jobs(mods.size());
     std::vector<std::pair<size_t, FunctionId>> leaders;
-    const Hasher keyPrefix = batchKeyPrefix(targetFingerprint(target_),
-                                            configFingerprint(config));
+    const Hash128 targetKey = targetDigest(target_);
+    const Hasher keyPrefix =
+        batchKeyPrefix(targetKey, configFingerprint(config));
     std::unordered_map<Hash128, std::pair<size_t, FunctionId>,
                        Hash128Hasher>
         leaderOf;
@@ -399,7 +403,7 @@ CompileService::compileModules(const std::vector<Module *> &mods,
     };
 
     const DecodeOptions decodeOpts;
-    CompletionLatch latch(totalJobs);
+    CompletionLatch latch(pool_, totalJobs);
     runJob = [&](size_t m, FunctionId f, bool resumed) {
         Stopwatch jobWatch;
         ServiceCounters local;
@@ -474,8 +478,8 @@ CompileService::compileModules(const std::vector<Module *> &mods,
                 // compile time (ServiceCounters::decodeSeconds).
                 job.digest = digest ? *digest : hashBytes(*text);
                 if (options_.predecode) {
-                    Hash128 dkey = decodedProgramKey(job.digest, f, target_,
-                                                     decodeOpts);
+                    Hash128 dkey = decodedProgramKey(job.digest, f,
+                                                     targetKey, decodeOpts);
                     if (!decodedCache_->lookup(dkey)) {
                         Stopwatch decodeWatch;
                         auto df =

@@ -8,16 +8,21 @@
  * A CompileService owns a fixed pool of worker threads draining a queue
  * of (function, PipelineConfig) jobs.  A batch — compileModule() /
  * compileModules() — runs one job per function across every module
- * handed in, blocks until the pool has drained them, and only then
- * installs the results; until that point each input module is treated
- * as an immutable snapshot, reached only through const references.
+ * handed in, works the queue on the calling thread until its jobs are
+ * done (WorkerPool::runUntil: the caller runs queued jobs, its own or a
+ * concurrent batch's, instead of sleeping), and only then installs the
+ * results; until that point each input module is treated as an
+ * immutable snapshot, reached only through const references.  No job
+ * blocks — a miss whose callees are not compiled yet parks and is
+ * resubmitted — so a waiting caller never runs a job that waits on it.
  * Compilation is bottom-up over each module's call graph
  * (jit/call_graph.h), exactly as the sequential Compiler does it:
  *
  *   1. Snapshot: one pool job per function serializes its pristine
  *      text and hashes it; the client thread digests the class tables
- *      and computes call closures and call graphs meanwhile.  A latch
- *      ends the phase, since every job key needs its closure's digests.
+ *      and computes call closures and call graphs meanwhile, then helps
+ *      with the text jobs.  A latch ends the phase, since every job key
+ *      needs its closure's digests.
  *   2. The client keys every job with a content hash covering every
  *      pristine body a compile can depend on.  The first job of each
  *      key leads; a key's repeats (identical jobs in other modules) are
@@ -104,7 +109,12 @@ struct NativeCodeCache
 /** Construction knobs for a CompileService. */
 struct CompileServiceOptions
 {
-    /** Worker threads; 0 means std::thread::hardware_concurrency(). */
+    /**
+     * Pool threads; 0 means std::thread::hardware_concurrency().  A
+     * batch runs on these plus the thread that called compileModules,
+     * which works the queue while it waits: 1 means one pool thread and
+     * the caller.
+     */
     size_t numWorkers = 0;
 
     /** Consult/fill the compile cache. */
@@ -152,8 +162,10 @@ struct ServiceReport
 {
     ServiceCounters counters;
     PassTimings timings;     ///< merged per-job pass timings
-    /** Sum of per-job seconds on the workers (snapshot and key jobs,
-     *  pre-decoding excluded: that is counters.decodeSeconds). */
+    /** Sum of per-job seconds (snapshot and key jobs, pre-decoding
+     *  excluded: that is counters.decodeSeconds) on the pool threads
+     *  and on the caller, which runs jobs while it waits; so it can
+     *  exceed numWorkers × wallSeconds. */
     double busySeconds = 0.0;
     double wallSeconds = 0.0; ///< batch wall clock
 };

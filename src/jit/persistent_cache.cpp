@@ -18,12 +18,13 @@ namespace
 {
 
 // On-disk format v1.  The schema fingerprint folds in the cache scheme
-// ("pcache v4": keys cover the compiled function's id and its call
-// closure, the directory is the segment alone, and payloads are
-// compiled bottom-up, inlining their callees' compiled bodies) and the
+// ("pcache v5": keys cover the compiled function's id and its call
+// closure, the directory is the segment alone, payloads are compiled
+// bottom-up, inlining their callees' compiled bodies, and keys and
+// payload checksums are MurmurHash3 x64_128 digests) and the
 // serializer format tag, so changing the cache layout, how keys are
-// derived, what a payload holds or the IR text format self-invalidates
-// old directories.
+// derived, what a payload holds, the digest function or the IR text
+// format self-invalidates old directories.
 constexpr uint32_t kSegMagic = 0x47534A54;   // "TJSG"
 constexpr uint32_t kEntryMagic = 0x4E454A54; // "TJEN"
 constexpr uint32_t kVersion = 1;
@@ -38,7 +39,7 @@ constexpr uint32_t kMaxPayloadSize = 256u << 20;
 Hash128
 schemaFingerprint()
 {
-    return hashBytes("trapjit-pcache v4; trapjit-module v1");
+    return hashBytes("trapjit-pcache v5; trapjit-module v1");
 }
 
 uint32_t

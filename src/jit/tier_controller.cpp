@@ -15,7 +15,8 @@ TierController::TierController(
     std::shared_ptr<DecodedProgramCache> decodedCache,
     const DecodeOptions &decodeOptions,
     const TierControllerOptions &options)
-    : mod_(mod), target_(target), registry_(std::move(registry)),
+    : mod_(mod), target_(target), targetDigest_(targetDigest(target)),
+      registry_(std::move(registry)),
       decodedCache_(std::move(decodedCache)),
       decodeOptions_(decodeOptions), options_(options),
       explicit_(mod.numFunctions())
@@ -59,7 +60,7 @@ TierController::compileAndPublish(FunctionId fn)
     Stopwatch watch;
     const Function &func = mod_.function(fn);
 
-    Hash128 dkey = decodedProgramKey(mod_, fn, target_, decodeOptions_);
+    Hash128 dkey = decodedProgramKey(mod_, fn, targetDigest_, decodeOptions_);
     std::shared_ptr<const DecodedFunction> df =
         decodedCache_->lookup(dkey);
     if (df == nullptr)

@@ -116,6 +116,7 @@ class TierController
 
     const Module &mod_;
     Target target_;
+    Hash128 targetDigest_; ///< keys this controller's decode lookups
     std::shared_ptr<CodeRegistry> registry_;
     std::shared_ptr<DecodedProgramCache> decodedCache_;
     DecodeOptions decodeOptions_;

@@ -1,10 +1,12 @@
 #include "runtime/heap.h"
 
 #include <cstring>
+#include <string_view>
 
 #include <sys/mman.h>
 
 #include "support/diagnostics.h"
+#include "support/hash.h"
 
 namespace trapjit
 {
@@ -73,14 +75,10 @@ Heap::allocateArray(Type elem_type, int32_t length)
 uint64_t
 Heap::digest() const
 {
-    uint64_t hash = 1469598103934665603ull;
-    size_t used = static_cast<size_t>(next_ - kHeapBase);
-    const uint8_t *data = base_ + kHeapBase;
-    for (size_t i = 0; i < used; ++i) {
-        hash ^= data[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
+    const Hash128 hash = hashBytes(std::string_view(
+        reinterpret_cast<const char *>(base_ + kHeapBase),
+        static_cast<size_t>(next_ - kHeapBase)));
+    return hash.hi ^ hash.lo;
 }
 
 Heap::Difference

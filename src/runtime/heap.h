@@ -160,7 +160,8 @@ class Heap
         return static_cast<int32_t>(readI32(ref + kArrayLengthOffset));
     }
 
-    /** FNV-1a digest of the allocated region (for equivalence tests). */
+    /** Digest of the allocated region (hashBytes folded to 64 bits),
+     *  comparable within one process (for equivalence tests). */
     uint64_t digest() const;
 
     /**

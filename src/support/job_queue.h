@@ -3,17 +3,31 @@
 
 /**
  * @file
- * A blocking multi-producer / multi-consumer job queue and the fixed
- * worker pool built on it.
+ * A fixed worker pool draining one FIFO of closures, whose waiting
+ * callers work the queue too, and the countdown latch a batch of pool
+ * jobs signals completion through.
  *
  * The compile service (jit/compile_service.h) submits one closure per
  * (function, config) job; a fixed set of worker threads drains the
- * queue.  The pool makes no ordering or affinity promises — anything
- * submitted through it must be order-independent, which the compile
- * service guarantees by compiling every function against an immutable
- * snapshot of its module.
+ * queue, and the client thread that waits for its batch runs queued
+ * jobs itself (WorkerPool::runUntil) instead of sleeping.  The pool
+ * makes no ordering or affinity promises — anything submitted through
+ * it must be order-independent, which the compile service guarantees by
+ * compiling every function against an immutable snapshot of its module.
+ *
+ * Jobs never block, and must not: no job waits for another job, on a
+ * lock held across a job or on a latch.  A job that cannot proceed yet
+ * ends and is resubmitted by whatever readies it (the compile
+ * service's misses park on their call-graph SCC this way).  That is
+ * what makes running jobs on waiting threads sound: a waiter that
+ * picks up a job always gets back to its own predicate, and a job
+ * never needs a thread that is busy running it.  A job must not throw
+ * either (the pool ends the process, wherever the job ran), and must not
+ * depend on the thread-local state of the thread that runs it, which may
+ * be any worker or any waiting client.
  */
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -25,60 +39,9 @@
 namespace trapjit
 {
 
-/** Unbounded blocking FIFO; pop() blocks until an item or close(). */
-template <typename T>
-class JobQueue
-{
-  public:
-    /** Enqueue one item and wake one waiter. */
-    void
-    push(T item)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            items_.push_back(std::move(item));
-        }
-        ready_.notify_one();
-    }
-
-    /**
-     * Dequeue into @p out, blocking while the queue is open and empty.
-     * @return false once the queue is closed and drained.
-     */
-    bool
-    pop(T &out)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        return true;
-    }
-
-    /** No more pushes; waiters drain the backlog, then pop() returns
-     *  false. */
-    void
-    close()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            closed_ = true;
-        }
-        ready_.notify_all();
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable ready_;
-    std::deque<T> items_;
-    bool closed_ = false;
-};
-
 /**
- * Fixed-size pool of worker threads draining a JobQueue of closures.
- * Destruction closes the queue and joins after the backlog drains.
+ * Fixed-size pool of worker threads draining a FIFO of closures.
+ * Destruction drains the backlog, then joins the workers.
  */
 class WorkerPool
 {
@@ -89,44 +52,72 @@ class WorkerPool
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /** Enqueue @p job; it runs on some worker, some time later. */
+    /** Enqueue @p job; it runs on some worker or waiter, some time
+     *  later. */
     void submit(std::function<void()> job);
+
+    /**
+     * Run queued jobs on the calling thread until @p done() holds,
+     * sleeping while the queue is empty.  @p done is tested under the
+     * pool's lock, so whoever makes it hold and then calls
+     * wakeWaiters() cannot lose the wakeup.  Jobs of any batch may run
+     * here; returns as soon as @p done() holds.
+     */
+    void runUntil(const std::function<bool()> &done);
+
+    /** Wake every runUntil() caller to re-test its predicate. */
+    void wakeWaiters();
 
     size_t numWorkers() const { return workers_.size(); }
 
   private:
-    JobQueue<std::function<void()>> queue_;
+    /** Pop the front job and run it with the lock released.  A job
+     *  that throws ends the process here, on a waiter as on a worker,
+     *  rather than unwinding a waiter out of a batch whose other jobs
+     *  are still running. */
+    void runFront(std::unique_lock<std::mutex> &lock) noexcept;
+
+    std::mutex mutex_;
+    std::condition_variable ready_; ///< a job, a predicate or close
+    std::deque<std::function<void()>> jobs_;
+    bool closed_ = false;
     std::vector<std::thread> workers_;
 };
 
 /**
- * Countdown latch: wait() blocks until countDown() has been called
- * @p count times.  Completion signal for one batch of pool jobs.
+ * Countdown latch over one batch of @p pool jobs: wait() works the
+ * pool's queue until countDown() has been called @p count times.
  */
 class CompletionLatch
 {
   public:
-    explicit CompletionLatch(size_t count) : remaining_(count) {}
+    CompletionLatch(WorkerPool &pool, size_t count)
+        : pool_(pool), remaining_(count)
+    {}
 
+    /**
+     * One job done.  The last call wakes the waiter through the pool,
+     * which outlives the batch: once the count reaches zero the waiter
+     * may return and destroy this latch before the call ends.
+     */
     void
     countDown()
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (remaining_ > 0 && --remaining_ == 0)
-            done_.notify_all();
+        WorkerPool &pool = pool_;
+        if (remaining_.fetch_sub(1) == 1)
+            pool.wakeWaiters();
     }
 
+    /** Run pool jobs on the calling thread until the count is zero. */
     void
     wait()
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [this] { return remaining_ == 0; });
+        pool_.runUntil([this] { return remaining_.load() == 0; });
     }
 
   private:
-    std::mutex mutex_;
-    std::condition_variable done_;
-    size_t remaining_;
+    WorkerPool &pool_;
+    std::atomic<size_t> remaining_;
 };
 
 } // namespace trapjit

@@ -99,8 +99,8 @@ std::unique_ptr<Module> generateWorkloadModule(
     const WorkloadProfile &profile);
 
 /**
- * Content fingerprint of @p mod: FNV-1a/128 over the round-trip
- * serialization.  Two modules with equal fingerprints are identical;
+ * Content fingerprint of @p mod: hashBytes (MurmurHash3 x64_128) over
+ * the round-trip serialization.  Two modules with equal fingerprints are identical;
  * the determinism regression tests pin (generator, seed) -> fingerprint.
  */
 Hash128 moduleFingerprint(const Module &mod);

@@ -19,7 +19,8 @@
  *    outgrows the budget once compiled, mutual recursion, a
  *    devirtualized callee), a job failing mid-chain, and callers of a
  *    cache hit or a repeat job waiting for the callees the hit's
- *    compiled body still calls;
+ *    compiled body still calls; two clients compiling on one service at
+ *    once, each working the other's jobs;
  *  - pre-decoding: every installed function's decoded program sits
  *    under the key an engine computes from the digest the module kept,
  *    so engines decode (and serialize) nothing;
@@ -34,6 +35,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -607,6 +609,50 @@ TEST(OneSemantics, ServiceMatchesCompilerColdWarmAndMixed)
     }
 }
 
+// Two clients on one service at once: each waits by working the shared
+// queue, so each may run the other's jobs, and racing identical jobs
+// may both compile.  Both still install Compiler's text, cold and warm,
+// at 1 worker (one pool thread and two helping clients) and at 4.
+TEST(OneSemantics, TwoClientsOfOneServiceEachGetTheCompilersText)
+{
+    const Target target = makeIA32WindowsTarget();
+    const PipelineConfig config = makeNewFullConfig();
+    auto reference = buildSuiteAndPresets();
+    const Compiler compiler(target, config);
+    for (const auto &mod : reference)
+        compiler.compile(*mod);
+    const std::vector<std::string> expected = perFunctionIR(reference);
+
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+        CompileServiceOptions options;
+        options.numWorkers = workers;
+        options.enablePersistent = false;
+        CompileService service(target, options);
+        for (const char *round : {"cold", "warm"}) {
+            const std::string at = std::to_string(workers) +
+                                   " workers, " + round + ", client ";
+            std::vector<std::unique_ptr<Module>> mods[2] = {
+                buildSuiteAndPresets(), buildSuiteAndPresets()};
+            std::string errors[2];
+            auto client = [&](int c) {
+                try {
+                    service.compileModules(pointers(mods[c]), config);
+                } catch (const std::exception &e) {
+                    errors[c] = e.what();
+                }
+            };
+            std::thread other(client, 1);
+            client(0);
+            other.join();
+            for (int c = 0; c < 2; ++c) {
+                EXPECT_EQ("", errors[c]) << at << c;
+                expectSameIR(expected, perFunctionIR(mods[c]),
+                             at + std::to_string(c));
+            }
+        }
+    }
+}
+
 // javac.main inlines its callees' compiled bodies, so it stays the size
 // the cycle tables measure (it was 558-592 KB of text when the service
 // inlined pristine callee snapshots).
@@ -1090,7 +1136,7 @@ expectEngineDecodeKeys(const CompileService &service,
                        const std::vector<std::unique_ptr<Module>> &mods,
                        const std::string &what)
 {
-    const Target &target = service.target();
+    const Hash128 target = targetDigest(service.target());
     for (const auto &owned : mods) {
         const Module &mod = *owned; // mutable access forgets digests
         for (FunctionId f = 0; f < mod.numFunctions(); ++f) {

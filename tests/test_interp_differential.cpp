@@ -440,13 +440,14 @@ TEST(DecodedProgramCache, ContentKeyIsStableAndSharable)
     Target ia32 = makeIA32WindowsTarget();
     const Function &main = mod->function(mod->findFunction("main"));
 
-    Hash128 k1 = decodedProgramKey(main, ia32, {});
-    Hash128 k2 = decodedProgramKey(main, ia32, {});
+    Hash128 k1 = decodedProgramKey(main, targetDigest(ia32), {});
+    Hash128 k2 = decodedProgramKey(main, targetDigest(ia32), {});
     EXPECT_EQ(k1, k2);
     DecodeOptions noFuse;
     noFuse.fuse = false;
-    EXPECT_FALSE(decodedProgramKey(main, ia32, noFuse) == k1);
-    EXPECT_FALSE(decodedProgramKey(main, makePPCAIXTarget(), {}) == k1);
+    EXPECT_FALSE(decodedProgramKey(main, targetDigest(ia32), noFuse) == k1);
+    EXPECT_FALSE(
+        decodedProgramKey(main, targetDigest(makePPCAIXTarget()), {}) == k1);
 
     DecodedProgramCache cache;
     auto first = decodeFunction(main, ia32, {});

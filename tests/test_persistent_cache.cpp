@@ -11,10 +11,10 @@
  *  - crash-safety: a torn segment tail only loses the torn entry,
  *    a flipped payload byte demotes exactly that entry to a miss
  *    (counted corrupt) until one recompile appends a good record, a
- *    wrong version header self-invalidates the whole directory
- *    instead of serving stale bytes, and writers SIGKILLed mid-append
- *    leave a segment whose records are a byte-exact prefix of what
- *    they wrote;
+ *    wrong version header or a segment written under the v4 schema
+ *    self-invalidates the whole directory instead of serving stale
+ *    bytes, and writers SIGKILLed mid-append leave a segment whose
+ *    records are a byte-exact prefix of what they wrote;
  *  - layout: a used cache directory holds the segment file alone;
  *  - concurrency: 8 writer threads with private handles populate one
  *    shared directory; a fresh handle then sees every entry intact;
@@ -405,6 +405,52 @@ TEST(PersistentCache, WrongVersionHeaderSelfInvalidates)
     EXPECT_EQ(*value(100), *hit);
 }
 
+// v4 keyed and checksummed with FNV-1a/128; v5 with MurmurHash3.  The
+// segment header's schema field holds the digest of the schema string,
+// and a v4 build wrote FNV-1a/128("trapjit-pcache v4; trapjit-module
+// v1") there.  Behind that header this test leaves intact v5 records,
+// which would all hit if the header were trusted: the first restart
+// must miss every one and recompile, and the next compile nothing.
+TEST(PersistentCache, SegmentWrittenUnderTheV4SchemaSelfInvalidates)
+{
+    TempDir dir("v4");
+    Target target = makeIA32WindowsTarget();
+    PipelineConfig config = makeNewFullConfig();
+    CompileServiceOptions options;
+    options.numWorkers = 2;
+    options.cacheDir = dir.str();
+    auto restart = [&] {
+        CompileService service(target, options);
+        auto mods = buildRandomModules(61, 2);
+        return service.compileModules(pointers(mods), config).counters;
+    };
+    const ServiceCounters cold = restart();
+    ASSERT_GT(cold.functionsCompiled, 0u);
+    ASSERT_EQ(0u, restart().functionsCompiled);
+
+    {
+        std::fstream seg(dir.path / "segment.tjs",
+                         std::ios::in | std::ios::out |
+                             std::ios::binary);
+        ASSERT_TRUE(seg.is_open());
+        seg.seekp(8); // magic, format version, then the schema digest
+        const uint64_t v4Schema[2] = {0x96696a177ecb929cull,
+                                      0x852dd59439e9674full};
+        seg.write(reinterpret_cast<const char *>(v4Schema),
+                  sizeof v4Schema);
+    }
+
+    const ServiceCounters first = restart();
+    EXPECT_EQ(0u, first.persistentHits);
+    EXPECT_EQ(cold.persistentMisses, first.persistentMisses);
+    EXPECT_EQ(cold.functionsCompiled, first.functionsCompiled);
+
+    const ServiceCounters second = restart();
+    EXPECT_EQ(0u, second.persistentMisses);
+    EXPECT_EQ(0u, second.functionsCompiled);
+    EXPECT_EQ(cold.persistentMisses, second.persistentHits);
+}
+
 TEST(PersistentCache, FlippedPayloadByteHealsAfterOneRecompile)
 {
     TempDir dir("heal");
@@ -668,7 +714,7 @@ killPayload(uint64_t n)
 
 /** The forked writer: append records @p first, @p first + 1, ... (at
  *  most kKillBatch of them) until SIGKILL arrives. */
-constexpr uint64_t kKillBatch = 64;
+constexpr uint64_t kKillBatch = 256;
 
 [[noreturn]] void
 killedWriter(const std::string &dir, uint64_t first)

@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests of the support layer: the table printer, diagnostics,
- * the event trace, the cost model, and the target factory properties.
+ * the event trace, the cost model, the target factory properties, the
+ * content hash, and the worker pool whose waiters work its queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "arch/target.h"
 #include "interp/cost_model.h"
@@ -183,15 +189,99 @@ TEST(Targets, SpeculationSafetyIsOffsetBounded)
     EXPECT_FALSE(aix.readIsSpeculationSafe(-1));
 }
 
-// -- 128-bit FNV-1a hash -----------------------------------------------
+// -- 128-bit content hash (MurmurHash3 x64_128) ----------------------
 
-TEST(Hash, MatchesKnownFNV1a128Vectors)
+/** 1 KiB of fixed pseudo-random bytes. */
+std::string
+kibibyte()
 {
-    // The offset basis is the hash of the empty string by definition.
-    EXPECT_EQ(hashBytes("").toHex(),
-              "6c62272e07bb014262b821756295c58d");
-    EXPECT_NE(hashBytes("a"), hashBytes("b"));
+    std::string bytes(1024, '\0');
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (char &c : bytes) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        c = static_cast<char>(x);
+    }
+    return bytes;
+}
+
+// MurmurHash3_x64_128 with seed 0; toHex prints the first 64-bit lane,
+// then the second.  The tails cover every path of the finalizer: an
+// empty tail, 1-8 bytes (one lane) and 9-15 bytes (both lanes).
+TEST(Hash, MatchesKnownMurmur3Vectors)
+{
+    EXPECT_EQ(hashBytes("").toHex(), "00000000000000000000000000000000");
+    EXPECT_EQ(hashBytes("a").toHex(), "85555565f6597889e6b53a48510e895a");
+    EXPECT_EQ(hashBytes("hello").toHex(),
+              "cbd8a7b341bd9b025b1e906a48ae1d19");
+    EXPECT_EQ(hashBytes("0123456789abcde").toHex(),
+              "a62dd5f6c0bf23514fccf50c7c544cf0");
+    EXPECT_EQ(hashBytes("0123456789abcdef").toHex(),
+              "4be06d94cf4ad1a787c35b5c63a708da");
+    EXPECT_EQ(hashBytes("0123456789abcdefg").toHex(),
+              "8e32612daa45f9de0800f4c206c372ee");
+    EXPECT_EQ(hashBytes("The quick brown fox jumps over the lazy dog")
+                  .toHex(),
+              "e34bbc7bbc071b6c7a433ca9c49a9347");
     EXPECT_NE(hashBytes("ab"), hashBytes("ba"));
+}
+
+TEST(Hash, EveryChunkingEqualsOneShot)
+{
+    const std::string bytes = kibibyte();
+    const Hash128 oneShot = hashBytes(bytes);
+    for (size_t split = 0; split <= bytes.size(); ++split) {
+        Hasher twoWay;
+        twoWay.update(bytes.data(), split);
+        twoWay.update(bytes.data() + split, bytes.size() - split);
+        ASSERT_EQ(oneShot, twoWay.digest()) << "split at " << split;
+    }
+    Hasher byteByByte;
+    for (char c : bytes)
+        byteByByte.update(&c, 1);
+    EXPECT_EQ(oneShot, byteByByte.digest());
+}
+
+TEST(Hash, DigestMidStreamLeavesTheStreamAlone)
+{
+    const std::string bytes = kibibyte();
+    Hasher peeked;
+    for (size_t at = 0; at < bytes.size(); at += 37) {
+        const size_t n = std::min<size_t>(37, bytes.size() - at);
+        EXPECT_EQ(hashBytes(bytes.substr(0, at)), peeked.digest())
+            << "after " << at << " bytes";
+        peeked.update(bytes.data() + at, n);
+    }
+    EXPECT_EQ(hashBytes(bytes), peeked.digest());
+
+    // update(uint64_t) absorbs the value's 8 little-endian bytes,
+    // whatever the host's byte order and the stream's alignment.
+    const uint64_t value = 0x0123456789abcdefull;
+    const unsigned char le[8] = {0xef, 0xcd, 0xab, 0x89,
+                                 0x67, 0x45, 0x23, 0x01};
+    for (size_t prefix = 0; prefix < 16; ++prefix) {
+        Hasher word;
+        Hasher raw;
+        word.update(bytes.data(), prefix).update(value);
+        raw.update(bytes.data(), prefix).update(le, sizeof le);
+        EXPECT_EQ(raw.digest(), word.digest()) << "after " << prefix;
+    }
+}
+
+// Avalanche: flipping any one input bit changes about half the digest.
+TEST(Hash, OneBitFlipChangesAtLeastAQuarterOfTheDigest)
+{
+    std::string bytes = kibibyte().substr(0, 64);
+    const Hash128 base = hashBytes(bytes);
+    for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+        bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+        const Hash128 flipped = hashBytes(bytes);
+        bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+        const int changed = std::popcount(base.hi ^ flipped.hi) +
+                            std::popcount(base.lo ^ flipped.lo);
+        EXPECT_GE(changed, 32) << "bit " << bit;
+    }
 }
 
 TEST(Hash, IncrementalEqualsOneShot)
@@ -237,8 +327,8 @@ TEST(WorkerPool, LatchReleasesAfterAllJobs)
 {
     constexpr int kJobs = 32;
     std::atomic<int> done{0};
-    CompletionLatch latch(kJobs);
     WorkerPool pool(2);
+    CompletionLatch latch(pool, kJobs);
     for (int i = 0; i < kJobs; ++i)
         pool.submit([&] {
             ++done;
@@ -246,6 +336,96 @@ TEST(WorkerPool, LatchReleasesAfterAllJobs)
         });
     latch.wait();
     EXPECT_EQ(done.load(), kJobs);
+}
+
+// A waiter that found the queue empty sleeps; the job that opens the
+// latch on a worker must wake it through the pool.
+TEST(WorkerPool, LatchOpenedOnAWorkerWakesTheSleepingWaiter)
+{
+    WorkerPool pool(1);
+    CompletionLatch latch(pool, 1);
+    std::atomic<bool> started{false};
+    pool.submit([&] {
+        started = true;
+        // Long enough that the waiter is asleep when the count drops.
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        latch.countDown();
+    });
+    while (!started)
+        std::this_thread::yield();
+    latch.wait();
+}
+
+// The waiting thread works the queue: with the pool's only worker held
+// by a job (which real jobs never do), a latch still opens, every one
+// of its jobs run by the waiter.
+TEST(WorkerPool, WaiterCompletesALatchWhileTheOnlyWorkerIsBlocked)
+{
+    constexpr int kJobs = 16;
+    WorkerPool pool(1);
+    std::atomic<bool> workerHeld{false};
+    std::atomic<bool> release{false};
+    pool.submit([&] {
+        workerHeld = true;
+        while (!release)
+            std::this_thread::yield();
+    });
+    while (!workerHeld)
+        std::this_thread::yield();
+
+    const std::thread::id waiter = std::this_thread::get_id();
+    std::atomic<int> onWaiter{0};
+    CompletionLatch latch(pool, kJobs);
+    for (int i = 0; i < kJobs; ++i)
+        pool.submit([&] {
+            if (std::this_thread::get_id() == waiter)
+                ++onWaiter;
+            latch.countDown();
+        });
+    latch.wait();
+    EXPECT_EQ(kJobs, onWaiter.load());
+    release = true;
+}
+
+// Four clients run many one-to-three-job batches on one two-worker
+// pool, each waiting by working the shared queue (so each runs the
+// others' jobs too).  A lost wakeup would hang a client; a job run
+// twice or dropped would miscount.
+TEST(WorkerPool, ManyTinyBatchesFromFourClientsNeitherHangNorLoseAWakeup)
+{
+    constexpr int kClients = 4;
+    constexpr int kBatches = 2000;
+    WorkerPool pool(2);
+    std::atomic<int> ran{0};
+    std::vector<int> expected(kClients, 0);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            for (int b = 0; b < kBatches; ++b) {
+                const int jobs = 1 + (b + c) % 3;
+                std::atomic<int> batchRan{0};
+                CompletionLatch latch(pool, jobs);
+                for (int j = 0; j < jobs; ++j)
+                    pool.submit([&] {
+                        ++batchRan;
+                        ++ran;
+                        latch.countDown();
+                    });
+                latch.wait();
+                expected[c] += jobs;
+                ASSERT_EQ(jobs, batchRan.load());
+            }
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    int total = 0;
+    for (int n : expected)
+        total += n;
+    EXPECT_EQ(total, ran.load());
 }
 
 } // namespace

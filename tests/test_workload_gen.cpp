@@ -111,19 +111,19 @@ TEST(WorkloadGen, PinnedSeedToFingerprint)
     WorkloadProfile mixed;
     mixed.seed = 1;
     EXPECT_EQ(moduleFingerprint(*generateWorkloadModule(mixed)).toHex(),
-              "9359c987b2f0a7522a0e25920b5978b4");
+              "2ec7f3cc6b591c7a7650afca9bc26241");
 
     const WorkloadProfile *big = findWorkloadProfile("big_offset");
     ASSERT_NE(big, nullptr);
     WorkloadProfile bigP = *big;
     bigP.seed = 9;
     EXPECT_EQ(moduleFingerprint(*generateWorkloadModule(bigP)).toHex(),
-              "7900d6c23bab8fc1ccc69bb620278d8d");
+              "75c3bc83230d5c9bbb1ff5be80487568");
 
     GeneratorOptions legacy;
     legacy.seed = 1;
     EXPECT_EQ(moduleFingerprint(*generateRandomModule(legacy)).toHex(),
-              "1c4399a11849b7bc965174092a98ba84");
+              "e1f973da7eee6d3d0682908703e7df34");
 }
 
 TEST(WorkloadGen, PresetLookup)
