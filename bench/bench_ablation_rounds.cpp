@@ -20,7 +20,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Ablation: Figure 2 iteration count (cycles; smaller "
                  "is better)\n\n";
 

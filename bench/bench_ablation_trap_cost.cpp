@@ -101,11 +101,10 @@ run(const PipelineConfig &config, int nullEveryK)
     Heap &heap = interp.heap();
     Address obj = heap.allocateObject(0, 16);
     heap.writeI32(obj + 8, 2);
-    ExecResult r = interp.run(
-        mod->findFunction("kernel"),
-        {RuntimeValue::ofRef(obj), RuntimeValue::ofRef(0),
-         RuntimeValue::ofInt(4000), RuntimeValue::ofInt(nullEveryK)});
-    return r.stats.cycles;
+    interp.run(mod->findFunction("kernel"),
+               {RuntimeValue::ofRef(obj), RuntimeValue::ofRef(0),
+                RuntimeValue::ofInt(4000), RuntimeValue::ofInt(nullEveryK)});
+    return interp.cycles();
 }
 
 } // namespace

@@ -19,7 +19,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 10. jBYTEmark-like scores: our JIT vs the "
                  "HotSpot stand-in (index; larger is better)\n\n";
 

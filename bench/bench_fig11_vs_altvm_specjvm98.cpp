@@ -17,7 +17,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 11. SPECjvm98-like times: our JIT vs the "
                  "HotSpot stand-in (simulated ms; smaller is better)\n\n";
 

@@ -23,7 +23,6 @@ constexpr double kHostToP3Factor = 40.0;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 12. Ratio of JIT compilation time over the "
                  "first run (our JIT)\n\n";
 

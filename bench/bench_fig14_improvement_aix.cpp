@@ -16,7 +16,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 14. Improvement over the AIX baseline, "
                  "jBYTEmark-like suite (%)\n\n";
 

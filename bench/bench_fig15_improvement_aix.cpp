@@ -17,7 +17,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 15. Improvement over the AIX baseline, "
                  "SPECjvm98-like suite (%)\n\n";
 

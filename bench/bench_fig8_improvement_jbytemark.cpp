@@ -15,7 +15,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 8. Improvement over the no-trap baseline, "
                  "jBYTEmark-like suite (%)\n\n";
 

@@ -15,7 +15,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Figure 9. Improvement over the no-trap baseline, "
                  "SPECjvm98-like suite (%)\n\n";
 

@@ -2,7 +2,7 @@
  * @file
  * Execution-tier comparison on real wall time: reference switch
  * interpreter vs pre-decoded fused interpreter vs the native x86-64
- * tier (the all-native engine, TRAPJIT_INTERP=native: every function
+ * tier (the all-native engine, eagerTieredOptions(): every function
  * compiled on its first call), on jBYTEmark kernels (BM_Native_* — CI
  * uploads the results as BENCH_native.json next to BENCH_interp.json).
  * Native code keeps hot values in register homes and dispatches

@@ -15,7 +15,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Table 1. Performance for the jBYTEmark-like suite "
                  "(index; larger is better)\n"
                  "Model: IA32/Windows (reads and writes trap)\n\n";

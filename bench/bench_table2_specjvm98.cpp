@@ -15,7 +15,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Table 2. Performance for the SPECjvm98-like suite "
                  "(simulated ms; smaller is better)\n"
                  "Model: IA32/Windows (reads and writes trap)\n\n";

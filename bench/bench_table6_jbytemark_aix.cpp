@@ -17,7 +17,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Table 6. jBYTEmark-like scores on the PowerPC/AIX "
                  "model (index; larger is better)\n"
                  "Writes to the protected page trap; reads of page zero "

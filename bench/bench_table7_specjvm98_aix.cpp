@@ -14,7 +14,6 @@ using namespace trapjit::bench;
 int
 main()
 {
-    requireCycleModelEngine();
     std::cout << "Table 7. SPECjvm98-like times on the PowerPC/AIX "
                  "model (simulated ms at 332 MHz; smaller is better)\n\n";
 

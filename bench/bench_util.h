@@ -7,13 +7,13 @@
  *
  * Every bench binary regenerates one table or figure of the paper's
  * Section 5 by running the synthetic suites under the experiment arms
- * and printing the same rows the paper reports.  jBYTEmark-style scores
- * are an index (bigger is better, indexScale / cycles); SPECjvm98-style
- * results are simulated milliseconds (smaller is better).
+ * and printing the same rows the paper reports.  Cycles come from the
+ * reference interpreter's cost model (runWorkload).  jBYTEmark-style
+ * scores are an index (bigger is better, indexScale / cycles);
+ * SPECjvm98-style results are simulated milliseconds (smaller is
+ * better).
  */
 
-#include <cstdlib>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -33,25 +33,6 @@ struct Arm
     Target runtimeTarget;
     PipelineConfig config;
 };
-
-/**
- * Exit non-zero, before anything is printed, unless TRAPJIT_INTERP
- * selects an engine that models cycles.  Native frames add none, so a
- * cycle table from the native engine is all inf and one from the
- * tiered engine is plausible but wrong.  Every bench whose table comes
- * from WorkloadRun::cycles calls this first.
- */
-inline void
-requireCycleModelEngine()
-{
-    if (cycleModelEngineSelected())
-        return;
-    std::cerr << "error: TRAPJIT_INTERP="
-              << interpEngineName(interpEngineFromEnv())
-              << " models no cycles in native frames; this table needs "
-                 "TRAPJIT_INTERP=fast (default) or reference\n";
-    std::exit(2);
-}
 
 /** The five IA32 arms of Tables 1 and 2, plus the AltVM stand-in. */
 inline std::vector<Arm>

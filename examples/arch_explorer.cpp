@@ -19,15 +19,6 @@ using namespace trapjit;
 int
 main(int argc, char **argv)
 {
-    // The table's cycle and check-count columns come from the cost
-    // model, which native frames do not run.
-    if (!cycleModelEngineSelected()) {
-        std::cerr << "error: TRAPJIT_INTERP="
-                  << interpEngineName(interpEngineFromEnv())
-                  << " models no cycles in native frames; run with "
-                     "TRAPJIT_INTERP=fast (default) or reference\n";
-        return 2;
-    }
     std::string name = argc > 1 ? argv[1] : "mtrt";
     const Workload *w = findWorkload(name);
     if (!w) {

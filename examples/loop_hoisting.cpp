@@ -80,7 +80,7 @@ show(const char *label, const Target &target,
                                RuntimeValue::ofRef(arr),
                                RuntimeValue::ofInt(16)});
     std::cout << "walk(...) = " << r.value.i
-              << ", cycles = " << r.stats.cycles
+              << ", cycles = " << interp.cycles()
               << ", heap reads = " << r.stats.heapReads << "\n\n";
 }
 

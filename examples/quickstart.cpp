@@ -82,7 +82,7 @@ report(const char *label, const PipelineConfig &config)
     Interpreter interp(*mod, target);
     ExecResult result = interp.run(mod->findFunction("main"), {});
     std::cout << "result = " << result.value.i
-              << ", cycles = " << result.stats.cycles
+              << ", cycles = " << interp.cycles()
               << ", explicit checks executed = "
               << result.stats.explicitNullChecks
               << ", implicit = " << result.stats.implicitNullChecks

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include <sys/mman.h>
 
@@ -15,20 +13,6 @@
 
 namespace trapjit
 {
-
-TieredOptions
-tieredOptionsFromEnv()
-{
-    TieredOptions opts;
-    if (const char *env = std::getenv("TRAPJIT_TIER_THRESHOLD")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            opts.threshold = static_cast<uint32_t>(v);
-    }
-    if (const char *env = std::getenv("TRAPJIT_TIER_SYNC"))
-        opts.synchronous = std::strcmp(env, "0") != 0;
-    return opts;
-}
 
 TieredOptions
 eagerTieredOptions()

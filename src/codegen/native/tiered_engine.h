@@ -4,8 +4,7 @@
 /**
  * @file
  * The native tier's one engine: profile-guided mixed-mode execution
- * (TRAPJIT_INTERP=tiered) and, with eagerTieredOptions(), the all-
- * native engine (TRAPJIT_INTERP=native).
+ * and, with eagerTieredOptions(), the all-native engine.
  *
  * Every function starts in the fast interpreter, which counts calls
  * and taken back-edges into a per-engine hotness array.  Crossing the
@@ -53,8 +52,8 @@
  * and re-promotion.  trapsTaken counts NPEs raised at trap-covered
  * implicit checks, whether the guard page or an explicitized test
  * caught the null; the guard-page faults themselves are counted apart
- * (ServiceCounters::hardwareTraps).  Cycles are not modeled in native
- * frames.
+ * (ServiceCounters::hardwareTraps).  No cycles are counted: the cost
+ * model lives in the reference interpreter alone.
  */
 
 #include <cstdint>
@@ -71,12 +70,12 @@
 namespace trapjit
 {
 
-/** Tiering-policy knobs (see tieredOptionsFromEnv). */
+/** Tiering-policy knobs. */
 struct TieredOptions
 {
     /** Hotness (calls + back-edges) that triggers promotion. */
     uint32_t threshold = 64;
-    /** Compile inside the requesting call (TRAPJIT_TIER_SYNC=1). */
+    /** Compile inside the requesting call. */
     bool synchronous = false;
     /** Background compile workers (ignored when synchronous). */
     size_t workers = 2;
@@ -87,13 +86,7 @@ struct TieredOptions
 };
 
 /**
- * TieredOptions from TRAPJIT_TIER_THRESHOLD (positive integer) and
- * TRAPJIT_TIER_SYNC (non-"0" enables synchronous promotion).
- */
-TieredOptions tieredOptionsFromEnv();
-
-/**
- * The all-native policy (TRAPJIT_INTERP=native): threshold 1 with
+ * The all-native policy: threshold 1 with
  * synchronous promotion, so every supported function compiles and
  * runs natively from its first call.
  */

@@ -1,24 +1,10 @@
 #include "interp/decoded_program.h"
 
-#include "interp/cost_model.h"
 #include "ir/serializer.h"
 #include "support/diagnostics.h"
 
 namespace trapjit
 {
-
-uint64_t
-cyclesToEighths(double cycles)
-{
-    double scaled = cycles * 8.0;
-    auto eighths = static_cast<uint64_t>(scaled);
-    TRAPJIT_ASSERT(cycles >= 0.0 && static_cast<double>(eighths) == scaled,
-                   "cycle cost ", cycles,
-                   " is not a non-negative multiple of 1/8 — the fast "
-                   "engine's integer cycle accumulation needs dyadic "
-                   "costs (see cyclesToEighths)");
-    return eighths;
-}
 
 namespace
 {
@@ -137,7 +123,6 @@ decodeInst(const Function &fn, const Instruction &inst,
     d.imm = inst.imm;
     d.imm2 = inst.imm2;
     d.fimm = inst.fimm;
-    d.cost8 = cyclesToEighths(instructionCost(inst, target));
     d.site = inst.site;
     d.tryRegion = region;
 

@@ -7,11 +7,10 @@
  *
  * The reference interpreter (interp/interpreter.h) re-derives everything
  * it needs on every executed instruction: operand register ids through
- * the Instruction struct, the destination type for I32 truncation, the
- * per-instruction cycle cost through instructionCost()'s switch, and the
- * target's trap-coverage verdict through Target::trapCovers().  All of
- * that is loop-invariant: none of it can change between two executions
- * of the same instruction under the same target.
+ * the Instruction struct, the destination type for I32 truncation, and
+ * the target's trap-coverage verdict through Target::trapCovers().  All
+ * of that is loop-invariant: none of it can change between two
+ * executions of the same instruction under the same target.
  *
  * A DecodedFunction flattens the block structure into one contiguous
  * stream of fixed-size DecodedInst records with every such decision made
@@ -20,15 +19,12 @@
  *  - branch targets are stream indices, not block ids;
  *  - exception-handler entry points are stream indices, reached through
  *    a copied try-region table;
- *  - the cycle cost is a precomputed integer in *eighth-cycles* (every
- *    cost in the model is a dyadic multiple of 1/8, so each double
- *    addition in the reference engine's serial fold is exact and an
- *    integer sum converted once at the end reproduces that fold bit
- *    for bit — see cyclesToEighths());
  *  - the trap-relevant verdicts (exception site? speculative? would the
  *    access at this offset trap on this target? is the speculated read
  *    safe? does the illegal-implicit silent-zero arm apply?) are baked
- *    into one flags byte;
+ *    into one flags byte — the target's trap model is the only part of
+ *    the target a record depends on (the cost model stays with the
+ *    reference interpreter, which alone counts cycles);
  *  - Call argument lists live in a shared pool indexed by the record.
  *
  * On top of the flat stream a *superinstruction fusion* pass merges the
@@ -154,8 +150,6 @@ struct DecodedInst
     int64_t imm2 = 0;
     double fimm = 0.0;
 
-    uint64_t cost8 = 0;  ///< instructionCost(inst, target) in 1/8 cycles
-
     uint32_t argsBegin = 0; ///< offset into DecodedFunction::argPool
     uint32_t argsCount = 0;
 
@@ -203,16 +197,6 @@ struct DecodedFunction
 };
 
 /**
- * Convert a cycle cost to integer eighth-cycles.  Asserts that @p
- * cycles is a non-negative multiple of 1/8: that property is what makes
- * every addition in the reference engine's serial double fold exact, so
- * the fast engine's integer accumulation (converted back once per
- * flush) is bit-identical to it.  A future cost model introducing
- * finer-grained costs only needs a bigger power-of-two scale here.
- */
-uint64_t cyclesToEighths(double cycles);
-
-/**
  * Flatten @p fn into its decoded form for @p target.  The function must
  * be well-formed (every block terminated); the decoder asserts on
  * violations rather than diagnosing them — the verifier is the place
@@ -226,9 +210,11 @@ decodeFunction(const Function &fn, const Target &target,
  * Content address of the decoded form of function @p id under the
  * target whose targetDigest() is @p targetDigest, given @p textDigest,
  * the digest (hashBytes) of the function's serialized text: covers that
- * digest, the id, the target fingerprint through its digest (the cost
- * model and trap model are baked into the records) and the fusion
- * flag.  Equal keys imply bit-identical decoded programs,
+ * digest, the id, the target fingerprint through its digest (it covers
+ * the trap model baked into the records; it also covers the cost model,
+ * which no record carries, so two targets that differ only in costs
+ * decode separately, to identical programs) and the fusion flag.  Equal
+ * keys imply bit-identical decoded programs,
  * DecodedFunction::id included: the serializer writes no function id,
  * so identical texts installed at different ids decode separately, and
  * the engines that key tiering state by DecodedFunction::id find their

@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "interp/java_semantics.h"
 #include "support/diagnostics.h"
@@ -11,41 +9,13 @@
 namespace trapjit
 {
 
-InterpEngineKind
-interpEngineFromEnv()
-{
-    const char *env = std::getenv("TRAPJIT_INTERP");
-    if (env != nullptr && (std::strcmp(env, "reference") == 0 ||
-                           std::strcmp(env, "ref") == 0))
-        return InterpEngineKind::Reference;
-    if (env != nullptr && std::strcmp(env, "native") == 0)
-        return InterpEngineKind::Native;
-    if (env != nullptr && std::strcmp(env, "tiered") == 0)
-        return InterpEngineKind::Tiered;
-    return InterpEngineKind::Fast;
-}
-
-const char *
-interpEngineName(InterpEngineKind kind)
-{
-    switch (kind) {
-      case InterpEngineKind::Reference: return "reference";
-      case InterpEngineKind::Native: return "native";
-      case InterpEngineKind::Tiered: return "tiered";
-      default: return "fast";
-    }
-}
-
 FastInterpreter::FastInterpreter(const Module &mod, const Target &target,
                                  InterpOptions options,
                                  std::shared_ptr<DecodedProgramCache> cache,
                                  DecodeOptions decode_options)
     : mod_(mod), target_(target), options_(options),
       decodeOptions_(decode_options), cache_(std::move(cache)),
-      heap_(options.heapBytes),
-      throwCycles8_(cyclesToEighths(target.throwCycles)),
-      trapDispatch8_(cyclesToEighths(target.trapDispatchCycles)),
-      allocPerByte8_(cyclesToEighths(target.allocPerByteCycles))
+      heap_(options.heapBytes)
 {
     trace_.setEnabled(options.recordTrace);
 }
@@ -130,8 +100,7 @@ FastInterpreter::run(FunctionId func, const std::vector<RuntimeValue> &args)
 }
 
 FastInterpreter::Slot
-FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
-                                  uint64_t &cycles8)
+FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc)
 {
     const Slot zero{};
 
@@ -148,7 +117,6 @@ FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
     if (d.flags & kDecodedExceptionSite) {
         if (d.flags & kDecodedTrapCovered) {
             ++stats_.trapsTaken;
-            cycles8 += trapDispatch8_;
             exc = ThrownExc{ExcKind::NullPointer, d.site};
             return zero;
         }
@@ -163,52 +131,26 @@ FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
                     std::to_string(d.site));
 }
 
-// Dispatch mode: computed goto on GNU-compatible compilers, token-
-// threaded switch elsewhere (or when forced for testing).
-#if defined(__GNUC__) && !defined(TRAPJIT_FORCE_SWITCH_DISPATCH)
-#define TRAPJIT_DIRECT_THREADED 1
-#else
-#define TRAPJIT_DIRECT_THREADED 0
-#endif
-
-// One handler body serves both modes.  OP opens a handler; OP_TARGET
-// additionally defines a goto label so fused handlers can chain into the
-// second half of their pair (in threaded mode every handler has a label
-// because the dispatch table needs its address).
-#if TRAPJIT_DIRECT_THREADED
+// OP opens a handler at the label the dispatch table holds; fused
+// handlers also goto it to run the second half of their pair.
 #define OP(name) lbl_##name:
-#define OP_TARGET(name) lbl_##name:
 #define NEXT()                                                            \
     do {                                                                  \
         ++nDispatch;                                                      \
         goto *kLabels[static_cast<size_t>(ip->op)];                       \
     } while (0)
-#else
-#define OP(name) case DecodedOp::name:
-#define OP_TARGET(name) case DecodedOp::name: lbl_##name:
-#define NEXT()                                                            \
-    do {                                                                  \
-        ++nDispatch;                                                      \
-        goto L_dispatch;                                                  \
-    } while (0)
-#endif
 
-// The per-record counters live in frame locals (nInstr, nDispatch,
-// cycles8, and the hot semantic counters below) so the compiler can
-// keep them in registers across the dispatch loop instead of a
-// load/inc/store through `this` per record; FLUSH_STATS() writes them
-// back wherever control can leave the frame (calls, returns, faults,
-// the null slow path).  Rare counters (traps, allocations, calls) stay
-// on stats_ directly.
-// Cycles accumulate as integer eighth-cycles: every cost is a dyadic
-// multiple of 1/8 (cyclesToEighths asserts it), so the reference
-// engine's serial double fold is exact and equals this integer sum —
-// the conversions in FLUSH/RELOAD are exact in both directions.
+// The per-record counters live in frame locals (nInstr, nDispatch and
+// the hot semantic counters below) so the compiler can keep them in
+// registers across the dispatch loop instead of a load/inc/store
+// through `this` per record; FLUSH_STATS() writes them back wherever
+// control can leave the frame (calls, returns, faults, the null slow
+// path).  Rare counters (traps, allocations, calls) stay on stats_
+// directly.
 #define FLUSH_STATS()                                                     \
     do {                                                                  \
         stats_.instructions = nInstr;                                     \
         stats_.dispatches = nDispatch;                                    \
-        stats_.cycles = static_cast<double>(cycles8) * 0.125;             \
         stats_.fusedPairsExecuted = nFused;                               \
         stats_.explicitNullChecks = nExplicitNC;                          \
         stats_.implicitNullChecks = nImplicitNC;                          \
@@ -221,7 +163,6 @@ FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
     do {                                                                  \
         nInstr = stats_.instructions;                                     \
         nDispatch = stats_.dispatches;                                    \
-        cycles8 = static_cast<uint64_t>(stats_.cycles * 8.0);             \
         nFused = stats_.fusedPairsExecuted;                               \
         nExplicitNC = stats_.explicitNullChecks;                          \
         nImplicitNC = stats_.implicitNullChecks;                          \
@@ -230,23 +171,19 @@ FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
         nHeapWrites = stats_.heapWrites;                                  \
     } while (0)
 
-// Per-record preamble: the instruction budget guard and the precomputed
-// cycle cost (one eighth-cycle addition per record, in execution order —
-// fused pairs charge twice, like the reference's two double additions).
-#define CHARGE(rec)                                                       \
+// Per-record preamble: charge the record to the instruction budget (a
+// fused handler charges each record it executes, as the reference does).
+#define CHARGE()                                                          \
     do {                                                                  \
         if (++nInstr > maxInstr) {                                        \
             FLUSH_STATS();                                                \
             throw HardFault("instruction budget exceeded in " + df.name); \
         }                                                                 \
-        cycles8 += (rec).cost8;                                           \
     } while (0)
 
-// Raise a Java-level exception from this record (adds throwCycles, like
-// the reference engine's raise() lambda).
+// Raise a Java-level exception from this record.
 #define RAISE(kind, rec)                                                  \
     do {                                                                  \
-        cycles8 += throwCycles8_;                                         \
         pending = ThrownExc{(kind), (rec).site};                          \
         excRegion = (rec).tryRegion;                                      \
         goto L_exception;                                                 \
@@ -260,8 +197,8 @@ FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
         throw HardFault(msg);                                             \
     } while (0)
 
-// Dispatch an exception that was recorded without throwCycles (trap NPEs
-// from handleNullAccess, propagated callee exceptions, Throw).
+// Dispatch an exception that is already pending (trap NPEs from
+// handleNullAccess, propagated callee exceptions, Throw).
 #define DISPATCH_PENDING(rec)                                             \
     do {                                                                  \
         excRegion = (rec).tryRegion;                                      \
@@ -328,7 +265,6 @@ FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
     Slot retVal;
     uint64_t nInstr = stats_.instructions;
     uint64_t nDispatch = stats_.dispatches;
-    uint64_t cycles8 = static_cast<uint64_t>(stats_.cycles * 8.0);
     uint64_t nFused = stats_.fusedPairsExecuted;
     uint64_t nExplicitNC = stats_.explicitNullChecks;
     uint64_t nImplicitNC = stats_.implicitNullChecks;
@@ -337,7 +273,6 @@ FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
     uint64_t nHeapWrites = stats_.heapWrites;
     const uint64_t maxInstr = options_.maxInstructions;
 
-#if TRAPJIT_DIRECT_THREADED
     static const void *const kLabels[kNumDecodedOps] = {
         &&lbl_ConstInt, &&lbl_ConstFloat, &&lbl_ConstNull, &&lbl_Move,
         &&lbl_IAdd, &&lbl_ISub, &&lbl_IMul, &&lbl_IDiv, &&lbl_IRem,
@@ -368,19 +303,13 @@ FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
         &&lbl_FusedArrayStoreQuad,
         &&lbl_FusedLoopLatch,
     };
-#endif
 
     NEXT();
-
-#if !TRAPJIT_DIRECT_THREADED
-L_dispatch:
-    switch (ip->op) {
-#endif
 
     OP(ConstInt)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, rec.imm);
         ++ip;
         NEXT();
@@ -388,7 +317,7 @@ L_dispatch:
     OP(ConstFloat)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = rec.fimm;
         ++ip;
         NEXT();
@@ -396,7 +325,7 @@ L_dispatch:
     OP(ConstNull)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].ref = 0;
         ++ip;
         NEXT();
@@ -404,16 +333,16 @@ L_dispatch:
     OP(Move)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst] = r[rec.a]; // one machine word, all lanes
         ++ip;
         NEXT();
     }
 
-    OP_TARGET(IAdd)
+    OP(IAdd)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, static_cast<int64_t>(
                       static_cast<uint64_t>(r[rec.a].i) +
                       static_cast<uint64_t>(r[rec.b].i)));
@@ -423,7 +352,7 @@ L_dispatch:
     OP(ISub)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, static_cast<int64_t>(
                       static_cast<uint64_t>(r[rec.a].i) -
                       static_cast<uint64_t>(r[rec.b].i)));
@@ -433,7 +362,7 @@ L_dispatch:
     OP(IMul)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, static_cast<int64_t>(
                       static_cast<uint64_t>(r[rec.a].i) *
                       static_cast<uint64_t>(r[rec.b].i)));
@@ -443,7 +372,7 @@ L_dispatch:
     OP(IDiv)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         if (r[rec.b].i == 0)
             RAISE(ExcKind::Arithmetic, rec);
         SETI(rec, javaDiv(r[rec.a].i, r[rec.b].i));
@@ -453,7 +382,7 @@ L_dispatch:
     OP(IRem)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         if (r[rec.b].i == 0)
             RAISE(ExcKind::Arithmetic, rec);
         SETI(rec, javaRem(r[rec.a].i, r[rec.b].i));
@@ -463,7 +392,7 @@ L_dispatch:
     OP(INeg)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, static_cast<int64_t>(
                       0 - static_cast<uint64_t>(r[rec.a].i)));
         ++ip;
@@ -472,7 +401,7 @@ L_dispatch:
     OP(IAnd)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, r[rec.a].i & r[rec.b].i);
         ++ip;
         NEXT();
@@ -480,7 +409,7 @@ L_dispatch:
     OP(IOr)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, r[rec.a].i | r[rec.b].i);
         ++ip;
         NEXT();
@@ -488,7 +417,7 @@ L_dispatch:
     OP(IXor)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, r[rec.a].i ^ r[rec.b].i);
         ++ip;
         NEXT();
@@ -496,7 +425,7 @@ L_dispatch:
     OP(IShl)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         bool wide = (rec.flags & kDecodedNarrowDst) == 0;
         int sh = static_cast<int>(r[rec.b].i & (wide ? 63 : 31));
         SETI(rec, static_cast<int64_t>(
@@ -507,7 +436,7 @@ L_dispatch:
     OP(IShr)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         bool wide = (rec.flags & kDecodedNarrowDst) == 0;
         int sh = static_cast<int>(r[rec.b].i & (wide ? 63 : 31));
         int64_t v = wide ? r[rec.a].i
@@ -519,7 +448,7 @@ L_dispatch:
     OP(IUshr)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         bool wide = (rec.flags & kDecodedNarrowDst) == 0;
         int sh = static_cast<int>(r[rec.b].i & (wide ? 63 : 31));
         uint64_t v = wide ? static_cast<uint64_t>(r[rec.a].i)
@@ -532,7 +461,7 @@ L_dispatch:
     OP(FAdd)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = r[rec.a].f + r[rec.b].f;
         ++ip;
         NEXT();
@@ -540,7 +469,7 @@ L_dispatch:
     OP(FSub)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = r[rec.a].f - r[rec.b].f;
         ++ip;
         NEXT();
@@ -548,7 +477,7 @@ L_dispatch:
     OP(FMul)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = r[rec.a].f * r[rec.b].f;
         ++ip;
         NEXT();
@@ -556,7 +485,7 @@ L_dispatch:
     OP(FDiv)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = r[rec.a].f / r[rec.b].f;
         ++ip;
         NEXT();
@@ -564,7 +493,7 @@ L_dispatch:
     OP(FNeg)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = -r[rec.a].f;
         ++ip;
         NEXT();
@@ -572,7 +501,7 @@ L_dispatch:
     OP(FExp)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = std::exp(r[rec.a].f);
         ++ip;
         NEXT();
@@ -580,7 +509,7 @@ L_dispatch:
     OP(FSqrt)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = std::sqrt(r[rec.a].f);
         ++ip;
         NEXT();
@@ -588,7 +517,7 @@ L_dispatch:
     OP(FSin)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = std::sin(r[rec.a].f);
         ++ip;
         NEXT();
@@ -596,7 +525,7 @@ L_dispatch:
     OP(FCos)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = std::cos(r[rec.a].f);
         ++ip;
         NEXT();
@@ -604,7 +533,7 @@ L_dispatch:
     OP(FAbs)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = std::fabs(r[rec.a].f);
         ++ip;
         NEXT();
@@ -612,7 +541,7 @@ L_dispatch:
     OP(FLog)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = std::log(r[rec.a].f);
         ++ip;
         NEXT();
@@ -621,7 +550,7 @@ L_dispatch:
     OP(I2F)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].f = static_cast<double>(r[rec.a].i);
         ++ip;
         NEXT();
@@ -629,7 +558,7 @@ L_dispatch:
     OP(F2I)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, javaF2I(r[rec.a].f));
         ++ip;
         NEXT();
@@ -637,7 +566,7 @@ L_dispatch:
     OP(I2L)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         r[rec.dst].i = static_cast<int32_t>(r[rec.a].i);
         ++ip;
         NEXT();
@@ -645,7 +574,7 @@ L_dispatch:
     OP(L2I)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, r[rec.a].i);
         ++ip;
         NEXT();
@@ -654,7 +583,7 @@ L_dispatch:
     OP(ICmp)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, evalPred(rec.pred, r[rec.a].i, r[rec.b].i) ? 1 : 0);
         ++ip;
         NEXT();
@@ -662,7 +591,7 @@ L_dispatch:
     OP(FCmp)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         SETI(rec, evalPred(rec.pred, r[rec.a].f, r[rec.b].f) ? 1 : 0);
         ++ip;
         NEXT();
@@ -671,7 +600,7 @@ L_dispatch:
     OP(NullCheck)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         if (rec.flavor == CheckFlavor::Explicit) {
             ++nExplicitNC;
             if (r[rec.a].ref == 0)
@@ -685,7 +614,7 @@ L_dispatch:
     OP(BoundCheck)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nBoundChecks;
         if (r[rec.a].i < 0 || r[rec.a].i >= r[rec.b].i)
             RAISE(ExcKind::ArrayIndexOutOfBounds, rec);
@@ -693,14 +622,14 @@ L_dispatch:
         NEXT();
     }
 
-    OP_TARGET(GetField)
+    OP(GetField)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+            r[rec.dst] = handleNullAccess(rec, pending);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -720,14 +649,14 @@ L_dispatch:
         ++ip;
         NEXT();
     }
-    OP_TARGET(PutField)
+    OP(PutField)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            handleNullAccess(rec, pending, cycles8);
+            handleNullAccess(rec, pending);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -763,14 +692,14 @@ L_dispatch:
         ++ip;
         NEXT();
     }
-    OP_TARGET(ArrayLength)
+    OP(ArrayLength)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+            r[rec.dst] = handleNullAccess(rec, pending);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -781,14 +710,14 @@ L_dispatch:
         ++ip;
         NEXT();
     }
-    OP_TARGET(ArrayLoad)
+    OP(ArrayLoad)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+            r[rec.dst] = handleNullAccess(rec, pending);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -811,14 +740,14 @@ L_dispatch:
         ++ip;
         NEXT();
     }
-    OP_TARGET(ArrayStore)
+    OP(ArrayStore)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            handleNullAccess(rec, pending, cycles8);
+            handleNullAccess(rec, pending);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -861,13 +790,12 @@ L_dispatch:
     OP(NewObject)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++stats_.allocations;
         Address ref = heap_.allocateObject(static_cast<ClassId>(rec.imm),
                                            rec.imm2);
         if (ref == 0)
             RAISE(ExcKind::OutOfMemory, rec);
-        cycles8 += allocPerByte8_ * static_cast<uint64_t>(rec.imm2);
         trace_.recordAllocation(ref, static_cast<uint64_t>(rec.imm2));
         r[rec.dst].ref = ref;
         ++ip;
@@ -876,7 +804,7 @@ L_dispatch:
     OP(NewArray)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         int64_t len = static_cast<int32_t>(r[rec.a].i);
         if (len < 0)
             RAISE(ExcKind::NegativeArraySize, rec);
@@ -885,8 +813,6 @@ L_dispatch:
                                           static_cast<int32_t>(len));
         if (ref == 0)
             RAISE(ExcKind::OutOfMemory, rec);
-        cycles8 +=
-            allocPerByte8_ * static_cast<uint64_t>(len * typeSize(rec.type));
         trace_.recordAllocation(
             ref, static_cast<uint64_t>(len) * typeSize(rec.type));
         r[rec.dst].ref = ref;
@@ -894,10 +820,10 @@ L_dispatch:
         NEXT();
     }
 
-    OP_TARGET(Call)
+    OP(Call)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++stats_.calls;
         FunctionId callee = kNoFunction;
         const ValueId *cargs = df.argPool.data() + rec.argsBegin;
@@ -905,7 +831,7 @@ L_dispatch:
             Address recv = r[cargs[0]].ref;
             if (recv == 0) {
                 FLUSH_STATS();
-            handleNullAccess(rec, pending, cycles8);
+            handleNullAccess(rec, pending);
                 if (pending.pending())
                     DISPATCH_PENDING(rec);
                 ++ip;
@@ -955,16 +881,16 @@ L_dispatch:
     OP(Jump)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         const DecodedInst *const from = ip;
         ip = code + rec.target;
         TIER_BACKEDGE(from);
         NEXT();
     }
-    OP_TARGET(Branch)
+    OP(Branch)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         const DecodedInst *const from = ip;
         ip = code + (r[rec.a].i != 0 ? rec.target : rec.target2);
         TIER_BACKEDGE(from);
@@ -973,7 +899,7 @@ L_dispatch:
     OP(IfNull)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         const DecodedInst *const from = ip;
         ip = code + (r[rec.a].ref == 0 ? rec.target : rec.target2);
         TIER_BACKEDGE(from);
@@ -982,7 +908,7 @@ L_dispatch:
     OP(Return)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         if (rec.a != kNoValue)
             retVal = r[rec.a];
         goto L_return;
@@ -990,27 +916,25 @@ L_dispatch:
     OP(Throw)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         pending = ThrownExc{static_cast<ExcKind>(rec.imm), rec.site};
         DISPATCH_PENDING(rec);
     }
     OP(Nop)
     {
-        const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++ip;
         NEXT();
     }
 
     // --- Superinstructions: execute the first record inline, then fall
     // through (via goto) into the second record's handler.  Each half
-    // keeps its own budget check and cost addition so the cycle double
-    // accumulates in exactly the reference engine's order.
+    // keeps its own budget check, in the reference engine's order.
 
     OP(FusedNullCheckGetField)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         if (rec.flavor == CheckFlavor::Explicit) {
             ++nExplicitNC;
@@ -1025,7 +949,7 @@ L_dispatch:
     OP(FusedNullCheckCall)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         if (rec.flavor == CheckFlavor::Explicit) {
             ++nExplicitNC;
@@ -1040,7 +964,7 @@ L_dispatch:
     OP(FusedBoundCheckArrayLoad)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         ++nBoundChecks;
         if (r[rec.a].i < 0 || r[rec.a].i >= r[rec.b].i)
@@ -1051,7 +975,7 @@ L_dispatch:
     OP(FusedBoundCheckArrayStore)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         ++nBoundChecks;
         if (r[rec.a].i < 0 || r[rec.a].i >= r[rec.b].i)
@@ -1062,7 +986,7 @@ L_dispatch:
     OP(FusedICmpBranch)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         SETI(rec, evalPred(rec.pred, r[rec.a].i, r[rec.b].i) ? 1 : 0);
         ++ip;
@@ -1071,7 +995,7 @@ L_dispatch:
     OP(FusedFCmpBranch)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         SETI(rec, evalPred(rec.pred, r[rec.a].f, r[rec.b].f) ? 1 : 0);
         ++ip;
@@ -1080,7 +1004,7 @@ L_dispatch:
     OP(FusedConstIntIAdd)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         SETI(rec, rec.imm);
         ++ip;
@@ -1089,7 +1013,7 @@ L_dispatch:
     OP(FusedNullCheckArrayLength)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         if (rec.flavor == CheckFlavor::Explicit) {
             ++nExplicitNC;
@@ -1104,7 +1028,7 @@ L_dispatch:
     OP(FusedNullCheckPutField)
     {
         const DecodedInst &rec = *ip;
-        CHARGE(rec);
+        CHARGE();
         ++nFused;
         if (rec.flavor == CheckFlavor::Explicit) {
             ++nExplicitNC;
@@ -1119,7 +1043,7 @@ L_dispatch:
 
     // The quad superinstructions run a whole checked array access —
     // NullCheck; ArrayLength; BoundCheck; ArrayLoad/Store — off one
-    // dispatch.  Each record keeps its own budget/cost charge and its
+    // dispatch.  Each record keeps its own budget charge and its
     // full slow path, so exceptional runs stay bit-identical to the
     // reference.  Fusion verified the operand wiring (one ref, the
     // length feeding the check, the checked index feeding the access),
@@ -1131,7 +1055,7 @@ L_dispatch:
     {
         {
             const DecodedInst &rec = *ip; // NullCheck
-            CHARGE(rec);
+            CHARGE();
             nFused += 3;
             if (rec.flavor == CheckFlavor::Explicit) {
                 ++nExplicitNC;
@@ -1144,11 +1068,11 @@ L_dispatch:
         {
             ++ip;
             const DecodedInst &rec = *ip; // ArrayLength
-            CHARGE(rec);
+            CHARGE();
             Address ref = r[rec.a].ref;
             if (ref == 0) { // implicit-flavor checks don't test the ref
                 FLUSH_STATS();
-                r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+                r[rec.dst] = handleNullAccess(rec, pending);
                 if (pending.pending())
                     DISPATCH_PENDING(rec);
                 ++ip;
@@ -1160,7 +1084,7 @@ L_dispatch:
 
             ++ip;
             const DecodedInst &bc = *ip; // BoundCheck (b == length dst)
-            CHARGE(bc);
+            CHARGE();
             ++nBoundChecks;
             int64_t idx = r[bc.a].i;
             if (idx < 0 || idx >= len)
@@ -1168,7 +1092,7 @@ L_dispatch:
 
             ++ip;
             const DecodedInst &ac = *ip; // ArrayLoad (a == ref, b == idx)
-            CHARGE(ac);
+            CHARGE();
             Address addr = ref + kArrayDataOffset +
                            static_cast<Address>(idx) * typeSize(ac.type);
             ++nHeapReads;
@@ -1187,7 +1111,7 @@ L_dispatch:
     {
         {
             const DecodedInst &rec = *ip; // NullCheck
-            CHARGE(rec);
+            CHARGE();
             nFused += 3;
             if (rec.flavor == CheckFlavor::Explicit) {
                 ++nExplicitNC;
@@ -1200,11 +1124,11 @@ L_dispatch:
         {
             ++ip;
             const DecodedInst &rec = *ip; // ArrayLength
-            CHARGE(rec);
+            CHARGE();
             Address ref = r[rec.a].ref;
             if (ref == 0) { // implicit-flavor checks don't test the ref
                 FLUSH_STATS();
-                r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+                r[rec.dst] = handleNullAccess(rec, pending);
                 if (pending.pending())
                     DISPATCH_PENDING(rec);
                 ++ip;
@@ -1216,7 +1140,7 @@ L_dispatch:
 
             ++ip;
             const DecodedInst &bc = *ip; // BoundCheck (b == length dst)
-            CHARGE(bc);
+            CHARGE();
             ++nBoundChecks;
             int64_t idx = r[bc.a].i;
             if (idx < 0 || idx >= len)
@@ -1224,7 +1148,7 @@ L_dispatch:
 
             ++ip;
             const DecodedInst &ac = *ip; // ArrayStore (a == ref, b == idx)
-            CHARGE(ac);
+            CHARGE();
             Address addr = ref + kArrayDataOffset +
                            static_cast<Address>(idx) * typeSize(ac.type);
             ++nHeapWrites;
@@ -1261,14 +1185,14 @@ L_dispatch:
     {
         {
             const DecodedInst &rec = *ip; // ConstInt
-            CHARGE(rec);
+            CHARGE();
             nFused += 4;
             SETI(rec, rec.imm);
         }
         {
             ++ip;
             const DecodedInst &rec = *ip; // IAdd
-            CHARGE(rec);
+            CHARGE();
             SETI(rec, static_cast<int64_t>(
                           static_cast<uint64_t>(r[rec.a].i) +
                           static_cast<uint64_t>(r[rec.b].i)));
@@ -1276,32 +1200,25 @@ L_dispatch:
         {
             ++ip;
             const DecodedInst &rec = *ip; // Move
-            CHARGE(rec);
+            CHARGE();
             r[rec.dst] = r[rec.a];
         }
         {
             ++ip;
             const DecodedInst &rec = *ip; // ICmp
-            CHARGE(rec);
+            CHARGE();
             SETI(rec, evalPred(rec.pred, r[rec.a].i, r[rec.b].i) ? 1 : 0);
         }
         {
             ++ip;
             const DecodedInst &rec = *ip; // Branch
-            CHARGE(rec);
+            CHARGE();
             const DecodedInst *const from = ip;
             ip = code + (r[rec.a].i != 0 ? rec.target : rec.target2);
             TIER_BACKEDGE(from);
             NEXT();
         }
     }
-
-#if !TRAPJIT_DIRECT_THREADED
-      case DecodedOp::Count:
-        break;
-    }
-    TRAPJIT_PANIC("corrupt decoded stream");
-#endif
 
 L_exception:
     for (TryRegionId rr = excRegion; rr != 0;
@@ -1323,7 +1240,6 @@ L_return:
 }
 
 #undef OP
-#undef OP_TARGET
 #undef NEXT
 #undef CHARGE
 #undef TIER_BACKEDGE

@@ -6,14 +6,15 @@
  * Pre-decoded, direct-threaded IR interpreter.
  *
  * Executes the DecodedFunction form (interp/decoded_program.h) with
- * computed-goto dispatch on GNU-compatible compilers and a token-
- * threaded switch otherwise (define TRAPJIT_FORCE_SWITCH_DISPATCH to
- * force the portable path).  Semantics — heap contents, exception
+ * computed-goto dispatch.  Semantics — heap contents, exception
  * behavior including the per-target trap model, the observable event
- * trace, and the accumulated cycle count, bit for bit — are identical
- * to the reference interpreter (interp/interpreter.h), which is kept
- * as the executable specification; tests/test_interp_differential.cpp
- * enforces the contract over random programs under every config arm.
+ * trace, and every semantic ExecStats counter — are identical to the
+ * reference interpreter (interp/interpreter.h), which is kept as the
+ * executable specification; tests/test_interp_differential.cpp
+ * enforces the contract over random programs and the 17 suite
+ * programs under every config arm.  Cycles are not counted here: the
+ * cost model lives in the reference interpreter alone
+ * (Interpreter::cycles()).
  *
  * The register file is a packed array of 8-byte union slots rather than
  * the reference engine's three-field RuntimeValue: every IR value has
@@ -42,29 +43,6 @@
 namespace trapjit
 {
 
-/** Which execution engine to use for a workload run. */
-enum class InterpEngineKind : uint8_t
-{
-    Reference, ///< the original switch interpreter (the oracle)
-    Fast,      ///< pre-decoded, direct-threaded engine
-    Native,    ///< x86-64 machine code with hardware-trap null checks
-    Tiered,    ///< fast engine + profile-guided native promotion
-};
-
-/**
- * Engine selected by the TRAPJIT_INTERP environment variable:
- * "reference" (or "ref") picks the oracle, "tiered" the profile-guided
- * mixed-mode engine (codegen/native/tiered_engine.h), "native" the
- * same engine with the all-native policy (eagerTieredOptions(): every
- * function compiles on its first call; functions the tier cannot run
- * stay on the fast engine), anything else — including the variable
- * being unset — the fast engine.
- */
-InterpEngineKind interpEngineFromEnv();
-
-/** Printable engine name ("reference" / "fast" / "native" / "tiered"). */
-const char *interpEngineName(InterpEngineKind kind);
-
 /**
  * The fast engine; mirrors the Interpreter surface so call sites can
  * switch between the two with a branch.
@@ -74,7 +52,7 @@ class FastInterpreter
   public:
     /**
      * @param mod     the compiled module to execute
-     * @param target  the honest runtime trap/cost model
+     * @param target  the honest runtime trap model
      * @param cache   optional shared decode cache; when null, decodes
      *                are private to this interpreter (still memoized
      *                per function)
@@ -150,13 +128,8 @@ class FastInterpreter
     FrameResult execFrameAt(const DecodedFunction &df, Slot *r,
                             size_t depth, uint32_t startRecord);
 
-    /**
-     * Decoded-form twin of Interpreter::handleNullAccess.  @p cycles8
-     * is the frame's register-resident eighth-cycle accumulator (trap
-     * dispatch charges land there, in reference order).
-     */
-    Slot handleNullAccess(const DecodedInst &d, ThrownExc &exc,
-                          uint64_t &cycles8);
+    /** Decoded-form twin of Interpreter::handleNullAccess. */
+    Slot handleNullAccess(const DecodedInst &d, ThrownExc &exc);
 
     const Module &mod_;
     const Target &target_;
@@ -169,11 +142,6 @@ class FastInterpreter
     Heap heap_;
     EventTrace trace_;
     ExecStats stats_;
-
-    // Target charges pre-scaled to eighth-cycles (see cyclesToEighths).
-    uint64_t throwCycles8_;
-    uint64_t trapDispatch8_;
-    uint64_t allocPerByte8_;
 
     // ---- profile-guided tiering (all null/zero = disabled) ----------
     // Set directly by the owning TieredEngine (a friend): tierHot_ is

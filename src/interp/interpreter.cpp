@@ -25,6 +25,7 @@ Interpreter::reset()
     heap_.reset();
     trace_.clear();
     stats_ = ExecStats{};
+    cycles_ = 0.0;
 }
 
 ExecResult
@@ -68,7 +69,7 @@ Interpreter::handleNullAccess(const Instruction &inst, ThrownExc &exc)
         if (target_.trapCovers(inst)) {
             // The hardware trap fires and the VM turns it into an NPE.
             ++stats_.trapsTaken;
-            stats_.cycles += target_.trapDispatchCycles;
+            cycles_ += target_.trapDispatchCycles;
             exc = ThrownExc{ExcKind::NullPointer, inst.site};
             return zero;
         }
@@ -121,10 +122,10 @@ Interpreter::execFunction(const Function &func,
             if (++stats_.instructions > options_.maxInstructions)
                 throw HardFault("instruction budget exceeded in " +
                                 func.name());
-            stats_.cycles += instructionCost(inst, target_);
+            cycles_ += instructionCost(inst, target_);
 
             auto raise = [&](ExcKind kind) {
-                stats_.cycles += target_.throwCycles;
+                cycles_ += target_.throwCycles;
                 pending = ThrownExc{kind, inst.site};
             };
 
@@ -444,7 +445,7 @@ Interpreter::execFunction(const Function &func,
                     raise(ExcKind::OutOfMemory);
                     break;
                 }
-                stats_.cycles += target_.allocPerByteCycles *
+                cycles_ += target_.allocPerByteCycles *
                                  static_cast<double>(inst.imm2);
                 trace_.recordAllocation(ref,
                                         static_cast<uint64_t>(inst.imm2));
@@ -465,7 +466,7 @@ Interpreter::execFunction(const Function &func,
                     raise(ExcKind::OutOfMemory);
                     break;
                 }
-                stats_.cycles += target_.allocPerByteCycles *
+                cycles_ += target_.allocPerByteCycles *
                                  static_cast<double>(
                                      len * typeSize(inst.elemType));
                 trace_.recordAllocation(

@@ -20,7 +20,9 @@
  *    a wild access; the test suite treats this as a miscompilation
  *
  * Execution also accumulates the cycle costs of the cost model, which is
- * what the benchmark harnesses report as performance.
+ * what the benchmark harnesses report as performance.  This is the only
+ * engine that does: the fast, native and tiered engines count no
+ * cycles, so every cycle table runs here (runWorkload).
  */
 
 #include <cstdint>
@@ -67,11 +69,10 @@ struct RuntimeValue
     }
 };
 
-/** Execution statistics (dynamic counts and simulated cycles). */
+/** Execution statistics (dynamic counts). */
 struct ExecStats
 {
     uint64_t instructions = 0;
-    double cycles = 0.0;
     uint64_t explicitNullChecks = 0;
     uint64_t implicitNullChecks = 0;
     uint64_t boundChecks = 0;
@@ -131,7 +132,14 @@ class Interpreter
     EventTrace &trace() { return trace_; }
     const ExecStats &stats() const { return stats_; }
 
-    /** Clear heap, trace and statistics for a fresh run. */
+    /**
+     * Simulated cycles charged since construction or the last reset():
+     * the cost model of interp/cost_model.h plus trap dispatch, throw
+     * and per-byte allocation charges, summed in execution order.
+     */
+    double cycles() const { return cycles_; }
+
+    /** Clear heap, trace, statistics and cycles for a fresh run. */
     void reset();
 
   private:
@@ -158,6 +166,7 @@ class Interpreter
     Heap heap_;
     EventTrace trace_;
     ExecStats stats_;
+    double cycles_ = 0.0;
 };
 
 } // namespace trapjit

@@ -44,8 +44,8 @@ struct TierControllerOptions
 {
     /**
      * Compile on the caller's thread inside requestPromotion() instead
-     * of the pool (TRAPJIT_TIER_SYNC=1): deterministic promotion points
-     * for the differential tests.
+     * of the pool (TieredOptions::synchronous): deterministic promotion
+     * points for the differential tests.
      */
     bool synchronous = false;
     /** Background compile workers (ignored when synchronous). */

@@ -75,11 +75,12 @@ EquivalenceReport compareWithReference(
 /**
  * Cross-engine differential oracle: run @p mod's `main` once under the
  * reference switch interpreter and once under the pre-decoded fast
- * engine (interp/fast_interpreter.h) and compare *everything*, bit for
- * bit — HardFault parity (including the fault message), outcome,
- * exception kind, the typed return value, the full ordered EventTrace,
- * the final heap digest, the accumulated cycle double, and every
- * semantic ExecStats counter.  This is strictly stronger than the
+ * engine (interp/fast_interpreter.h) and compare everything both
+ * produce, bit for bit — HardFault parity (including the fault
+ * message), outcome, exception kind, the typed return value, the full
+ * ordered EventTrace, the final heap digest, and every semantic
+ * ExecStats counter (cycles are the reference engine's alone, so they
+ * are not compared).  This is strictly stronger than the
  * Java-observability check above: the fast engine is required to be an
  * exact reimplementation, not merely an equivalent one.
  *
@@ -99,19 +100,18 @@ EquivalenceReport compareEngines(Module &mod, const Target &runtime_target,
  * value (F64 bitwise), the full ordered EventTrace, the final heap
  * digest, and the semantic counters native frames maintain
  * (instructions, calls, allocations, trapsTaken,
- * speculativeReadsOfNull).  The cycle cost model and the engine-side
- * dynamic counters are excluded: native frames run on real time.  The
- * second run executes what the first left behind — blocks recompiled
- * after traps with their sites explicit, functions the first run only
- * interpreted — so those stay under the oracle too.
+ * speculativeReadsOfNull).  The engine-side dynamic counters are
+ * excluded: native frames run on real time.  The second run executes
+ * what the first left behind — blocks recompiled after traps with their
+ * sites explicit, functions the first run only interpreted — so those
+ * stay under the oracle too.
  *
  * The default options force synchronous promotion at a threshold of 2
  * so functions tier up *mid-case* and the run crosses interpreter ->
  * native -> interpreter frames in both directions; pass
- * eagerTieredOptions() for the all-native engine (TRAPJIT_INTERP=
- * native), a backend to pin the baseline or optimized lowering, or
- * other TieredOptions to cover other policies (background workers,
- * linking off, high threshold).
+ * eagerTieredOptions() for the all-native engine, or other
+ * TieredOptions to cover other policies (background workers, linking
+ * off, high threshold).
  *
  * @param prepare  runs on the tiered engine before `main` does — e.g.
  *                 promoteNow on chosen functions under a threshold

@@ -10,7 +10,8 @@
  * the config-matrix suite covers.  Each case builds a fresh workload
  * module (testing/workload_gen/), compiles it under the arm with the
  * soundness auditor collecting, and then runs the differential oracles:
- * reference vs fast interpreter (bit-exact, cycles included) and — on
+ * reference vs fast interpreter (bit-exact on every observable and
+ * semantic counter; only the reference counts cycles) and — on
  * hosts with the native tier — fast vs the all-native engine and fast
  * vs the profile-guided tiered engine (threshold 2, so functions
  * promote in the middle of the case and publish/patch runs under live

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "arch/target.h"
-#include "interp/fast_interpreter.h"
 #include "interp/interpreter.h"
 #include "ir/module.h"
 #include "jit/compiler.h"
@@ -62,9 +61,7 @@ struct WorkloadRun
 {
     bool ok = false;          ///< returned normally
     int64_t checksum = 0;     ///< main's return value
-    /** Simulated cycles; only the reference and fast engines model
-     *  them (see cycleModelEngineSelected()). */
-    double cycles = 0.0;
+    double cycles = 0.0;      ///< simulated cycles (Interpreter::cycles())
     ExecStats stats;          ///< dynamic counters
     CompileReport compile;    ///< where the compile time went
     ExcKind exception = ExcKind::None;
@@ -75,29 +72,13 @@ struct WorkloadRun
  * @p runtime_target (the honest machine model — may differ from the
  * compiler's target in the Illegal Implicit experiment).
  *
- * Execution uses the pre-decoded fast engine unless TRAPJIT_INTERP
- * selects the reference interpreter, the tiered engine or the
- * all-native engine (see interpEngineFromEnv()).  The engines are
- * differentially tested to be bit-identical on the checksum,
- * exception, heap, trace and semantic counters — but not on
- * WorkloadRun::cycles: native frames add no cycles, so under tiered
- * the count covers only the interpreted frames and under native it is
- * (close to) zero.  Harnesses that report cycles must refuse those
- * engines (cycleModelEngineSelected()).  Pass @p decoded_cache (e.g.
- * CompileService::decodedCache()) to reuse decodes across runs.
+ * Execution runs on the reference interpreter, the one engine with a
+ * cost model, so WorkloadRun::cycles is the full cost-model count.  The
+ * fast engine is held to it on these programs under every arm
+ * (tests/test_interp_differential.cpp).
  */
 WorkloadRun runWorkload(const Workload &workload, const Compiler &compiler,
-                        const Target &runtime_target,
-                        bool record_trace = false,
-                        std::shared_ptr<DecodedProgramCache> decoded_cache =
-                            nullptr);
-
-/**
- * True when TRAPJIT_INTERP selects an engine whose WorkloadRun::cycles
- * is the full cost-model count (reference or fast); false for the
- * tiered and native engines, whose native frames model no cycles.
- */
-bool cycleModelEngineSelected();
+                        const Target &runtime_target);
 
 } // namespace trapjit
 

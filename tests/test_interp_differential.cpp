@@ -5,23 +5,25 @@
  * The fast engine (interp/fast_interpreter.h) claims to be an *exact*
  * reimplementation of the reference switch interpreter — same heap
  * bytes, same exceptions (Java-level and HardFault, message included),
- * same EventTrace, same cycle double bit for bit.  This suite enforces
+ * same EventTrace, same semantic counters.  (Cycles are the reference
+ * engine's alone; the fast engine counts none.)  This suite enforces
  * that claim three ways:
  *
  *  1. a parametrized sweep: random programs × every config arm of the
  *     reproduction (the same 11-arm matrix as test_config_matrix),
  *     each compiled program executed under both engines with fusion on
  *     and off and compared with compareEngines();
- *  2. directed tests for the machinery the sweep can't observe from
+ *  2. the 17 jBYTEmark/SPECjvm98 programs the cycle tables run,
+ *     compiled under each of the same 11 arms, through
+ *     compareEngines();
+ *  3. directed tests for the machinery the sweeps can't observe from
  *     the outside: the superinstruction fusion table, the union-slot
  *     register file (Move lane preservation), the instruction-budget
- *     parity, and the decoded-program cache;
- *  3. the TRAPJIT_INTERP engine selector.
+ *     parity, and the decoded-program cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <tuple>
 
 #include "interp/decoded_program.h"
@@ -32,6 +34,7 @@
 #include "jit/compiler.h"
 #include "testing/equivalence.h"
 #include "testing/random_program.h"
+#include "workloads/workload.h"
 
 namespace trapjit
 {
@@ -102,16 +105,23 @@ TEST_P(InterpDifferential, EnginesAreBitIdentical)
         << config.name << " (fusion off): " << plain.message;
 }
 
+/** @p name with every non-alphanumeric character replaced by '_'. */
+std::string
+identifier(std::string name)
+{
+    for (char &c : name)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
+}
+
 std::string
 armName(const ::testing::TestParamInfo<SeedAndArm> &info)
 {
     const auto [seed, armIdx] = info.param;
-    std::string cfg = kArms[armIdx].makeConfig().name;
-    for (char &c : cfg)
-        if (!isalnum(static_cast<unsigned char>(c)))
-            c = '_';
     return "seed" + std::to_string(seed) + "_" +
-           kArms[armIdx].targetName + "_" + cfg;
+           kArms[armIdx].targetName + "_" +
+           identifier(kArms[armIdx].makeConfig().name);
 }
 
 // Seeds 300..320 (20 seeds) × 11 arms = 220 compiled programs, each
@@ -122,6 +132,65 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<uint64_t>(300, 320),
                        ::testing::Range<size_t>(0, std::size(kArms))),
     armName);
+
+// ---------------------------------------------------------------------------
+// The benchmark suites
+// ---------------------------------------------------------------------------
+
+std::vector<const Workload *>
+suitePrograms()
+{
+    std::vector<const Workload *> all;
+    for (const Workload &w : jbytemarkWorkloads())
+        all.push_back(&w);
+    for (const Workload &w : specjvmWorkloads())
+        all.push_back(&w);
+    return all;
+}
+
+using ProgramAndArm = std::tuple<const Workload *, size_t>;
+
+class SuiteDifferential : public ::testing::TestWithParam<ProgramAndArm>
+{
+};
+
+// The cycle tables run these programs on the reference engine; the fast
+// engine must match it on each (and the native engine must match the
+// fast one, test_native_differential).
+TEST_P(SuiteDifferential, FastEngineMatchesReference)
+{
+    const auto [w, armIdx] = GetParam();
+    const Arm &arm = kArms[armIdx];
+    Target target = arm.makeTarget();
+    PipelineConfig config = arm.makeConfig();
+
+    std::unique_ptr<Module> mod = w->build();
+    Compiler compiler(target, config);
+    compiler.compile(*mod);
+
+    EquivalenceReport report = compareEngines(*mod, target);
+    EXPECT_TRUE(report.equivalent)
+        << w->name << " on " << arm.targetName << " / " << config.name
+        << ": " << report.message;
+    EXPECT_FALSE(report.hardFaulted)
+        << w->name << " on " << arm.targetName << " / " << config.name
+        << ": both engines faulted: " << report.message;
+}
+
+std::string
+programArmName(const ::testing::TestParamInfo<ProgramAndArm> &info)
+{
+    const auto [w, armIdx] = info.param;
+    return identifier(w->name) + "_" + kArms[armIdx].targetName + "_" +
+           identifier(kArms[armIdx].makeConfig().name);
+}
+
+// 17 programs × 11 arms = 187 compiled programs.
+INSTANTIATE_TEST_SUITE_P(
+    Suites, SuiteDifferential,
+    ::testing::Combine(::testing::ValuesIn(suitePrograms()),
+                       ::testing::Range<size_t>(0, std::size(kArms))),
+    programArmName);
 
 // ---------------------------------------------------------------------------
 // Superinstruction fusion
@@ -485,25 +554,6 @@ TEST(DecodedProgramCache, CompileServicePredecodesEverything)
     auto again = generateRandomModule(opts);
     ServiceReport second = service.compileModule(*again, config);
     EXPECT_EQ(0u, second.counters.functionsPredecoded);
-}
-
-// ---------------------------------------------------------------------------
-// Engine selection
-// ---------------------------------------------------------------------------
-
-TEST(EngineSelection, EnvVariablePicksEngine)
-{
-    ASSERT_EQ(0, setenv("TRAPJIT_INTERP", "reference", 1));
-    EXPECT_EQ(InterpEngineKind::Reference, interpEngineFromEnv());
-    ASSERT_EQ(0, setenv("TRAPJIT_INTERP", "ref", 1));
-    EXPECT_EQ(InterpEngineKind::Reference, interpEngineFromEnv());
-    ASSERT_EQ(0, setenv("TRAPJIT_INTERP", "fast", 1));
-    EXPECT_EQ(InterpEngineKind::Fast, interpEngineFromEnv());
-    ASSERT_EQ(0, unsetenv("TRAPJIT_INTERP"));
-    EXPECT_EQ(InterpEngineKind::Fast, interpEngineFromEnv());
-    EXPECT_STREQ("reference",
-                 interpEngineName(InterpEngineKind::Reference));
-    EXPECT_STREQ("fast", interpEngineName(InterpEngineKind::Fast));
 }
 
 } // namespace

@@ -2,10 +2,9 @@
  * @file
  * Differential suite for the native x86-64 tier.
  *
- * The all-native engine (TRAPJIT_INTERP=native: a TieredEngine with
- * eagerTieredOptions(), so every function compiles on its first call)
- * claims to be observably identical to the fast interpreter on
- * everything but the simulated cycle model: same heap bytes, same
+ * The all-native engine (a TieredEngine with eagerTieredOptions(), so
+ * every function compiles on its first call) claims to be observably
+ * identical to the fast interpreter: same heap bytes, same
  * exceptions (Java-level and HardFault, message included), same
  * EventTrace, same semantic counters (instructions, calls,
  * allocations, trapsTaken, speculativeReadsOfNull) — from the one
@@ -28,9 +27,8 @@
  *     code for the "No Hardware Trap" arm takes none at all), mixed
  *     native/interpreted call stacks, budget-fault parity at every
  *     budget and after a trap the handler parks as a HardFault,
- *     in-code exception dispatch with register homes, the all-native
- *     promise (no interpreter dispatch at all), and the TRAPJIT_INTERP
- *     selector.
+ *     in-code exception dispatch with register homes, and the
+ *     all-native promise (no interpreter dispatch at all).
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -40,7 +38,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <tuple>
 
 #include "codegen/check_bytes.h"
@@ -756,20 +753,21 @@ TEST(NativeBudget, UnresolvedTrapFaultsWithTheInterpretersCount)
 }
 
 /**
- * Exceptions the fast interpreter raises from failed checks in one run
- * of @p entry: it charges target.throwCycles per raise, so runs under
- * two throw costs differ by that many times the difference.
+ * Exceptions the reference interpreter raises from failed checks in one
+ * run of @p entry: it charges target.throwCycles per raise, so runs
+ * under two throw costs differ by that many times the difference.
  */
 uint64_t
 countCheckRaises(const Module &mod, const Target &target, FunctionId entry)
 {
     Target costly = target;
     costly.throwCycles += 1000.0;
-    FastInterpreter cheap(mod, target);
-    FastInterpreter dear(mod, costly);
-    const double extra = dear.run(entry, {}).stats.cycles -
-                         cheap.run(entry, {}).stats.cycles;
-    return static_cast<uint64_t>(extra / 1000.0 + 0.5);
+    Interpreter cheap(mod, target);
+    Interpreter dear(mod, costly);
+    cheap.run(entry, {});
+    dear.run(entry, {});
+    return static_cast<uint64_t>((dear.cycles() - cheap.cycles()) / 1000.0 +
+                                 0.5);
 }
 
 // With register homes, exceptions dispatch in code: warmed
@@ -1042,19 +1040,6 @@ TEST(NativeTrap, NullStormProgramsTrapAndMatch)
     }
     EXPECT_GT(hardwareTraps, 0u)
         << "no null_storm seed took a guard-page trap";
-}
-
-// ---------------------------------------------------------------------------
-// Engine selection
-// ---------------------------------------------------------------------------
-
-TEST(NativeEngineSelection, EnvVariablePicksNative)
-{
-    ASSERT_EQ(0, setenv("TRAPJIT_INTERP", "native", 1));
-    EXPECT_EQ(InterpEngineKind::Native, interpEngineFromEnv());
-    ASSERT_EQ(0, unsetenv("TRAPJIT_INTERP"));
-    EXPECT_EQ(InterpEngineKind::Fast, interpEngineFromEnv());
-    EXPECT_STREQ("native", interpEngineName(InterpEngineKind::Native));
 }
 
 } // namespace

@@ -40,7 +40,7 @@
  *     trapping once they all run its new block.
  *
  * Execution tests skip where the native tier cannot run (non-x86-64,
- * ASan); the engine-selection and option-parsing tests run anywhere.
+ * ASan).
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +48,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <thread>
@@ -923,40 +922,6 @@ TEST(TieredDecodeSharing, IdenticalTextAtAnotherIdPromotesItsOwnFunction)
     EXPECT_EQ(TierState::Cold, b.registry()->state(1))
         << "the never-called filler at the leaf's id in the other "
            "module was promoted instead";
-}
-
-// ---------------------------------------------------------------------------
-// Engine selection + option parsing (host-independent)
-// ---------------------------------------------------------------------------
-
-TEST(TieredSelection, EnvVariablePicksTiered)
-{
-    ASSERT_EQ(0, setenv("TRAPJIT_INTERP", "tiered", 1));
-    EXPECT_EQ(InterpEngineKind::Tiered, interpEngineFromEnv());
-    ASSERT_EQ(0, unsetenv("TRAPJIT_INTERP"));
-    EXPECT_EQ(InterpEngineKind::Fast, interpEngineFromEnv());
-    EXPECT_STREQ("tiered", interpEngineName(InterpEngineKind::Tiered));
-}
-
-TEST(TieredSelection, OptionsParseFromEnvironment)
-{
-    ASSERT_EQ(0, setenv("TRAPJIT_TIER_THRESHOLD", "17", 1));
-    ASSERT_EQ(0, setenv("TRAPJIT_TIER_SYNC", "1", 1));
-    TieredOptions opts = tieredOptionsFromEnv();
-    EXPECT_EQ(17u, opts.threshold);
-    EXPECT_TRUE(opts.synchronous);
-
-    ASSERT_EQ(0, setenv("TRAPJIT_TIER_SYNC", "0", 1));
-    ASSERT_EQ(0, setenv("TRAPJIT_TIER_THRESHOLD", "garbage", 1));
-    opts = tieredOptionsFromEnv();
-    EXPECT_EQ(TieredOptions{}.threshold, opts.threshold);
-    EXPECT_FALSE(opts.synchronous);
-
-    ASSERT_EQ(0, unsetenv("TRAPJIT_TIER_THRESHOLD"));
-    ASSERT_EQ(0, unsetenv("TRAPJIT_TIER_SYNC"));
-    opts = tieredOptionsFromEnv();
-    EXPECT_EQ(TieredOptions{}.threshold, opts.threshold);
-    EXPECT_FALSE(opts.synchronous);
 }
 
 } // namespace
