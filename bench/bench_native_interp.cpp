@@ -3,12 +3,12 @@
  * Execution-tier comparison on real wall time: reference switch
  * interpreter vs pre-decoded fused interpreter vs the native x86-64
  * tier (the all-native engine, eagerTieredOptions(): every function
- * compiled on its first call), on jBYTEmark kernels (BM_Native_* — CI
- * uploads the results as BENCH_native.json next to BENCH_interp.json).
- * Native code keeps hot values in register homes and dispatches
- * exceptions in code.
+ * compiled on its first call), on three jBYTEmark kernels and the three
+ * call-heavy SPECjvm98 programs (BM_Native_* — CI uploads the results
+ * as BENCH_native.json next to BENCH_interp.json).  Native code keeps
+ * hot values in register homes and dispatches exceptions in code.
  *
- * Three families:
+ * Four families:
  *
  *  - BM_Native_{Reference,Fast,Jit}_<kernel>: the same unoptimized
  *    module (every check explicit, the interpreter benches' shape)
@@ -23,6 +23,11 @@
  *    compare-and-branch per check), both executed natively.  On
  *    null-heavy kernels the trap arm must be at least as fast in wall
  *    time — the win the paper measures in Table 1.
+ *
+ *  - BM_Lower_{Suite,TrapPool}: compileNative alone over the function
+ *    sets the end-to-end benchmark's setups lower (CI uploads these
+ *    as BENCH_lower.json), with the slots the prologues zero and the
+ *    homes the calls reload as counters.
  *
  *  - BM_Tiered_{Fast,Cold,Warm,WarmNoLink}_<preset>: the
  *    profile-guided tiering story on every workload-gen preset (CI
@@ -197,6 +202,11 @@ runCheckArmBenchmark(benchmark::State &state, const char *workload,
 TRAPJIT_NATIVE_BENCH(numsort, "Numeric Sort");
 TRAPJIT_NATIVE_BENCH(assignment, "Assignment");
 TRAPJIT_NATIVE_BENCH(idea, "IDEA encryption");
+// The call-heavy SPECjvm98 programs: per-call cost (frame setup, home
+// reloads, call linking) rather than loop bodies.
+TRAPJIT_NATIVE_BENCH(javac, "javac");
+TRAPJIT_NATIVE_BENCH(jess, "jess");
+TRAPJIT_NATIVE_BENCH(db, "db");
 
 #undef TRAPJIT_NATIVE_BENCH
 
@@ -369,6 +379,102 @@ TRAPJIT_TIERED_BENCH(call_web, "call_web");
 TRAPJIT_TIERED_BENCH(null_storm, "null_storm");
 
 #undef TRAPJIT_TIERED_BENCH
+
+// ---------------------------------------------------------------------------
+// Lowering time (BM_Lower_* — CI uploads BENCH_lower.json)
+// ---------------------------------------------------------------------------
+//
+// compileNative alone, without decode, over the function sets the
+// end-to-end benchmark lowers eagerly in its setups: every function of
+// the 17 suite programs under the five IA32 arms (85 modules), and of
+// the 28 workload-gen modules (7 presets x 4 seeds) under
+// Phase1+Phase2.  Blocks are lowered as the engines lower them, without
+// trace recording.
+
+/** One module's functions with their decoded forms. */
+struct LoweringSet
+{
+    std::vector<std::unique_ptr<Module>> modules;
+    std::vector<std::pair<const Function *,
+                          std::shared_ptr<const DecodedFunction>>>
+        functions;
+
+    void
+    add(std::unique_ptr<Module> mod, const Target &target)
+    {
+        for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
+            const Function &fn = mod->function(f);
+            functions.emplace_back(&fn, decodeFunction(fn, target));
+        }
+        modules.push_back(std::move(mod));
+    }
+};
+
+void
+runLoweringBenchmark(benchmark::State &state, const LoweringSet &set)
+{
+    if (!nativeTierSupported()) {
+        state.SkipWithError("native tier requires x86-64 Linux");
+        return;
+    }
+    NativeCompileOptions options;
+    options.recordTrace = false;
+    size_t zeroed = 0, reloads = 0, codeBytes = 0;
+    for (auto _ : state) {
+        zeroed = reloads = codeBytes = 0;
+        for (const auto &[fn, df] : set.functions) {
+            NativeCompileResult res = compileNative(*fn, *df, options);
+            zeroed += res.code->zeroedSlots.size();
+            reloads += res.code->homeReloads;
+            codeBytes += res.code->codeSize;
+        }
+    }
+    state.counters["functions"] =
+        static_cast<double>(set.functions.size());
+    state.counters["slots_zeroed"] = static_cast<double>(zeroed);
+    state.counters["home_reloads"] = static_cast<double>(reloads);
+    state.counters["code_bytes"] = static_cast<double>(codeBytes);
+}
+
+void
+BM_Lower_Suite(benchmark::State &state)
+{
+    const Target target = makeIA32WindowsTarget();
+    LoweringSet set;
+    for (const std::vector<Workload> *suite :
+         {&jbytemarkWorkloads(), &specjvmWorkloads()}) {
+        for (const Workload &w : *suite) {
+            for (PipelineConfig (*makeConfig)() :
+                 {makeNoOptNoTrapConfig, makeNoOptTrapConfig,
+                  makeOldNullCheckConfig, makeNewPhase1OnlyConfig,
+                  makeNewFullConfig}) {
+                auto mod = w.build();
+                Compiler(target, makeConfig()).compile(*mod);
+                set.add(std::move(mod), target);
+            }
+        }
+    }
+    runLoweringBenchmark(state, set);
+}
+BENCHMARK(BM_Lower_Suite)->Unit(benchmark::kMillisecond);
+
+void
+BM_Lower_TrapPool(benchmark::State &state)
+{
+    const Target target = makeIA32WindowsTarget();
+    LoweringSet set;
+    for (const WorkloadProfile &preset : workloadProfiles()) {
+        for (uint64_t k = 0; k < 4; ++k) {
+            WorkloadProfile profile = preset;
+            profile.seed = preset.seed + k;
+            auto mod = generateWorkloadModule(profile);
+            Compiler(target, makeNewFullConfig()).compile(*mod);
+            set.add(std::move(mod), target);
+        }
+    }
+    runLoweringBenchmark(state, set);
+}
+BENCHMARK(BM_Lower_TrapPool)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace trapjit

@@ -839,6 +839,104 @@ auditNativeTrapSites(const Function &func, const Target &target,
         }
     }
 
+    // Slot initialization: the interpreters start every frame zeroed,
+    // the prologue zeroes only code.zeroedSlots and the frame pool
+    // holds what earlier frames left.  Re-derive from the IR's blocks,
+    // terminators and try regions the values some path can read while
+    // still unwritten — a forward "maybe unwritten" analysis with union
+    // meet, where a handler entry knows only the parameters — and
+    // require each one zeroed.  Per block, three word rows side by
+    // side: written in the block, read before written in it, and maybe
+    // unwritten at its entry.
+    {
+        const size_t nb = func.numBlocks();
+        const size_t nv = df.numValues;
+        const size_t words = (nv + 63) / 64;
+        std::vector<uint64_t> rows(3 * words * nb, 0);
+        auto written = [&](size_t b) { return rows.data() + 3 * words * b; };
+        auto readFirst = [&](size_t b) { return written(b) + words; };
+        auto unwritten = [&](size_t b) { return written(b) + 2 * words; };
+        auto has = [](const uint64_t *row, size_t v) {
+            return (row[v / 64] >> (v % 64)) & 1;
+        };
+        auto put = [](uint64_t *row, size_t v) {
+            row[v / 64] |= uint64_t(1) << (v % 64);
+        };
+        std::vector<bool> seeded(nb, false);
+        auto seed = [&](BlockId b) {
+            if (b >= nb)
+                return;
+            seeded[b] = true;
+            for (size_t v = df.numParams; v < nv; ++v)
+                put(unwritten(b), v);
+        };
+        if (nb > 0)
+            seed(0);
+        for (TryRegionId r = 0; r < func.numTryRegions(); ++r)
+            if (func.tryRegion(r).handlerBlock != kNoBlock)
+                seed(func.tryRegion(r).handlerBlock);
+        for (size_t b = 0; b < nb; ++b) {
+            auto read = [&](ValueId v) {
+                if (v != kNoValue && v < nv && !has(written(b), v))
+                    put(readFirst(b), v);
+            };
+            for (const Instruction &inst :
+                 func.block(static_cast<BlockId>(b)).insts()) {
+                read(inst.a);
+                read(inst.b);
+                read(inst.c);
+                for (ValueId arg : inst.args)
+                    read(arg);
+                if (inst.op == Opcode::Call &&
+                    inst.callKind == CallKind::Virtual)
+                    read(inst.dst); // a null-receiver skip keeps it
+                if (inst.dst != kNoValue && inst.dst < nv)
+                    put(written(b), inst.dst);
+            }
+        }
+        std::vector<BlockId> succs;
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (size_t b = 0; b < nb; ++b) {
+                const auto &insts =
+                    func.block(static_cast<BlockId>(b)).insts();
+                if (insts.empty())
+                    continue;
+                normalSuccsOf(insts.back(), succs);
+                for (BlockId s : succs) {
+                    if (s >= nb || seeded[s])
+                        continue;
+                    for (size_t k = 0; k < words; ++k) {
+                        const uint64_t out =
+                            unwritten(b)[k] & ~written(b)[k];
+                        changed = changed || (out & ~unwritten(s)[k]) != 0;
+                        unwritten(s)[k] |= out;
+                    }
+                }
+            }
+        }
+        std::vector<uint64_t> zeroed(words, 0);
+        for (uint32_t v : code.zeroedSlots)
+            if (v < nv)
+                put(zeroed.data(), v);
+        for (size_t b = 0; b < nb; ++b) {
+            for (size_t k = 0; k < words; ++k) {
+                for (uint64_t missing =
+                         readFirst(b)[k] & unwritten(b)[k] & ~zeroed[k];
+                     missing != 0; missing &= missing - 1) {
+                    const size_t v =
+                        k * 64 + static_cast<size_t>(__builtin_ctzll(missing));
+                    fail(b < df.blockStart.size() ? df.blockStart[b] : 0,
+                         static_cast<ValueId>(v),
+                         "value " + std::to_string(v) +
+                             " can be read before any write, but the "
+                             "prologue does not zero its slot");
+                    put(zeroed.data(), v); // report each value once
+                }
+            }
+        }
+    }
+
     // Every reachable implicit-check access must be mapped: its static
     // offset must land in the heap guard region and a site must cover
     // its record — unless its base is provably non-null, in which case

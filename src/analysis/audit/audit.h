@@ -48,9 +48,10 @@
  *    implicit-check site has an NPE exit in the stubs; a speculated
  *    site names an in-range deopt record pointing back at the adjacent
  *    explicit NullCheck guarding the same base; a zero-byte explicit
- *    check is covered by some speculated site) and the published
+ *    check is covered by some speculated site), the published
  *    register homes (allocatable scratch GPRs only, injective both
- *    ways).
+ *    ways) and the prologue's zero set (every non-parameter value some
+ *    path can read before writing it is zeroed).
  */
 
 #include <string>

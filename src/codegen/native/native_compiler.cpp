@@ -302,19 +302,18 @@ swapIcmpCond(X64Cond cond)
     }
 }
 
-bool
-isCallerSavedHome(R r)
+/** Bit of a caller-saved home register in a liveness mask, else 0. */
+uint8_t
+callerSavedBit(R r)
 {
     switch (r) {
-      case R::RSI:
-      case R::RDI:
-      case R::R8:
-      case R::R9:
-      case R::R10:
-      case R::R11:
-        return true;
-      default:
-        return false;
+      case R::RSI: return 1u << 0;
+      case R::RDI: return 1u << 1;
+      case R::R8: return 1u << 2;
+      case R::R9: return 1u << 3;
+      case R::R10: return 1u << 4;
+      case R::R11: return 1u << 5;
+      default: return 0;
     }
 }
 
@@ -436,7 +435,8 @@ assignHomes(const DecodedFunction &df, bool recordTrace,
     // across the whole loop, and a widened interval can reach further
     // loops.  Overlapping back-edge spans merge into disjoint hulls;
     // the widening's fixed point is then the value's own interval
-    // joined with the first and last hull it overlaps.
+    // joined with the first and last hull it overlaps (computed below
+    // for the candidates alone).
     std::sort(loops.begin(), loops.end());
     std::vector<std::pair<uint32_t, uint32_t>> hulls;
     for (const auto &span : loops) {
@@ -445,21 +445,6 @@ assignHomes(const DecodedFunction &df, bool recordTrace,
         else
             hulls.push_back(span);
     }
-    for (ValueId v = 0; v < df.numValues && !hulls.empty(); ++v) {
-        if (liveLo[v] == kNoPos)
-            continue;
-        auto first = std::lower_bound(
-            hulls.begin(), hulls.end(), liveLo[v],
-            [](const auto &h, uint32_t lo) { return h.second < lo; });
-        auto last = std::upper_bound(
-            hulls.begin(), hulls.end(), liveHi[v],
-            [](uint32_t hi, const auto &h) { return hi < h.first; });
-        if (first >= last)
-            continue;
-        liveLo[v] = std::min(liveLo[v], first->first);
-        liveHi[v] = std::max(liveHi[v], (last - 1)->second);
-    }
-
     struct Cand
     {
         ValueId v;
@@ -470,31 +455,290 @@ assignHomes(const DecodedFunction &df, bool recordTrace,
     for (ValueId v = 0; v < df.numValues; ++v) {
         if (gprUses[v] <= foldedUses[v] || slotOnlyDef[v])
             continue;
-        const bool spans =
-            liveLo[v] != kNoPos &&
-            helperPrefix[liveHi[v] + 1] > helperPrefix[liveLo[v]];
+        uint32_t lo = liveLo[v], hi = liveHi[v]; // a use: lo is a position
+        auto first = std::lower_bound(
+            hulls.begin(), hulls.end(), lo,
+            [](const auto &h, uint32_t l) { return h.second < l; });
+        auto last = std::upper_bound(
+            hulls.begin(), hulls.end(), hi,
+            [](uint32_t h, const auto &hull) { return h < hull.first; });
+        if (first < last) {
+            lo = std::min(lo, first->first);
+            hi = std::max(hi, (last - 1)->second);
+        }
+        const bool spans = helperPrefix[hi + 1] > helperPrefix[lo];
         cands.push_back(Cand{v, gprUses[v] - foldedUses[v], spans});
     }
-    std::sort(cands.begin(), cands.end(),
-              [](const Cand &a, const Cand &b) {
-                  return a.uses != b.uses ? a.uses > b.uses : a.v < b.v;
-              });
+    // The first eight candidates in rank order take the eight homes;
+    // every later one is a spill.
+    const size_t homed =
+        std::min(cands.size(), calleePool.size() + callerPool.size());
+    std::partial_sort(cands.begin(), cands.begin() + homed, cands.end(),
+                      [](const Cand &a, const Cand &b) {
+                          return a.uses != b.uses ? a.uses > b.uses
+                                                  : a.v < b.v;
+                      });
+    out.spills = cands.size() - homed;
 
     // Callee-saved homes survive helper calls; caller-saved homes are
-    // cheaper to spare but reload after every helper.
-    for (const Cand &c : cands) {
+    // cheaper to spare but reload after a helper when still live.
+    for (size_t k = 0; k < homed; ++k) {
+        const Cand &c = cands[k];
         std::vector<R> *first = c.spansHelper ? &calleePool : &callerPool;
-        std::vector<R> *second = c.spansHelper ? &callerPool : &calleePool;
-        std::vector<R> *pool =
-            !first->empty() ? first : (!second->empty() ? second : nullptr);
-        if (pool == nullptr) {
-            ++out.spills;
-            continue;
-        }
+        std::vector<R> *pool = !first->empty() ? first
+                               : c.spansHelper ? &callerPool
+                                               : &calleePool;
         const R reg = pool->back();
         pool->pop_back();
         out.home[c.v] = static_cast<int8_t>(reg);
         out.regLocs.push_back(NativeRegLoc{c.v, static_cast<uint8_t>(reg)});
+    }
+    return out;
+}
+
+bool
+isTerminator(Opcode op)
+{
+    switch (op) {
+      case Opcode::Jump:
+      case Opcode::Branch:
+      case Opcode::IfNull:
+      case Opcode::Return:
+      case Opcode::Throw:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** What the frame protocol needs from the two block-level analyses. */
+struct FrameFacts
+{
+    /** Non-parameter slots some path can read before writing them,
+     *  ascending: what the prologue zeroes. */
+    std::vector<uint32_t> zeroSlots;
+    /** Per helper or call record, the caller-saved homes (bits of
+     *  callerSavedBit) live right after it on its normal path; empty
+     *  when the function has no caller-saved home. */
+    std::vector<uint8_t> liveAfter;
+};
+
+/**
+ * One pass over the decoded stream finds its basic blocks and each
+ * block's reads and writes; two analyses then run over blocks alone.
+ * Leaders are record 0, every jump target and handler entry, and every
+ * record after a terminator: for a well-formed function exactly
+ * DecodedFunction::blockStart, but derived from the stream like the
+ * other record analyses, whatever the IR's CFG says.
+ *
+ *  - Zeroing: a forward "definitely written" analysis.  A block enters
+ *    with the intersection of its normal predecessors' exits; the entry
+ *    and every handler entry with the parameters alone (an exception
+ *    can leave a try body anywhere).  A value read where it is not
+ *    definitely written gets its slot zeroed, so native code reads
+ *    what the interpreters' zeroed fresh frame holds.  A read is any
+ *    a/b/c operand or call argument, whatever the lowering or the
+ *    decoder fuses, and a virtual call's own destination: one skipped
+ *    on a null receiver leaves the old bits there.  A budget-exhaustion
+ *    replay re-executes records on the same slot file, so it reads
+ *    nothing the records do not.
+ *  - Reloads: backward liveness of the caller-saved homes over normal
+ *    edges.  Exception edges need none: the dispatch tail re-reads
+ *    every home before a handler runs.  A read is an a/b/c operand
+ *    (call arguments are staged from their slots, not their homes).
+ */
+FrameFacts
+analyzeFrame(const DecodedFunction &df, const std::vector<bool> &jumpTarget,
+             const std::vector<NativeRegLoc> &regLocs, bool recordTrace)
+{
+    constexpr uint32_t kNone = ~0u;
+    struct Block
+    {
+        uint32_t start;
+        uint32_t succ[2] = {kNone, kNone}; ///< normal edges only
+        uint8_t homeUse = 0; ///< caller-saved homes read before a def
+        uint8_t homeDef = 0;
+        uint8_t liveIn = 0;
+        bool hasHelper = false;
+        bool pinned = false;
+    };
+    const size_t nrec = df.code.size();
+    // Absent operands (kNoValue) read and write one extra "sink" value,
+    // so the record scan below runs without a branch per operand.
+    const ValueId sink = df.numValues;
+    const size_t words = (df.numValues + 1 + 63) / 64;
+    auto index = [sink](ValueId v) { return v == kNoValue ? sink : v; };
+    auto add = [](uint64_t *set, ValueId v) {
+        set[v / 64] |= uint64_t(1) << (v % 64);
+    };
+    std::vector<uint8_t> homeBits(df.numValues + 1, 0);
+    for (const NativeRegLoc &rl : regLocs)
+        homeBits[rl.value] = callerSavedBit(static_cast<R>(rl.reg));
+    const uint8_t *homeBit = homeBits.data();
+    auto homeReads = [&](const DecodedInst &rec) {
+        return static_cast<uint8_t>(homeBit[index(rec.a)] |
+                                    homeBit[index(rec.b)] |
+                                    homeBit[index(rec.c)]);
+    };
+    const DecodedInst *code = df.code.data();
+    const ValueId *argPool = df.argPool.data();
+
+    // ---- blocks, with per-block reads and writes ----------------------
+    // Per block, three value sets side by side: written in the block,
+    // read before written in it, and definitely written at its entry.
+    // The open block's home masks stay in locals until it closes.
+    std::vector<Block> blocks;
+    std::vector<uint64_t> sets;
+    std::unique_ptr<uint32_t[]> blockAt(new uint32_t[nrec]); // at leaders
+    blocks.reserve(df.blockStart.size());
+    sets.reserve(3 * words * df.blockStart.size());
+    uint8_t homesRead = 0, homeUse = 0, homeDef = 0;
+    bool hasHelper = false;
+    auto close = [&] {
+        if (!blocks.empty()) {
+            blocks.back().homeUse = homeUse;
+            blocks.back().homeDef = homeDef;
+            blocks.back().hasHelper = hasHelper;
+        }
+        homeUse = homeDef = 0;
+        hasHelper = false;
+    };
+    uint64_t *written = nullptr;
+    uint64_t *readFirst = nullptr;
+    auto read = [&](ValueId v) {
+        v = index(v);
+        readFirst[v / 64] |= (uint64_t(1) << (v % 64)) & ~written[v / 64];
+    };
+    for (size_t i = 0; i < nrec; ++i) {
+        const DecodedInst &rec = code[i];
+        if (i == 0 || jumpTarget[i] || isTerminator(code[i - 1].srcOp)) {
+            close();
+            blockAt[i] = static_cast<uint32_t>(blocks.size());
+            blocks.push_back(Block{static_cast<uint32_t>(i)});
+            sets.resize(sets.size() + 3 * words, 0);
+            written = sets.data() + sets.size() - 3 * words;
+            readFirst = written + words;
+        }
+        read(rec.a);
+        read(rec.b);
+        read(rec.c);
+        for (uint32_t k = 0; k < rec.argsCount; ++k)
+            read(argPool[rec.argsBegin + k]);
+        if (rec.srcOp == Opcode::Call && rec.callKind == CallKind::Virtual)
+            read(rec.dst);
+        const uint8_t reads = homeReads(rec);
+        homeUse |= static_cast<uint8_t>(reads & ~homeDef);
+        homesRead |= reads;
+        add(written, index(rec.dst));
+        homeDef |= homeBit[index(rec.dst)];
+        hasHelper = hasHelper || isHelperOp(rec.srcOp, recordTrace);
+    }
+    close();
+    const size_t nb = blocks.size();
+    auto end = [&](size_t b) {
+        return b + 1 < nb ? blocks[b + 1].start : static_cast<uint32_t>(nrec);
+    };
+    for (size_t b = 0; b < nb; ++b) {
+        const DecodedInst &last = code[end(b) - 1];
+        switch (last.srcOp) {
+          case Opcode::Branch:
+          case Opcode::IfNull:
+            blocks[b].succ[1] = blockAt[last.target2];
+            [[fallthrough]];
+          case Opcode::Jump:
+            blocks[b].succ[0] = blockAt[last.target];
+            break;
+          case Opcode::Return:
+          case Opcode::Throw:
+            break;
+          default:
+            if (b + 1 < nb)
+                blocks[b].succ[0] = static_cast<uint32_t>(b + 1);
+            break;
+        }
+    }
+    auto writtenIn = [&](size_t b) { return sets.data() + 3 * words * b; };
+    auto readFirstIn = [&](size_t b) { return writtenIn(b) + words; };
+    auto entryOf = [&](size_t b) { return writtenIn(b) + 2 * words; };
+
+    FrameFacts out;
+
+    // ---- zeroing: definitely-written values at block entry ------------
+    // Entry sets start at "everything" (an unreachable block keeps it
+    // and needs nothing zeroed); pinned blocks hold the parameters.
+    for (size_t b = 0; b < nb; ++b)
+        std::fill(entryOf(b), entryOf(b) + words, ~uint64_t(0));
+    auto pin = [&](size_t b) {
+        blocks[b].pinned = true;
+        std::fill(entryOf(b), entryOf(b) + words, 0);
+        for (ValueId p = 0; p < df.numParams; ++p)
+            add(entryOf(b), p);
+    };
+    if (nb > 0)
+        pin(0);
+    if (!nativeMutationActive(NativeMutation::ZeroSetIgnoresHandlerEdges))
+        for (const DecodedTryRegion &tr : df.tryRegions)
+            if (tr.handlerIndex != 0 && tr.handlerIndex < nrec)
+                pin(blockAt[tr.handlerIndex]);
+    std::vector<uint64_t> work(words); // a block exit, then the zero set
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t b = 0; b < nb; ++b) {
+            for (size_t k = 0; k < words; ++k)
+                work[k] = entryOf(b)[k] | writtenIn(b)[k];
+            for (uint32_t s : blocks[b].succ) {
+                if (s == kNone || blocks[s].pinned)
+                    continue;
+                uint64_t *entry = entryOf(s);
+                for (size_t k = 0; k < words; ++k) {
+                    const uint64_t met = entry[k] & work[k];
+                    changed = changed || met != entry[k];
+                    entry[k] = met;
+                }
+            }
+        }
+    }
+    std::fill(work.begin(), work.end(), 0);
+    for (size_t b = 0; b < nb; ++b)
+        for (size_t k = 0; k < words; ++k)
+            work[k] |= readFirstIn(b)[k] & ~entryOf(b)[k];
+    work[sink / 64] &= ~(uint64_t(1) << (sink % 64));
+    for (size_t k = 0; k < words; ++k)
+        for (uint64_t bits = work[k]; bits != 0; bits &= bits - 1)
+            out.zeroSlots.push_back(static_cast<uint32_t>(
+                k * 64 + static_cast<size_t>(__builtin_ctzll(bits))));
+
+    // ---- reloads: caller-saved homes live after each helper -----------
+    if (homesRead == 0)
+        return out; // no caller-saved home is read: none is ever reloaded
+    auto liveOut = [&](size_t b) {
+        uint8_t live = 0;
+        for (uint32_t s : blocks[b].succ)
+            if (s != kNone)
+                live |= blocks[s].liveIn;
+        return live;
+    };
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t b = nb; b-- > 0;) {
+            Block &blk = blocks[b];
+            const uint8_t live = static_cast<uint8_t>(
+                blk.homeUse | (liveOut(b) & ~blk.homeDef));
+            changed = changed || live != blk.liveIn;
+            blk.liveIn = live;
+        }
+    }
+    out.liveAfter.assign(nrec, 0);
+    uint8_t *after = out.liveAfter.data();
+    for (size_t b = 0; b < nb; ++b) {
+        if (!blocks[b].hasHelper)
+            continue;
+        uint8_t live = liveOut(b);
+        for (uint32_t i = end(b); i-- > blocks[b].start;) {
+            after[i] = live;
+            live = static_cast<uint8_t>(
+                (live & ~homeBit[index(code[i].dst)]) | homeReads(code[i]));
+        }
     }
     return out;
 }
@@ -758,6 +1002,15 @@ compileNative(const Function &fn, const DecodedFunction &df,
     const std::vector<int8_t> &home = homes.home;
     const std::vector<NativeRegLoc> &regLocs = homes.regLocs;
 
+    // What the prologue zeroes, and which caller-saved homes a call or
+    // helper reloads.
+    FrameFacts facts =
+        analyzeFrame(df, jumpTarget, regLocs, options.recordTrace);
+    std::vector<uint32_t> &zeroSlots = facts.zeroSlots;
+    if (nativeMutationActive(NativeMutation::PrologueZeroesNothing))
+        zeroSlots.clear();
+    const std::vector<uint8_t> &liveAfter = facts.liveAfter;
+
     // ---- emission ------------------------------------------------------
     // The frame protocol (prologue, exits, helper calls, call sites) is
     // tiered_frame.h's; the decoded function's address is baked into
@@ -837,15 +1090,25 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.movRegReg(hreg(v), res);
         e.storeSlot(v, res);
     };
-    auto reloadCallerSavedHomes = [&] {
-        for (const NativeRegLoc &rl : regLocs)
-            if (isCallerSavedHome(static_cast<R>(rl.reg)))
+    // After the call or helper of record @p recIndex clobbered them:
+    // the caller-saved homes whose values its normal path still reads
+    // (@p written: a value the record's own def already put home).
+    size_t homeReloads = 0;
+    auto reloadLiveCallerSavedHomes = [&](size_t recIndex, ValueId written) {
+        for (const NativeRegLoc &rl : regLocs) {
+            const uint8_t bit = callerSavedBit(static_cast<R>(rl.reg));
+            if (bit != 0 && !liveAfter.empty() &&
+                (liveAfter[recIndex] & bit) != 0 &&
+                rl.value != written) {
                 e.loadSlot(static_cast<R>(rl.reg), rl.value);
+                ++homeReloads;
+            }
+        }
     };
     // After a helper wrote @p v's slot (callee-saved homes survive the
     // call, so they need the explicit re-read).
     auto reloadHome = [&](ValueId v) {
-        if (v != kNoValue && homed(v) && !isCallerSavedHome(hreg(v)))
+        if (v != kNoValue && homed(v) && callerSavedBit(hreg(v)) == 0)
             e.loadSlot(hreg(v), v);
     };
 
@@ -979,12 +1242,18 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.movsxdRegReg(R::RAX, R::RAX);
     };
 
-    frame.prologue();
-    // Preload every home: the prologue zero-fills non-parameter slots,
-    // so each home starts canonical without per-value liveness
-    // reasoning.
-    for (const NativeRegLoc &rl : regLocs)
-        e.loadSlot(static_cast<R>(rl.reg), rl.value);
+    frame.prologue(zeroSlots);
+    // Preload only the homes some path reads before a def writes them:
+    // a parameter from its slot, a zeroed value as zero.  Every other
+    // home is written before it is read.
+    for (const NativeRegLoc &rl : regLocs) {
+        const R r = static_cast<R>(rl.reg);
+        if (rl.value < df.numParams)
+            e.loadSlot(r, rl.value);
+        else if (std::binary_search(zeroSlots.begin(), zeroSlots.end(),
+                                    rl.value))
+            e.aluRegReg(Alu::Xor, r, r, false);
+    }
 
     // ---- records -------------------------------------------------------
     std::vector<bool> fusedIntoPrev(nrec, false);
@@ -1095,7 +1364,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 endSite(begin, i + 3);
                 if (options.recordTrace) {
                     callHelper(&trapjitTieredTraceArrayWrite, i + 3);
-                    reloadCallerSavedHomes();
+                    reloadLiveCallerSavedHomes(i + 3, kNoValue);
                 }
             }
             e.jmpLabel(recLabel[i + 4]);
@@ -1281,7 +1550,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             // libm / saturating conversion stay in C++ (bit-identical
             // to the interpreters by construction; status always 0).
             callHelper(&trapjitTieredMath, i);
-            reloadCallerSavedHomes();
+            reloadLiveCallerSavedHomes(i, kNoValue);
             reloadHome(rec.dst);
             break;
 
@@ -1395,7 +1664,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             endSite(begin, i);
             if (options.recordTrace) {
                 callHelper(&trapjitTieredTraceFieldWrite, i);
-                reloadCallerSavedHomes();
+                reloadLiveCallerSavedHomes(i, kNoValue);
             }
             break;
           }
@@ -1439,7 +1708,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
             endSite(begin, i);
             if (options.recordTrace) {
                 callHelper(&trapjitTieredTraceArrayWrite, i);
-                reloadCallerSavedHomes();
+                reloadLiveCallerSavedHomes(i, kNoValue);
             }
             break;
           }
@@ -1451,7 +1720,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                            : &trapjitTieredNewArray,
                        i);
             checkStatus(i);
-            reloadCallerSavedHomes();
+            reloadLiveCallerSavedHomes(i, kNoValue);
             reloadHome(rec.dst);
             break;
           case Opcode::Call:
@@ -1463,7 +1732,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 e.loadCtx64(R::RAX, kNativeCtxRetOffset);
                 def(rec.dst, R::RAX);
             }
-            reloadCallerSavedHomes();
+            reloadLiveCallerSavedHomes(i, rec.dst);
             break;
 
           case Opcode::Jump:
@@ -1515,8 +1784,11 @@ compileNative(const Function &fn, const DecodedFunction &df,
     // pending kind/site already stored, r14 already refunded.  The
     // handler index indirects through the in-buffer table of absolute
     // record addresses.  Homes re-read their slots first: the helpers
-    // clobbered the caller-saved ones, and the NPE helper zeroed a
-    // load's destination slot.
+    // clobbered the caller-saved ones (a fall-through reloads only the
+    // homes live on it, so no reload liveness follows exception edges),
+    // and the NPE helper zeroed a load's destination slot.  A slot the
+    // prologue left unzeroed and no def wrote yet loads stale bits into
+    // a home that every handler path writes before reading.
     e.bind(lDispatch);
     e.movRegReg(R::RDI, R::R12);
     e.movRegImm64(R::RAX,
@@ -1615,6 +1887,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
     nc->sites = std::move(sites);
     nc->regLocs = std::move(homes.regLocs);
     nc->spillsEmitted = homes.spills;
+    nc->zeroedSlots = std::move(zeroSlots);
+    nc->homeReloads = homeReloads;
     nc->explicitNullCheckBytes = explicitBytes;
     nc->implicitNullCheckBytes = implicitBytes;
     nc->boundCheckBytes = boundBytes;

@@ -143,6 +143,14 @@ struct NativeCode
      *  through discipline keeps slots canonical regardless). */
     std::vector<NativeRegLoc> regLocs;
     size_t spillsEmitted = 0;   ///< ranked values left slot-resident
+    /** Caller-saved home reloads emitted after calls and helpers: one
+     *  per home whose value the record's normal path still reads. */
+    size_t homeReloads = 0;
+
+    // ---- frame setup ------------------------------------------------
+    /** Non-parameter slots the prologue zeroes, ascending: the values
+     *  some path can read before writing them (audited). */
+    std::vector<uint32_t> zeroedSlots;
 
     // ---- exits and call linking ------------------------------------
     /** Code offset of the shared hard-unwind exit (RIP rewrite). */

@@ -10,7 +10,8 @@
  * opt/nullcheck/mutation_hooks.h, the auditor's test suite must prove
  * those rules actually fire.  Each enumerator switches on one
  * deliberate, realistic lowering bug — a lost explicit check, a lost
- * NPE exit, a corrupt register home — and
+ * NPE exit, a corrupt register home, a slot the prologue should have
+ * zeroed — and
  * tests/test_audit_mutations.cpp asserts the auditor flags each one.
  *
  * Thread-local so an armed mutation cannot leak into concurrently
@@ -35,6 +36,13 @@ enum class NativeMutation
     /** Linear scan publishes a register home on a reserved register
      *  (r14, the budget), aliasing an IR value with the VM state. */
     RegLocReservedReg,
+    /** The prologue zeroes no slot, so a value some path reads before
+     *  writing it reads whatever an earlier frame left in the pool. */
+    PrologueZeroesNothing,
+    /** The zero-set analysis lets only normal edges reach a handler
+     *  entry, so a handler that reads a value written only in its try
+     *  body finds a stale slot. */
+    ZeroSetIgnoresHandlerEdges,
 };
 
 /** The mutation armed on this thread (tests only; defaults to None). */

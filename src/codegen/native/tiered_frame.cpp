@@ -28,7 +28,7 @@ TieredFrameEmitter::TieredFrameEmitter(X64Emitter &e,
 {}
 
 void
-TieredFrameEmitter::prologue()
+TieredFrameEmitter::prologue(const std::vector<uint32_t> &zeroSlots)
 {
     // Five callee-saved pushes (r15 doubles as alignment padding when
     // rbp is not saved) or seven (six plus a pad) leave rsp 16-byte
@@ -49,8 +49,9 @@ TieredFrameEmitter::prologue()
 
     // activeDf is published before the depth check so the depth-fault
     // message can name this callee; the slot file is claimed from the
-    // engine's frame pool with an overflow check; non-parameter slots
-    // are zeroed exactly like execFrame's fresh register vector.
+    // engine's frame pool with an overflow check; the slots some path
+    // reads before writing get the zero execFrame's fresh register
+    // vector holds, one plain store each.
     e_.storeCtx64(kNativeCtxActiveSlotsOffset, R::RBX);
     e_.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(&df_));
     e_.storeCtx64(kNativeCtxActiveDfOffset, R::RAX);
@@ -63,14 +64,10 @@ TieredFrameEmitter::prologue()
     e_.aluRegReg(X64Emitter::Alu::Cmp, R::RAX, R::RCX, true);
     e_.jccLabel(CC::A, lPoolBail_);
     e_.storeCtx64(kNativeCtxPoolTopOffset, R::RAX);
-    if (df_.numValues > df_.numParams) {
-        e_.movRegReg(R::RDI, R::RBX);
-        if (df_.numParams > 0)
-            e_.aluRegImm32(X64Emitter::Alu::Add, R::RDI,
-                           static_cast<int32_t>(df_.numParams * 8), true);
-        e_.movRegImm32(R::RCX, df_.numValues - df_.numParams);
-        e_.movRegImm32(R::RAX, 0);
-        e_.repStosq();
+    if (!zeroSlots.empty()) {
+        e_.aluRegReg(X64Emitter::Alu::Xor, R::RAX, R::RAX, false);
+        for (uint32_t slot : zeroSlots)
+            e_.storeSlot(slot, R::RAX);
     }
 }
 

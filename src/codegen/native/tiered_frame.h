@@ -40,10 +40,13 @@ class TieredFrameEmitter
      * Save callee-saved registers; pin rbx = slot file, r12 = context,
      * r13 = heap bias and r14 = budget; publish activeSlots/activeDf;
      * check call depth and pool room; claim the slot file from the
-     * pool and zero its non-parameter slots like a fresh interpreter
-     * frame.
+     * pool.  The pool holds whatever earlier frames left there, so the
+     * prologue zeroes @p zeroSlots, the non-parameter slots some path
+     * can read before writing them, with one plain store each: every
+     * other slot is written before it is read, so the frame reads what
+     * a fresh zeroed interpreter frame would.
      */
-    void prologue();
+    void prologue(const std::vector<uint32_t> &zeroSlots);
 
     /** Call @p helper(ctx, recIndex); r14 round-trips through ctx. */
     void callHelper(NativeHelperFn helper, uint32_t recIndex);

@@ -612,14 +612,6 @@ X64Emitter::andpd(X64Xmm dst, X64Xmm src)
 }
 
 void
-X64Emitter::repStosq()
-{
-    u8(0xf3);
-    u8(0x48);
-    u8(0xab);
-}
-
-void
 X64Emitter::nop()
 {
     u8(0x90);

@@ -193,9 +193,8 @@ class X64Emitter
     void xorpd(X64Xmm dst, X64Xmm src);
     void andpd(X64Xmm dst, X64Xmm src);
 
-    // ---- string / misc ----------------------------------------------
-    void repStosq(); ///< rep stosq: rcx quadwords of rax at [rdi]
-    void nop();      ///< single-byte 0x90
+    // ---- misc -------------------------------------------------------
+    void nop(); ///< single-byte 0x90
 
     // ---- control flow -----------------------------------------------
     void jmpLabel(int label);            ///< jmp rel32

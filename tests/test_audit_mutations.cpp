@@ -132,12 +132,13 @@ INSTANTIATE_TEST_SUITE_P(AllTen, AuditMutationDetection,
                          mutationName);
 
 // -----------------------------------------------------------------------
-// Native lowering: the check, exit and register-home obligations of
-// auditNativeTrapSites must catch deliberately corrupted lowering
-// output (codegen/native/native_mutation_hooks.h).  The no-opt trap
-// pipeline keeps many checks explicit and makes the rest implicit, so
-// these seeds produce plenty of explicit checks and of NPE exits in
-// blocks with register homes.
+// Native lowering: the check, exit, register-home and slot-zeroing
+// obligations of auditNativeTrapSites must catch deliberately corrupted
+// lowering output (codegen/native/native_mutation_hooks.h).  The no-opt
+// trap pipeline keeps many checks explicit and makes the rest implicit,
+// so these seeds produce plenty of explicit checks and of NPE exits in
+// blocks with register homes; their try regions give handlers that
+// read values before writing them.
 // -----------------------------------------------------------------------
 
 struct NativeSweepResult
@@ -146,6 +147,17 @@ struct NativeSweepResult
     size_t compiles = 0;       ///< functions the backend accepted
     size_t mutationTargets = 0; ///< compiles the armed mutation could bite
 };
+
+/** The slots the unmutated lowering of @p df zeroes. */
+std::vector<uint32_t>
+unmutatedZeroedSlots(const Function &fn, const DecodedFunction &df)
+{
+    const NativeMutation armed = activeNativeMutation();
+    activeNativeMutation() = NativeMutation::None;
+    NativeCompileResult res = compileNative(fn, df, {});
+    activeNativeMutation() = armed;
+    return res.code->zeroedSlots;
+}
 
 /** Compile seeds [kSeedBegin, kSeedEnd) natively, auditing each
  *  block. */
@@ -197,6 +209,11 @@ nativeAuditSweep(NativeMutation mutation)
               case NativeMutation::RegLocReservedReg:
                 bites = !res.code->regLocs.empty();
                 break;
+              case NativeMutation::PrologueZeroesNothing:
+              case NativeMutation::ZeroSetIgnoresHandlerEdges:
+                bites = res.code->zeroedSlots !=
+                        unmutatedZeroedSlots(fn, *df);
+                break;
             }
             if (mutation != NativeMutation::None && bites)
                 ++result.mutationTargets;
@@ -240,6 +257,8 @@ const NativeMutation kAllNativeMutations[] = {
     NativeMutation::ExplicitCheckEmitsNoBytes,
     NativeMutation::HomedNpeExitDropped,
     NativeMutation::RegLocReservedReg,
+    NativeMutation::PrologueZeroesNothing,
+    NativeMutation::ZeroSetIgnoresHandlerEdges,
 };
 
 const char *
@@ -253,11 +272,15 @@ nativeMutationName(const ::testing::TestParamInfo<NativeMutation> &info)
         return "HomedNpeExitDropped";
       case NativeMutation::RegLocReservedReg:
         return "RegLocReservedReg";
+      case NativeMutation::PrologueZeroesNothing:
+        return "PrologueZeroesNothing";
+      case NativeMutation::ZeroSetIgnoresHandlerEdges:
+        return "ZeroSetIgnoresHandlerEdges";
     }
     return "Unknown";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllThree, NativeAuditMutationDetection,
+INSTANTIATE_TEST_SUITE_P(AllFive, NativeAuditMutationDetection,
                          ::testing::ValuesIn(kAllNativeMutations),
                          nativeMutationName);
 

@@ -27,8 +27,10 @@
  *     code for the "No Hardware Trap" arm takes none at all), mixed
  *     native/interpreted call stacks, budget-fault parity at every
  *     budget and after a trap the handler parks as a HardFault,
- *     in-code exception dispatch with register homes, and the
- *     all-native promise (no interpreter dispatch at all).
+ *     in-code exception dispatch with register homes, slot zeroing
+ *     (values read before written, after an earlier frame at the
+ *     same depth dirtied the frame pool), and the all-native promise
+ *     (no interpreter dispatch at all).
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -42,6 +44,7 @@
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/native_compiler.h"
+#include "codegen/native/native_mutation_hooks.h"
 #include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
@@ -840,6 +843,368 @@ TEST(NativeHomes, ResumedZeroReachesTheDestinationsHome)
         EquivalenceReport report =
             compareTieredEngine(*mod, aix, {}, eagerTieredOptions());
         EXPECT_TRUE(report.equivalent) << report.message;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Slot zeroing: a frame reads what a fresh zeroed interpreter frame holds
+// ---------------------------------------------------------------------------
+//
+// The prologue zeroes only the slots some path can read before writing
+// them, and the frame pool starts as fresh zero pages, so a missing
+// zero shows only after an earlier frame at the same depth dirtied the
+// pool.  In each case main alternates fill(), which leaves nonzero bits
+// in its first kFillSlots slots, with a victim called at the same depth
+// that reads one value before writing it.
+
+constexpr int kFillSlots = 24;
+
+/**
+ * Adds victim()'s callers to @p mod: fill(s), which sets kFillSlots
+ * locals (slots 1..kFillSlots) to s and returns their XOR, and main,
+ * which runs @p rounds rounds of fill(0x5a5a5a + round) then
+ * victim(@p argEven or @p argOdd, by round parity) and folds the
+ * victim's results into its return value.
+ */
+void
+addFillAndMain(Module &mod, int64_t argEven, int64_t argOdd, int rounds = 4)
+{
+    const FunctionId victim = mod.findFunction("victim");
+    Function &fill = mod.addFunction("fill", Type::I32);
+    {
+        ValueId s = fill.addParam(Type::I32, "s");
+        std::vector<ValueId> locals;
+        for (int k = 0; k < kFillSlots; ++k)
+            locals.push_back(fill.addLocal(Type::I32));
+        IRBuilder b(fill);
+        b.startBlock();
+        for (ValueId l : locals)
+            b.move(l, s);
+        ValueId x = locals[0];
+        for (size_t k = 1; k < locals.size(); ++k)
+            x = b.binop(Opcode::IXor, x, locals[k]);
+        b.ret(x);
+    }
+    Function &fn = mod.addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    b.startBlock();
+    ValueId acc = fn.addLocal(Type::I32);
+    b.move(acc, b.constInt(0));
+    for (int round = 0; round < rounds; ++round) {
+        b.callStatic(fill.id(), {b.constInt(0x5a5a5a + round)}, Type::I32);
+        ValueId v = b.callStatic(
+            victim, {b.constInt(round % 2 ? argOdd : argEven)}, Type::I32);
+        b.move(acc, b.binop(Opcode::IAdd,
+                            b.binop(Opcode::IMul, acc, b.constInt(31)), v));
+    }
+    b.ret(acc);
+}
+
+/** victim(p): x = 5 only when p > 0, then return x + 1. */
+std::unique_ptr<Module>
+buildSkippedDefModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("victim", Type::I32);
+    ValueId p = fn.addParam(Type::I32, "p");
+    ValueId x = fn.addLocal(Type::I32, "x");
+    IRBuilder b(fn);
+    b.startBlock();
+    BasicBlock &def = fn.newBlock();
+    BasicBlock &join = fn.newBlock();
+    b.branch(b.cmp(Opcode::ICmp, CmpPred::GT, p, b.constInt(0)), def, join);
+    b.atEnd(def);
+    b.move(x, b.constInt(5));
+    b.jump(join);
+    b.atEnd(join);
+    b.ret(b.binop(Opcode::IAdd, x, b.constInt(1)));
+    addFillAndMain(*mod, 0, 1);
+    return mod;
+}
+
+/**
+ * victim(n): a loop whose head adds acc, unwritten on entry, to the
+ * counter before testing it; returns acc.
+ */
+std::unique_ptr<Module>
+buildLoopHeadReadModule(int rounds = 4)
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("victim", Type::I32);
+    ValueId n = fn.addParam(Type::I32, "n");
+    ValueId acc = fn.addLocal(Type::I32, "acc");
+    ValueId i = fn.addLocal(Type::I32, "i");
+    IRBuilder b(fn);
+    b.startBlock();
+    BasicBlock &head = fn.newBlock();
+    BasicBlock &body = fn.newBlock();
+    BasicBlock &exit = fn.newBlock();
+    b.move(i, b.constInt(0));
+    b.jump(head);
+    b.atEnd(head);
+    ValueId t = b.binop(Opcode::IAdd, acc, i);
+    b.branch(b.cmp(Opcode::ICmp, CmpPred::LT, i, n), body, exit);
+    b.atEnd(body);
+    b.move(acc, t);
+    b.move(i, b.binop(Opcode::IAdd, i, b.constInt(1)));
+    b.jump(head);
+    b.atEnd(exit);
+    b.ret(acc);
+    addFillAndMain(*mod, 3, 2, rounds);
+    return mod;
+}
+
+/**
+ * victim(p): the try body raises an NPE before it writes v; the
+ * handler returns v + 100.
+ */
+std::unique_ptr<Module>
+buildHandlerReadModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("victim", Type::I32);
+    ValueId p = fn.addParam(Type::I32, "p");
+    ValueId v = fn.addLocal(Type::I32, "v");
+    IRBuilder b(fn);
+    BasicBlock &entry = b.startBlock();
+    BasicBlock &handler = fn.newBlock();
+    TryRegionId region = fn.addTryRegion(handler.id(), ExcKind::NullPointer);
+    BasicBlock &body = fn.newBlock(region);
+    b.atEnd(entry);
+    b.jump(body);
+    b.atEnd(body);
+    ValueId t = b.getField(b.constNull(), 8, Type::I32);
+    b.move(v, b.binop(Opcode::IAdd, t, p));
+    b.ret(v);
+    b.atEnd(handler);
+    b.ret(b.binop(Opcode::IAdd, v, b.constInt(100)));
+    addFillAndMain(*mod, 1, 2);
+    return mod;
+}
+
+/**
+ * victim(p): r = a virtual call on a null receiver, marked as an
+ * implicit-check site, then return r + p.  On AIX the read of page
+ * zero yields zero, so the call is skipped and r keeps its old bits.
+ */
+std::unique_ptr<Module>
+buildNullReceiverCallModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &fn = mod->addFunction("victim", Type::I32);
+    ValueId p = fn.addParam(Type::I32, "p");
+    ValueId r = fn.addLocal(Type::I32, "r");
+    IRBuilder b(fn);
+    b.startBlock();
+    Instruction call;
+    call.op = Opcode::Call;
+    call.callKind = CallKind::Virtual;
+    call.dst = r;
+    call.args = {b.constNull()};
+    call.imm = 0;
+    call.exceptionSite = true;
+    b.emit(call);
+    b.ret(b.binop(Opcode::IAdd, r, p));
+    addFillAndMain(*mod, 1, 2);
+    return mod;
+}
+
+struct ZeroingCase
+{
+    const char *name;
+    std::unique_ptr<Module> (*build)();
+    Target (*makeTarget)();
+};
+
+const ZeroingCase kZeroingCases[] = {
+    {"skipped def", buildSkippedDefModule, makeIA32WindowsTarget},
+    {"loop-head read", [] { return buildLoopHeadReadModule(); },
+     makeIA32WindowsTarget},
+    {"handler read", buildHandlerReadModule, makeIA32WindowsTarget},
+    {"null-receiver call", buildNullReceiverCallModule, makePPCAIXTarget},
+};
+
+/**
+ * After one run of @p mod's main under @p opts, the victim must have
+ * run natively (a block the auditor rejects runs interpreted, which
+ * would hide a missing zero) from a block that zeroes some slot.
+ */
+void
+expectVictimZeroesNatively(const Module &mod, const Target &target,
+                           const TieredOptions &opts,
+                           const std::string &where)
+{
+    TieredEngine engine(mod, target, {}, nullptr, {}, opts);
+    engine.run(mod.findFunction("main"), {});
+    const NativeCode *nc =
+        engine.registry()->published(mod.findFunction("victim"));
+    ASSERT_NE(nullptr, nc) << where << ": victim ran interpreted";
+    EXPECT_FALSE(nc->zeroedSlots.empty()) << where;
+}
+
+/**
+ * @p mod's main on the tiered engine against the fast interpreter,
+ * eager and at threshold 2 (each function's first call interpreted),
+ * each time twice around reset().
+ */
+void
+expectZeroedSlotsMatch(Module &mod, const Target &target,
+                       const std::string &what)
+{
+    for (uint32_t threshold : {1u, 2u}) {
+        TieredOptions opts = eagerTieredOptions();
+        opts.threshold = threshold;
+        const std::string where =
+            what + " at threshold " + std::to_string(threshold);
+        EquivalenceReport report = compareTieredEngine(mod, target, {}, opts);
+        EXPECT_TRUE(report.equivalent) << where << ": " << report.message;
+        expectVictimZeroesNatively(mod, target, opts, where);
+    }
+}
+
+TEST(NativeSlotZeroing, BranchSkippingTheOnlyDefReadsZero)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    auto mod = buildSkippedDefModule();
+    expectZeroedSlotsMatch(*mod, makeIA32WindowsTarget(), "skipped def");
+}
+
+TEST(NativeSlotZeroing, LoopHeadReadsZeroOnEntry)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    auto mod = buildLoopHeadReadModule();
+    expectZeroedSlotsMatch(*mod, makeIA32WindowsTarget(), "loop-head read");
+}
+
+TEST(NativeSlotZeroing, HandlerReadsZeroForAValueOnlyTheTryBodyWrites)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    auto mod = buildHandlerReadModule();
+    expectZeroedSlotsMatch(*mod, makeIA32WindowsTarget(), "handler read");
+}
+
+TEST(NativeSlotZeroing, NullReceiverSkippedCallKeepsTheZeroedDst)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    auto mod = buildNullReceiverCallModule();
+    expectZeroedSlotsMatch(*mod, makePPCAIXTarget(), "null-receiver call");
+}
+
+/**
+ * Budgets in [1, full count] at which @p opts' engine disagrees with
+ * the fast interpreter on @p mod's main: fault message, instruction
+ * count, outcome, value or trapsTaken.
+ */
+size_t
+budgetMismatches(const Module &mod, const Target &target,
+                 const TieredOptions &opts)
+{
+    const FunctionId entry = mod.findFunction("main");
+    FastInterpreter full(mod, target);
+    const uint64_t total = full.run(entry, {}).stats.instructions;
+    size_t mismatches = 0;
+    for (uint64_t budget = 1; budget <= total; ++budget) {
+        InterpOptions options;
+        options.maxInstructions = budget;
+        FastInterpreter fast(mod, target, options);
+        const BudgetRun want = runUnderBudget(fast, entry);
+        TieredEngine engine(mod, target, options, nullptr, {}, opts);
+        const BudgetRun got = runUnderBudget(engine, entry);
+        if (want.fault != got.fault || want.instructions != got.instructions ||
+            want.outcome != got.outcome || want.value != got.value ||
+            want.trapsTaken != got.trapsTaken)
+            ++mismatches;
+    }
+    return mismatches;
+}
+
+// Budget exhaustion inside the victim replays its run on the fast
+// interpreter over the same slot file: the replay must read the zero
+// too, at every budget.
+TEST(NativeSlotZeroing, BudgetReplayReadsTheZeroedSlot)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    auto mod = buildLoopHeadReadModule(2);
+    const Target target = makeIA32WindowsTarget();
+    expectEveryBudgetMatches(*mod, target, "loop-head read");
+    expectVictimZeroesNatively(*mod, target, eagerTieredOptions(),
+                               "loop-head read");
+}
+
+// The cases above must catch a lowering that zeroes too little.  With
+// the auditor off (it would reject the block, and the interpreter would
+// mask the bug), every case disagrees with the fast interpreter when
+// the prologue zeroes nothing, and the handler case when the zero set
+// lets only normal edges reach handler entries.
+TEST(NativeSlotZeroing, DirectedCasesCatchTheZeroingMutants)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    TieredOptions unaudited = eagerTieredOptions();
+    unaudited.audit = false;
+    for (NativeMutation mutation : {NativeMutation::PrologueZeroesNothing,
+                                    NativeMutation::ZeroSetIgnoresHandlerEdges}) {
+        ScopedNativeMutation armed(mutation);
+        for (const ZeroingCase &c : kZeroingCases) {
+            const bool bites =
+                mutation == NativeMutation::PrologueZeroesNothing ||
+                std::string(c.name) == "handler read";
+            auto mod = c.build();
+            EquivalenceReport report =
+                compareTieredEngine(*mod, c.makeTarget(), {}, unaudited);
+            EXPECT_EQ(!bites, report.equivalent)
+                << c.name << " under mutation "
+                << static_cast<int>(mutation);
+        }
+        auto mod = buildLoopHeadReadModule(2);
+        const size_t mismatches =
+            budgetMismatches(*mod, makeIA32WindowsTarget(), unaudited);
+        if (mutation == NativeMutation::PrologueZeroesNothing)
+            EXPECT_GT(mismatches, 0u) << "budget replay";
+        else
+            EXPECT_EQ(0u, mismatches) << "budget replay";
+    }
+}
+
+// The call-heavy suite programs as the engines lower them (no trace
+// recording), under every IA32 arm: their small callees zero no slot,
+// and a call reloads only the caller-saved homes its fall-through path
+// reads (javac's eval reloaded all six after each of its two calls).
+TEST(NativeSlotZeroing, SuiteFramesZeroAndReloadOnlyWhatTheyRead)
+{
+    if (!nativeTierSupported())
+        GTEST_SKIP() << "native tier requires x86-64 Linux";
+    const Target target = makeIA32WindowsTarget();
+    NativeCompileOptions options;
+    options.recordTrace = false;
+    for (const char *program : {"javac", "jess", "db"}) {
+        for (PipelineConfig (*makeConfig)() :
+             {makeNoOptNoTrapConfig, makeNoOptTrapConfig,
+              makeOldNullCheckConfig, makeNewPhase1OnlyConfig,
+              makeNewFullConfig}) {
+            auto mod = findWorkload(program)->build();
+            Compiler(target, makeConfig()).compile(*mod);
+            for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
+                const Function &fn = mod->function(f);
+                auto df = decodeFunction(fn, target);
+                NativeCompileResult res = compileNative(fn, *df, options);
+                ASSERT_NE(nullptr, res.code) << fn.name();
+                const std::string &name = fn.name();
+                const std::string where = std::string(program) + " / " +
+                                          makeConfig().name + " / " + name;
+                if (name == "eval") {
+                    EXPECT_TRUE(res.code->zeroedSlots.empty()) << where;
+                    EXPECT_LE(res.code->homeReloads, 2u) << where;
+                } else if (name == "AlphaNode.eval" ||
+                           name == "BetaNode.eval" ||
+                           name == "Asc.compare" || name == "Desc.compare" ||
+                           name.rfind("fold.", 0) == 0 ||
+                           name.rfind("util", 0) == 0) {
+                    EXPECT_TRUE(res.code->zeroedSlots.empty()) << where;
+                } else if (name == "jess_run" || name == "db_scan") {
+                    EXPECT_LE(res.code->homeReloads, 5u) << where;
+                }
+            }
+        }
     }
 }
 
